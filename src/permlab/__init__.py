@@ -4,7 +4,6 @@ from .ffcore import (
     DEFAULT_SIZE_CAP,
     Element,
     FieldCtx,
-    arith,
     get_field,
     make_field,
 )

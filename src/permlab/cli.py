@@ -10,7 +10,9 @@ byte-identical across runs with the same configuration and seed, and
 "timings", which is not.  CSV output carries one line per instance and only
 stable columns.  Exit codes: 0 every asserted instance permutes, 1 at least
 one fails, 2 the selection falls outside the family's applicability, 3
-configuration error (bad flags, bad config file, cap refusal).
+configuration error (bad flags, bad config file, cap refusal, malformed
+report input), 4 internal or I/O error (an --out that cannot be written is
+refused before any work; an unexpected exception prints its traceback).
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, make_field
 from .families import (
@@ -64,6 +68,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INAPPLICABLE = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4      # internal or I/O error
 
 
 class ConfigError(Exception):
@@ -332,15 +337,21 @@ CSV_COLUMNS = [
 ]
 
 
-def report_csv(doc: dict) -> str:
+def _csv_text(header: list, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def report_csv(doc: dict) -> str:
+    rows = []
     for run in doc["stable"]["runs"]:
         for block in run["conditions"]:
             for r in block["instances"]:
                 wit = r["witness"] or ("", "")
-                w.writerow([
+                rows.append([
                     run["family"], run["q"],
                     "" if run["kprime"] is None else run["kprime"],
                     block["condition"], r["s_tag"], r["step"], r["s"],
@@ -348,12 +359,31 @@ def report_csv(doc: dict) -> str:
                     int(r["permutes"]), wit[0], wit[1],
                     r["image_deficit"], int(r["informational"]),
                 ])
-    return buf.getvalue()
+    return _csv_text(CSV_COLUMNS, rows)
 
 
-def _emit(doc: dict, fmt: str, out: Optional[str]) -> None:
+def _sweep_csv(doc: dict) -> str:
+    return _csv_text(["s", "c", "families"],
+                     [[h["s"], h["c"], ";".join(h["families"])]
+                      for h in doc["stable"]["hits"]])
+
+
+def _catalog_csv(manifest: list) -> str:
+    return _csv_text(
+        ["id", "form", "shape", "applies", "s_rule", "s_variants",
+         "conditions", "steps", "uses_kprime", "cross", "notes"],
+        [[e["id"], e["form"], e["shape"], e["applies"], e["s_rule"],
+          ";".join(e["s_variants"]), ";".join(e["conditions"]),
+          ";".join(str(s) for s in e["steps"]),
+          int(e["uses_kprime"]), ";".join(e["cross"]), e["notes"]]
+         for e in manifest])
+
+
+def _emit(doc, fmt: str, out: Optional[str],
+          to_csv: Callable[..., str]) -> None:
+    """Write doc as json, or as the csv that to_csv renders, to out or stdout."""
     if fmt == "csv":
-        text = report_csv(doc)
+        text = to_csv(doc)
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
@@ -389,6 +419,10 @@ def _selected_q(args) -> Optional[int]:
     if args.p is not None or args.k is not None:
         if args.p is None or args.k is None:
             raise ConfigError("--p and --k must be given together")
+        if args.p < 2:
+            raise ConfigError(f"--p must be >= 2, got {args.p}")
+        if args.k < 1:
+            raise ConfigError(f"--k must be >= 1, got {args.k}")
         return args.p**args.k
     return None
 
@@ -404,7 +438,10 @@ def cmd_verify(args) -> int:
                 "applicability cannot speak for the whole catalog)")
     else:
         fids = [args.family]
-        lookup(args.family)  # KeyError -> config error
+        try:
+            lookup(args.family)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from exc
     runs: list[FamilyRun] = []
     for fid in fids:
         if q_sel is not None:
@@ -419,7 +456,7 @@ def cmd_verify(args) -> int:
         for q in qs:
             runs.append(run_family_verification(fid, q, cfg))
     doc = build_report(runs, cfg, "verify")
-    _emit(doc, args.format, args.out)
+    _emit(doc, args.format, args.out, report_csv)
     _summarize(runs)
     return EXIT_PASS if all(r.all_pass for r in runs) else EXIT_FAIL
 
@@ -454,7 +491,7 @@ def cmd_table1(args) -> int:
                 + (f", k' = {cfg.kprime}" if fam.uses_kprime else ""))
         runs.append(run_family_verification(fid, 2**k, cfg))
     doc = build_report(runs, cfg, "table1")
-    _emit(doc, args.format, args.out)
+    _emit(doc, args.format, args.out, report_csv)
     _summarize(runs)
     return EXIT_PASS if all(r.all_pass for r in runs) else EXIT_FAIL
 
@@ -534,20 +571,7 @@ def cmd_sweep(args) -> int:
         "hits": hits,
     }
     doc = {"stable": stable, "timings": {"total_s": elapsed}}
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["s", "c", "families"])
-        for h in hits:
-            w.writerow([h["s"], h["c"], ";".join(h["families"])])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, args.format, args.out, _sweep_csv)
     print(f"{len(hits)} permuting trinomials over GF({q}^2)", file=sys.stderr)
     return EXIT_PASS
 
@@ -560,47 +584,22 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
-    if "stable" not in doc or doc["stable"].get("schema") != SCHEMA:
+    stable = doc.get("stable") if isinstance(doc, dict) else None
+    if not isinstance(stable, dict) or stable.get("schema") != SCHEMA:
         raise ConfigError(f"not a {SCHEMA} document: {args.input}")
-    if args.format == "csv" and doc["stable"].get("verb") in (
-            "verify", "table1"):
-        text = report_csv(doc)
-    elif args.format == "csv":
+    if args.format == "csv" and stable.get("verb") not in ("verify", "table1"):
         raise ConfigError("csv re-emission only covers verify/table1 runs")
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        _emit(doc, args.format, args.out, report_csv)
+    except KeyError as exc:
+        raise ConfigError(
+            f"{args.input} lacks the key {exc.args[0]!r}") from exc
     return EXIT_PASS
 
 
 def cmd_catalog(args) -> int:
-    cfg = _config_from(args)
-    manifest = family_manifest(kprime=cfg.kprime)
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["id", "form", "shape", "applies", "s_rule",
-                    "s_variants", "conditions", "steps", "uses_kprime",
-                    "cross", "notes"])
-        for e in manifest:
-            w.writerow([
-                e["id"], e["form"], e["shape"], e["applies"], e["s_rule"],
-                ";".join(e["s_variants"]), ";".join(e["conditions"]),
-                ";".join(str(s) for s in e["steps"]),
-                int(e["uses_kprime"]), ";".join(e["cross"]), e["notes"],
-            ])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _config_from(args)      # rejects bad shared flags, as the other verbs do
+    _emit(family_manifest(), args.format, args.out, _catalog_csv)
     return EXIT_PASS
 
 
@@ -670,6 +669,18 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
                     help="sample count when a field is too large to sweep")
     sp.add_argument("--config", help="key=value file mirroring the flags")
     sp.add_argument("--out", help="write the report here instead of stdout")
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Refuse an --out that cannot be written before any field is built."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out directory {parent} does not exist")
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise PermissionError(f"--out {path} is not a writable file path")
 
 
 def _config_from(args) -> RunConfig:
@@ -755,6 +766,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.format = "json"
         if args.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {args.format!r}")
+        _check_out(args.out)
         return _DISPATCH[args.verb](args)
     except ConfigError as exc:
         print(f"permlab: {exc}", file=sys.stderr)
@@ -762,9 +774,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InapplicableError as exc:
         print(f"permlab: inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except KeyError as exc:
-        print(f"permlab: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"permlab: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

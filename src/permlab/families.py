@@ -21,9 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .ffcore import Element, FieldCtx
-from .permcheck import (FnSpec, make_fn_delta, make_fn_exponent_sum,
-                        make_fn_trinomial, reduce_exponent)
+from .ffcore import Element, FieldCtx, _prime_factors
+from .permcheck import FnSpec, compose_f, compose_h, make_gspec, reduce_exponent
 
 __all__ = [
     "CoeffCondition",
@@ -638,7 +637,8 @@ def resolve_exponent(fid: str, q: int, kprime: int = 1, variant: int = 0) -> int
 def instantiate(fid: str, fld: FieldCtx, c: Element, delta: Optional[Element] = None,
                 *, kprime: int = 1, step: Optional[int] = None, variant: int = 0,
                 cond_variant: int = 0) -> FnSpec:
-    """Build the family's FnSpec for a concrete coefficient (and delta).
+    """Build the family's FnSpec for a concrete coefficient (and delta): the
+    h side (trinomials) or f side (delta forms) of g = x^s.
 
     The coefficient must satisfy the family condition; delta is required for
     delta forms and rejected for trinomials.  step selects among the declared
@@ -655,20 +655,15 @@ def instantiate(fid: str, fld: FieldCtx, c: Element, delta: Optional[Element] = 
         step = fam.steps[0]
     elif step not in fam.steps:
         raise ValueError(f"{fid} declares steps {fam.steps}, got {step}")
-    s = resolve_exponent(fid, q, kprime, variant)
-    if fam.form == "trinomial":
-        if delta is not None:
-            raise ValueError(f"{fid} is a trinomial family; delta is not accepted")
-        if fld.order > 2 and s % (fld.order - 1) == 0:
-            # both power terms collapse to the same pointwise map and cancel;
-            # keep the instance checkable as the equivalent exponent sum
-            one = fld.one
-            return make_fn_exponent_sum(
-                fld, [(c, 1), (fld.neg(one), s), (one, q**step * s)])
-        return make_fn_trinomial(fld, c, s, k=step, qdeg=qdeg)
-    if delta is None:
+    if fam.form == "trinomial" and delta is not None:
+        raise ValueError(f"{fid} is a trinomial family; delta is not accepted")
+    if fam.form == "delta_form" and delta is None:
         raise ValueError(f"{fid} is a delta-form family; delta is required")
-    return make_fn_delta(fld, c, s, step, delta, qdeg=qdeg)
+    s = resolve_exponent(fid, q, kprime, variant)
+    g = make_gspec(fld, [(fld.one, s)], qdeg=qdeg)
+    if fam.form == "trinomial":
+        return compose_h(g, c, step)
+    return compose_f(g, c, step, delta)
 
 
 def default_parameters(fid: str, count: int = 2, cap: int = 1 << 22,
@@ -695,21 +690,7 @@ def default_parameters(fid: str, count: int = 2, cap: int = 1 << 22,
     return found
 
 
-def _prime_factors(m: int) -> tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
-def family_manifest(kprime: int = 1) -> list[dict]:
+def family_manifest() -> list[dict]:
     """Machine-readable catalog dump, one dict per family."""
     out = []
     for fam in registry():

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "Element",
     "FieldCtx",
-    "arith",
     "get_field",
     "is_prime",
     "make_field",
@@ -589,13 +588,3 @@ def make_field(p: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
 def get_field(p: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
     """Cached make_field; contexts are immutable so sharing is safe."""
     return make_field(p, n, cap)
-
-
-def arith(a: Element, b: Element, kind: str) -> Element:
-    """Dispatch helper: kind is one of add | sub | mul | div."""
-    field = a.field
-    try:
-        op = {"add": field.add, "sub": field.sub, "mul": field.mul, "div": field.div}[kind]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic kind {kind!r}") from None
-    return op(a, b)

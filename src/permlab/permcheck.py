@@ -1,17 +1,17 @@
-"""Function descriptors over a finite field and exhaustive bijectivity checks.
+"""Map descriptors over a finite field and exhaustive bijectivity checks.
 
-A FnSpec is an immutable recipe for one map GF(p^n) -> GF(p^n).  Supported
-kinds:
+Every map is one side of the companion pair (g, c, k, d) over GF(q^m),
+q = p^qdeg, with g a polynomial held as merged (coefficient, exponent)
+terms:
 
-  trinomial     x -> c*x - x^s + x^((q^k)*s)
-  delta_form    x -> (x^(q^k) - x + delta)^s + c*x
-  exponent_sum  x -> sum of c_j * x^(e_j)
-  composed      g-based maps built by the transform module
+  g   x -> g(x)                          exponent sums, Lemma 1
+  h   x -> g(x)^(q^k) - g(x) + c*x       a trinomial is h with g = x^s
+  f   x -> g(x^(q^k) - x + d) + c*x      a shift form is f with g = x^s
 
-q = p^qdeg is the base of the extension view; the Frobenius step k counts in
-q-units.  Exponents are stored reduced into [1, order-1] (a positive exponent
-that is a multiple of order-1 reduces to order-1, keeping 0 -> 0 intact);
-exponent 0 is only meaningful as a constant term of an exponent sum.
+The Frobenius step k counts in q-units.  Exponents are stored reduced into
+[1, order-1] (a positive exponent that is a multiple of order-1 reduces to
+order-1, keeping 0 -> 0 intact); exponent 0 is the constant term.  With
+g = x^s and s a multiple of order-1, h is pointwise c*x.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ from .ffcore import Element, FieldCtx
 
 __all__ = [
     "FnSpec",
+    "GSpec",
     "Lemma1Result",
     "PermVerdict",
     "build_inverse_table",
+    "compose_f",
+    "compose_h",
     "evaluate",
     "evaluate_all",
     "is_permutation",
@@ -36,6 +39,7 @@ __all__ = [
     "make_fn_delta",
     "make_fn_exponent_sum",
     "make_fn_trinomial",
+    "make_gspec",
 ]
 
 
@@ -49,14 +53,11 @@ def reduce_exponent(e: int, order: int) -> int:
 @dataclass(frozen=True)
 class FnSpec:
     field: FieldCtx
-    kind: str
-    c: int = 0              # coefficient index for the linear term
-    s: int = 0              # power exponent, reduced
-    s_frob: int = 0         # trinomial: (q^k * s) reduced
-    pstep: int = 0          # Frobenius iterations in p-units (= qdeg * k)
-    delta: int = -1         # delta index, -1 when absent
-    terms: tuple = ()       # ((coeff index, exponent), ...) for sums / g
-    mode: str = ""          # composed: "shift" (f side) or "frobdiff" (h side)
+    side: str               # "g" (g alone), "h" or "f"
+    terms: tuple = ()       # g as merged ((coeff index, exponent), ...)
+    c: int = 0              # coefficient index of the linear term (h, f)
+    pstep: int = 0          # Frobenius iterations in p-units (= qdeg * kstep)
+    delta: int = -1         # shift index (f), -1 when absent
     qdeg: int = 0           # q = p^qdeg, recorded for reporting
     kstep: int = 0          # Frobenius step in q-units, recorded for reporting
 
@@ -74,56 +75,26 @@ class PermVerdict:
     image_deficit: int
 
 
-def _resolve_view(field: FieldCtx, k: int, qdeg: Optional[int]) -> tuple[int, int]:
-    """Validate the GF(q^m) view and return (qdeg, m)."""
+def _resolve_view(field: FieldCtx, qdeg: Optional[int], k: int = 1) -> int:
+    """Validate the GF(q^m) view (q = p^qdeg, m >= 2) and the Frobenius step
+    1 <= k < m; return qdeg, which defaults to half the extension degree."""
     if qdeg is None:
         if field.n % 2:
             raise ValueError("default view needs an even extension degree; pass qdeg")
         qdeg = field.n // 2
-    if qdeg < 1 or field.n % qdeg:
-        raise ValueError(f"base degree {qdeg} does not divide {field.n}")
+    if not isinstance(qdeg, int) or qdeg < 1 or field.n % qdeg or qdeg == field.n:
+        raise ValueError(f"base degree {qdeg} must properly divide {field.n}")
     m = field.n // qdeg
-    if not 1 <= k < m:
+    if not isinstance(k, int) or not 1 <= k < m:
         raise ValueError(f"frobenius step {k} out of range [1, {m - 1}] for GF(q^{m})")
-    return qdeg, m
+    return qdeg
 
 
-def make_fn_trinomial(field: FieldCtx, c: Element, s: int, k: int = 1,
-                      qdeg: Optional[int] = None) -> FnSpec:
-    """x -> c*x - x^s + x^((q^k)*s) over GF(q^m), q = p^qdeg."""
-    qdeg, _ = _resolve_view(field, k, qdeg)
-    field._check(c)
-    if c.index == 0:
-        raise ValueError("trinomial coefficient c must be nonzero")
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"exponent must be a positive integer, got {s!r}")
-    if field.order > 2 and s % (field.order - 1) == 0:
-        raise ValueError("exponent is a multiple of order-1; power term degenerates")
-    q = field.p**qdeg
-    s_red = reduce_exponent(s, field.order)
-    s2 = reduce_exponent(q**k * s, field.order)
-    return FnSpec(field=field, kind="trinomial", c=c.index, s=s_red, s_frob=s2,
-                  qdeg=qdeg, kstep=k, pstep=qdeg * k)
-
-
-def make_fn_delta(field: FieldCtx, c: Element, s: int, k: int, delta: Element,
-                  qdeg: Optional[int] = None) -> FnSpec:
-    """x -> (x^(q^k) - x + delta)^s + c*x over GF(q^m), q = p^qdeg."""
-    qdeg, _ = _resolve_view(field, k, qdeg)
-    field._check(c)
-    field._check(delta)
-    if c.index == 0:
-        raise ValueError("linear coefficient c must be nonzero")
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"exponent must be a positive integer, got {s!r}")
-    return FnSpec(field=field, kind="delta_form", c=c.index,
-                  s=reduce_exponent(s, field.order), delta=delta.index,
-                  qdeg=qdeg, kstep=k, pstep=qdeg * k)
-
-
-def make_fn_exponent_sum(field: FieldCtx, terms) -> FnSpec:
-    """x -> sum of coeff * x^e.  Negative e is reduced mod order-1; e = 0 is a
-    constant term.  Terms with equal reduced exponents merge."""
+def _merge_terms(field: FieldCtx, terms) -> tuple:
+    """(coefficient Element, integer exponent) pairs as ((coeff index, e), ...)
+    sorted by e.  Nonzero exponents reduce into [1, order-1] (negative ones
+    too), 0 is the constant term, and equal reduced exponents merge, which
+    preserves the map on the field though not the formal polynomial."""
     merged: dict[int, Element] = {}
     for coeff, e in terms:
         field._check(coeff)
@@ -132,9 +103,88 @@ def make_fn_exponent_sum(field: FieldCtx, terms) -> FnSpec:
         e_red = 0 if e == 0 else reduce_exponent(e, field.order)
         cur = merged.get(e_red)
         merged[e_red] = coeff if cur is None else field.add(cur, coeff)
-    flat = tuple(sorted((e, c.index) for e, c in merged.items() if c.index))
-    return FnSpec(field=field, kind="exponent_sum",
-                  terms=tuple((ci, e) for e, ci in flat))
+    return tuple((c.index, e) for e, c in sorted(merged.items()) if c.index)
+
+
+@dataclass(frozen=True)
+class GSpec:
+    """Polynomial g as merged (coefficient index, exponent) terms over field,
+    with the GF(q^m) view (q = p^qdeg) it will be composed under."""
+
+    field: FieldCtx
+    terms: tuple
+    qdeg: int
+    coeff_subdeg: int   # smallest d | n with every coefficient in GF(p^d)
+
+    @property
+    def m(self) -> int:
+        return self.field.n // self.qdeg
+
+    def eval_at(self, x: Element) -> Element:
+        return _eval_terms(self.field, self.terms, x)
+
+
+def make_gspec(field: FieldCtx, terms, qdeg: Optional[int] = None) -> GSpec:
+    """Build a GSpec from (coefficient Element, exponent >= 0) pairs; the
+    exponents reduce and merge as in make_fn_exponent_sum."""
+    qdeg = _resolve_view(field, qdeg)
+    terms = tuple(terms)
+    for _, e in terms:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"g exponents must be integers >= 0, got {e!r}")
+    tm = _merge_terms(field, terms)
+    sub = next(d for d in range(1, field.n + 1) if field.n % d == 0
+               and all(ci in field.subfield_indices(d) for ci, _ in tm))
+    return GSpec(field=field, terms=tm, qdeg=qdeg, coeff_subdeg=sub)
+
+
+def _companion(g: GSpec, side: str, c: Element, k: int, delta: int = -1) -> FnSpec:
+    _resolve_view(g.field, g.qdeg, k)
+    g.field._check(c)
+    if c.index == 0:
+        raise ValueError("linear coefficient c must be nonzero")
+    return FnSpec(field=g.field, side=side, terms=g.terms, c=c.index,
+                  pstep=g.qdeg * k, delta=delta, qdeg=g.qdeg, kstep=k)
+
+
+def compose_h(g: GSpec, c: Element, k: int) -> FnSpec:
+    """h(x) = g(x)^(q^k) - g(x) + c*x as a checkable map."""
+    return _companion(g, "h", c, k)
+
+
+def compose_f(g: GSpec, c: Element, k: int, delta: Element) -> FnSpec:
+    """f(x) = g(x^(q^k) - x + delta) + c*x as a checkable map."""
+    g.field._check(delta)
+    return _companion(g, "f", c, k, delta.index)
+
+
+def _check_power(s) -> None:
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"exponent must be a positive integer, got {s!r}")
+
+
+def make_fn_trinomial(field: FieldCtx, c: Element, s: int, k: int = 1,
+                      qdeg: Optional[int] = None) -> FnSpec:
+    """x -> c*x - x^s + x^((q^k)*s) over GF(q^m), q = p^qdeg: the h side of
+    g = x^s."""
+    _check_power(s)
+    if field.order > 2 and s % (field.order - 1) == 0:
+        raise ValueError("exponent is a multiple of order-1; power term degenerates")
+    return compose_h(make_gspec(field, [(field.one, s)], qdeg), c, k)
+
+
+def make_fn_delta(field: FieldCtx, c: Element, s: int, k: int, delta: Element,
+                  qdeg: Optional[int] = None) -> FnSpec:
+    """x -> (x^(q^k) - x + delta)^s + c*x over GF(q^m), q = p^qdeg: the f
+    side of g = x^s."""
+    _check_power(s)
+    return compose_f(make_gspec(field, [(field.one, s)], qdeg), c, k, delta)
+
+
+def make_fn_exponent_sum(field: FieldCtx, terms) -> FnSpec:
+    """x -> sum of coeff * x^e.  Negative e is reduced mod order-1; e = 0 is a
+    constant term.  Terms with equal reduced exponents merge."""
+    return FnSpec(field=field, side="g", terms=_merge_terms(field, terms))
 
 
 def _eval_terms(field: FieldCtx, terms, x: Element) -> Element:
@@ -152,59 +202,52 @@ def evaluate(fn: FnSpec, x: Element) -> Element:
     """Pointwise evaluation via scalar field operations."""
     field = fn.field
     field._check(x)
-    if fn.kind == "trinomial":
-        val = field.mul(field.element_at(fn.c), x)
-        val = field.sub(val, field.pow(x, fn.s))
-        return field.add(val, field.pow(x, fn.s_frob))
-    if fn.kind == "delta_form":
-        t = field.add(field.sub(field.frobenius(x, fn.pstep), x), field.element_at(fn.delta))
-        pw = field.zero if t.index == 0 else field.pow(t, fn.s)
-        return field.add(pw, field.mul(field.element_at(fn.c), x))
-    if fn.kind == "exponent_sum":
+    if fn.side == "g":
         return _eval_terms(field, fn.terms, x)
-    if fn.kind == "composed":
-        cx = field.mul(field.element_at(fn.c), x)
-        if fn.mode == "shift":
-            t = field.add(field.sub(field.frobenius(x, fn.pstep), x), field.element_at(fn.delta))
-            return field.add(_eval_terms(field, fn.terms, t), cx)
-        if fn.mode == "frobdiff":
-            gx = _eval_terms(field, fn.terms, x)
-            return field.add(field.sub(field.frobenius(gx, fn.pstep), gx), cx)
-    raise ValueError(f"unknown function kind {fn.kind!r}")
+    cx = field.mul(field.element_at(fn.c), x)
+    if fn.side == "h":
+        gx = _eval_terms(field, fn.terms, x)
+        return field.add(field.sub(field.frobenius(gx, fn.pstep), gx), cx)
+    if fn.side == "f":
+        t = field.add(field.sub(field.frobenius(x, fn.pstep), x), field.element_at(fn.delta))
+        return field.add(_eval_terms(field, fn.terms, t), cx)
+    raise ValueError(f"unknown map side {fn.side!r}")
 
 
 def _eval_terms_all(bulk, terms, arr: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(arr)
+    """g over an index array.  The sum starts from the first term, and the
+    power and the coefficient product are skipped when they are 1: on the
+    largest fields each extra pass costs a whole-field array."""
+    acc = None
     for ci, e in terms:
         if e == 0:
-            acc = bulk.add(acc, np.int64(ci))
+            term = np.full_like(arr, ci)
         else:
-            acc = bulk.add(acc, bulk.mul_scalar(ci, bulk.pow_const(arr, e)))
-    return acc
+            term = arr if e == 1 else bulk.pow_const(arr, e)
+            if ci != 1:
+                term = bulk.mul_scalar(ci, term)
+        acc = term if acc is None else bulk.add(acc, term)
+    return np.zeros_like(arr) if acc is None else acc
 
 
 def evaluate_all(fn: FnSpec) -> np.ndarray:
     """Index array of fn over the whole field, position x -> fn(x)."""
-    field = fn.field
-    bulk = field.bulk()
+    bulk = fn.field.bulk()
     xs = bulk.xs
-    if fn.kind == "trinomial":
-        out = bulk.sub(bulk.mul_scalar(fn.c, xs), bulk.pow_const(xs, fn.s))
-        return bulk.add(out, bulk.pow_const(xs, fn.s_frob))
-    if fn.kind == "delta_form":
+    if fn.side == "g":
+        out = _eval_terms_all(bulk, fn.terms, xs)
+        return out.copy() if out is xs else out
+    if fn.side == "h":
+        gx = _eval_terms_all(bulk, fn.terms, xs)
+        out = bulk.sub(bulk.frob(gx, fn.pstep), gx)
+        del gx      # one whole-field array fewer alive while c*x is added
+    elif fn.side == "f":
         t = bulk.add(bulk.sub(bulk.frob(xs, fn.pstep), xs), np.int64(fn.delta))
-        return bulk.add(bulk.pow_const(t, fn.s), bulk.mul_scalar(fn.c, xs))
-    if fn.kind == "exponent_sum":
-        return _eval_terms_all(bulk, fn.terms, xs)
-    if fn.kind == "composed":
-        cx = bulk.mul_scalar(fn.c, xs)
-        if fn.mode == "shift":
-            t = bulk.add(bulk.sub(bulk.frob(xs, fn.pstep), xs), np.int64(fn.delta))
-            return bulk.add(_eval_terms_all(bulk, fn.terms, t), cx)
-        if fn.mode == "frobdiff":
-            gx = _eval_terms_all(bulk, fn.terms, xs)
-            return bulk.add(bulk.sub(bulk.frob(gx, fn.pstep), gx), cx)
-    raise ValueError(f"unknown function kind {fn.kind!r}")
+        out = _eval_terms_all(bulk, fn.terms, t)
+        del t
+    else:
+        raise ValueError(f"unknown map side {fn.side!r}")
+    return bulk.add(out, xs if fn.c == 1 else bulk.mul_scalar(fn.c, xs))
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:

@@ -3,8 +3,11 @@
 For a polynomial g over GF(q^m), a step 0 < k < m, a shift delta and a
 coefficient c, the two companion maps are
 
-    h(x) = g(x)^(q^k) - g(x) + c*x        ("frobdiff" side)
-    f(x) = g(x^(q^k) - x + delta) + c*x   ("shift" side)
+    h(x) = g(x)^(q^k) - g(x) + c*x
+    f(x) = g(x^(q^k) - x + delta) + c*x
+
+(GSpec, make_gspec, compose_h and compose_f live in permcheck and are
+re-exported here.)
 
 When c lies in GF(q^l)* with l = gcd(k, m) and h permutes the field, f
 permutes the field for EVERY delta, with explicit inverse
@@ -32,8 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .ffcore import Element, FieldCtx
-from .permcheck import (FnSpec, PermVerdict, build_inverse_table, evaluate_all,
-                        is_permutation, reduce_exponent)
+from .permcheck import (GSpec, PermVerdict, _resolve_view, build_inverse_table,
+                        compose_f, compose_h, evaluate_all, is_permutation,
+                        make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -59,90 +63,6 @@ __all__ = [
 DELTA_EXHAUSTIVE_CAP = 1 << 14
 DELTA_SAMPLES = 64
 DEFAULT_SEED = 1
-
-
-@dataclass(frozen=True)
-class GSpec:
-    """Polynomial g as merged (coefficient index, exponent) terms over field,
-    with the GF(q^m) view (q = p^qdeg) it will be composed under."""
-
-    field: FieldCtx
-    terms: tuple
-    qdeg: int
-    coeff_subdeg: int   # smallest d | n with every coefficient in GF(p^d)
-
-    @property
-    def m(self) -> int:
-        return self.field.n // self.qdeg
-
-    def eval_at(self, x: Element) -> Element:
-        fld = self.field
-        acc = fld.zero
-        for ci, e in self.terms:
-            coeff = fld.element_at(ci)
-            if e == 0:
-                acc = fld.add(acc, coeff)
-            else:
-                acc = fld.add(acc, fld.mul(coeff, fld.pow(x, e)))
-        return acc
-
-
-def make_gspec(field: FieldCtx, terms, qdeg: Optional[int] = None) -> GSpec:
-    """Build a GSpec from (coefficient Element, exponent >= 0) pairs.
-
-    Exponents are reduced into [1, order-1] (0 stays the constant term) and
-    equal reduced exponents merge, which preserves g as a map on the field
-    though not as a formal polynomial.
-    """
-    if qdeg is None:
-        if field.n % 2:
-            raise ValueError("default view needs an even extension degree; pass qdeg")
-        qdeg = field.n // 2
-    if qdeg < 1 or field.n % qdeg or qdeg == field.n:
-        raise ValueError(f"base degree {qdeg} must properly divide {field.n}")
-    merged: dict[int, Element] = {}
-    for coeff, e in terms:
-        field._check(coeff)
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"g exponents must be integers >= 0, got {e!r}")
-        e_red = 0 if e == 0 else reduce_exponent(e, field.order)
-        cur = merged.get(e_red)
-        merged[e_red] = coeff if cur is None else field.add(cur, coeff)
-    flat = tuple(sorted((e, c.index) for e, c in merged.items() if c.index))
-    tm = tuple((ci, e) for e, ci in flat)
-    sub = field.n
-    for d in range(1, field.n + 1):
-        if field.n % d == 0 and all(ci in field.subfield_indices(d) for ci, _ in tm):
-            sub = d
-            break
-    return GSpec(field=field, terms=tm, qdeg=qdeg, coeff_subdeg=sub)
-
-
-def _check_step(g: GSpec, k: int) -> None:
-    if not isinstance(k, int) or not 1 <= k < g.m:
-        raise ValueError(f"frobenius step {k} out of range [1, {g.m - 1}]")
-
-
-def compose_h(g: GSpec, c: Element, k: int) -> FnSpec:
-    """h(x) = g(x)^(q^k) - g(x) + c*x as a checkable map."""
-    _check_step(g, k)
-    g.field._check(c)
-    if c.index == 0:
-        raise ValueError("linear coefficient c must be nonzero")
-    return FnSpec(field=g.field, kind="composed", mode="frobdiff", c=c.index,
-                  terms=g.terms, qdeg=g.qdeg, kstep=k, pstep=g.qdeg * k)
-
-
-def compose_f(g: GSpec, c: Element, k: int, delta: Element) -> FnSpec:
-    """f(x) = g(x^(q^k) - x + delta) + c*x as a checkable map."""
-    _check_step(g, k)
-    g.field._check(c)
-    g.field._check(delta)
-    if c.index == 0:
-        raise ValueError("linear coefficient c must be nonzero")
-    return FnSpec(field=g.field, kind="composed", mode="shift", c=c.index,
-                  terms=g.terms, delta=delta.index, qdeg=g.qdeg, kstep=k,
-                  pstep=g.qdeg * k)
 
 
 def pick_deltas(field: FieldCtx, cap: int = DELTA_EXHAUSTIVE_CAP,
@@ -195,7 +115,7 @@ def prop2_check(g: GSpec, c: Element, k: int,
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas
     overrides the default exhaustive-or-sampled sweep.
     """
-    _check_step(g, k)
+    _resolve_view(g.field, g.qdeg, k)
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
@@ -220,7 +140,7 @@ def invert_f(g: GSpec, c: Element, k: int, delta: Element, alpha: Element,
     h must permute the field (its dense inverse is built unless supplied).
     """
     fld = g.field
-    _check_step(g, k)
+    _resolve_view(g.field, g.qdeg, k)
     _require_coeff_domain(g, c, k)
     if h_inverse is None:
         h_inverse = build_inverse_table(compose_h(g, c, k))
@@ -268,9 +188,7 @@ def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:
     order/q), and a mismatch raises.
     """
     field._check(delta)
-    if qdeg < 1 or field.n % qdeg or field.n == qdeg:
-        raise ValueError(
-            f"base degree {qdeg} must properly divide {field.n}")
+    _resolve_view(field, qdeg)
     bulk = field.bulk()
     shifted = bulk.sub(bulk.frob(bulk.xs, qdeg), bulk.xs)
     shifted = bulk.add(shifted, np.full_like(bulk.xs, delta.index))

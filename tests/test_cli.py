@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permlab import cli, ffcore
 from permlab.cli import CSV_COLUMNS, main
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
@@ -261,3 +262,50 @@ def test_sweep_tags_catalog_hits(tmp_path):
     tagged = {h["s"]: h["families"] for h in hits}
     assert "thm7" in tagged[19]
     assert any(h["families"] == ["unexplained"] for h in hits)
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 3 for bad input, 4 for I/O and internal errors
+# ---------------------------------------------------------------------------
+
+def test_report_names_missing_key(tmp_path, capsys):
+    doc = tmp_path / "partial.json"
+    doc.write_text(json.dumps(
+        {"stable": {"schema": "permlab-report/1", "verb": "verify"}}))
+    assert main(["report", "--input", str(doc), "--format", "csv"]) == 3
+    assert "'runs'" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("stray")
+    monkeypatch.setattr(cli, "run_family_verification", broken)
+    assert run(tmp_path, "verify", "--family", "thm7", "--q", "7")[0] == 4
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_4_before_any_field(tmp_path, monkeypatch):
+    built = []
+    orig = ffcore.FieldCtx.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        orig(self, *args, **kwargs)
+    monkeypatch.setattr(ffcore.FieldCtx, "__init__", counting)
+    argv = ["verify", "--family", "thm5", "--q", "5", "--out"]
+    assert main(argv + [str(tmp_path / "ok.json")]) == 0
+    assert built                                   # the probe sees builds
+    built.clear()
+    assert main(argv + [str(tmp_path / "missing" / "x.json")]) == 4
+    assert main(argv + [str(tmp_path)]) == 4       # a directory
+    assert built == []
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--p", ["--p", "1", "--k", "2"]),
+    ("--k", ["--p", "7", "--k", "-1"]),
+    ("--k", ["--p", "7", "--k", "0"]),
+])
+def test_bad_p_or_k_names_the_flag(tmp_path, capsys, flag, argv):
+    assert run(tmp_path, "verify", "--family", "thm7", *argv)[0] == 3
+    assert f"permlab: {flag} must be" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from permlab.permcheck import (
     is_permutation,
     make_fn_delta,
     make_fn_trinomial,
+    reduce_exponent,
 )
 
 _FIELDS = {}
@@ -303,7 +304,11 @@ def test_valid_coefficients_inapplicable_field():
 def test_instantiate_thm7_gf49():
     f = field(7, 2)
     fn = instantiate("thm7", f, f.one)
-    assert fn.kind == "trinomial" and fn.s == 19 and fn.s_frob == 37
+    # the h side of g = x^19 over GF(7^2) with q = 7, k = 1; the Frobenius
+    # image of x^19 is x^(7*19 mod 48) = x^37
+    assert fn.side == "h" and fn.terms == ((1, 19),)
+    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 1, 1)
+    assert reduce_exponent(f.p**fn.pstep * 19, f.order) == 37
     assert is_permutation(fn).is_permutation
 
 
@@ -311,7 +316,8 @@ def test_instantiate_thm18_1_gf16():
     # (x^4 + x)^7 + x over GF(16): q = 4, s = 2q - 1
     f = field(2, 4)
     fn = instantiate("thm18-1", f, f.one, f.zero)
-    assert fn.kind == "delta_form" and fn.s == 7 and fn.pstep == 2
+    assert fn.side == "f" and fn.terms == ((1, 7),) and fn.pstep == 2
+    assert (fn.qdeg, fn.kstep, fn.delta) == (2, 1, 0)
     for x in list(f.elements())[:6]:
         inner = f.add(f.frobenius(x, 2), x)      # char 2: -x = x
         want = f.add(f.pow(inner, 7) if inner.index else f.zero, x)
@@ -335,12 +341,12 @@ def test_instantiate_inapplicable_field():
 
 
 def test_degenerate_exponent_falls_back_to_linear_sum():
-    # lem15-1 at q = 2: s = 3 = order - 1 over GF(4); the two power terms
-    # agree pointwise and cancel, leaving exactly cx
+    # lem15-1 at q = 2: s = 3 = order - 1 over GF(4); g = x^3 is 0/1-valued,
+    # so g^q - g vanishes and h is exactly the linear map cx
     f = field(2, 2)
     fn = instantiate("lem15-1", f, f.one)
-    assert fn.kind == "exponent_sum"
-    assert fn.terms == ((1, 1),)
+    assert fn.side == "h" and fn.terms == ((1, 3),)
+    assert all(evaluate(fn, x) == x for x in f.elements())
     assert is_permutation(fn).is_permutation
 
 

@@ -7,6 +7,8 @@ import pytest
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
     build_inverse_table,
+    compose_f,
+    compose_h,
     evaluate,
     evaluate_all,
     is_permutation,
@@ -15,6 +17,7 @@ from permlab.permcheck import (
     make_fn_delta,
     make_fn_exponent_sum,
     make_fn_trinomial,
+    make_gspec,
     reduce_exponent,
 )
 
@@ -56,15 +59,19 @@ def test_reduce_exponent_preserves_power_map():
 def test_trinomial_frozen_exponents_q7():
     f = field(7, 2)
     fn = make_fn_trinomial(f, f.one, 19)
-    assert fn.s == 19 and fn.s_frob == 37
+    assert fn.side == "h" and fn.terms == ((1, 19),)
+    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 1, 1)
+    assert reduce_exponent(f.p**fn.pstep * 19, f.order) == 37
     assert is_permutation(fn).is_permutation
 
 
 def test_trinomial_frozen_exponents_quartic_q3():
-    # the quartic shape uses the q^2 Frobenius: s_frob = 9*33 mod 80
+    # the quartic shape uses the q^2 Frobenius: x^33 maps to x^(9*33 mod 80)
     f = field(3, 4)
     fn = make_fn_trinomial(f, f.one, 33, k=2, qdeg=1)
-    assert fn.s == 33 and fn.s_frob == 57
+    assert fn.side == "h" and fn.terms == ((1, 33),)
+    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 2, 2)
+    assert reduce_exponent(f.p**fn.pstep * 33, f.order) == 57
     assert is_permutation(fn).is_permutation
 
 
@@ -118,6 +125,68 @@ def test_exponent_sum_constant_and_negative_terms():
     for x in f.elements():
         want = f.add(f.scalar(3), f.pow(x, 5))
         assert evaluate(fn, x) == want
+
+
+# ---------------------------------------------------------------------------
+# every constructor against its textbook formula, written with Element
+# operators only and evaluated at every point
+# ---------------------------------------------------------------------------
+
+def _assert_matches(fn, formula):
+    outs = evaluate_all(fn)
+    fld = fn.field
+    for i in range(fld.order):
+        assert outs[i] == formula(fld.element_at(i)).index, i
+
+
+def _power(x, e):
+    # x**0 is the constant 1, also at x = 0
+    return x**e if e else x.field.one
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 2), (7, 2)])
+def test_constructors_match_textbook_formulas(p, n):
+    f = field(p, n)
+    Q = f.order
+    rng = random.Random(p * 100 + n)
+    for qdeg in (d for d in range(1, n) if n % d == 0):
+        q = p**qdeg
+        for k in range(1, n // qdeg):
+            for _ in range(3):
+                c = f.element_at(rng.randrange(1, Q))
+                d = f.element_at(rng.randrange(Q))
+                s = rng.choice([e for e in range(1, Q) if e % (Q - 1)])
+                _assert_matches(
+                    make_fn_trinomial(f, c, s, k=k, qdeg=qdeg),
+                    lambda x: c * x - x**s + x**(q**k * s))
+                _assert_matches(
+                    make_fn_delta(f, c, s, k, d, qdeg=qdeg),
+                    lambda x: (x**(q**k) - x + d)**s + c * x)
+                # binomial g, one exponent degenerate (s = 0 mod Q-1)
+                a = f.element_at(rng.randrange(1, Q))
+                b = f.element_at(rng.randrange(1, Q))
+                e1 = rng.randrange(0, 2 * Q)
+                e2 = rng.choice([Q - 1, 2 * (Q - 1), rng.randrange(1, 2 * Q)])
+                g = make_gspec(f, [(a, e1), (b, e2)], qdeg=qdeg)
+
+                def gx(x):
+                    return a * _power(x, e1) + b * _power(x, e2)
+                _assert_matches(
+                    compose_h(g, c, k),
+                    lambda x: gx(x)**(q**k) - gx(x) + c * x)
+                _assert_matches(
+                    compose_f(g, c, k, d),
+                    lambda x: gx(x**(q**k) - x + d) + c * x)
+
+
+def test_degenerate_monomial_h_is_the_linear_map():
+    # g = x^(Q-1) is 0 at 0 and 1 elsewhere, so g^(q^k) - g vanishes
+    for p, n in [(2, 6), (3, 4), (5, 2), (7, 2)]:
+        f = field(p, n)
+        c = f.element_at(f.order - 2)
+        for e in (f.order - 1, 3 * (f.order - 1)):
+            h = compose_h(make_gspec(f, [(f.one, e)], qdeg=n // 2), c, 1)
+            _assert_matches(h, lambda x: c * x)
 
 
 # ---------------------------------------------------------------------------
