@@ -120,6 +120,7 @@ class FamilyRun:
     q: int
     kprime: Optional[int]
     deltas_exhaustive: Optional[bool]
+    field_s: float = 0.0
     instances: list[InstanceResult] = dc_field(default_factory=list)
 
     @property
@@ -176,7 +177,9 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
         raise InapplicableError(
             f"{fid} does not apply at q = {q}"
             + (f", k' = {cfg.kprime}" if fam.uses_kprime else ""))
+    t0 = time.perf_counter()
     fld = make_field(p, k * m, cap=cfg.cap)
+    field_s = time.perf_counter() - t0
     if fam.form == "delta_form":
         delta_idx, exhaustive = pick_deltas(
             fld, samples=cfg.delta_samples, seed=cfg.seed)
@@ -209,7 +212,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
 
     run = FamilyRun(family=fid, p=p, n=k * m, modulus=fld.modulus, q=q,
                     kprime=cfg.kprime if fam.uses_kprime else None,
-                    deltas_exhaustive=exhaustive)
+                    deltas_exhaustive=exhaustive, field_s=field_s)
     for (ctag, stag, step, s_val, c_idx, d_idx, info), (verdict, el) in zip(
             meta, outcomes):
         wit = None
@@ -317,6 +320,7 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
             {
                 "family": run.family,
                 "q": run.q,
+                "field_s": round(run.field_s, 6),
                 "instances_s": [round(r.elapsed, 6) for r in run.instances],
             }
             for run in runs

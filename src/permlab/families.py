@@ -91,6 +91,11 @@ def omega_set(fld: FieldCtx, sub_deg: Optional[int] = None) -> frozenset[Element
     return frozenset(fld.element_at(i) for i in members if i not in image)
 
 
+def _omega_cached(fld: FieldCtx, sub_deg: int) -> frozenset[Element]:
+    """omega_set(fld, sub_deg), built once per field context."""
+    return fld.cached(("omega", sub_deg), lambda: omega_set(fld, sub_deg))
+
+
 @dataclass(frozen=True)
 class CoeffCondition:
     """Admissibility predicate for the linear coefficient c.
@@ -142,7 +147,7 @@ class CoeffCondition:
             t = fld.div(fld.scalar(self.sign * self.base), c)
             return fld.pow(t, self.exp).index == 1
         if self.kind == "omega":
-            return c in omega_set(fld, qdeg)
+            return c in _omega_cached(fld, qdeg)
         if self.kind == "subfield":
             return fld.is_in_subfield(c, self.sub_deg)
         raise ValueError(f"unknown condition kind {self.kind!r}")
@@ -174,7 +179,7 @@ class CoeffCondition:
             a = fld.scalar(self.sign * self.base)
             pool = [fld.div(a, u).index for u in fld.mu_subgroup(d)]
         elif self.kind == "omega":
-            pool = [e.index for e in omega_set(fld, self.sub_deg or qdeg)]
+            pool = [e.index for e in _omega_cached(fld, self.sub_deg or qdeg)]
         elif self.kind == "subfield":
             pool = [i for i in fld.subfield_indices(self.sub_deg) if i]
         else:

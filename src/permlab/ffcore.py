@@ -7,7 +7,13 @@ trial division against every monic polynomial of degree 1..n//2.
 
 Each field precomputes discrete exp/log tables over a fixed multiplicative
 generator plus the element sets of all proper subfields, and is immutable
-afterwards, so contexts are safe to share between threads.
+afterwards, so contexts are safe to share between threads.  The exp table is
+built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by the
+constant g^L is the GF(p)-linear map sending x^i to x^i * g^L, applied to a
+whole block at once (shift/xor for p = 2, a digit matrix product otherwise).
+The log table is its inverse permutation.  Bulk addition in odd
+characteristic with n > 1 goes through Zech logarithms,
+a + b = g^(log a + Z(log b - log a)) with Z(k) = log(1 + g^k).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -174,41 +180,42 @@ class _Bulk:
         self.Q = field.order
         self.p = field.p
         self.n = field.n
-        self.exp = np.array(field._exp, dtype=np.int64)
-        self.log = np.array(field._log, dtype=np.int64)
+        self.exp = field._exp_arr
+        self.log = field._log_arr
         xs = np.arange(self.Q, dtype=np.int64)
         xs.flags.writeable = False
         self.xs = xs
-        self._dig = None
-        self._pw = None
+        self.zech = None
+        if self.p != 2 and self.n > 1:
+            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
+            e = self.exp
+            zech = self.log[e + 1 - self.p * (e % self.p == self.p - 1)]
+            zech.flags.writeable = False
+            self.zech = zech
 
-    def _digit_tables(self):
-        if self._dig is None:
-            dig = np.empty((self.Q, self.n), dtype=np.int64)
-            rem = np.arange(self.Q, dtype=np.int64)
-            for i in range(self.n):
-                dig[:, i] = rem % self.p
-                rem //= self.p
-            dig.flags.writeable = False
-            self._dig = dig
-            self._pw = self.p ** np.arange(self.n, dtype=np.int64)
-        return self._dig, self._pw
+    def _zech_add(self, a, b, shift: int):
+        """a + b * g^shift; shift (Q-1)/2 multiplies b by -1."""
+        M = self.Q - 1
+        la = self.log[a]
+        lb = self.log[b] + shift
+        z = self.zech[(lb - la) % M]
+        out = np.where(z < 0, 0, self.exp[(la + z) % M])
+        nb = b if shift == 0 else np.where(b == 0, 0, self.exp[lb % M])
+        return np.where(a == 0, nb, np.where(b == 0, a, out))
 
     def add(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a + b) % self.p
-        dig, pw = self._digit_tables()
-        return ((dig[a] + dig[b]) % self.p) @ pw
+        return self._zech_add(a, b, 0)
 
     def sub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a - b) % self.p
-        dig, pw = self._digit_tables()
-        return ((dig[a] - dig[b]) % self.p) @ pw
+        return self._zech_add(a, b, (self.Q - 1) // 2)
 
     def pow_const(self, arr, e: int):
         """arr**e elementwise for a fixed exponent e >= 1 (0**e = 0)."""
@@ -264,7 +271,7 @@ class FieldCtx:
         self._init_mul()
         self._init_tables()
         self._init_subfields()
-        self._bulk_cache: _Bulk | None = None
+        self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -332,31 +339,48 @@ class FieldCtx:
             e >>= 1
         return acc
 
+    def _times_const(self, arr, c: int):
+        """arr * c elementwise, as the GF(p)-linear map x^i -> x^i * c."""
+        p, n = self.p, self.n
+        rows = [self._mul_raw(p**i, c) for i in range(n)]
+        if p == 2:
+            out = np.zeros_like(arr)
+            for i, r in enumerate(rows):
+                out ^= ((arr >> i) & 1) * r
+            return out
+        dig = np.empty((n, arr.size), dtype=np.int64)
+        for i in range(n):
+            dig[i] = arr // p**i % p
+        out = np.zeros_like(arr)
+        for j in range(n):
+            col = [r // p**j % p for r in rows]
+            out += (np.dot(col, dig) % p) * p**j
+        return out
+
     def _init_tables(self):
         Q = self.order
-        if Q == 2:
-            self.generator_index = 1
-            self._exp = [1]
-            self._log = [-1, 0]
-            return
-        fac = _prime_factors(Q - 1)
-        gen = 0
-        for cand in range(2, Q):
-            if all(self._pow_raw(cand, (Q - 1) // f) != 1 for f in fac):
-                gen = cand
-                break
-        if not gen:
-            raise RuntimeError("no multiplicative generator found")  # unreachable
+        gen = 1
+        if Q > 2:
+            fac = _prime_factors(Q - 1)
+            gen = next(cand for cand in range(2, Q)
+                       if all(self._pow_raw(cand, (Q - 1) // f) != 1 for f in fac))
         self.generator_index = gen
-        exp = [0] * (Q - 1)
-        log = [-1] * Q
-        cur = 1
-        for i in range(Q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, gen)
-        self._exp = exp
-        self._log = log
+        exp = np.empty(Q - 1, dtype=np.int64)
+        exp[0] = 1
+        size = 1
+        while size < Q - 1:
+            block = min(size, Q - 1 - size)
+            exp[size:size + block] = self._times_const(
+                exp[:block], self._mul_raw(int(exp[size - 1]), gen))
+            size += block
+        log = np.full(Q, -1, dtype=np.int64)
+        log[exp] = np.arange(Q - 1, dtype=np.int64)
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        self._exp_arr = exp
+        self._log_arr = log
+        self._exp = exp.tolist()
+        self._log = log.tolist()
 
     def _init_subfields(self):
         """Element index sets of every proper subfield GF(p^m), m | n."""
@@ -573,10 +597,16 @@ class FieldCtx:
         stride = (self.order - 1) // d
         return frozenset(Element(self, self._exp[t * stride]) for t in range(d))
 
+    def cached(self, key, build):
+        """build(), computed once per context under key and kept as long as
+        the context lives (threads racing on a miss all get the stored one)."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            return self._cache.setdefault(key, build())
+
     def bulk(self) -> _Bulk:
-        if self._bulk_cache is None:
-            self._bulk_cache = _Bulk(self)
-        return self._bulk_cache
+        return self.cached("bulk", lambda: _Bulk(self))
 
 
 def make_field(p: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:

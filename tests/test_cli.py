@@ -139,6 +139,21 @@ def test_table1_single_row(tmp_path):
     assert tags == {"unity", "c=1"}
 
 
+def test_timings_record_field_construction_per_run(tmp_path):
+    for argv in (("verify", "--family", "thm14", "--q", "3"), ("table1", "--row", "9")):
+        code, doc = run(tmp_path, *argv)
+        assert code == 0
+        stable_runs, timing_runs = doc["stable"]["runs"], doc["timings"]["runs"]
+        assert [(t["family"], t["q"]) for t in timing_runs] == [
+            (r["family"], r["q"]) for r in stable_runs]
+        for t, r in zip(timing_runs, stable_runs):
+            assert t["field_s"] > 0
+            assert len(t["instances_s"]) == r["summary"]["instances"]
+        instances_total = sum(sum(t["instances_s"]) for t in timing_runs)
+        assert doc["timings"]["total_s"] == pytest.approx(instances_total, abs=1e-4)
+        assert "field_s" not in json.dumps(doc["stable"])
+
+
 def test_table1_inadmissible_k(tmp_path):
     code, doc = run(tmp_path, "table1", "--row", "1", "--k", "3")
     assert code == 2 and doc is None

@@ -100,6 +100,24 @@ def test_omega_rejects_odd_characteristic():
         omega_set(field(3, 2))
 
 
+def test_omega_condition_builds_once_per_field_context(monkeypatch):
+    import permlab.families as fam_mod
+
+    calls = []
+
+    def counted(fld, sub_deg=None):
+        calls.append(sub_deg)
+        return omega_set(fld, sub_deg)
+
+    monkeypatch.setattr(fam_mod, "omega_set", counted)
+    cond = fam_mod.CoeffCondition("omega")
+    for f in (FieldCtx(2, 6), FieldCtx(2, 6)):    # fresh contexts build afresh
+        pool = cond.candidates(f, 3)
+        assert {c for c in f.elements() if cond.holds(f, 3, c)} == set(pool)
+        assert set(pool) == omega_set(f, 3) and len(pool) > 1
+    assert calls == [3, 3]
+
+
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------

@@ -338,6 +338,128 @@ def test_bulk_mul_scalar():
 
 
 # ---------------------------------------------------------------------------
+# exp/log tables: the doubling build vs the scalar chain and sympy
+# ---------------------------------------------------------------------------
+
+def scalar_tables(f):
+    """(generator, exp, log) by the scalar chain cur -> _mul_raw(cur, g): the
+    generator is the smallest index >= 2 whose chain first returns to 1 after
+    order - 1 steps."""
+    Q = f.order
+    if Q == 2:
+        return 1, [1], [-1, 0]
+    for gen in range(2, Q):
+        exp, cur = [], 1
+        while True:
+            exp.append(cur)
+            cur = f._mul_raw(cur, gen)
+            if cur == 1:
+                break
+        if len(exp) == Q - 1:
+            break
+    log = [-1] * Q
+    for i, e in enumerate(exp):
+        log[e] = i
+    return gen, exp, log
+
+
+def small_field_params(limit):
+    for p in range(2, limit + 1):
+        if not all(p % d for d in range(2, int(p**0.5) + 1)):
+            continue
+        n = 1
+        while p**n <= limit:
+            yield p, n
+            n += 1
+
+
+def test_tables_match_scalar_chain_every_small_field():
+    params = list(small_field_params(1 << 12)) + [(2, 16), (3, 9)]
+    assert (2, 12) in params and (3, 7) in params and (4093, 1) in params
+    for p, n in params:
+        f = FieldCtx(p, n)
+        gen, exp, log = scalar_tables(f)
+        assert f.generator_index == gen, (p, n)
+        assert f._exp == exp, (p, n)
+        assert f._log == log, (p, n)
+        assert f._exp_arr.tolist() == exp and f._log_arr.tolist() == log, (p, n)
+
+
+@pytest.fixture(scope="module")
+def large_fields():
+    return [FieldCtx(2, 22), FieldCtx(5, 8)]
+
+
+def test_tables_chain_at_seeded_positions_large_fields(large_fields):
+    rng = random.Random(22)
+    for f in large_fields:
+        Q, g = f.order, f.generator_index
+        exp, log = f._exp_arr, f._log_arr
+        assert np.array_equal(np.sort(exp), np.arange(1, Q))
+        assert log[0] == -1
+        for i in [0, Q - 2] + [rng.randrange(Q - 1) for _ in range(300)]:
+            assert f._mul_raw(int(exp[i]), g) == int(exp[(i + 1) % (Q - 1)])
+            assert log[exp[i]] == i
+            assert f._exp[i] == exp[i] and f._log[f._exp[i]] == i
+
+
+def test_tables_match_sympy_powers(large_fields):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    rng = random.Random(8)
+    fields = [FieldCtx(p, n) for p, n in [(2, 8), (3, 5), (7, 3), (13, 2)]]
+    for f in fields + large_fields:
+        p, n, Q = f.p, f.n, f.order
+        mod = list(reversed(f.modulus))                 # highest degree first
+        g = list(reversed(f.element_at(f.generator_index).coeffs))
+        for i in [0, 1, Q - 2] + [rng.randrange(Q - 1) for _ in range(40)]:
+            want = gf_pow_mod(g, i, mod, p, ZZ)
+            want = [0] * (n - len(want)) + [int(c) for c in want]
+            assert f.element_at(f._exp[i]).coeffs == tuple(reversed(want)), (p, n, i)
+
+
+def digitwise(a, b, p, n, sign):
+    """a + sign*b by adding base-p digits mod p."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(n):
+        out += (a // p**i % p + sign * (b // p**i % p)) % p * p**i
+    return out
+
+
+def test_zech_add_sub_all_pairs_small_fields():
+    for p, n in [(3, 2), (3, 4), (5, 2), (7, 2)]:
+        f = FieldCtx(p, n)
+        b = f.bulk()
+        a_all, b_all = np.meshgrid(b.xs, b.xs)
+        a_all, b_all = a_all.ravel(), b_all.ravel()
+        assert np.array_equal(b.add(a_all, b_all), digitwise(a_all, b_all, p, n, 1)), (p, n)
+        assert np.array_equal(b.sub(a_all, b_all), digitwise(a_all, b_all, p, n, -1)), (p, n)
+
+
+def test_zech_add_sub_seeded_pairs_large_fields():
+    rng = np.random.default_rng(10)
+    for p, n in [(3, 10), (5, 8)]:
+        f = FieldCtx(p, n)
+        b = f.bulk()
+        xs = rng.integers(0, f.order, 20000)
+        ys = rng.integers(0, f.order, 20000)
+        xs[:50] = 0                                   # zero left operand
+        ys[50:100] = 0                                # zero right operand
+        xs[100:110] = ys[100:110] = 0
+        ys[110:200] = digitwise(0, xs[110:200], p, n, -1)   # a = -b
+        ys[200:250] = xs[200:250]                     # a = b
+        assert np.array_equal(b.add(xs, ys), digitwise(xs, ys, p, n, 1)), (p, n)
+        assert np.array_equal(b.sub(xs, ys), digitwise(xs, ys, p, n, -1)), (p, n)
+        for c in [0, 1, p - 1, int(rng.integers(f.order))]:
+            s = np.int64(c)
+            assert np.array_equal(b.add(xs, s), digitwise(xs, s, p, n, 1)), (p, n, c)
+            assert np.array_equal(b.sub(s, xs), digitwise(s, xs, p, n, -1)), (p, n, c)
+            assert np.array_equal(b.sub(xs, s), digitwise(xs, s, p, n, -1)), (p, n, c)
+
+
+# ---------------------------------------------------------------------------
 # construction guards
 # ---------------------------------------------------------------------------
 
