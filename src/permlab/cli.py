@@ -34,13 +34,13 @@ from .families import (
     InapplicableError,
     default_parameters,
     family_manifest,
-    instantiate,
     lookup,
     registry,
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import is_permutation, make_fn_trinomial
+from .permcheck import (compose_f, compose_h, is_permutation, make_fn_trinomial,
+                        make_gspec)
 from .transform import DEFAULT_SEED, DELTA_EXHAUSTIVE_CAP, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
@@ -152,9 +152,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def _run_one(job):
-    fid, fld, c, delta, kw = job
+    g, c, step, delta = job
     t0 = time.perf_counter()
-    fn = instantiate(fid, fld, c, delta, **kw)
+    fn = compose_h(g, c, step) if delta is None else compose_f(g, c, step, delta)
     verdict = is_permutation(fn)
     elapsed = time.perf_counter() - t0
     return verdict, elapsed
@@ -187,19 +187,21 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     else:
         deltas, exhaustive = [None], None
 
+    # valid_coefficients has already checked every c against the condition,
+    # so each job composes h (trinomials) or f (delta forms) of g = x^s
+    # without instantiate's per-call checks
     jobs = []
     meta = []
     for ci, (ctag, _) in enumerate(fam.conds):
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
+            g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
                 informational = step != fam.steps[0]
                 for c in cs:
                     for d in deltas:
-                        kw = dict(kprime=cfg.kprime, step=step, variant=si,
-                                  cond_variant=ci)
-                        jobs.append((fid, fld, c, d, kw))
+                        jobs.append((g, c, step, d))
                         meta.append((ctag or "default", stag, step, s_val,
                                      c.index,
                                      None if d is None else d.index,

@@ -11,9 +11,17 @@ afterwards, so contexts are safe to share between threads.  The exp table is
 built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by the
 constant g^L is the GF(p)-linear map sending x^i to x^i * g^L, applied to a
 whole block at once (shift/xor for p = 2, a digit matrix product otherwise).
-The log table is its inverse permutation.  Bulk addition in odd
+The log table is its inverse permutation.  Both tables are kept once, as
+read-only int64 arrays; the scalar path reads them through memoryviews,
+which index to Python ints.
+
+Bulk products and powers gather log[x] once, do the exponent arithmetic in
+place mod order-1, gather from exp and then zero the positions where an
+operand was 0 (log[0] = -1 is a placeholder).  Bulk addition in odd
 characteristic with n > 1 goes through Zech logarithms,
-a + b = g^(log a + Z(log b - log a)) with Z(k) = log(1 + g^k).
+a + b = g^(log a + Z(log b - log a)) with Z(k) = log(1 + g^k).  The shift
+image x^(p^i) - x, which every shift form and trace fibre starts from, is
+built once per field and kept read only (_Bulk.shift_base).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -194,14 +202,27 @@ class _Bulk:
             self.zech = zech
 
     def _zech_add(self, a, b, shift: int):
-        """a + b * g^shift; shift (Q-1)/2 multiplies b by -1."""
+        """a + b * g^shift; shift (Q-1)/2 multiplies b by -1.  Numpy scalars
+        broadcast on either side."""
         M = self.Q - 1
         la = self.log[a]
-        lb = self.log[b] + shift
-        z = self.zech[(lb - la) % M]
-        out = np.where(z < 0, 0, self.exp[(la + z) % M])
-        nb = b if shift == 0 else np.where(b == 0, 0, self.exp[lb % M])
-        return np.where(a == 0, nb, np.where(b == 0, a, out))
+        t = self.log[b] - la
+        if shift:
+            t += shift
+        t %= M
+        t = self.zech[t]
+        cancel = t < 0              # a = -b * g^shift
+        t += la
+        t %= M
+        out = self.exp[t]
+        out[cancel] = 0
+        # zero operands: log[0] = -1 made t meaningless there
+        np.copyto(out, a, where=b == 0)
+        az = np.broadcast_to(a == 0, out.shape)
+        if az.any():
+            nb = np.broadcast_to(b, out.shape)[az]
+            out[az] = nb if shift == 0 else self.mul_scalar(self.exp.item(shift), nb)
+        return out
 
     def add(self, a, b):
         if self.p == 2:
@@ -217,40 +238,45 @@ class _Bulk:
             return (a - b) % self.p
         return self._zech_add(a, b, (self.Q - 1) // 2)
 
-    def pow_const(self, arr, e: int):
-        """arr**e elementwise for a fixed exponent e >= 1 (0**e = 0)."""
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        if self.Q > 2:
-            out[nz] = self.exp[(self.log[arr[nz]] * (e % (self.Q - 1))) % (self.Q - 1)]
-        else:
-            out[nz] = 1
+    def _from_logs(self, t, zero):
+        """exp[t mod (Q-1)], in place on the fresh log array t, with 0 where
+        the operand mask zero holds (log[0] = -1 left t meaningless there)."""
+        t %= self.Q - 1
+        out = self.exp[t]
+        out[zero] = 0
         return out
 
+    def pow_const(self, arr, e: int):
+        """arr**e elementwise for a fixed exponent e >= 1 (0**e = 0)."""
+        t = self.log[arr]
+        t *= e % (self.Q - 1)
+        return self._from_logs(t, arr == 0)
+
     def frob(self, arr, psteps: int):
-        if self.Q == 2:
-            return arr.copy()
         return self.pow_const(arr, pow(self.p, psteps, self.Q - 1))
+
+    def shift_base(self, pstep: int):
+        """x^(p^pstep) - x over the whole field, built once per context and
+        read only: every shift x^(p^pstep) - x + d is this plus d."""
+        def build():
+            out = self.sub(self.frob(self.xs, pstep), self.xs)
+            out.flags.writeable = False
+            return out
+        return self.field.cached(("shift_base", pstep), build)
 
     def mul_scalar(self, c_idx: int, arr):
         if c_idx == 0:
             return np.zeros_like(arr)
         if c_idx == 1:
             return arr.copy()
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self.exp[(self.log[arr[nz]] + self.log[c_idx]) % (self.Q - 1)]
-        return out
+        t = self.log[arr]
+        t += self.log.item(c_idx)
+        return self._from_logs(t, arr == 0)
 
     def mul(self, a, b):
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if nz.any():
-            out[nz] = self.exp[
-                (self.log[np.broadcast_to(a, out.shape)[nz]] + self.log[np.broadcast_to(b, out.shape)[nz]])
-                % (self.Q - 1)
-            ]
-        return out
+        """a * b elementwise; arrays broadcast against each other."""
+        t = self.log[a] + self.log[b]
+        return self._from_logs(t, (a == 0) | (b == 0))
 
 
 class FieldCtx:
@@ -379,8 +405,10 @@ class FieldCtx:
         log.flags.writeable = False
         self._exp_arr = exp
         self._log_arr = log
-        self._exp = exp.tolist()
-        self._log = log.tolist()
+        # the scalar path reads the same buffers; indexing a memoryview
+        # yields Python ints, so Element.index stays an int
+        self._exp = memoryview(exp)
+        self._log = memoryview(log)
 
     def _init_subfields(self):
         """Element index sets of every proper subfield GF(p^m), m | n."""
@@ -539,10 +567,7 @@ class FieldCtx:
     def _mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        Q = self.order
-        if Q == 2:
-            return 1
-        return self._exp[(self._log[a] + self._log[b]) % (Q - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     # -- structure maps ------------------------------------------------------
 

@@ -12,6 +12,10 @@ The Frobenius step k counts in q-units.  Exponents are stored reduced into
 [1, order-1] (a positive exponent that is a multiple of order-1 reduces to
 order-1, keeping 0 -> 0 intact); exponent 0 is the constant term.  With
 g = x^s and s a multiple of order-1, h is pointwise c*x.
+
+Bulk evaluation of the f side adds d to the field's cached shift image
+x^(q^k) - x (ffcore's _Bulk.shift_base), so a sweep over d does not
+recompute it.
 """
 
 from __future__ import annotations
@@ -242,7 +246,7 @@ def evaluate_all(fn: FnSpec) -> np.ndarray:
         out = bulk.sub(bulk.frob(gx, fn.pstep), gx)
         del gx      # one whole-field array fewer alive while c*x is added
     elif fn.side == "f":
-        t = bulk.add(bulk.sub(bulk.frob(xs, fn.pstep), xs), np.int64(fn.delta))
+        t = bulk.add(bulk.shift_base(fn.pstep), np.int64(fn.delta))
         out = _eval_terms_all(bulk, fn.terms, t)
         del t
     else:
@@ -251,22 +255,23 @@ def evaluate_all(fn: FnSpec) -> np.ndarray:
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
-    """Exhaustive scan; on failure the witness is the first collision in
+    """Exhaustive scan: one bincount of the value table gives the image
+    deficit (order minus the number of values hit).  Only a failing map
+    pays for the witness search, and its witness is the first collision in
     element-index order (smallest second preimage, then its earliest mate).
     Pass outs to reuse an already computed value table."""
     field = fn.field
     if outs is None:
         outs = evaluate_all(fn)
     Q = field.order
-    first = np.full(Q, Q, dtype=np.int64)
-    idx = np.arange(Q, dtype=np.int64)
-    np.minimum.at(first, outs, idx)
-    dup = first[outs] != idx
-    if not dup.any():
+    deficit = Q - int(np.count_nonzero(np.bincount(outs, minlength=Q)))
+    if deficit == 0:
         return PermVerdict(True, None, 0)
-    b = int(idx[dup][0])
+    idx = field.bulk().xs
+    first = np.full(Q, Q, dtype=np.int64)
+    np.minimum.at(first, outs, idx)
+    b = int(np.flatnonzero(first[outs] != idx)[0])
     a = int(first[outs[b]])
-    deficit = Q - int(np.unique(outs).size)
     return PermVerdict(False, (field.element_at(a), field.element_at(b)), deficit)
 
 

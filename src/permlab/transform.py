@@ -190,9 +190,8 @@ def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:
     field._check(delta)
     _resolve_view(field, qdeg)
     bulk = field.bulk()
-    shifted = bulk.sub(bulk.frob(bulk.xs, qdeg), bulk.xs)
-    shifted = bulk.add(shifted, np.full_like(bulk.xs, delta.index))
-    image = np.unique(shifted)
+    shifted = bulk.add(bulk.shift_base(qdeg), np.int64(delta.index))
+    image = np.flatnonzero(np.bincount(shifted, minlength=field.order))
     tr = _trace_table(field, qdeg)
     alpha = int(tr[delta.index])
     fiber = np.flatnonzero(tr == alpha)
@@ -261,8 +260,7 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
         fo = evaluate_all(f_fn)
         out.append((di, is_permutation(f_fn, fo)))
         if commutes:
-            phi_xs = bulk.add(bulk.sub(bulk.frob(bulk.xs, g.qdeg), bulk.xs),
-                              np.int64(di))
+            phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(di))
             phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(di))
             commutes = bool(np.array_equal(phi_fo, ho[phi_xs]))
     return Prop4Report(h_verdict=h_v, f_results=tuple(out),

@@ -380,8 +380,8 @@ def test_tables_match_scalar_chain_every_small_field():
         f = FieldCtx(p, n)
         gen, exp, log = scalar_tables(f)
         assert f.generator_index == gen, (p, n)
-        assert f._exp == exp, (p, n)
-        assert f._log == log, (p, n)
+        assert f._exp.tolist() == exp, (p, n)
+        assert f._log.tolist() == log, (p, n)
         assert f._exp_arr.tolist() == exp and f._log_arr.tolist() == log, (p, n)
 
 
@@ -457,6 +457,66 @@ def test_zech_add_sub_seeded_pairs_large_fields():
             assert np.array_equal(b.add(xs, s), digitwise(xs, s, p, n, 1)), (p, n, c)
             assert np.array_equal(b.sub(s, xs), digitwise(s, xs, p, n, -1)), (p, n, c)
             assert np.array_equal(b.sub(xs, s), digitwise(xs, s, p, n, -1)), (p, n, c)
+
+
+def test_bulk_power_kernels_every_point_small_fields():
+    """pow_const, mul_scalar and mul against scalar pow/mul at every point,
+    zero and exponents that are multiples of order-1 included; inputs stay
+    untouched (the kernels work in place on their own log arrays)."""
+    for p, n in [(2, 1), (3, 1), (13, 1), (2, 4), (2, 6), (3, 4), (5, 2), (7, 2)]:
+        f = FieldCtx(p, n)
+        b = f.bulk()
+        Q, M = f.order, f.order - 1
+        els = list(f.elements())
+        xs = np.arange(Q, dtype=np.int64)
+        for e in sorted({1, 2, 3, p, max(M - 1, 1), M, 2 * M, 3 * M + 5}):
+            assert b.pow_const(xs, e).tolist() == [f.pow(x, e).index for x in els], (p, n, e)
+        for c in els:
+            want = [f.mul(c, x).index for x in els]
+            assert b.mul_scalar(c.index, xs).tolist() == want, (p, n, c)
+        a_all, b_all = (g.ravel() for g in np.meshgrid(xs, xs))
+        want = [f.mul(els[i], els[j]).index for i, j in zip(a_all.tolist(), b_all.tolist())]
+        assert b.mul(a_all, b_all).tolist() == want, (p, n)
+        assert b.mul(xs, np.int64(0)).tolist() == [0] * Q
+        assert np.array_equal(xs, np.arange(Q))
+
+
+def test_bulk_power_kernels_seeded_positions_large_fields(large_fields):
+    rng = random.Random(23)
+    for f in large_fields:
+        b = f.bulk()
+        Q = f.order
+        xs = np.array([0, 1, Q - 1] + [rng.randrange(Q) for _ in range(200)], dtype=np.int64)
+        ys = np.array([rng.randrange(Q) for _ in range(xs.size)], dtype=np.int64)
+        ys[:5] = 0
+        els = [f.element_at(i) for i in xs.tolist()]
+        for e in (2, 3, f.p ** (f.n // 2), Q - 2, Q - 1, Q + 5):
+            assert b.pow_const(xs, e).tolist() == [f.pow(x, e).index for x in els], (f, e)
+        c = rng.randrange(2, Q)
+        assert b.mul_scalar(c, xs).tolist() == [f.mul(f.element_at(c), x).index for x in els]
+        want = [f.mul(x, f.element_at(y)).index for x, y in zip(els, ys.tolist())]
+        assert b.mul(xs, ys).tolist() == want, f
+
+
+def test_shift_base_is_read_only_and_built_once(monkeypatch):
+    for p, n, pstep in [(2, 4, 1), (2, 6, 2), (3, 4, 2), (5, 2, 1), (3, 2, 1)]:
+        f = FieldCtx(p, n)
+        b = f.bulk()
+        base = b.shift_base(pstep)
+        assert np.array_equal(base, b.sub(b.frob(b.xs, pstep), b.xs))
+        assert base.tolist() == [f.sub(f.frobenius(x, pstep), x).index for x in f.elements()]
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0] = 1
+
+        def rebuilt(*args):
+            raise AssertionError("shift image rebuilt")
+
+        monkeypatch.setattr(b, "frob", rebuilt)
+        assert b.shift_base(pstep) is base
+        monkeypatch.undo()
+        other = FieldCtx(p, n).bulk().shift_base(pstep)
+        assert other is not base and np.array_equal(other, base)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,44 @@ def test_is_permutation_accepts_precomputed_outs():
     assert v1.image_deficit == v2.image_deficit
 
 
+def oracle_verdict(outs):
+    """(image deficit, witness) by a plain scan: the deficit is the number of
+    values missed, the witness the first repeat met in index order together
+    with the earliest index holding the same value."""
+    first, witness = {}, None
+    for i, v in enumerate(outs):
+        if v not in first:
+            first[v] = i
+        elif witness is None:
+            witness = (first[v], i)
+    return len(outs) - len(set(outs)), witness
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (7, 2)])
+def test_is_permutation_matches_python_oracle_every_swept_exponent(p, n):
+    """Every exponent `sweep` visits (c = 1) plus a random c and a shift form
+    per exponent; the value table passed as outs= is reused, not changed."""
+    f = field(p, n)
+    rng = random.Random(p * 100 + n)
+    verdicts = set()
+    for s in range(1, f.order - 1):
+        c = f.element_at(rng.randrange(1, f.order))
+        delta = f.element_at(rng.randrange(f.order))
+        for fn in (make_fn_trinomial(f, f.one, s), make_fn_trinomial(f, c, s),
+                   make_fn_delta(f, c, s, 1, delta)):
+            outs = evaluate_all(fn)
+            kept = outs.copy()
+            deficit, witness = oracle_verdict(outs.tolist())
+            for v in (is_permutation(fn), is_permutation(fn, outs=outs)):
+                assert v.is_permutation == (deficit == 0), (s, fn)
+                assert v.image_deficit == deficit, (s, fn)
+                got = None if v.witness is None else tuple(e.index for e in v.witness)
+                assert got == witness, (s, fn)
+            assert np.array_equal(outs, kept)
+            verdicts.add(deficit == 0)
+    assert verdicts == {True, False}
+
+
 def test_witness_is_always_a_real_collision():
     rng = random.Random(424242)
     f = field(5, 2)
