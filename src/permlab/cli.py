@@ -25,11 +25,10 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
-from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, make_field
+from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, make_field, prime_power
 from .families import (
     InapplicableError,
     default_parameters,
@@ -80,7 +79,6 @@ class RunConfig:
     cap: int = DEFAULT_SIZE_CAP
     seed: int = DEFAULT_SEED
     delta_samples: int = DELTA_SAMPLES
-    jobs: int = 1
     kprime: int = 1
 
     def as_dict(self) -> dict:
@@ -133,31 +131,20 @@ class FamilyRun:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ConfigError(f"q must be a prime power >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k, t = 0, q
-    while t > 1:
-        if t % p:
-            raise ConfigError(f"q = {q} is not a prime power")
-        t //= p
-        k += 1
-    return p, k
+    try:
+        return prime_power(q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _run_one(job):
-    g, c, step, delta = job
+def _run_one(g, c, step, delta):
+    """(verdict, witness as an index pair or None, seconds) of one instance."""
     t0 = time.perf_counter()
     fn = compose_h(g, c, step) if delta is None else compose_f(g, c, step, delta)
     verdict = is_permutation(fn)
     elapsed = time.perf_counter() - t0
-    return verdict, elapsed
+    wit = verdict.witness
+    return verdict, None if wit is None else (wit[0].index, wit[1].index), elapsed
 
 
 def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
@@ -187,44 +174,28 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     else:
         deltas, exhaustive = [None], None
 
+    run = FamilyRun(family=fid, p=p, n=k * m, modulus=fld.modulus, q=q,
+                    kprime=cfg.kprime if fam.uses_kprime else None,
+                    deltas_exhaustive=exhaustive, field_s=field_s)
     # valid_coefficients has already checked every c against the condition,
-    # so each job composes h (trinomials) or f (delta forms) of g = x^s
+    # so each instance composes h (trinomials) or f (delta forms) of g = x^s
     # without instantiate's per-call checks
-    jobs = []
-    meta = []
     for ci, (ctag, _) in enumerate(fam.conds):
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
-                informational = step != fam.steps[0]
                 for c in cs:
                     for d in deltas:
-                        jobs.append((g, c, step, d))
-                        meta.append((ctag or "default", stag, step, s_val,
-                                     c.index,
-                                     None if d is None else d.index,
-                                     informational))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
-    else:
-        outcomes = [_run_one(j) for j in jobs]
-
-    run = FamilyRun(family=fid, p=p, n=k * m, modulus=fld.modulus, q=q,
-                    kprime=cfg.kprime if fam.uses_kprime else None,
-                    deltas_exhaustive=exhaustive, field_s=field_s)
-    for (ctag, stag, step, s_val, c_idx, d_idx, info), (verdict, el) in zip(
-            meta, outcomes):
-        wit = None
-        if verdict.witness is not None:
-            wit = (verdict.witness[0].index, verdict.witness[1].index)
-        run.instances.append(InstanceResult(
-            condition=ctag, s_tag=stag, step=step, s=s_val, c_index=c_idx,
-            delta_index=d_idx, permutes=verdict.is_permutation, witness=wit,
-            image_deficit=verdict.image_deficit, informational=info,
-            elapsed=el))
+                        verdict, wit, el = _run_one(g, c, step, d)
+                        run.instances.append(InstanceResult(
+                            condition=ctag or "default", s_tag=stag,
+                            step=step, s=s_val, c_index=c.index,
+                            delta_index=None if d is None else d.index,
+                            permutes=verdict.is_permutation, witness=wit,
+                            image_deficit=verdict.image_deficit,
+                            informational=step != fam.steps[0], elapsed=el))
     run.instances.sort(key=InstanceResult.sort_key)
     return run
 
@@ -619,11 +590,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_KEYS = {
-    "q", "p", "k", "kprime", "family", "format", "seed", "cap", "jobs",
+    "q", "p", "k", "kprime", "family", "format", "seed", "cap",
     "delta-samples", "row", "out",
 }
-_INT_KEYS = {"q", "p", "k", "kprime", "seed", "cap", "jobs",
-             "delta-samples", "row"}
+_INT_KEYS = {"q", "p", "k", "kprime", "seed", "cap", "delta-samples", "row"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -669,8 +639,6 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
                     help="delta sampling seed")
     sp.add_argument("--cap", type=int, default=None,
                     help="largest field order the run may construct")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="concurrent instance checks")
     sp.add_argument("--delta-samples", type=int, default=None,
                     help="sample count when a field is too large to sweep")
     sp.add_argument("--config", help="key=value file mirroring the flags")
@@ -695,11 +663,8 @@ def _config_from(args) -> RunConfig:
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
         delta_samples=(args.delta_samples if args.delta_samples is not None
                        else DELTA_SAMPLES),
-        jobs=args.jobs if args.jobs is not None else 1,
         kprime=args.kprime if args.kprime is not None else 1,
     )
-    if cfg.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {cfg.jobs}")
     if cfg.delta_samples < 2:
         raise ConfigError("--delta-samples must be >= 2 (0 and 1 always run)")
     if cfg.cap < 4:

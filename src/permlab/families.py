@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .ffcore import Element, FieldCtx, _prime_factors
+from .ffcore import Element, FieldCtx, prime_power
 from .permcheck import FnSpec, compose_f, compose_h, make_gspec, reduce_exponent
 
 __all__ = [
@@ -216,9 +216,6 @@ class FamilySpec:
             raise InapplicableError(
                 f"{self.fid} needs a degree divisible by {m}, got GF({fld.p}^{fld.n})")
         return fld.n // m
-
-    def q_of(self, fld: FieldCtx) -> int:
-        return fld.p ** self.qdeg_for(fld)
 
 
 def _trivial(q, k, kp):
@@ -682,14 +679,10 @@ def default_parameters(fid: str, count: int = 2, cap: int = 1 << 22,
         q += 1
         if q**m > cap:
             break
-        ps = _prime_factors(q)
-        if len(ps) != 1:
+        try:
+            p, k = prime_power(q)
+        except ValueError:
             continue
-        p = ps[0]
-        k, t = 0, q
-        while t > 1:
-            t //= p
-            k += 1
         if fam.applies(p, k, kprime):
             found.append((p, k))
     return found

@@ -6,22 +6,24 @@ integers (constant term least significant) and irreducibility is decided by
 trial division against every monic polynomial of degree 1..n//2.
 
 Each field precomputes discrete exp/log tables over a fixed multiplicative
-generator plus the element sets of all proper subfields, and is immutable
-afterwards, so contexts are safe to share between threads.  The exp table is
-built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by the
-constant g^L is the GF(p)-linear map sending x^i to x^i * g^L, applied to a
-whole block at once (shift/xor for p = 2, a digit matrix product otherwise).
-The log table is its inverse permutation.  Both tables are kept once, as
-read-only int64 arrays; the scalar path reads them through memoryviews,
-which index to Python ints.
+generator, a Zech-log table in odd characteristic with n > 1, and the
+element sets of all proper subfields, and is immutable afterwards.  The exp
+table is built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by
+the constant g^L is the GF(p)-linear map sending x^i to x^i * g^L, applied
+to a whole block at once (shift/xor for p = 2, a digit matrix product
+otherwise).  The log table is its inverse permutation, and the Zech table is
+Z(k) = log(1 + g^k).  Each table is kept once, as a read-only int64 array.
 
-Bulk products and powers gather log[x] once, do the exponent arithmetic in
-place mod order-1, gather from exp and then zero the positions where an
-operand was 0 (log[0] = -1 is a placeholder).  Bulk addition in odd
-characteristic with n > 1 goes through Zech logarithms,
-a + b = g^(log a + Z(log b - log a)) with Z(k) = log(1 + g^k).  The shift
-image x^(p^i) - x, which every shift form and trace fibre starts from, is
-built once per field and kept read only (_Bulk.shift_base).
+The scalar Element path and the bulk layer compute from these same tables:
+products and powers are exp[log a + log b] and exp[e * log a] mod order-1
+(log[0] = -1 is a placeholder, so an operand 0 is handled apart), and
+addition in odd characteristic with n > 1 goes through Zech logarithms,
+a + b = g^(log a + Z(log b - log a)), with -b = b * g^((order-1)/2).  The
+scalar path reads the tables through memoryviews, which index to Python
+ints; the bulk layer gathers log[x] once, does the exponent arithmetic in
+place and zeroes the operand-zero positions after the exp gather.  The
+shift image x^(p^i) - x, which every shift form and trace fibre starts
+from, is built once per field and kept read only (_Bulk.shift_base).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -44,6 +46,7 @@ __all__ = [
     "get_field",
     "is_prime",
     "make_field",
+    "prime_power",
 ]
 
 DEFAULT_SIZE_CAP = 1 << 22
@@ -77,6 +80,18 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     if m > 1:
         out.append(m)
     return tuple(out)
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k, p prime and k >= 1; ValueError otherwise."""
+    fac = _prime_factors(q)
+    if len(fac) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, k = fac[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return p, k
 
 
 def _digits(value: int, p: int, n: int) -> tuple[int, ...]:
@@ -190,16 +205,10 @@ class _Bulk:
         self.n = field.n
         self.exp = field._exp_arr
         self.log = field._log_arr
+        self.zech = field._zech_arr
         xs = np.arange(self.Q, dtype=np.int64)
         xs.flags.writeable = False
         self.xs = xs
-        self.zech = None
-        if self.p != 2 and self.n > 1:
-            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
-            e = self.exp
-            zech = self.log[e + 1 - self.p * (e % self.p == self.p - 1)]
-            zech.flags.writeable = False
-            self.zech = zech
 
     def _zech_add(self, a, b, shift: int):
         """a + b * g^shift; shift (Q-1)/2 multiplies b by -1.  Numpy scalars
@@ -401,14 +410,22 @@ class FieldCtx:
             size += block
         log = np.full(Q, -1, dtype=np.int64)
         log[exp] = np.arange(Q - 1, dtype=np.int64)
+        zech = None
+        if self.p != 2 and self.n > 1:
+            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
+            p = self.p
+            zech = log[exp + 1 - p * (exp % p == p - 1)]
+            zech.flags.writeable = False
         exp.flags.writeable = False
         log.flags.writeable = False
         self._exp_arr = exp
         self._log_arr = log
+        self._zech_arr = zech
         # the scalar path reads the same buffers; indexing a memoryview
         # yields Python ints, so Element.index stays an int
         self._exp = memoryview(exp)
         self._log = memoryview(log)
+        self._zech = None if zech is None else memoryview(zech)
 
     def _init_subfields(self):
         """Element index sets of every proper subfield GF(p^m), m | n."""
@@ -452,15 +469,6 @@ class FieldCtx:
     def index_of(self, a: Element) -> int:
         self._check(a)
         return a.index
-
-    def from_coeffs(self, coeffs) -> Element:
-        coeffs = tuple(coeffs)
-        if len(coeffs) > self.n or any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError(f"bad coefficient tuple {coeffs!r} for {self!r}")
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + c
-        return Element(self, idx)
 
     def scalar(self, v: int) -> Element:
         return Element(self, v % self.p)
@@ -509,10 +517,10 @@ class FieldCtx:
         self._check(b)
         if b.index == 0:
             raise ZeroDivisionError("zero element has no inverse")
-        return self.pow(b, self.order - 2)
+        return self.pow(b, -1)
 
     def pow(self, a: Element, e: int) -> Element:
-        """a**e by square-and-multiply; exponents reduce mod order-1 for a != 0."""
+        """a**e = exp[e * log a mod (order-1)] for a != 0; 0**e = 0 for e > 0."""
         self._check(a)
         if not isinstance(e, int):
             raise ValueError(f"exponent must be an integer, got {e!r}")
@@ -522,47 +530,29 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of the zero element")
             return self.zero
-        if self.order > 2:
-            e %= self.order - 1
-        else:
-            e = 1
-        idx = 1
-        base = a.index
-        while e:
-            if e & 1:
-                idx = self._mul_idx(idx, base)
-            base = self._mul_idx(base, base)
-            e >>= 1
-        return Element(self, idx)
+        return Element(self, self._exp[self._log[a.index] * e % (self.order - 1)])
 
     def _add_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.n == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mul
-            mul *= p
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        M = self.order - 1
+        la = self._log[a]
+        t = self._zech[(self._log[b] - la) % M]
+        return 0 if t < 0 else self._exp[(la + t) % M]    # t < 0: a = -b
 
     def _neg_idx(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.n == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * mul
-            mul *= p
-        return out
+        if a == 0:
+            return 0
+        M = self.order - 1
+        return self._exp[(self._log[a] + M // 2) % M]     # -1 = g^((order-1)/2)
 
     def _mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -577,8 +567,6 @@ class FieldCtx:
         if not isinstance(i, int) or i < 0:
             raise ValueError(f"frobenius iteration count must be >= 0, got {i!r}")
         if a.index == 0:
-            return self.zero
-        if self.order == 2:
             return a
         return self.pow(a, pow(self.p, i, self.order - 1))
 
@@ -601,13 +589,6 @@ class FieldCtx:
             return True
         return a.index in self._subfields[m]
 
-    def subfield_elements(self, m: int) -> frozenset[Element]:
-        if m < 1 or self.n % m:
-            raise ValueError(f"subfield degree {m} does not divide {self.n}")
-        if m == self.n:
-            return frozenset(self.elements())
-        return frozenset(Element(self, i) for i in self._subfields[m])
-
     def subfield_indices(self, m: int) -> frozenset[int]:
         if m < 1 or self.n % m:
             raise ValueError(f"subfield degree {m} does not divide {self.n}")
@@ -624,7 +605,7 @@ class FieldCtx:
 
     def cached(self, key, build):
         """build(), computed once per context under key and kept as long as
-        the context lives (threads racing on a miss all get the stored one)."""
+        the context lives."""
         try:
             return self._cache[key]
         except KeyError:

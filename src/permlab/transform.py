@@ -78,6 +78,15 @@ def pick_deltas(field: FieldCtx, cap: int = DELTA_EXHAUSTIVE_CAP,
     return tuple(sorted(picked)), False
 
 
+def _delta_sweep(fld: FieldCtx, deltas: Optional[tuple[int, ...]],
+                 seed: int) -> tuple[tuple[int, ...], bool]:
+    """(deltas to sweep, whether they cover the whole field); pick_deltas
+    chooses them when none are given."""
+    if deltas is None:
+        return pick_deltas(fld, seed=seed)
+    return deltas, len(set(deltas)) == fld.order
+
+
 def _require_coeff_domain(g: GSpec, c: Element, k: int) -> None:
     ell = math.gcd(k, g.m)
     if not g.field.is_in_subfield(c, g.qdeg * ell):
@@ -119,10 +128,7 @@ def prop2_check(g: GSpec, c: Element, k: int,
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
-    if deltas is None:
-        deltas, exhaustive = pick_deltas(g.field, seed=seed)
-    else:
-        exhaustive = len(set(deltas)) == g.field.order
+    deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
     h_v = is_permutation(compose_h(g, c, k))
     out = []
     for di in deltas:
@@ -242,10 +248,7 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
         raise ValueError(
             f"g has coefficients of degree {g.coeff_subdeg}; the equivalence "
             f"needs them inside GF({fld.p}^{g.qdeg})")
-    if deltas is None:
-        deltas, exhaustive = pick_deltas(fld, seed=seed)
-    else:
-        exhaustive = len(set(deltas)) == fld.order
+    deltas, exhaustive = _delta_sweep(fld, deltas, seed)
     one = fld.one
     h_fn = compose_h(g, one, 1)
     h_v = is_permutation(h_fn)

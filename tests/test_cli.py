@@ -83,6 +83,21 @@ def test_verify_bad_flag_exits_config(tmp_path):
     assert exc.value.code == 3
 
 
+def test_jobs_flag_and_config_key_are_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "thm7", "--q", "7", "--jobs", "2"])
+    assert exc.value.code == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = thm7\nq = 7\njobs = 2\n")
+    assert main(["verify", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("q", ["12", "1"])
+def test_q_not_a_prime_power_exits_config(tmp_path, capsys, q):
+    assert run(tmp_path, "verify", "--family", "thm7", "--q", q)[0] == 3
+    assert "prime power" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # failure reporting
 # ---------------------------------------------------------------------------
@@ -201,8 +216,6 @@ def test_stable_section_is_deterministic(tmp_path):
     _, two = run(tmp_path, *argv, name="b.json")
     blob = lambda d: json.dumps(d["stable"], sort_keys=True).encode()
     assert blob(one) == blob(two)
-    _, par = run(tmp_path, *argv, "--jobs", "4", name="c.json")
-    assert blob(par) == blob(one)
 
 
 def test_report_reemit_csv(tmp_path):

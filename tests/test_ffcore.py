@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from permlab.ffcore import DEFAULT_SIZE_CAP, Element, FieldCtx, make_field
+from permlab.ffcore import DEFAULT_SIZE_CAP, Element, FieldCtx, _Bulk, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,82 @@ def test_zech_add_sub_seeded_pairs_large_fields():
             assert np.array_equal(b.add(xs, s), digitwise(xs, s, p, n, 1)), (p, n, c)
             assert np.array_equal(b.sub(s, xs), digitwise(s, xs, p, n, -1)), (p, n, c)
             assert np.array_equal(b.sub(xs, s), digitwise(xs, s, p, n, -1)), (p, n, c)
+
+
+def scalar_add_sub_neg(f, xs, ys):
+    """(a + b, a - b, -a) index lists through the scalar Element path."""
+    pairs = [(f.element_at(a), f.element_at(b)) for a, b in zip(xs, ys)]
+    return ([f.add(a, b).index for a, b in pairs],
+            [f.sub(a, b).index for a, b in pairs],
+            [f.neg(a).index for a, _ in pairs])
+
+
+def test_scalar_add_sub_neg_all_pairs_small_fields():
+    for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
+        f = FieldCtx(p, n)
+        a_all, b_all = (g.ravel() for g in np.meshgrid(np.arange(f.order), np.arange(f.order)))
+        add, sub, neg = scalar_add_sub_neg(f, a_all.tolist(), b_all.tolist())
+        assert add == digitwise(a_all, b_all, p, n, 1).tolist(), (p, n)
+        assert sub == digitwise(a_all, b_all, p, n, -1).tolist(), (p, n)
+        assert neg == digitwise(0, a_all, p, n, -1).tolist(), (p, n)
+
+
+def test_scalar_add_sub_neg_seeded_pairs_large_fields():
+    rng = np.random.default_rng(12)
+    for p, n in [(3, 10), (5, 8)]:
+        f = FieldCtx(p, n)
+        xs = rng.integers(0, f.order, 3000)
+        ys = rng.integers(0, f.order, 3000)
+        xs[:20] = 0                                   # zero left operand
+        ys[20:40] = 0                                 # zero right operand
+        xs[40:45] = ys[40:45] = 0
+        ys[45:100] = digitwise(0, xs[45:100], p, n, -1)     # a = -b
+        ys[100:150] = xs[100:150]                     # a = b
+        add, sub, neg = scalar_add_sub_neg(f, xs.tolist(), ys.tolist())
+        assert add == digitwise(xs, ys, p, n, 1).tolist(), (p, n)
+        assert sub == digitwise(xs, ys, p, n, -1).tolist(), (p, n)
+        assert neg == digitwise(0, xs, p, n, -1).tolist(), (p, n)
+        assert all(isinstance(i, int) for i in add + sub + neg)
+
+
+def test_scalar_pow_inv_frobenius_match_pow_raw_every_point():
+    """pow, inv and frobenius from the tables against _pow_raw, the
+    square-and-multiply chain over _mul_raw that the generator search uses."""
+    for p, n in [(2, 1), (3, 1), (13, 1), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        f = FieldCtx(p, n)
+        Q = f.order
+        for e in (0, 1, 2, -1, -5, Q - 1, Q, 3 * (Q - 1) + 2):
+            for a in range(1, Q):
+                want = f._pow_raw(a, e) if e >= 0 else f._pow_raw(f._pow_raw(a, Q - 2), -e)
+                got = f.pow(f.element_at(a), e)
+                assert got.index == want and isinstance(got.index, int), (p, n, e, a)
+            if e > 0:
+                assert f.pow(f.zero, e) == f.zero
+            else:
+                with pytest.raises(ValueError if e == 0 else ZeroDivisionError):
+                    f.pow(f.zero, e)
+        for a in range(1, Q):
+            assert f.inv(f.element_at(a)).index == f._pow_raw(a, Q - 2), (p, n, a)
+        with pytest.raises(ZeroDivisionError):
+            f.inv(f.zero)
+        for i in range(2 * n + 1):
+            assert [f.frobenius(x, i).index for x in f.elements()] == [
+                f._pow_raw(a, p**i) for a in range(Q)], (p, n, i)
+
+
+def test_one_shared_zech_table_per_field():
+    for p, n in [(3, 2), (3, 4), (5, 3), (7, 2)]:
+        f = FieldCtx(p, n)
+        zech = f._zech_arr
+        assert not zech.flags.writeable
+        # zech[k] = log(1 + g^k), -1 where g^k = -1
+        assert np.array_equal(zech, f._log_arr[digitwise(f._exp_arr, 1, p, n, 1)]), (p, n)
+        b = f.bulk()
+        assert b.zech is zech and np.shares_memory(b.zech, np.asarray(f._zech))
+        assert f.bulk() is b and _Bulk(f).zech is zech    # a new bulk view builds none
+    for p, n in [(2, 1), (2, 6), (7, 1)]:
+        f = FieldCtx(p, n)
+        assert f._zech_arr is None and f.bulk().zech is None
 
 
 def test_bulk_power_kernels_every_point_small_fields():
