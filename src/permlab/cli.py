@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -38,8 +39,8 @@ from .families import (
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import (compose_f, compose_h, is_permutation, make_fn_trinomial,
-                        make_gspec)
+from .permcheck import (PermVerdict, compose_f, compose_h, fibre_deficits,
+                        is_permutation, make_fn_trinomial, make_gspec)
 from .transform import DEFAULT_SEED, DELTA_EXHAUSTIVE_CAP, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
@@ -103,6 +104,7 @@ class InstanceResult:
     image_deficit: int
     informational: bool
     elapsed: float
+    route: str = "brute"      # "fibre": decided by fibre_deficits alone
 
     def sort_key(self):
         return (self.condition, self.s_tag, self.step, self.c_index,
@@ -147,6 +149,44 @@ def _run_one(g, c, step, delta):
     return verdict, None if wit is None else (wit[0].index, wit[1].index), elapsed
 
 
+_FIBRE_PERMUTES = PermVerdict(True, None, 0)
+
+
+def _run_delta_form(g, c, step, deltas, where):
+    """[delta, verdict, witness, seconds, route] for every delta of one shift
+    form.  One fibre_deficits call gives every delta's image deficit; brute
+    force still checks each delta whose deficit is nonzero and the first
+    delta of each trace fibre (its probe), and must agree with it.  A delta
+    is left to the fibre route only once brute force has seen its fibre
+    permute; those deltas share the fibre computation's time equally, so
+    the report's seconds still add up to the work done."""
+    t0 = time.perf_counter()
+    fibre = fibre_deficits(g, c, step)
+    fibre_s = time.perf_counter() - t0
+    if fibre is not None:
+        tr = g.field.bulk().trace(g.qdeg * math.gcd(step, g.m))
+    rows, permuting = [], set()
+    for d in deltas:
+        i = d.index
+        if fibre is not None and not fibre.item(i) and tr.item(i) in permuting:
+            rows.append([d, _FIBRE_PERMUTES, None, 0.0, "fibre"])
+            continue
+        verdict, wit, el = _run_one(g, c, step, d)
+        if fibre is not None:
+            if verdict.image_deficit != fibre.item(i):
+                raise RuntimeError(
+                    f"fibre route and brute force disagree at {where}, "
+                    f"step {step}, c {c.index}, delta {i}: image deficit "
+                    f"{fibre.item(i)} vs {verdict.image_deficit}")
+            if not verdict.image_deficit:
+                permuting.add(tr.item(i))
+        rows.append([d, verdict, wit, el, "brute"])
+    decided = [r for r in rows if r[4] == "fibre"] or rows
+    for r in decided:
+        r[3] += fibre_s / len(decided)
+    return rows
+
+
 def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     """Every condition variant x s variant x declared step x valid c x delta.
 
@@ -164,6 +204,11 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
         raise InapplicableError(
             f"{fid} does not apply at q = {q}"
             + (f", k' = {cfg.kprime}" if fam.uses_kprime else ""))
+    if (fam.form == "delta_form" and q**m > DELTA_EXHAUSTIVE_CAP
+            and cfg.delta_samples > q**m):
+        raise ConfigError(
+            f"--delta-samples {cfg.delta_samples} exceeds the field order "
+            f"{q**m}")
     t0 = time.perf_counter()
     fld = make_field(p, k * m, cap=cfg.cap)
     field_s = time.perf_counter() - t0
@@ -172,7 +217,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             fld, samples=cfg.delta_samples, seed=cfg.seed)
         deltas = [fld.element_at(i) for i in delta_idx]
     else:
-        deltas, exhaustive = [None], None
+        deltas, exhaustive = (), None
 
     run = FamilyRun(family=fid, p=p, n=k * m, modulus=fld.modulus, q=q,
                     kprime=cfg.kprime if fam.uses_kprime else None,
@@ -187,15 +232,20 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
                 for c in cs:
-                    for d in deltas:
-                        verdict, wit, el = _run_one(g, c, step, d)
+                    if fam.form == "delta_form":
+                        rows = _run_delta_form(
+                            g, c, step, deltas, f"{fid} q={q} s={s_val}")
+                    else:
+                        rows = [[None, *_run_one(g, c, step, None), "brute"]]
+                    for d, verdict, wit, el, route in rows:
                         run.instances.append(InstanceResult(
                             condition=ctag or "default", s_tag=stag,
                             step=step, s=s_val, c_index=c.index,
                             delta_index=None if d is None else d.index,
                             permutes=verdict.is_permutation, witness=wit,
                             image_deficit=verdict.image_deficit,
-                            informational=step != fam.steps[0], elapsed=el))
+                            informational=step != fam.steps[0], elapsed=el,
+                            route=route))
     run.instances.sort(key=InstanceResult.sort_key)
     return run
 
@@ -295,6 +345,8 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "q": run.q,
                 "field_s": round(run.field_s, 6),
                 "instances_s": [round(r.elapsed, 6) for r in run.instances],
+                "routes": {route: sum(r.route == route for r in run.instances)
+                           for route in ("fibre", "brute")},
             }
             for run in runs
         ],

@@ -23,7 +23,8 @@ scalar path reads the tables through memoryviews, which index to Python
 ints; the bulk layer gathers log[x] once, does the exponent arithmetic in
 place and zeroes the operand-zero positions after the exp gather.  The
 shift image x^(p^i) - x, which every shift form and trace fibre starts
-from, is built once per field and kept read only (_Bulk.shift_base).
+from, is built once per field and kept read only (_Bulk.shift_base), and
+so is the relative trace onto each subfield (_Bulk.trace).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -272,6 +273,20 @@ class _Bulk:
             out.flags.writeable = False
             return out
         return self.field.cached(("shift_base", pstep), build)
+
+    def trace(self, base: int):
+        """Relative trace onto GF(p^base) over the whole field, the sum of
+        x^(p^(base*i)) for i < n/base; built once per context, read only."""
+        if base < 1 or self.n % base:
+            raise ValueError(f"trace target degree {base} does not divide {self.n}")
+
+        def build():
+            out = self.xs.copy()
+            for i in range(1, self.n // base):
+                out = self.add(out, self.frob(self.xs, base * i))
+            out.flags.writeable = False
+            return out
+        return self.field.cached(("trace", base), build)
 
     def mul_scalar(self, c_idx: int, arr):
         if c_idx == 0:

@@ -16,6 +16,18 @@ g = x^s and s a multiple of order-1, h is pointwise c*x.
 Bulk evaluation of the f side adds d to the field's cached shift image
 x^(q^k) - x (ffcore's _Bulk.shift_base), so a sweep over d does not
 recompute it.
+
+The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
+in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
+GF(q^m) onto GF(q^l).  Then phi_d(f_d(x)) = h(phi_d(x)) + (1-c)d, and
+f_d(x + a) = f_d(x) + c*a for a in GF(q^l); phi_d maps the field q^l-to-one
+onto the fibre T_d = {y : Tr(y) = Tr(d)}.  So f_d sends each coset
+x + GF(q^l) onto a whole coset, two cosets land on the same one exactly when
+h collides on their phi_d images, and
+
+    image deficit of f_d = order - q^l * |h(T_d)|.
+
+fibre_deficits reads that off one evaluation of h for every d at once.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ __all__ = [
     "compose_h",
     "evaluate",
     "evaluate_all",
+    "fibre_deficits",
     "is_permutation",
     "lemma1_check",
     "make_fn_delta",
@@ -273,6 +286,23 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     b = int(np.flatnonzero(first[outs] != idx)[0])
     a = int(first[outs[b]])
     return PermVerdict(False, (field.element_at(a), field.element_at(b)), deficit)
+
+
+def fibre_deficits(g: GSpec, c: Element, k: int) -> Optional[np.ndarray]:
+    """Image deficit of f_d = g(x^(q^k) - x + d) + c*x at every d, indexed
+    by d, from one evaluation of h = compose_h(g, c, k) (the lemma in the
+    module docstring).  None when c is not in GF(q^l), l = gcd(k, m), where
+    the lemma does not apply."""
+    h_fn = compose_h(g, c, k)
+    base = g.qdeg * math.gcd(k, g.m)
+    fld = g.field
+    if not fld.is_in_subfield(c, base):
+        return None
+    Q = fld.order
+    tr = fld.bulk().trace(base)
+    pairs = np.unique(tr * Q + evaluate_all(h_fn))
+    distinct = np.bincount(pairs // Q, minlength=Q)     # |h(T)| per trace value
+    return Q - fld.p**base * distinct[tr]
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

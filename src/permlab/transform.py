@@ -177,14 +177,6 @@ class CosetSet:
         return frozenset(self.members)
 
 
-def _trace_table(field: FieldCtx, qdeg: int) -> np.ndarray:
-    bulk = field.bulk()
-    acc = bulk.xs.copy()
-    for i in range(1, field.n // qdeg):
-        acc = bulk.add(acc, bulk.frob(bulk.xs, qdeg * i))
-    return acc
-
-
 def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:
     """The image of x -> x^q - x + delta, q = p^qdeg, as a CosetSet.
 
@@ -198,7 +190,7 @@ def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:
     bulk = field.bulk()
     shifted = bulk.add(bulk.shift_base(qdeg), np.int64(delta.index))
     image = np.flatnonzero(np.bincount(shifted, minlength=field.order))
-    tr = _trace_table(field, qdeg)
+    tr = bulk.trace(qdeg)
     alpha = int(tr[delta.index])
     fiber = np.flatnonzero(tr == alpha)
     if not np.array_equal(image, fiber):
@@ -254,7 +246,7 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
     h_v = is_permutation(h_fn)
     bulk = fld.bulk()
     ho = evaluate_all(h_fn)
-    tr = _trace_table(fld, g.qdeg)
+    tr = bulk.trace(g.qdeg)
     fibers_ok = bool(np.array_equal(tr[ho], tr))   # h preserves every fiber
     out = []
     commutes = True

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import time
+from collections import Counter
 
 import pytest
 
@@ -167,6 +169,40 @@ def test_timings_record_field_construction_per_run(tmp_path):
         instances_total = sum(sum(t["instances_s"]) for t in timing_runs)
         assert doc["timings"]["total_s"] == pytest.approx(instances_total, abs=1e-4)
         assert "field_s" not in json.dumps(doc["stable"])
+
+
+def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
+    """thm14 at q = 3: the step-2 form permutes on all 9 trace fibres over
+    GF(9), so brute force checks only their 9 probes; the step-1 form fails
+    at every delta and is brute-forced throughout."""
+    real, pause = cli.fibre_deficits, 0.02
+
+    def slow(*args):
+        time.sleep(pause)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "fibre_deficits", slow)
+    code, doc = run(tmp_path, "verify", "--family", "thm14", "--q", "3")
+    assert code == 0
+    t = doc["timings"]["runs"][0]
+    assert t["routes"] == {"fibre": 72, "brute": 90}
+    forms = {}
+    for (_, inst), el in zip(flat_instances(doc), t["instances_s"]):
+        forms.setdefault((inst["step"], inst["c"]), []).append(el)
+    assert sorted(map(len, forms.values())) == [81, 81]
+    for els in forms.values():
+        assert sum(els) >= pause           # the fibre call is counted once
+    shares = Counter(forms[(2, 1)]).most_common(1)[0]
+    assert shares[1] >= 72 and shares[0] >= pause / 72
+    # trinomial families never take the fibre route
+    code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
+    assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5}
+
+
+def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):
+    assert run(tmp_path, "verify", "--family", "thm18-1", "--q", "256",
+               "--delta-samples", "70000")[0] == 3
+    assert "--delta-samples" in capsys.readouterr().err
 
 
 def test_table1_inadmissible_k(tmp_path):

@@ -595,6 +595,32 @@ def test_shift_base_is_read_only_and_built_once(monkeypatch):
         assert other is not base and np.array_equal(other, base)
 
 
+def test_trace_table_is_read_only_built_once_and_matches_scalar(monkeypatch):
+    for p, n in [(2, 4), (2, 6), (3, 4), (5, 2), (7, 2), (3, 2), (2, 1)]:
+        f = FieldCtx(p, n)
+        b = f.bulk()
+        for base in (d for d in range(1, n + 1) if n % d == 0):
+            tr = b.trace(base)
+            assert tr.tolist() == [f.trace_to_subfield(x, base).index
+                                   for x in f.elements()], (p, n, base)
+            assert not tr.flags.writeable
+            with pytest.raises(ValueError):
+                tr[0] = 1
+
+            def rebuilt(*args):
+                raise AssertionError("trace table rebuilt")
+
+            monkeypatch.setattr(b, "frob", rebuilt)
+            monkeypatch.setattr(b, "add", rebuilt)
+            assert b.trace(base) is tr
+            monkeypatch.undo()
+            other = FieldCtx(p, n).bulk().trace(base)
+            assert other is not tr and np.array_equal(other, tr)
+    for bad in (0, 3, 5):
+        with pytest.raises(ValueError):
+            FieldCtx(2, 4).bulk().trace(bad)
+
+
 # ---------------------------------------------------------------------------
 # construction guards
 # ---------------------------------------------------------------------------

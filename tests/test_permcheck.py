@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from permlab import cli
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
     build_inverse_table,
@@ -11,6 +13,7 @@ from permlab.permcheck import (
     compose_h,
     evaluate,
     evaluate_all,
+    fibre_deficits,
     is_permutation,
     lemma1_assemble,
     lemma1_check,
@@ -309,6 +312,101 @@ def test_witness_is_always_a_real_collision():
             assert a.index != b.index
             assert evaluate(fn, a) == evaluate(fn, b)
             assert v.image_deficit >= 1
+
+
+# ---------------------------------------------------------------------------
+# trace-fibre route: fibre_deficits against brute force at every delta
+# ---------------------------------------------------------------------------
+
+# (p, n, qdeg) views; each runs every Frobenius step 1 <= k < m
+FIBRE_VIEWS = [(2, 4, 1), (2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 1), (3, 4, 2),
+               (5, 2, 1), (7, 2, 1)]
+FIBRE_CASES = [(p, n, qdeg, k) for p, n, qdeg in FIBRE_VIEWS
+               for k in range(1, n // qdeg)]
+
+
+def _lemma_base(n, qdeg, k):
+    """Degree over GF(p) of GF(q^l), l = gcd(k, m)."""
+    return qdeg * math.gcd(k, n // qdeg)
+
+
+def _brute_deficits(g, c, k):
+    f = g.field
+    return [is_permutation(compose_f(g, c, k, f.element_at(d))).image_deficit
+            for d in range(f.order)]
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
+def test_fibre_deficits_match_brute_force_every_delta(p, n, qdeg, k):
+    """Monomials x^s, a g that maps into GF(q^l) (so h = c*x and every f_d
+    permutes) and a random binomial, at several c in GF(q^l)*."""
+    f = field(p, n)
+    Q = f.order
+    base = _lemma_base(n, qdeg, k)
+    rng = random.Random(Q * 10 + qdeg * 3 + k)
+    sub = sorted(f.subfield_indices(base) - {0})
+    anchored = [(f.element_at(rng.choice(sub)),
+                 rng.randint(1, p**base - 1) * ((Q - 1) // (p**base - 1)))]
+    binomial = [(f.element_at(rng.randrange(1, Q)), rng.randrange(Q))
+                for _ in range(2)]
+    gs = [make_gspec(f, [(f.one, s)], qdeg) for s in rng.sample(range(1, Q - 1), 3)]
+    gs += [make_gspec(f, anchored, qdeg), make_gspec(f, binomial, qdeg)]
+    seen = set()
+    for g in gs:
+        for ci in sorted({1, rng.choice(sub), sub[-1]}):
+            c = f.element_at(ci)
+            got = fibre_deficits(g, c, k)
+            assert got.shape == (Q,)
+            want = _brute_deficits(g, c, k)
+            assert got.tolist() == want, (g.terms, ci)
+            seen.update(d == 0 for d in want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
+def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
+    f = field(p, n)
+    inside = f.subfield_indices(_lemma_base(n, qdeg, k))
+    g = make_gspec(f, [(f.one, 3)], qdeg)
+    outside = [i for i in range(1, f.order) if i not in inside]
+    for ci in outside[:3] + outside[-3:]:
+        assert fibre_deficits(g, f.element_at(ci), k) is None
+    assert fibre_deficits(g, f.one, k) is not None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from(FIBRE_CASES), data=st.data())
+def test_fibre_deficits_agree_on_random_binomial_g(case, data):
+    p, n, qdeg, k = case
+    f = field(p, n)
+    Q = f.order
+    sub = sorted(f.subfield_indices(_lemma_base(n, qdeg, k)) - {0})
+    terms = [(f.element_at(data.draw(st.integers(1, Q - 1))),
+              data.draw(st.integers(0, 2 * Q))) for _ in range(2)]
+    g = make_gspec(f, terms, qdeg)
+    c = f.element_at(data.draw(st.sampled_from(sub)))
+    assert fibre_deficits(g, c, k).tolist() == _brute_deficits(g, c, k)
+
+
+@pytest.mark.parametrize("argv, plant", [
+    # a permuting family: a nonzero deficit planted at delta 0
+    (["--family", "thm18-4", "--q", "4"], lambda d: d.__setitem__(0, 1)),
+    # table1-r8 at q = 8 fails (exit 1): every deficit planted as 0
+    (["--family", "table1-r8", "--q", "8"], lambda d: d.fill(0)),
+])
+def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
+                                                 argv, plant):
+    real = cli.fibre_deficits
+
+    def planted(g, c, k):
+        out = real(g, c, k)
+        plant(out)
+        return out
+
+    monkeypatch.setattr(cli, "fibre_deficits", planted)
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "o.json")]) == 4
+    err = capsys.readouterr().err
+    assert "fibre route and brute force disagree" in err and argv[1] in err
 
 
 # ---------------------------------------------------------------------------
