@@ -262,6 +262,17 @@ class _Bulk:
         t *= e % (self.Q - 1)
         return self._from_logs(t, arr == 0)
 
+    def pow_outer(self, logs, es):
+        """x**e for every exponent e in the int64 array es (rows) and every
+        point x given by its log in logs (columns, -1 for x = 0 and 0**e = 0;
+        each e >= 1): one exp gather for the whole 2-D table."""
+        M = self.Q - 1
+        t = np.multiply.outer(es % M, logs)
+        t %= M
+        out = self.exp[t]
+        out[:, logs < 0] = 0
+        return out
+
     def frob(self, arr, psteps: int):
         return self.pow_const(arr, pow(self.p, psteps, self.Q - 1))
 

@@ -28,6 +28,12 @@ h collides on their phi_d images, and
     image deficit of f_d = order - q^l * |h(T_d)|.
 
 fibre_deficits reads that off one evaluation of h for every d at once.
+
+trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
+permutes the field.  A map that repeats a value on the first B points
+(B = prefix_size(order), about 4*sqrt(order)) is proven to fail, so blocks
+of exponents are first evaluated on those points alone, as one 2-D table
+each, and only the exponents without such a repeat get is_permutation.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ __all__ = [
     "make_fn_exponent_sum",
     "make_fn_trinomial",
     "make_gspec",
+    "trinomial_hits",
 ]
 
 
@@ -286,6 +293,59 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     b = int(np.flatnonzero(first[outs] != idx)[0])
     a = int(first[outs[b]])
     return PermVerdict(False, (field.element_at(a), field.element_at(b)), deficit)
+
+
+SCREEN_BLOCK = 1 << 14      # elements per 2-D table of the prefix screen
+
+
+def prefix_size(order: int) -> int:
+    """Points the trinomial screen evaluates: about 4*sqrt(order), enough
+    that a map with random-looking values repeats one there with
+    probability about 1 - e^-8."""
+    return min(order, 4 * math.isqrt(order) + 4)
+
+
+def prefix_survivors(field: FieldCtx, c: Element, s_values, k: int = 1,
+                     qdeg: Optional[int] = None) -> np.ndarray:
+    """Boolean mask over s_values: True where c*x - x^s + x^((q^k)*s) takes
+    distinct values on the points of index 0 .. prefix_size(order)-1.  A
+    False entry is proven not to permute (two of those points collide).
+    Blocks of exponents are evaluated as one 2-D table each, a row per s."""
+    qdeg = _resolve_view(field, qdeg, k)
+    field._check(c)
+    if c.index == 0:
+        raise ValueError("linear coefficient c must be nonzero")
+    s_arr = np.asarray(s_values, dtype=np.int64)
+    if (s_arr < 1).any():
+        raise ValueError("exponents must be positive integers")
+    bulk = field.bulk()
+    Q = field.order
+    B = prefix_size(Q)
+    logs = bulk.log[:B]
+    cx = bulk.mul_scalar(c.index, bulk.xs[:B])
+    qk = pow(field.p, qdeg * k, Q - 1)
+    rows = max(1, SCREEN_BLOCK // B)
+    keep = np.empty(s_arr.size, dtype=bool)
+    for lo in range(0, s_arr.size, rows):
+        s_blk = s_arr[lo:lo + rows]
+        xs = bulk.pow_outer(logs, s_blk)
+        h = bulk.add(bulk.sub(bulk.pow_outer(logs, s_blk * qk), xs), cx)
+        h.sort(axis=1)
+        keep[lo:lo + rows] = ~(h[:, 1:] == h[:, :-1]).any(axis=1)
+    return keep
+
+
+def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
+                   qdeg: Optional[int] = None) -> tuple[list[int], int]:
+    """The s in s_values (in their order) whose trinomial
+    c*x - x^s + x^((q^k)*s) permutes the field, and how many full checks
+    that took.  Exact: prefix_survivors drops the s whose map collides on
+    the prefix, and is_permutation decides every survivor."""
+    s_arr = np.asarray(s_values, dtype=np.int64)
+    survivors = s_arr[prefix_survivors(field, c, s_arr, k, qdeg)].tolist()
+    hits = [s for s in survivors if is_permutation(
+        make_fn_trinomial(field, c, s, k, qdeg)).is_permutation]
+    return hits, len(survivors)
 
 
 def fibre_deficits(g: GSpec, c: Element, k: int) -> Optional[np.ndarray]:

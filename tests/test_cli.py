@@ -373,3 +373,24 @@ def test_unwritable_out_exits_4_before_any_field(tmp_path, monkeypatch):
 def test_bad_p_or_k_names_the_flag(tmp_path, capsys, flag, argv):
     assert run(tmp_path, "verify", "--family", "thm7", *argv)[0] == 3
     assert f"permlab: {flag} must be" in capsys.readouterr().err
+
+
+def test_sweep_counts_prefix_exits_and_full_checks(tmp_path):
+    code, doc = run(tmp_path, "sweep", "--q", "16", "--c-index", "1",
+                    "--c-index", "7")
+    assert code == 0
+    tm = doc["timings"]
+    assert tm["prefix_exits"] + tm["full_checks"] == 254 * 2
+    assert tm["full_checks"] >= len(doc["stable"]["hits"])
+    assert tm["prefix_exits"] > tm["full_checks"]
+    code, doc = run(tmp_path, "sweep", "--q", "16", name="c1.json")
+    assert (doc["timings"]["prefix_exits"], doc["timings"]["full_checks"]) == (222, 32)
+    assert len(doc["stable"]["hits"]) == 32
+    assert "prefix_exits" not in json.dumps(doc["stable"])
+
+
+def test_sweep_repeated_c_index_exits_config(tmp_path, capsys):
+    code, doc = run(tmp_path, "sweep", "--q", "4", "--c-index", "1",
+                    "--c-index", "1")
+    assert code == 3 and doc is None
+    assert "--c-index 1 given more than once" in capsys.readouterr().err

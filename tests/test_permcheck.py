@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlab import cli
-from permlab.ffcore import FieldCtx
+from permlab.ffcore import FieldCtx, prime_power
 from permlab.permcheck import (
     build_inverse_table,
     compose_f,
@@ -21,7 +22,10 @@ from permlab.permcheck import (
     make_fn_exponent_sum,
     make_fn_trinomial,
     make_gspec,
+    prefix_size,
+    prefix_survivors,
     reduce_exponent,
+    trinomial_hits,
 )
 
 _FIELDS = {}
@@ -475,3 +479,122 @@ def test_lemma1_rejects_bad_divisor():
     f = field(3, 2)
     with pytest.raises(ValueError):
         lemma1_check(f, 1, [(f.one, 0)], 3)   # 3 does not divide 8
+
+
+# ---------------------------------------------------------------------------
+# sweep screen: prefix exits, then the full check on the survivors
+# ---------------------------------------------------------------------------
+
+SCREEN_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
+
+
+def _sweep_field(q):
+    p, k = prime_power(q)
+    return field(p, 2 * k), k
+
+
+def _brute_hits(f, c, qdeg):
+    return [s for s in range(1, f.order - 1)
+            if is_permutation(make_fn_trinomial(f, c, s, 1, qdeg)).is_permutation]
+
+
+def _screen_cs(f, q):
+    """c = 1 everywhere; c = Q-1 (the last index) and a seeded random c up
+    to q = 32."""
+    if q > 32:
+        return [f.one]
+    rng = random.Random(q)
+    return [f.one, f.element_at(f.order - 1),
+            f.element_at(rng.randrange(2, f.order - 1))]
+
+
+@pytest.mark.parametrize("q", SCREEN_QS)
+def test_trinomial_hits_match_brute_force_every_exponent(q):
+    f, qdeg = _sweep_field(q)
+    ss = range(1, f.order - 1)
+    for c in _screen_cs(f, q):
+        hits, full_checks = trinomial_hits(f, c, ss, 1, qdeg)
+        assert hits == _brute_hits(f, c, qdeg), (q, c)
+        survivors = int(prefix_survivors(f, c, ss, 1, qdeg).sum())
+        assert full_checks == survivors >= len(hits)
+
+
+def _first_repeat(fn, points):
+    """The first pair (a, b), a < b, of points with equal values by scalar
+    evaluate, or None."""
+    seen = {}
+    for x in points:
+        v = evaluate(fn, fn.field.element_at(x)).index
+        if v in seen:
+            return seen[v], x
+        seen[v] = x
+    return None
+
+
+@pytest.mark.parametrize("q, sample", [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16)]
+                         + [(25, 100), (64, 120)])
+def test_every_prefix_exit_is_a_real_collision(q, sample):
+    """The screen's mask is exactly 'no repeat on the prefix' by scalar
+    evaluate: every exit has two prefix points with one value, every
+    survivor has none (all exponents, or a seeded sample of each kind)."""
+    f, qdeg = _sweep_field(q)
+    B = prefix_size(f.order)
+    ss = np.arange(1, f.order - 1)
+    rng = random.Random(q)
+    exits = 0
+    for c in _screen_cs(f, q):
+        keep = prefix_survivors(f, c, ss, 1, qdeg)
+        picked = [ss[keep].tolist(), ss[~keep].tolist()]
+        if sample:
+            picked = [rng.sample(part, min(sample, len(part))) for part in picked]
+        for survives, part in zip((True, False), picked):
+            for s in part:
+                fn = make_fn_trinomial(f, c, s, 1, qdeg)
+                pair = _first_repeat(fn, range(B))
+                assert (pair is None) == survives, (q, c, s)
+                if pair:
+                    a, b = (f.element_at(x) for x in pair)
+                    assert evaluate(fn, a) == evaluate(fn, b)
+                    exits += 1
+    assert exits or q <= 3
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_prefix_covering_the_field_is_the_full_verdict(q):
+    f, qdeg = _sweep_field(q)
+    assert prefix_size(f.order) == f.order
+    ss = range(1, f.order - 1)
+    for c in f.elements():
+        if c.index:
+            keep = prefix_survivors(f, c, ss, 1, qdeg).tolist()
+            hits = _brute_hits(f, c, qdeg)
+            assert keep == [s in hits for s in ss], c
+            assert trinomial_hits(f, c, ss, 1, qdeg) == (hits, len(hits))
+
+
+def test_prefix_screen_memory_stays_bounded():
+    """The screen works in fixed-size blocks: over GF(128^2) its traced peak
+    stays far below one table of every exponent on the prefix (66 MB)."""
+    f, qdeg = _sweep_field(128)
+    f.bulk()
+    tracemalloc.start()
+    try:
+        hits, _ = trinomial_hits(f, f.one, range(1, f.order - 1), 1, qdeg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 152
+    assert peak < 8 * 2**20, peak
+
+
+def test_trinomial_screen_refuses_what_make_fn_trinomial_refuses():
+    f, qdeg = _sweep_field(8)
+    for ss in ([0, 5], [-3]):
+        with pytest.raises(ValueError):
+            prefix_survivors(f, f.one, ss, 1, qdeg)
+    with pytest.raises(ValueError):
+        trinomial_hits(f, f.zero, [5], 1, qdeg)
+    with pytest.raises(ValueError):
+        trinomial_hits(f, f.one, [5], 2, qdeg)                # k out of range
+    with pytest.raises(ValueError):
+        trinomial_hits(f, f.one, [f.order - 1], 1, qdeg)      # x^s is constant
