@@ -39,7 +39,7 @@ from .families import (
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import (PermVerdict, compose_f, compose_h, fibre_deficits,
+from .permcheck import (PermVerdict, compose_f, fibre_deficits, h_verdicts,
                         is_permutation, make_gspec, trinomial_hits)
 from .transform import DEFAULT_SEED, DELTA_EXHAUSTIVE_CAP, DELTA_SAMPLES, pick_deltas
 
@@ -139,22 +139,35 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         raise ConfigError(str(exc)) from None
 
 
-def _run_one(g, c, step, delta):
-    """(verdict, witness as an index pair or None, seconds) of one instance."""
-    t0 = time.perf_counter()
-    fn = compose_h(g, c, step) if delta is None else compose_f(g, c, step, delta)
-    verdict = is_permutation(fn)
-    elapsed = time.perf_counter() - t0
+def _witness_pair(verdict):
     wit = verdict.witness
-    return verdict, None if wit is None else (wit[0].index, wit[1].index), elapsed
+    return None if wit is None else (wit[0].index, wit[1].index)
+
+
+def _run_one(g, c, step, delta):
+    """(verdict, witness as an index pair or None, seconds) of one f_delta."""
+    t0 = time.perf_counter()
+    verdict = is_permutation(compose_f(g, c, step, delta))
+    return verdict, _witness_pair(verdict), time.perf_counter() - t0
+
+
+def _run_trinomial_form(g, cs, step):
+    """[c, None, verdict, witness, seconds, "brute"] for every c of one
+    trinomial form, from one h_verdicts call: each c's seconds are its own
+    plus an equal share of building u, so they add up to the work done."""
+    times = []
+    verdicts = h_verdicts(g, step, cs, times)
+    share = times[0] / max(1, len(cs))
+    return [[c, None, v, _witness_pair(v), share + el, "brute"]
+            for c, v, el in zip(cs, verdicts, times[1:])]
 
 
 _FIBRE_PERMUTES = PermVerdict(True, None, 0)
 
 
 def _run_delta_form(g, c, step, deltas, where):
-    """[delta, verdict, witness, seconds, route] for every delta of one shift
-    form.  One fibre_deficits call gives every delta's image deficit; brute
+    """[c, delta, verdict, witness, seconds, route] for every delta of one
+    shift form.  One fibre_deficits call gives every delta's image deficit; brute
     force still checks each delta whose deficit is nonzero and the first
     delta of each trace fibre (its probe), and must agree with it.  A delta
     is left to the fibre route only once brute force has seen its fibre
@@ -169,7 +182,7 @@ def _run_delta_form(g, c, step, deltas, where):
     for d in deltas:
         i = d.index
         if fibre is not None and not fibre.item(i) and tr.item(i) in permuting:
-            rows.append([d, _FIBRE_PERMUTES, None, 0.0, "fibre"])
+            rows.append([c, d, _FIBRE_PERMUTES, None, 0.0, "fibre"])
             continue
         verdict, wit, el = _run_one(g, c, step, d)
         if fibre is not None:
@@ -180,10 +193,10 @@ def _run_delta_form(g, c, step, deltas, where):
                     f"{fibre.item(i)} vs {verdict.image_deficit}")
             if not verdict.image_deficit:
                 permuting.add(tr.item(i))
-        rows.append([d, verdict, wit, el, "brute"])
-    decided = [r for r in rows if r[4] == "fibre"] or rows
+        rows.append([c, d, verdict, wit, el, "brute"])
+    decided = [r for r in rows if r[5] == "fibre"] or rows
     for r in decided:
-        r[3] += fibre_s / len(decided)
+        r[4] += fibre_s / len(decided)
     return rows
 
 
@@ -231,21 +244,20 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
-                for c in cs:
-                    if fam.form == "delta_form":
-                        rows = _run_delta_form(
-                            g, c, step, deltas, f"{fid} q={q} s={s_val}")
-                    else:
-                        rows = [[None, *_run_one(g, c, step, None), "brute"]]
-                    for d, verdict, wit, el, route in rows:
-                        run.instances.append(InstanceResult(
-                            condition=ctag or "default", s_tag=stag,
-                            step=step, s=s_val, c_index=c.index,
-                            delta_index=None if d is None else d.index,
-                            permutes=verdict.is_permutation, witness=wit,
-                            image_deficit=verdict.image_deficit,
-                            informational=step != fam.steps[0], elapsed=el,
-                            route=route))
+                if fam.form == "delta_form":
+                    rows = [row for c in cs for row in _run_delta_form(
+                        g, c, step, deltas, f"{fid} q={q} s={s_val}")]
+                else:
+                    rows = _run_trinomial_form(g, cs, step)
+                for c, d, verdict, wit, el, route in rows:
+                    run.instances.append(InstanceResult(
+                        condition=ctag or "default", s_tag=stag,
+                        step=step, s=s_val, c_index=c.index,
+                        delta_index=None if d is None else d.index,
+                        permutes=verdict.is_permutation, witness=wit,
+                        image_deficit=verdict.image_deficit,
+                        informational=step != fam.steps[0], elapsed=el,
+                        route=route))
     run.instances.sort(key=InstanceResult.sort_key)
     return run
 
@@ -550,6 +562,7 @@ def cmd_sweep(args) -> int:
     asserted wrong, and a coefficient failing some family's condition is
     never asserted to break anything.
     """
+    t_start = time.perf_counter()
     cfg = _config_from(args)
     q_sel = _selected_q(args)
     if q_sel is None:
@@ -558,7 +571,9 @@ def cmd_sweep(args) -> int:
     p, k = _factor_prime_power(q)
     if q * q > cfg.cap:
         raise ConfigError(f"field order {q}**2 exceeds the size cap {cfg.cap}")
+    t0 = time.perf_counter()
     fld = make_field(p, 2 * k, cap=cfg.cap)
+    field_s = time.perf_counter() - t0
     order = fld.order
     s_lo = args.s_from if args.s_from is not None else 1
     s_hi = args.s_to if args.s_to is not None else order - 2
@@ -573,8 +588,6 @@ def cmd_sweep(args) -> int:
         if c_indices.count(idx) > 1:
             raise ConfigError(f"--c-index {idx} given more than once")
     tags = _sweep_annotations(fld, q, cfg.kprime)
-
-    t0 = time.perf_counter()
     hits = []
     full_checks = 0
     for c_idx in c_indices:
@@ -584,7 +597,6 @@ def cmd_sweep(args) -> int:
         hits += [{"s": s, "c": c_idx,
                   "families": tags.get((s, c_idx), ["unexplained"])}
                  for s in found]
-    elapsed = time.perf_counter() - t0
 
     stable = {
         "schema": SCHEMA,
@@ -598,7 +610,8 @@ def cmd_sweep(args) -> int:
     }
     screened = (s_hi - s_lo + 1) * len(c_indices)
     doc = {"stable": stable,
-           "timings": {"total_s": elapsed, "full_checks": full_checks,
+           "timings": {"total_s": time.perf_counter() - t_start,
+                       "field_s": round(field_s, 6), "full_checks": full_checks,
                        "prefix_exits": screened - full_checks}}
     _emit(doc, args.format, args.out, _sweep_csv)
     print(f"{len(hits)} permuting trinomials over GF({q}^2)", file=sys.stderr)

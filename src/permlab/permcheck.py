@@ -17,6 +17,17 @@ Bulk evaluation of the f side adds d to the field's cached shift image
 x^(q^k) - x (ffcore's _Bulk.shift_base), so a sweep over d does not
 recompute it.
 
+Bulk evaluation of the h side works in log order: position 0 is x = 0 and
+position 1+t is x = gamma^t for the field generator gamma.  Frobenius is
+additive, so u = g^(q^k) - g is, at gamma^t, a sum over g's terms a*x^e of
+exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod order-1): exp
+gathers only.  c*x at gamma^t is exp[log c + t], the exp table rolled by
+log c, a contiguous copy.  Only c*x depends on c, so h_verdicts builds u
+once per (g, k), in fixed blocks, and decides every c from it by marking
+the values u + c*x hits; only a failing c scatters its table into
+element-index order, where is_permutation finds the first-collision
+witness.  evaluate_all's h side is the same evaluation plus that scatter.
+
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
 GF(q^m) onto GF(q^l).  Then phi_d(f_d(x)) = h(phi_d(x)) + (1-c)d, and
@@ -33,12 +44,14 @@ trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
 (B = prefix_size(order), about 4*sqrt(order)) is proven to fail, so blocks
 of exponents are first evaluated on those points alone, as one 2-D table
-each, and only the exponents without such a repeat get is_permutation.
+each, and only the exponents without such a repeat get the full check
+(h_verdicts).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +70,7 @@ __all__ = [
     "evaluate",
     "evaluate_all",
     "fibre_deficits",
+    "h_verdicts",
     "is_permutation",
     "lemma1_check",
     "make_fn_delta",
@@ -97,6 +111,9 @@ class PermVerdict:
     is_permutation: bool
     witness: Optional[tuple[Element, Element]]
     image_deficit: int
+
+
+_PERMUTES = PermVerdict(True, None, 0)
 
 
 def _resolve_view(field: FieldCtx, qdeg: Optional[int], k: int = 1) -> int:
@@ -187,14 +204,19 @@ def _check_power(s) -> None:
         raise ValueError(f"exponent must be a positive integer, got {s!r}")
 
 
+def _trinomial_g(field: FieldCtx, s: int, qdeg: Optional[int]) -> GSpec:
+    """g = x^s of a trinomial; refuses an s whose x^s is constant off 0."""
+    _check_power(s)
+    if field.order > 2 and s % (field.order - 1) == 0:
+        raise ValueError("exponent is a multiple of order-1; power term degenerates")
+    return make_gspec(field, [(field.one, s)], qdeg)
+
+
 def make_fn_trinomial(field: FieldCtx, c: Element, s: int, k: int = 1,
                       qdeg: Optional[int] = None) -> FnSpec:
     """x -> c*x - x^s + x^((q^k)*s) over GF(q^m), q = p^qdeg: the h side of
     g = x^s."""
-    _check_power(s)
-    if field.order > 2 and s % (field.order - 1) == 0:
-        raise ValueError("exponent is a multiple of order-1; power term degenerates")
-    return compose_h(make_gspec(field, [(field.one, s)], qdeg), c, k)
+    return compose_h(_trinomial_g(field, s, qdeg), c, k)
 
 
 def make_fn_delta(field: FieldCtx, c: Element, s: int, k: int, delta: Element,
@@ -262,16 +284,107 @@ def evaluate_all(fn: FnSpec) -> np.ndarray:
         out = _eval_terms_all(bulk, fn.terms, xs)
         return out.copy() if out is xs else out
     if fn.side == "h":
-        gx = _eval_terms_all(bulk, fn.terms, xs)
-        out = bulk.sub(bulk.frob(gx, fn.pstep), gx)
-        del gx      # one whole-field array fewer alive while c*x is added
-    elif fn.side == "f":
-        t = bulk.add(bulk.shift_base(fn.pstep), np.int64(fn.delta))
-        out = _eval_terms_all(bulk, fn.terms, t)
-        del t
-    else:
+        return _index_order_h(bulk, _log_order_u(fn.field, fn.terms, fn.pstep), fn.c)
+    if fn.side != "f":
         raise ValueError(f"unknown map side {fn.side!r}")
+    t = bulk.add(bulk.shift_base(fn.pstep), np.int64(fn.delta))
+    out = _eval_terms_all(bulk, fn.terms, t)
+    del t
     return bulk.add(out, xs if fn.c == 1 else bulk.mul_scalar(fn.c, xs))
+
+
+BLOCK = 1 << 14     # elements per temporary block: a slice of a log-order
+                    # table, or a 2-D table of the prefix screen
+
+
+def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
+    """u = g^(p^pstep) - g in log order: u[0] = u(0), u[1+t] = u(gamma^t)
+    for the field generator gamma.  Frobenius is additive, so a term a*x^e
+    of g adds exp[F*L] - exp[L] at gamma^t, L = log a + e*t mod order-1 and
+    F = p^pstep: two exp gathers per term, no log gather, no zero masks.  A
+    constant term adds u(0) everywhere.  Built BLOCK positions at a
+    time, so no temporary is as large as u."""
+    bulk = field.bulk()
+    M = field.order - 1
+    F = pow(field.p, pstep, M)
+    # g(0) is the constant term's coefficient; merged terms hold at most one
+    g0 = field.element_at(sum(ci for ci, e in terms if e == 0))
+    u0 = field.sub(field.frobenius(g0, pstep), g0).index
+    u = np.empty(field.order, dtype=np.int64)
+    u[0] = u0
+    powers = [(bulk.log.item(ci), e % M) for ci, e in terms if e]
+    if not powers:
+        u[1:] = u0
+        return u
+    ts = bulk.xs[:BLOCK]
+    for lo in range(0, M, BLOCK):
+        hi = min(M, lo + BLOCK)
+        acc = None
+        for lc, e in powers:
+            L = ts[:hi - lo] * e
+            L += (lc + lo * e) % M
+            L %= M
+            gx = bulk.exp[L]
+            L *= F
+            L %= M
+            term = bulk.sub(bulk.exp[L], gx)
+            acc = term if acc is None else bulk.add(acc, term)
+        u[1 + lo:1 + hi] = bulk.add(acc, np.int64(u0)) if u0 else acc
+    return u
+
+
+def _h_blocks(bulk, u: np.ndarray, c_idx: int):
+    """(lo, hi, h at gamma^lo .. gamma^(hi-1)) for h = u + c*x, a block at a
+    time.  c*x at gamma^t is exp[log c + t]: a contiguous slice of exp,
+    wrapping once round the table."""
+    M = bulk.Q - 1
+    lc = bulk.log.item(c_idx)
+    for lo in range(0, M, BLOCK):
+        hi = min(M, lo + BLOCK)
+        a = (lc + lo) % M
+        b = a + hi - lo
+        cx = bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
+        yield lo, hi, bulk.add(u[1 + lo:1 + hi], cx)
+
+
+def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
+    """The value table of h = u + c*x in element-index order: the log-order
+    blocks scattered through exp, and h(0) = u(0)."""
+    outs = np.empty(bulk.Q, dtype=np.int64)
+    outs[0] = u[0]
+    for lo, hi, h in _h_blocks(bulk, u, c_idx):
+        outs[bulk.exp[lo:hi]] = h
+    return outs
+
+
+def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermVerdict]:
+    """The verdict of h = g^(q^k) - g + c*x for each c in cs, in order, equal
+    to is_permutation(compose_h(g, c, k)).  u = g^(q^k) - g is built once in
+    log order (_log_order_u) and each c adds its c*x block by block, marking
+    the values hit; only a failing c scatters its table into index order,
+    where is_permutation finds its witness.  When times is a list, it
+    receives the seconds spent on u, then each c's own seconds."""
+    t0 = time.perf_counter()
+    fns = [compose_h(g, c, k) for c in cs]
+    bulk = g.field.bulk()
+    Q = g.field.order
+    u = _log_order_u(g.field, g.terms, g.qdeg * k) if fns else None
+    clock = [time.perf_counter() - t0]
+    verdicts = []
+    for fn in fns:
+        t0 = time.perf_counter()
+        seen = np.zeros(Q, dtype=bool)
+        seen[u[0]] = True
+        for _, _, h in _h_blocks(bulk, u, fn.c):
+            seen[h] = True
+        if np.count_nonzero(seen) == Q:
+            verdicts.append(_PERMUTES)
+        else:
+            verdicts.append(is_permutation(fn, outs=_index_order_h(bulk, u, fn.c)))
+        clock.append(time.perf_counter() - t0)
+    if times is not None:
+        times.extend(clock)
+    return verdicts
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
@@ -293,9 +406,6 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     b = int(np.flatnonzero(first[outs] != idx)[0])
     a = int(first[outs[b]])
     return PermVerdict(False, (field.element_at(a), field.element_at(b)), deficit)
-
-
-SCREEN_BLOCK = 1 << 14      # elements per 2-D table of the prefix screen
 
 
 def prefix_size(order: int) -> int:
@@ -324,7 +434,7 @@ def prefix_survivors(field: FieldCtx, c: Element, s_values, k: int = 1,
     logs = bulk.log[:B]
     cx = bulk.mul_scalar(c.index, bulk.xs[:B])
     qk = pow(field.p, qdeg * k, Q - 1)
-    rows = max(1, SCREEN_BLOCK // B)
+    rows = max(1, BLOCK // B)
     keep = np.empty(s_arr.size, dtype=bool)
     for lo in range(0, s_arr.size, rows):
         s_blk = s_arr[lo:lo + rows]
@@ -340,11 +450,11 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     """The s in s_values (in their order) whose trinomial
     c*x - x^s + x^((q^k)*s) permutes the field, and how many full checks
     that took.  Exact: prefix_survivors drops the s whose map collides on
-    the prefix, and is_permutation decides every survivor."""
+    the prefix, and h_verdicts decides every survivor."""
     s_arr = np.asarray(s_values, dtype=np.int64)
     survivors = s_arr[prefix_survivors(field, c, s_arr, k, qdeg)].tolist()
-    hits = [s for s in survivors if is_permutation(
-        make_fn_trinomial(field, c, s, k, qdeg)).is_permutation]
+    hits = [s for s in survivors if h_verdicts(
+        _trinomial_g(field, s, qdeg), k, [c])[0].is_permutation]
     return hits, len(survivors)
 
 

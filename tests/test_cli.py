@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from permlab import cli, ffcore
+from permlab import cli, ffcore, permcheck
 from permlab.cli import CSV_COLUMNS, main
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
@@ -197,6 +197,26 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     # trinomial families never take the fibre route
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
     assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5}
+
+
+def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
+    """thm5 at q = 9: one h_verdicts call decides the form's 5 values of c,
+    and a slowed build of u shows up once in the total, an equal share in
+    each instance's seconds."""
+    real, pause = permcheck._log_order_u, 0.05
+
+    def slow(*args):
+        time.sleep(pause)
+        return real(*args)
+
+    monkeypatch.setattr(permcheck, "_log_order_u", slow)
+    code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
+    assert code == 0
+    els = doc["timings"]["runs"][0]["instances_s"]
+    assert len(els) == 5
+    assert all(el >= pause / 5 for el in els)
+    assert pause <= sum(els) < 1.5 * pause
+    assert doc["timings"]["total_s"] == pytest.approx(sum(els), abs=1e-4)
 
 
 def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):
@@ -394,3 +414,21 @@ def test_sweep_repeated_c_index_exits_config(tmp_path, capsys):
                     "--c-index", "1")
     assert code == 3 and doc is None
     assert "--c-index 1 given more than once" in capsys.readouterr().err
+
+
+def test_sweep_total_s_covers_the_whole_verb(tmp_path, monkeypatch):
+    """total_s runs from the verb's start to serialization, so a slowed
+    _sweep_annotations shows up in it; field_s times the field alone."""
+    real, pause = cli._sweep_annotations, 0.05
+
+    def slow(*args):
+        time.sleep(pause)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_sweep_annotations", slow)
+    code, doc = run(tmp_path, "sweep", "--q", "8")
+    assert code == 0
+    tm = doc["timings"]
+    assert tm["total_s"] >= pause + tm["field_s"]
+    assert tm["field_s"] > 0
+    assert "field_s" not in json.dumps(doc["stable"])

@@ -2,8 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
-from permlab.ffcore import DEFAULT_SIZE_CAP, Element, FieldCtx, _Bulk, make_field
+from permlab.ffcore import (DEFAULT_SIZE_CAP, Element, FieldCtx, _Bulk, _digits,
+                            _first_irreducible, is_prime, make_field)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,26 @@ def test_modulus_is_lexicographically_first():
                 break
             assert not is_irreducible_by_products(cand_t, p), (
                 f"GF({p}^{n}) skipped irreducible {cand_t}")
+
+
+def test_modulus_matches_sympy_for_every_field_up_to_the_cap():
+    """Every GF(p^n), n >= 2, p^n <= 2^22 (400 fields): sympy accepts the
+    chosen modulus and rejects every lexicographically smaller monic
+    candidate (2,801 of them)."""
+    fields = [(p, n) for p in range(2, 2049) if is_prime(p)
+              for n in range(2, 23) if p**n <= DEFAULT_SIZE_CAP]
+    assert len(fields) == 400
+    smaller = 0
+    for p, n in fields:
+        mod = _first_irreducible(p, n)
+        assert len(mod) == n + 1 and mod[-1] == 1
+        assert gf_irreducible_p(list(reversed(mod)), p, ZZ), (p, n)
+        low = sum(c * p**i for i, c in enumerate(mod[:n]))
+        for cand in range(low):
+            assert not gf_irreducible_p(
+                [1, *reversed(_digits(cand, p, n))], p, ZZ), (p, n, cand)
+        smaller += low
+    assert smaller == 2801
 
 
 def test_gf81_reduction_matches_hand_computation():
@@ -292,6 +316,61 @@ def test_trace_fiber_sizes_gf81_to_gf3():
         t = f.trace_to_subfield(e, 1).index
         counts[t] = counts.get(t, 0) + 1
     assert counts == {0: 27, 1: 27, 2: 27}
+
+
+PROPERTY_FIELDS = [(2, 6), (3, 4), (5, 2), (7, 2)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(pn=st.sampled_from(PROPERTY_FIELDS), data=st.data())
+def test_frobenius_is_additive_and_multiplicative_scalar_and_bulk(pn, data):
+    f = FieldCtx(*pn)
+    i = data.draw(st.integers(0, 2 * f.n))
+    idx = st.lists(st.integers(0, f.order - 1), min_size=1, max_size=16)
+    a_idx = data.draw(idx)
+    b_idx = data.draw(st.lists(st.integers(0, f.order - 1),
+                               min_size=len(a_idx), max_size=len(a_idx)))
+    for ai, bi in zip(a_idx, b_idx):
+        a, b = f.element_at(ai), f.element_at(bi)
+        fa, fb = f.frobenius(a, i), f.frobenius(b, i)
+        assert f.frobenius(a + b, i) == fa + fb
+        assert f.frobenius(a - b, i) == fa - fb
+        assert f.frobenius(a * b, i) == fa * fb
+    bulk = f.bulk()
+    A = np.array(a_idx, dtype=np.int64)
+    B = np.array(b_idx, dtype=np.int64)
+    fA, fB = bulk.frob(A, i), bulk.frob(B, i)
+    assert np.array_equal(bulk.frob(bulk.add(A, B), i), bulk.add(fA, fB))
+    assert np.array_equal(bulk.frob(bulk.sub(A, B), i), bulk.sub(fA, fB))
+    assert np.array_equal(bulk.frob(bulk.mul(A, B), i), bulk.mul(fA, fB))
+    assert fA.tolist() == [f.frobenius(f.element_at(a), i).index for a in a_idx]
+
+
+TRACE_CASES = [(p, n, base) for p, n in PROPERTY_FIELDS
+               for base in range(1, n + 1) if n % base == 0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=st.sampled_from(TRACE_CASES), data=st.data())
+def test_bulk_trace_is_onto_its_subfield_and_linear_over_it(case, data):
+    """_Bulk.trace(base) takes every value of GF(p^base), each equally often,
+    and nothing else; and Tr(a*x + y) = a*Tr(x) + Tr(y) for a in GF(p^base)."""
+    p, n, base = case
+    f = FieldCtx(p, n)
+    bulk = f.bulk()
+    tr = bulk.trace(base)
+    sub = sorted(f.subfield_indices(base))
+    counts = np.bincount(tr, minlength=f.order)
+    assert set(np.flatnonzero(counts).tolist()) == set(sub)
+    assert set(counts[sub].tolist()) == {f.order // len(sub)}
+    a = data.draw(st.sampled_from(sub))
+    x = np.array(data.draw(st.lists(st.integers(0, f.order - 1), min_size=1,
+                                    max_size=16)), dtype=np.int64)
+    y = np.array(data.draw(st.lists(st.integers(0, f.order - 1),
+                                    min_size=x.size, max_size=x.size)),
+                 dtype=np.int64)
+    lhs = tr[bulk.add(bulk.mul_scalar(a, x), y)]
+    assert np.array_equal(lhs, bulk.add(bulk.mul_scalar(a, tr[x]), tr[y]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlab import cli
+from permlab import cli, permcheck
 from permlab.ffcore import FieldCtx, prime_power
 from permlab.permcheck import (
     build_inverse_table,
@@ -15,6 +15,7 @@ from permlab.permcheck import (
     evaluate,
     evaluate_all,
     fibre_deficits,
+    h_verdicts,
     is_permutation,
     lemma1_assemble,
     lemma1_check,
@@ -411,6 +412,162 @@ def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
     assert cli.main(["verify", *argv, "--out", str(tmp_path / "o.json")]) == 4
     err = capsys.readouterr().err
     assert "fibre route and brute force disagree" in err and argv[1] in err
+
+
+# ---------------------------------------------------------------------------
+# h_verdicts: one log-order u = g^(q^k) - g shared by every c, against the
+# scalar path at every point
+# ---------------------------------------------------------------------------
+
+# (p, n, qdeg) views of GF(2^4), GF(2^6), GF(3^2), GF(3^4), GF(5^2), GF(7^2);
+# each runs every Frobenius step 1 <= k < m
+H_VIEWS = [(2, 4, 1), (2, 4, 2), (2, 6, 1), (2, 6, 2), (2, 6, 3), (3, 2, 1),
+           (3, 4, 1), (3, 4, 2), (5, 2, 1), (7, 2, 1)]
+H_CASES = [(p, n, qdeg, k) for p, n, qdeg in H_VIEWS for k in range(1, n // qdeg)]
+
+
+def _scalar_u(g, k):
+    """u = g^(q^k) - g at every point by scalar evaluate: h at c = 1, less x."""
+    h1 = compose_h(g, g.field.one, k)
+    return [evaluate(h1, x) - x for x in g.field.elements()]
+
+
+def _scalar_verdict(u, c):
+    """(permutes, image deficit, witness index pair) of h = u + c*x from
+    scalar arithmetic at every point and the plain-scan oracle."""
+    deficit, witness = oracle_verdict(
+        [(ux + c * x).index for x, ux in zip(c.field.elements(), u)])
+    return deficit == 0, deficit, witness
+
+
+def _verdict_tuple(v):
+    wit = None if v.witness is None else tuple(e.index for e in v.witness)
+    return v.is_permutation, v.image_deficit, wit
+
+
+def _h_gs(f, qdeg):
+    """A monomial x^(2q - 1), a g with a constant and an x term beside it
+    (the x term merges with c*x in h), and the degenerate x^(Q-1), for which
+    h = c*x."""
+    q = f.p**qdeg
+    a, b = f.element_at(2), f.element_at(f.order - 1)
+    return [make_gspec(f, [(f.one, 2 * q - 1)], qdeg),
+            make_gspec(f, [(a, 1), (b, 0), (f.one, q + 2)], qdeg),
+            make_gspec(f, [(f.one, f.order - 1)], qdeg)]
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", H_CASES)
+def test_h_verdicts_match_scalar_path_every_c(p, n, qdeg, k):
+    f = field(p, n)
+    cs = [f.element_at(i) for i in range(1, f.order)]
+    seen = set()
+    for gi, g in enumerate(_h_gs(f, qdeg)):
+        got = [_verdict_tuple(v) for v in h_verdicts(g, k, cs)]
+        u = _scalar_u(g, k)
+        for c, v in zip(cs, got):
+            assert v == _scalar_verdict(u, c), (gi, c)
+            assert v == _verdict_tuple(is_permutation(compose_h(g, c, k))), (gi, c)
+        if gi == 2:
+            assert all(v[0] for v in got)        # h = c*x
+        seen |= {v[0] for v in got}
+    assert seen == {True, False}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=st.sampled_from(H_CASES), data=st.data())
+def test_h_verdicts_agree_on_random_binomial_g(case, data):
+    p, n, qdeg, k = case
+    f = field(p, n)
+    Q = f.order
+    terms = [(f.element_at(data.draw(st.integers(1, Q - 1))),
+              data.draw(st.integers(0, 2 * Q))) for _ in range(2)]
+    g = make_gspec(f, terms, qdeg)
+    idx = data.draw(st.lists(st.integers(1, Q - 1), min_size=1, max_size=4,
+                             unique=True))
+    cs = [f.element_at(i) for i in idx]
+    got = [_verdict_tuple(v) for v in h_verdicts(g, k, cs)]
+    u = _scalar_u(g, k)
+    assert got == [_scalar_verdict(u, c) for c in cs]
+
+
+def test_h_verdicts_scatter_only_failing_c(monkeypatch):
+    """A permuting c is decided from its log-order blocks alone; only a
+    failing c reaches is_permutation for its witness."""
+    f = field(2, 6)
+    g = _h_gs(f, 3)[0]
+    cs = [f.element_at(i) for i in range(1, f.order)]
+    want = [v.is_permutation for v in h_verdicts(g, 1, cs)]
+    assert set(want) == {True, False}
+    calls = []
+    real = permcheck.is_permutation
+    monkeypatch.setattr(permcheck, "is_permutation",
+                        lambda fn, outs=None: calls.append(fn.c) or real(fn, outs))
+    assert [v.is_permutation for v in h_verdicts(g, 1, cs)] == want
+    assert calls == [c.index for c, ok in zip(cs, want) if not ok]
+
+
+def test_h_verdicts_times_and_refusals():
+    f = field(2, 4)
+    g = make_gspec(f, [(f.one, 7)], 2)
+    times = []
+    cs = [f.one, f.element_at(6), f.element_at(9)]
+    assert len(h_verdicts(g, 1, cs, times)) == 3
+    assert len(times) == 4 and all(t >= 0 for t in times)
+    assert h_verdicts(g, 1, []) == []
+    with pytest.raises(ValueError):
+        h_verdicts(g, 1, [f.one, f.zero])
+    with pytest.raises(ValueError):
+        h_verdicts(g, 2, [f.one])                # k out of range for m = 2
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", H_CASES)
+def test_evaluate_all_h_equals_scalar_evaluate_every_point(p, n, qdeg, k):
+    f = field(p, n)
+    rng = random.Random(p * 1000 + n * 10 + k)
+    extra = make_gspec(f, [(f.element_at(rng.randrange(1, f.order)),
+                            rng.randrange(0, 3 * f.order)) for _ in range(3)], qdeg)
+    for g in _h_gs(f, qdeg) + [extra, make_gspec(f, [(f.scalar(1), 0)], qdeg)]:
+        h = compose_h(g, f.element_at(rng.randrange(1, f.order)), k)
+        outs = evaluate_all(h)
+        assert outs.tolist() == [evaluate(h, x).index for x in f.elements()]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from(H_CASES), data=st.data())
+def test_h_is_additive_in_g_and_c(case, data):
+    """h of (g1 + g2, c1 + c2) is h of (g1, c1) plus h of (g2, c2): the
+    log-order u rests on Frobenius being additive."""
+    p, n, qdeg, k = case
+    f = field(p, n)
+    Q = f.order
+    draw_el = lambda: f.element_at(data.draw(st.integers(1, Q - 1)))  # noqa: E731
+    t1 = [(draw_el(), data.draw(st.integers(0, Q))) for _ in range(2)]
+    t2 = [(draw_el(), data.draw(st.integers(0, Q))) for _ in range(2)]
+    c1 = draw_el()
+    c2 = f.element_at(data.draw(st.integers(1, Q - 1).filter(
+        lambda i: i != (-c1).index)))
+    h12 = evaluate_all(compose_h(make_gspec(f, t1 + t2, qdeg), c1 + c2, k))
+    h1 = evaluate_all(compose_h(make_gspec(f, t1, qdeg), c1, k))
+    h2 = evaluate_all(compose_h(make_gspec(f, t2, qdeg), c2, k))
+    assert h12.tolist() == [(f.element_at(a) + f.element_at(b)).index
+                            for a, b in zip(h1.tolist(), h2.tolist())]
+
+
+def test_log_order_u_memory_stays_bounded():
+    """u over GF(2^16) is built in blocks: the traced peak stays under four
+    times u itself (1.3 MB now against 0.5 MB for u), where building it
+    whole adds five whole-field temporaries (3.7 MB)."""
+    f = field(2, 16)
+    g = make_gspec(f, [(f.one, 255), (f.element_at(3), 1), (f.element_at(5), 0)], 8)
+    f.bulk()
+    tracemalloc.start()
+    try:
+        u = permcheck._log_order_u(f, g.terms, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 8 * f.order
+    assert peak < 4 * u.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
