@@ -3,16 +3,23 @@
 The modulus is the lexicographically first monic irreducible polynomial of
 the requested degree: candidate coefficient tuples are read as base-p
 integers (constant term least significant) and irreducibility is decided by
-trial division against every monic polynomial of degree 1..n//2.
+Ben-Or's test, gcd(f, x^(p^i) - x) = 1 for every i <= n/2, with x^(p^i) mod f
+reached by repeated p-th powers.
 
 Each field precomputes discrete exp/log tables over a fixed multiplicative
 generator, a Zech-log table in odd characteristic with n > 1, and the
 element sets of all proper subfields, and is immutable afterwards.  The exp
 table is built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by
-the constant g^L is the GF(p)-linear map sending x^i to x^i * g^L, applied
-to a whole block at once (shift/xor for p = 2, a digit matrix product
-otherwise).  The log table is its inverse permutation, and the Zech table is
-Z(k) = log(1 + g^k).  Each table is kept once, as a read-only int64 array.
+the constant g^L is GF(p)-linear, so it is a few table gathers per element:
+the index's base-p digits are cut into chunks, each chunk is looked up in a
+table of (chunk * p^offset) * g^L built from the n basis rows x^i * g^L, and
+the lookups are combined by xor for p = 2, or for odd p by adding digits
+packed into bit fields and reading the sums mod p back through a small
+table.  No table is larger than the block it serves (beyond a one-bit
+table's two entries); for odd p, where not even a one-digit table fits, the
+digits are read directly.  The log table is its inverse permutation, and
+the Zech table is Z(k) = log(1 + g^k).  Each table is kept once, as a
+read-only int64 array.
 
 The scalar Element path and the bulk layer compute from these same tables:
 products and powers are exp[log a + log b] and exp[e * log a] mod order-1
@@ -103,35 +110,96 @@ def _digits(value: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_rem(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of num by monic den; coefficient lists, constant term first."""
-    rem = list(num)
-    dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
+def _mul_mod(a: list[int], b: list[int], f: tuple[int, ...], p: int) -> list[int]:
+    """a * b mod the monic f over Z_p; coefficient lists of length deg f,
+    constant term first."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
         if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-    del rem[dd:]
-    return rem
+            for j in range(n):
+                prod[k - n + j] -= c * f[j]
+    return [v % p for v in prod[:n]]
+
+
+def _coprime(a: list[int], b: list[int], p: int) -> bool:
+    """gcd(a, b) = 1 over Z_p, for a != 0, by Euclid on coefficient lists
+    (constant term first)."""
+    a, b = list(a), list(b)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):         # a -= (lead a / lead b) x^off b
+            c = a.pop() * inv % p
+            off = len(a) - len(b) + 1
+            for j in range(len(b) - 1):
+                a[off + j] = (a[off + j] - c * b[j]) % p
+        a, b = b, a
+    return not any(a[1:])
+
+
+def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's test: the monic f of degree n >= 2 is irreducible over Z_p
+    iff gcd(f, x^(p^i) - x) = 1 for every i <= n/2.  x^(p^i) mod f comes
+    from x^(p^(i-1)) by one p-th power."""
+    n = len(f) - 1
+    x = [0, 1] + [0] * (n - 2)
+    h = x
+    for _ in range(n // 2):
+        acc = h                         # h^p, square and multiply
+        for bit in bin(p)[3:]:
+            acc = _mul_mod(acc, acc, f, p)
+            if bit == "1":
+                acc = _mul_mod(acc, h, f, p)
+        h = acc
+        if not _coprime(f, [(u - v) % p for u, v in zip(h, x)], p):
+            return False
+    return True
 
 
 def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree n over Z_p."""
+    """Lexicographically first monic irreducible of degree n over Z_p: the
+    first candidate, in base-p order of its low coefficients, that passes
+    Ben-Or's test."""
     if n == 1:
         return (0, 1)
-    divisors = []
-    for deg in range(1, n // 2 + 1):
-        for low in range(p**deg):
-            divisors.append(_digits(low, p, deg) + (1,))
     for low in range(p**n):
         cand = _digits(low, p, n) + (1,)
-        for div in divisors:
-            if not any(_poly_rem(list(cand), div, p)):
-                break
-        else:
+        if _is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+def _spans(n: int, most: int) -> list[tuple[int, int]]:
+    """range(n) cut into the fewest runs of at most `most` positions, as
+    even as possible: (start, width) pairs."""
+    count = -(-n // most)
+    cuts = [n * i // count for i in range(count + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _width(unit: int, size: int) -> int:
+    """The most positions of `unit` values each that a table of at most
+    size entries covers."""
+    w = 0
+    while unit ** (w + 1) <= size:
+        w += 1
+    return w
+
+
+def _lookup(fn, keys, count: int):
+    """fn(keys) for an int64 array of keys in range(count), where fn maps an
+    array elementwise: through a table of fn over range(count) when that
+    table is no larger than keys, else directly on keys."""
+    if count <= keys.size:
+        return fn(np.arange(count, dtype=np.int64))[keys]
+    return fn(keys)
 
 
 @dataclass(frozen=True)
@@ -400,46 +468,92 @@ class FieldCtx:
             e >>= 1
         return acc
 
-    def _times_const(self, arr, c: int):
-        """arr * c elementwise, as the GF(p)-linear map x^i -> x^i * c."""
-        p, n = self.p, self.n
+    def _times_const(self, arr, c: int, out) -> None:
+        """out = arr * c elementwise.  x -> x * c is GF(p)-linear, so for
+        n > 1 the product is a sum over chunks of the index's base-p digits:
+        chunk v at digit offset o contributes the table entry (v * p^o) * c,
+        each table built by linearity from the basis rows x^i * c.  A chunk
+        is as wide as a table no larger than the block allows (for p = 2 at
+        least one bit; for odd p, where not even one digit's table fits, one
+        chunk of all n digits is read directly, without a table)."""
+        p, n, size = self.p, self.n, arr.size
+        if n == 1:
+            np.multiply(arr, c, out=out)
+            out %= p
+            return
         rows = [self._mul_raw(p**i, c) for i in range(n)]
         if p == 2:
-            out = np.zeros_like(arr)
-            for i, r in enumerate(rows):
-                out ^= ((arr >> i) & 1) * r
-            return out
-        dig = np.empty((n, arr.size), dtype=np.int64)
-        for i in range(n):
-            dig[i] = arr // p**i % p
-        out = np.zeros_like(arr)
-        for j in range(n):
-            col = [r // p**j % p for r in rows]
-            out += (np.dot(col, dig) % p) * p**j
-        return out
+            for i, (lo, w) in enumerate(_spans(n, max(1, _width(2, size)))):
+                table = np.zeros(1 << w, dtype=np.int64)
+                for b in range(w):
+                    np.bitwise_xor(table[:1 << b], rows[lo + b],
+                                   out=table[1 << b:2 << b])
+                key = (arr >> lo) & ((1 << w) - 1)
+                if i:
+                    out ^= table[key]
+                else:
+                    np.take(table, key, out=out)
+            return
+        # Table entries pack their n digits into bits-wide fields, so one
+        # integer add sums the chunks digit-wise with no carry across fields.
+        # A field reaches chunks * (p - 1); where n fields of that would not
+        # fit in 63 bits (only above the default size cap), the chunks widen.
+        w = _width(p, size) or n
+        while True:
+            spans = _spans(n, w)
+            bits = (len(spans) * (p - 1)).bit_length()
+            if n * bits < 64 or w >= n:
+                break
+            w += 1
+        row_digits = np.array([_digits(r, p, n) for r in rows], dtype=np.int64)
+        field_shift = np.left_shift(1, bits * np.arange(n, dtype=np.int64))
+        packed = np.zeros_like(arr)
+        for lo, w in spans:
+            chunk = arr // p**lo if lo else arr
+            packed += _lookup(
+                lambda v: v[:, None] // p ** np.arange(w) % p
+                @ row_digits[lo:lo + w] % p @ field_shift,
+                chunk % p**w if lo + w < n else chunk, p**w)
+        # reduce the fields mod p and read them off as an index, a group of
+        # fields per lookup
+        out.fill(0)
+        fmask = (1 << bits) - 1
+        for lo, r in _spans(n, _width(1 << bits, size) or n):
+            out += _lookup(
+                lambda v: (v[:, None] >> bits * np.arange(r) & fmask) % p
+                @ p ** np.arange(lo, lo + r),
+                packed >> bits * lo & (1 << r * bits) - 1, 1 << r * bits)
 
     def _init_tables(self):
-        Q = self.order
+        p, n, Q = self.p, self.n, self.order
         gen = 1
         if Q > 2:
             fac = _prime_factors(Q - 1)
-            gen = next(cand for cand in range(2, Q)
+            # for n > 1 the indices below p are constants, never primitive
+            gen = next(cand for cand in range(p if n > 1 else 2, Q)
                        if all(self._pow_raw(cand, (Q - 1) // f) != 1 for f in fac))
         self.generator_index = gen
+        # The first powers, up to the largest power of two <= n, one product
+        # each: a doubling step takes n products for its basis rows however
+        # short its block.  Starting at a power of two keeps each GF(2^n)
+        # block no shorter than the one before; starting at n left a shorter
+        # last block at GF(2^22), whose temporaries stayed on the heap rather
+        # than unmapped and measured 12 MB more peak RSS.
         exp = np.empty(Q - 1, dtype=np.int64)
         exp[0] = 1
-        size = 1
+        size = min(1 << (n.bit_length() - 1), Q - 1)
+        for i in range(1, size):
+            exp[i] = self._mul_raw(int(exp[i - 1]), gen)
         while size < Q - 1:
             block = min(size, Q - 1 - size)
-            exp[size:size + block] = self._times_const(
-                exp[:block], self._mul_raw(int(exp[size - 1]), gen))
+            self._times_const(exp[:block], self._mul_raw(int(exp[size - 1]), gen),
+                              exp[size:size + block])
             size += block
         log = np.full(Q, -1, dtype=np.int64)
         log[exp] = np.arange(Q - 1, dtype=np.int64)
         zech = None
-        if self.p != 2 and self.n > 1:
+        if p != 2 and n > 1:
             # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
-            p = self.p
             zech = log[exp + 1 - p * (exp % p == p - 1)]
             zech.flags.writeable = False
         exp.flags.writeable = False

@@ -370,7 +370,7 @@ def test_c10_byte_identical_reports():
         cfg = RunConfig(seed=1)
         runs = [run_family_verification("thm18-1", 256, cfg),
                 run_family_verification("thm5", 9, cfg)]
-        return stable_json(build_report(runs, cfg, "verify")).encode()
+        return stable_json(build_report(runs, cfg, "verify", 0.0)).encode()
 
     first, second = one_pass(), one_pass()
     assert first == second

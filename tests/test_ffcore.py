@@ -104,6 +104,40 @@ def test_modulus_matches_sympy_for_every_field_up_to_the_cap():
     assert smaller == 2801
 
 
+def poly_rem(num, den, p):
+    """Remainder of num by the monic den; coefficient lists, constant first."""
+    rem = list(num)
+    dd = len(den) - 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(dd + 1):
+                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
+    return rem[:dd]
+
+
+def first_irreducible_by_trial_division(p, n):
+    """The first monic candidate of degree n, in base-p order of its low
+    coefficients, that no monic polynomial of degree 1..n//2 divides."""
+    if n == 1:
+        return (0, 1)
+    divisors = [tuple(d) for deg in range(1, n // 2 + 1)
+                for d in all_monic_polys(p, deg)]
+    for cand in all_monic_polys(p, n):
+        if all(any(poly_rem(cand, d, p)) for d in divisors):
+            return tuple(cand)
+
+
+def test_ben_or_search_matches_trial_division_up_to_2_12():
+    """Every GF(p^n) with p^n <= 2^12: the Ben-Or search picks the modulus
+    that trial division by every low-degree monic polynomial picks."""
+    fields = [(p, n) for p in range(2, 1 << 12) if is_prime(p)
+              for n in range(1, 13) if p**n <= 1 << 12]
+    assert (2, 12) in fields and (3, 7) in fields and (4093, 1) in fields
+    for p, n in fields:
+        assert _first_irreducible(p, n) == first_irreducible_by_trial_division(p, n), (p, n)
+
+
 def test_gf81_reduction_matches_hand_computation():
     # modulus x^4 + x + 2 over GF(3): x^4 = -x - 2 = 2x + 1
     f = FieldCtx(3, 4)
@@ -480,6 +514,35 @@ def test_tables_chain_at_seeded_positions_large_fields(large_fields):
             assert f._mul_raw(int(exp[i]), g) == int(exp[(i + 1) % (Q - 1)])
             assert log[exp[i]] == i
             assert f._exp[i] == exp[i] and f._log[f._exp[i]] == i
+
+
+# (p, n) -> generator: odd n with uneven chunks, 13 digits, one digit per
+# chunk, a prime field near the cap, and blocks smaller than any table
+EDGE_FIELDS = {(2, 21): 2, (3, 13): 3, (2039, 2): 2044, (4194301, 1): 7,
+               (2, 1): 1, (3, 1): 2, (2, 2): 2}
+
+
+@pytest.mark.parametrize("pn", list(EDGE_FIELDS), ids=lambda pn: f"GF({pn[0]}^{pn[1]})")
+def test_tables_chain_at_seeded_positions_edge_fields(pn):
+    """exp, log and Zech against the scalar _mul_raw chain, every position
+    of the tiny fields and seeded positions of the large ones."""
+    f = FieldCtx(*pn)
+    p, n, Q = f.p, f.n, f.order
+    assert f.generator_index == EDGE_FIELDS[pn]
+    exp, log, zech = f._exp_arr, f._log_arr, f._zech_arr
+    assert exp[0] == 1 and log[0] == -1
+    assert np.array_equal(np.sort(exp), np.arange(1, Q))
+    rng = random.Random(sum(pn))
+    positions = range(Q - 1) if Q < 1000 else (
+        [0, 1, Q - 2] + [rng.randrange(Q - 1) for _ in range(300)])
+    for i in positions:
+        e = int(exp[i])
+        assert f._mul_raw(e, f.generator_index) == int(exp[(i + 1) % (Q - 1)]), (pn, i)
+        assert log[e] == i, (pn, i)
+        if zech is not None:
+            one_plus = int(digitwise(e, 1, p, n, 1))
+            assert zech[i] == (-1 if one_plus == 0 else log[one_plus]), (pn, i)
+    assert (zech is None) == (p == 2 or n == 1)
 
 
 def test_tables_match_sympy_powers(large_fields):
