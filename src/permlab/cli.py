@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ import traceback
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
-from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, make_field, prime_power
+from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, get_field, prime_power
 from .families import (
     InapplicableError,
     default_parameters,
@@ -39,8 +38,7 @@ from .families import (
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import (PermVerdict, compose_f, fibre_deficits, h_verdicts,
-                        is_permutation, make_gspec, trinomial_hits)
+from .permcheck import f_verdicts, h_verdicts, make_gspec, trinomial_hits
 from .transform import DEFAULT_SEED, DELTA_EXHAUSTIVE_CAP, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
@@ -139,67 +137,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         raise ConfigError(str(exc)) from None
 
 
-def _witness_pair(verdict):
-    wit = verdict.witness
-    return None if wit is None else (wit[0].index, wit[1].index)
-
-
-def _run_one(g, c, step, delta):
-    """(verdict, witness as an index pair or None, seconds) of one f_delta."""
-    t0 = time.perf_counter()
-    verdict = is_permutation(compose_f(g, c, step, delta))
-    return verdict, _witness_pair(verdict), time.perf_counter() - t0
-
-
-def _run_trinomial_form(g, cs, step):
-    """[c, None, verdict, witness, seconds, "brute"] for every c of one
-    trinomial form, from one h_verdicts call: each c's seconds are its own
-    plus an equal share of building u, so they add up to the work done."""
-    times = []
-    verdicts = h_verdicts(g, step, cs, times)
-    share = times[0] / max(1, len(cs))
-    return [[c, None, v, _witness_pair(v), share + el, "brute"]
-            for c, v, el in zip(cs, verdicts, times[1:])]
-
-
-_FIBRE_PERMUTES = PermVerdict(True, None, 0)
-
-
-def _run_delta_form(g, c, step, deltas, where):
-    """[c, delta, verdict, witness, seconds, route] for every delta of one
-    shift form.  One fibre_deficits call gives every delta's image deficit; brute
-    force still checks each delta whose deficit is nonzero and the first
-    delta of each trace fibre (its probe), and must agree with it.  A delta
-    is left to the fibre route only once brute force has seen its fibre
-    permute; those deltas share the fibre computation's time equally, so
-    the report's seconds still add up to the work done."""
-    t0 = time.perf_counter()
-    fibre = fibre_deficits(g, c, step)
-    fibre_s = time.perf_counter() - t0
-    if fibre is not None:
-        tr = g.field.bulk().trace(g.qdeg * math.gcd(step, g.m))
-    rows, permuting = [], set()
-    for d in deltas:
-        i = d.index
-        if fibre is not None and not fibre.item(i) and tr.item(i) in permuting:
-            rows.append([c, d, _FIBRE_PERMUTES, None, 0.0, "fibre"])
-            continue
-        verdict, wit, el = _run_one(g, c, step, d)
-        if fibre is not None:
-            if verdict.image_deficit != fibre.item(i):
-                raise RuntimeError(
-                    f"fibre route and brute force disagree at {where}, "
-                    f"step {step}, c {c.index}, delta {i}: image deficit "
-                    f"{fibre.item(i)} vs {verdict.image_deficit}")
-            if not verdict.image_deficit:
-                permuting.add(tr.item(i))
-        rows.append([c, d, verdict, wit, el, "brute"])
-    decided = [r for r in rows if r[5] == "fibre"] or rows
-    for r in decided:
-        r[4] += fibre_s / len(decided)
-    return rows
-
-
 def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     """Every condition variant x s variant x declared step x valid c x delta.
 
@@ -223,7 +160,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             f"--delta-samples {cfg.delta_samples} exceeds the field order "
             f"{q**m}")
     t0 = time.perf_counter()
-    fld = make_field(p, k * m, cap=cfg.cap)
+    fld = get_field(p, k * m, cfg.cap)
     field_s = time.perf_counter() - t0
     if fam.form == "delta_form":
         delta_idx, exhaustive = pick_deltas(
@@ -244,17 +181,24 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
+                times = []      # each instance's seconds, in the order of rows
                 if fam.form == "delta_form":
-                    rows = [row for c in cs for row in _run_delta_form(
-                        g, c, step, deltas, f"{fid} q={q} s={s_val}")]
+                    try:
+                        rows = [(c, d, *vr) for c in cs for d, vr in zip(
+                            deltas, f_verdicts(g, c, step, deltas, times))]
+                    except RuntimeError as exc:     # the two routes disagree
+                        raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 else:
-                    rows = _run_trinomial_form(g, cs, step)
-                for c, d, verdict, wit, el, route in rows:
+                    rows = [(c, None, v, "brute")
+                            for c, v in zip(cs, h_verdicts(g, step, cs, times))]
+                for (c, d, verdict, route), el in zip(rows, times):
                     run.instances.append(InstanceResult(
                         condition=ctag or "default", s_tag=stag,
                         step=step, s=s_val, c_index=c.index,
                         delta_index=None if d is None else d.index,
-                        permutes=verdict.is_permutation, witness=wit,
+                        permutes=verdict.is_permutation,
+                        witness=verdict.witness and tuple(
+                            e.index for e in verdict.witness),
                         image_deficit=verdict.image_deficit,
                         informational=step != fam.steps[0], elapsed=el,
                         route=route))
@@ -576,7 +520,7 @@ def cmd_sweep(args) -> int:
     if q * q > cfg.cap:
         raise ConfigError(f"field order {q}**2 exceeds the size cap {cfg.cap}")
     t0 = time.perf_counter()
-    fld = make_field(p, 2 * k, cap=cfg.cap)
+    fld = get_field(p, 2 * k, cfg.cap)
     field_s = time.perf_counter() - t0
     order = fld.order
     s_lo = args.s_from if args.s_from is not None else 1
@@ -644,7 +588,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    _config_from(args)      # rejects bad shared flags, as the other verbs do
     _emit(family_manifest(), args.format, args.out, _catalog_csv)
     return EXIT_PASS
 
@@ -697,21 +640,27 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--q", type=int, help="base q (a prime power)")
-    sp.add_argument("--p", type=int, help="characteristic, with --k")
-    sp.add_argument("--k", type=int, help="exponent so q = p^k, with --p")
-    sp.add_argument("--kprime", type=int, default=None,
-                    help="auxiliary k' for the families that take one")
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
-    sp.add_argument("--seed", type=int, default=None,
-                    help="delta sampling seed")
-    sp.add_argument("--cap", type=int, default=None,
-                    help="largest field order the run may construct")
-    sp.add_argument("--delta-samples", type=int, default=None,
-                    help="sample count when a field is too large to sweep")
-    sp.add_argument("--config", help="key=value file mirroring the flags")
-    sp.add_argument("--out", help="write the report here instead of stdout")
+_FLAGS = {
+    "q": dict(type=int, help="base q (a prime power)"),
+    "p": dict(type=int, help="characteristic, with --k"),
+    "k": dict(type=int, help="exponent k of q = p^k"),
+    "kprime": dict(type=int, help="auxiliary k' for the families that take one"),
+    "cap": dict(type=int, help="largest field order the run may construct"),
+    "seed": dict(type=int, help="delta sampling seed"),
+    "delta-samples": dict(type=int, help="sample count when a field is too big to sweep"),
+    "format": dict(choices=("json", "csv")),
+    "config": dict(help="key=value file mirroring the flags"),
+    "out": dict(help="write the report here instead of stdout"),
+}
+_FIELD = ("k", "kprime", "cap")
+_SAMPLING = ("seed", "delta-samples")
+_OUTPUT = ("format", "config", "out")
+
+
+def _add_flags(sp: argparse.ArgumentParser, *names: str) -> None:
+    """Give a verb the flags it reads; any other exits 3 as unrecognized."""
+    for name in names:
+        sp.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _check_out(path: Optional[str]) -> None:
@@ -727,13 +676,11 @@ def _check_out(path: Optional[str]) -> None:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        cap=args.cap if args.cap is not None else DEFAULT_SIZE_CAP,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        delta_samples=(args.delta_samples if args.delta_samples is not None
-                       else DELTA_SAMPLES),
-        kprime=args.kprime if args.kprime is not None else 1,
-    )
+    """The run settings from the flags; one the verb does not take keeps
+    its default."""
+    given = {key: getattr(args, key, None)
+             for key in ("cap", "seed", "delta_samples", "kprime")}
+    cfg = RunConfig(**{key: v for key, v in given.items() if v is not None})
     if cfg.delta_samples < 2:
         raise ConfigError("--delta-samples must be >= 2 (0 and 1 always run)")
     if cfg.cap < 4:
@@ -762,13 +709,13 @@ def build_parser() -> _Parser:
         "verify", help="check one family (or the whole catalog)")
     p_verify.add_argument("--family", default=None,
                           help="catalog id, or 'all' (default)")
-    _add_shared(p_verify)
+    _add_flags(p_verify, "q", "p", *_FIELD, *_SAMPLING, *_OUTPUT)
 
     p_table = sub.add_parser(
         "table1", help="the thirteen consolidated delta-form rows")
     p_table.add_argument("--row", type=int, choices=range(1, 14),
                          metavar="1..13", default=None)
-    _add_shared(p_table)
+    _add_flags(p_table, *_FIELD, *_SAMPLING, *_OUTPUT)
 
     p_sweep = sub.add_parser(
         "sweep", help="list every permuting trinomial exponent over GF(q^2)")
@@ -776,14 +723,14 @@ def build_parser() -> _Parser:
                          help="coefficient index to sweep (repeatable)")
     p_sweep.add_argument("--s-from", type=int, default=None)
     p_sweep.add_argument("--s-to", type=int, default=None)
-    _add_shared(p_sweep)
+    _add_flags(p_sweep, "q", "p", *_FIELD, *_OUTPUT)
 
     p_report = sub.add_parser("report", help="re-emit a saved report")
     p_report.add_argument("--input", help="path to a saved JSON report")
-    _add_shared(p_report)
+    _add_flags(p_report, *_OUTPUT)
 
     p_cat = sub.add_parser("catalog", help="dump the family manifest")
-    _add_shared(p_cat)
+    _add_flags(p_cat, *_OUTPUT)
 
     return parser
 

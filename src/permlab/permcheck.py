@@ -40,6 +40,10 @@ h collides on their phi_d images, and
 
 fibre_deficits reads that off one evaluation of h for every d at once.
 
+f_verdicts, the f side's engine as h_verdicts is the h side's, decides f_d
+for many d from that one call, with brute force as its cross-check; verify's
+shift forms and transform.prop2_check both go through it.
+
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
 (B = prefix_size(order), about 4*sqrt(order)) is proven to fail, so blocks
@@ -69,6 +73,7 @@ __all__ = [
     "compose_h",
     "evaluate",
     "evaluate_all",
+    "f_verdicts",
     "fibre_deficits",
     "h_verdicts",
     "is_permutation",
@@ -363,13 +368,15 @@ def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermV
     log order (_log_order_u) and each c adds its c*x block by block, marking
     the values hit; only a failing c scatters its table into index order,
     where is_permutation finds its witness.  When times is a list, it
-    receives the seconds spent on u, then each c's own seconds."""
+    receives each c's seconds: its own plus an equal share of building u,
+    so they add up to the work done."""
     t0 = time.perf_counter()
     fns = [compose_h(g, c, k) for c in cs]
     bulk = g.field.bulk()
     Q = g.field.order
     u = _log_order_u(g.field, g.terms, g.qdeg * k) if fns else None
-    clock = [time.perf_counter() - t0]
+    u_share = (time.perf_counter() - t0) / max(1, len(fns))
+    clock = []
     verdicts = []
     for fn in fns:
         t0 = time.perf_counter()
@@ -381,7 +388,7 @@ def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermV
             verdicts.append(_PERMUTES)
         else:
             verdicts.append(is_permutation(fn, outs=_index_order_h(bulk, u, fn.c)))
-        clock.append(time.perf_counter() - t0)
+        clock.append(u_share + time.perf_counter() - t0)
     if times is not None:
         times.extend(clock)
     return verdicts
@@ -473,6 +480,50 @@ def fibre_deficits(g: GSpec, c: Element, k: int) -> Optional[np.ndarray]:
     pairs = np.unique(tr * Q + evaluate_all(h_fn))
     distinct = np.bincount(pairs // Q, minlength=Q)     # |h(T)| per trace value
     return Q - fld.p**base * distinct[tr]
+
+
+def f_verdicts(g: GSpec, c: Element, k: int, deltas,
+               times: Optional[list] = None) -> list[tuple[PermVerdict, str]]:
+    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each d in
+    deltas, in order; each verdict equals is_permutation(compose_f(g, c, k, d)).
+    One fibre_deficits call gives every delta's image deficit.  Brute force
+    ("brute") checks each delta with a nonzero deficit and the first delta of
+    each trace fibre, its probe, and a disagreement raises RuntimeError; the
+    fibre route ("fibre") decides the rest of a fibre brute force has seen
+    permute.  With c outside GF(q^l) every delta is brute-forced.  When times
+    is a list, it receives each delta's seconds: its own plus an equal share
+    of the fibre call, spread over the fibre-decided deltas (all deltas when
+    there are none), so they add up to the work done."""
+    t0 = time.perf_counter()
+    fibre = fibre_deficits(g, c, k)
+    fibre_s = time.perf_counter() - t0
+    if fibre is not None:
+        tr = g.field.bulk().trace(g.qdeg * math.gcd(k, g.m))
+    out, clock, permuting = [], [], set()
+    for d in deltas:
+        i = d.index
+        if fibre is not None and not fibre.item(i) and tr.item(i) in permuting:
+            out.append((_PERMUTES, "fibre"))
+            clock.append(0.0)
+            continue
+        t0 = time.perf_counter()
+        verdict = is_permutation(compose_f(g, c, k, d))
+        clock.append(time.perf_counter() - t0)
+        if fibre is not None:
+            if verdict.image_deficit != fibre.item(i):
+                raise RuntimeError(
+                    f"fibre route and brute force disagree at step {k}, "
+                    f"c {c.index}, delta {i}: image deficit {fibre.item(i)} "
+                    f"vs {verdict.image_deficit}")
+            if not verdict.image_deficit:
+                permuting.add(tr.item(i))
+        out.append((verdict, "brute"))
+    if times is not None:
+        decided = [j for j, (_, r) in enumerate(out) if r == "fibre"] or range(len(out))
+        for j in decided:
+            clock[j] += fibre_s / len(decided)
+        times.extend(clock)
+    return out
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

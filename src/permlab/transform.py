@@ -20,6 +20,11 @@ square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
 field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
+prop2_check decides its deltas through permcheck.f_verdicts, the trace-fibre
+engine that verify's shift forms use too.  prop4_check stays brute force at
+every delta: its commuting square needs every f_delta's values anyway, and
+it remains the exhaustive reference the engine is tested against.
+
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
 is empty unless 3 | q, in which case it is exactly {x : x^(q^2-1) = +/-1}.
@@ -36,8 +41,8 @@ import numpy as np
 
 from .ffcore import Element, FieldCtx
 from .permcheck import (GSpec, PermVerdict, _resolve_view, build_inverse_table,
-                        compose_f, compose_h, evaluate_all, is_permutation,
-                        make_gspec)
+                        compose_f, compose_h, evaluate_all, f_verdicts,
+                        is_permutation, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -122,7 +127,8 @@ def prop2_check(g: GSpec, c: Element, k: int,
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas
-    overrides the default exhaustive-or-sampled sweep.
+    overrides the default exhaustive-or-sampled sweep.  permcheck.f_verdicts
+    decides the f side.
     """
     _resolve_view(g.field, g.qdeg, k)
     if c.index == 0:
@@ -130,11 +136,9 @@ def prop2_check(g: GSpec, c: Element, k: int,
     _require_coeff_domain(g, c, k)
     deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
     h_v = is_permutation(compose_h(g, c, k))
-    out = []
-    for di in deltas:
-        f_v = is_permutation(compose_f(g, c, k, g.field.element_at(di)))
-        out.append((di, f_v))
-    return Prop2Report(h_verdict=h_v, f_results=tuple(out),
+    f_vs = f_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
+    return Prop2Report(h_verdict=h_v,
+                       f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=exhaustive)
 
 
@@ -168,13 +172,6 @@ class CosetSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def __contains__(self, x) -> bool:
-        idx = x.index if isinstance(x, Element) else int(x)
-        return idx in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
 
 
 def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:

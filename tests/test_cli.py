@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from permlab import cli, ffcore, permcheck
+from permlab import cli, permcheck
 from permlab.cli import CSV_COLUMNS, main
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
@@ -94,6 +94,27 @@ def test_jobs_flag_and_config_key_are_gone(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 3
 
 
+_NO_FIELD = ["--q", "--p", "--k", "--kprime", "--seed", "--cap", "--delta-samples"]
+_UNREAD_FLAGS = {"table1": ["--q", "--p"], "sweep": ["--seed", "--delta-samples"],
+                 "report": _NO_FIELD, "catalog": _NO_FIELD}
+
+
+@pytest.mark.parametrize("verb, flag", [
+    (verb, flag) for verb, flags in _UNREAD_FLAGS.items() for flag in flags])
+def test_each_verb_refuses_the_flags_it_does_not_read(tmp_path, capsys,
+                                                      verb, flag):
+    """table1 picks its own q, sweep never samples deltas, and report and
+    catalog build no field, so each such flag exits 3 instead of being
+    ignored."""
+    base = {"table1": ["--row", "2"], "sweep": ["--q", "4"],
+            "report": ["--input", str(tmp_path / "none.json")], "catalog": []}
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *base[verb], flag, "7", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 3
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("q", ["12", "1"])
 def test_q_not_a_prime_power_exits_config(tmp_path, capsys, q):
     assert run(tmp_path, "verify", "--family", "thm7", "--q", q)[0] == 3
@@ -157,15 +178,16 @@ def test_table1_single_row(tmp_path):
 
 
 def test_timings_record_field_construction_per_run(tmp_path, monkeypatch):
-    """field_s times each run's field build, and total_s is the verb's wall
-    time, so it covers a slowed field build as well as the instances."""
-    real, pause = cli.make_field, 0.02
+    """field_s times each run's field lookup (a build on a cache miss), and
+    total_s is the verb's wall time, so it covers a slowed lookup as well as
+    the instances."""
+    real, pause = cli.get_field, 0.02
 
     def slow(*args, **kwargs):
         time.sleep(pause)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "make_field", slow)
+    monkeypatch.setattr(cli, "get_field", slow)
     for argv in (("verify", "--family", "thm14", "--q", "3"), ("table1", "--row", "9")):
         code, doc = run(tmp_path, *argv)
         assert code == 0
@@ -184,13 +206,13 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     """thm14 at q = 3: the step-2 form permutes on all 9 trace fibres over
     GF(9), so brute force checks only their 9 probes; the step-1 form fails
     at every delta and is brute-forced throughout."""
-    real, pause = cli.fibre_deficits, 0.02
+    real, pause = permcheck.fibre_deficits, 0.02
 
     def slow(*args):
         time.sleep(pause)
         return real(*args)
 
-    monkeypatch.setattr(cli, "fibre_deficits", slow)
+    monkeypatch.setattr(permcheck, "fibre_deficits", slow)
     code, doc = run(tmp_path, "verify", "--family", "thm14", "--q", "3")
     assert code == 0
     t = doc["timings"]["runs"][0]
@@ -378,13 +400,15 @@ def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
 
 
 def test_unwritable_out_exits_4_before_any_field(tmp_path, monkeypatch):
+    """cli takes every field from the cached get_field, so counting its
+    calls counts each field built or reused."""
     built = []
-    orig = ffcore.FieldCtx.__init__
+    orig = cli.get_field
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         built.append(args)
-        orig(self, *args, **kwargs)
-    monkeypatch.setattr(ffcore.FieldCtx, "__init__", counting)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(cli, "get_field", counting)
     argv = ["verify", "--family", "thm5", "--q", "5", "--out"]
     assert main(argv + [str(tmp_path / "ok.json")]) == 0
     assert built                                   # the probe sees builds

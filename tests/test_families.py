@@ -259,6 +259,28 @@ def test_exact_and_residue_exponent_readings_diverge():
         make_fn_delta(fld, one, 29, 1, fld.element_at(2), qdeg=3)).is_permutation
 
 
+def test_i_pairs_cross_check_the_exponent_rules():
+    """Each family that prints its exponent as a fraction carries the
+    fraction as an i_pair, and the canonical rewrite s = i*(q-1) + 1 of that
+    i must land on the family's own s-rule: every s-variant at the first 8
+    applicable q, at k' = 1, 2, 3 where the family takes k'.  The only
+    splits are lem15-5 and its delta form thm18-5 at 3 | k, where (q+6)/7
+    is the literal quotient, not the mod-(q+1) residue (see the test above)."""
+    compared, split = 0, set()
+    for fam in registry():
+        assert len(fam.i_pairs) in (0, len(fam.s_rules)), fam.fid
+        for v, (_, pair) in enumerate(fam.i_pairs):
+            for kp in ((1, 2, 3) if fam.uses_kprime else (1,)):
+                for p, k in default_parameters(fam.fid, count=8, kprime=kp):
+                    q = p**k
+                    compared += 1
+                    s = resolve_exponent(fam.fid, q, kprime=kp, variant=v)
+                    if s != canonical_exponent(*pair(q, kp), q):
+                        split.add((fam.fid, q))
+    assert compared == 388
+    assert split == {("lem15-5", 8), ("lem15-5", 64), ("thm18-5", 8), ("thm18-5", 64)}
+
+
 # ---------------------------------------------------------------------------
 # coefficient conditions: structural pool vs pointwise predicate
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from permlab.permcheck import (
     compose_h,
     evaluate,
     evaluate_all,
+    f_verdicts,
     fibre_deficits,
     h_verdicts,
     is_permutation,
@@ -401,17 +403,34 @@ def test_fibre_deficits_agree_on_random_binomial_g(case, data):
 ])
 def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
                                                  argv, plant):
-    real = cli.fibre_deficits
+    real = permcheck.fibre_deficits
 
     def planted(g, c, k):
         out = real(g, c, k)
         plant(out)
         return out
 
-    monkeypatch.setattr(cli, "fibre_deficits", planted)
+    monkeypatch.setattr(permcheck, "fibre_deficits", planted)
     assert cli.main(["verify", *argv, "--out", str(tmp_path / "o.json")]) == 4
     err = capsys.readouterr().err
     assert "fibre route and brute force disagree" in err and argv[1] in err
+
+
+def test_f_verdicts_routes_and_times():
+    """x^3 over GF(4^2) at c = 1 fails on 2 of the 4 trace fibres: brute
+    force checks their 8 deltas and one probe of each permuting fibre, and
+    the fibre route decides the other 6.  A c outside GF(4) leaves every
+    delta to brute force.  Each delta gets one seconds entry."""
+    f = field(2, 4)
+    g = make_gspec(f, [(f.one, 3)], 2)
+    deltas = [f.element_at(i) for i in range(f.order)]
+    for c, routes in [(f.one, {"brute": 10, "fibre": 6}), (f.element_at(2), {"brute": 16})]:
+        times = []
+        got = f_verdicts(g, c, 1, deltas, times)
+        assert [v for v, _ in got] == [is_permutation(compose_f(g, c, 1, d)) for d in deltas]
+        assert Counter(route for _, route in got) == routes
+        assert len(times) == len(deltas) and all(t >= 0 for t in times)
+    assert f_verdicts(g, f.one, 1, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +531,7 @@ def test_h_verdicts_times_and_refusals():
     times = []
     cs = [f.one, f.element_at(6), f.element_at(9)]
     assert len(h_verdicts(g, 1, cs, times)) == 3
-    assert len(times) == 4 and all(t >= 0 for t in times)
+    assert len(times) == 3 and all(t >= 0 for t in times)
     assert h_verdicts(g, 1, []) == []
     with pytest.raises(ValueError):
         h_verdicts(g, 1, [f.one, f.zero])

@@ -1,8 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from permlab import permcheck
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
     build_inverse_table,
@@ -216,6 +218,73 @@ def test_prop2_randomized_never_violated():
     assert checked >= 3   # the sweep must exercise the non-vacuous branch
 
 
+# every view GF(q^m) of GF(2^4), GF(2^6), GF(3^4), GF(5^2) and GF(7^2), q =
+# p^qdeg, at every Frobenius step 1 <= k < m
+PROP2_CASES = [(p, n, qdeg, k) for p, n in [(2, 4), (2, 6), (3, 4), (5, 2), (7, 2)]
+               for qdeg in range(1, n) if n % qdeg == 0
+               for k in range(1, n // qdeg)]
+
+
+def _prop2_draw(f, qdeg, k, anchored, rng):
+    """g and c for prop2_check.  An anchored g = a*x^e has e a multiple of
+    (Q-1)/(q^l-1), so g maps into GF(q^l), h = c*x and every f_d permutes;
+    otherwise g is a random binomial."""
+    m = f.n // qdeg
+    ql = f.p ** (qdeg * math.gcd(k, m))
+    if anchored:
+        terms = [(f.element_at(rng.randrange(1, f.p)),
+                  rng.randrange(1, ql) * ((f.order - 1) // (ql - 1)))]
+    else:
+        terms = [(f.element_at(rng.randrange(1, f.order)),
+                  rng.randrange(1, f.order - 1)) for _ in range(2)]
+    sub = f.subfield_indices(qdeg * math.gcd(k, m))
+    return make_gspec(f, terms, qdeg=qdeg), f.element_at(rng.choice([i for i in sub if i]))
+
+
+def _verdict_key(v):
+    wit = None if v.witness is None else (v.witness[0].index, v.witness[1].index)
+    return v.is_permutation, v.image_deficit, wit
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", PROP2_CASES)
+@pytest.mark.parametrize("anchored", [True, False])
+def test_prop2_f_results_match_per_delta_brute_force(p, n, qdeg, k, anchored):
+    """prop2_check decides f through the fibre engine; the per-delta
+    is_permutation loop it replaced stays here as the oracle, compared on
+    verdict, image deficit and witness at every delta."""
+    f = field(p, n)
+    g, c = _prop2_draw(f, qdeg, k, anchored, random.Random(f"{p}-{n}-{qdeg}-{k}"))
+    rep = prop2_check(g, c, k)
+    assert [d for d, _ in rep.f_results] == list(range(f.order))
+    want = [_verdict_key(is_permutation(compose_f(g, c, k, f.element_at(d))))
+            for d in range(f.order)]
+    assert [_verdict_key(v) for _, v in rep.f_results] == want
+    if anchored:
+        assert rep.h_verdict.is_permutation and rep.f_all_permute
+
+
+@pytest.mark.parametrize("p, s, plant", [
+    # x^19 over GF(49): every f_d permutes; a nonzero deficit planted at 0
+    (7, 19, lambda d: d.__setitem__(0, 1)),
+    # x^2 over GF(9) fails at deltas 1, 4, 7; every deficit planted as 0,
+    # which only the probe of each fibre can catch
+    (3, 2, lambda d: d.fill(0)),
+])
+def test_prop2_planted_fibre_deficit_raises(monkeypatch, p, s, plant):
+    f = field(p, 2)
+    g = make_gspec(f, [(f.one, s)], qdeg=1)
+    real = permcheck.fibre_deficits
+
+    def planted(g, c, k):
+        out = real(g, c, k)
+        plant(out)
+        return out
+
+    monkeypatch.setattr(permcheck, "fibre_deficits", planted)
+    with pytest.raises(RuntimeError, match="disagree"):
+        prop2_check(g, f.one, 1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form inverse
 # ---------------------------------------------------------------------------
@@ -265,7 +334,7 @@ def test_trace_coset_sizes_and_membership():
     f = field(3, 4)
     cs = trace_coset(f, f.zero, qdeg=1)
     assert cs.size == 27 and cs.alpha == 0
-    assert 0 in cs and f.zero in cs
+    assert 0 in cs.members
     cs2 = trace_coset(f, f.zero, qdeg=2)
     assert cs2.size == 9
     cs3 = trace_coset(field(2, 6), field(2, 6).element_at(5), qdeg=3)
