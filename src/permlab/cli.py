@@ -102,7 +102,7 @@ class InstanceResult:
     image_deficit: int
     informational: bool
     elapsed: float
-    route: str = "brute"      # "fibre": decided by fibre_deficits alone
+    route: str = "brute"      # "fibre": decided by its trace deficit alone
 
     def sort_key(self):
         return (self.condition, self.s_tag, self.step, self.c_index,
@@ -183,15 +183,15 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             for step in fam.steps:
                 times = []      # each instance's seconds, in the order of rows
                 if fam.form == "delta_form":
+                    keys = [(c, d) for c in cs for d in deltas]
                     try:
-                        rows = [(c, d, *vr) for c in cs for d, vr in zip(
-                            deltas, f_verdicts(g, c, step, deltas, times))]
+                        rows = f_verdicts(g, step, cs, deltas, times)
                     except RuntimeError as exc:     # the two routes disagree
                         raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 else:
-                    rows = [(c, None, v, "brute")
-                            for c, v in zip(cs, h_verdicts(g, step, cs, times))]
-                for (c, d, verdict, route), el in zip(rows, times):
+                    keys = [(c, None) for c in cs]
+                    rows = [(v, "brute") for v in h_verdicts(g, step, cs, times)]
+                for (c, d), (verdict, route), el in zip(keys, rows, times):
                     run.instances.append(InstanceResult(
                         condition=ctag or "default", s_tag=stag,
                         step=step, s=s_val, c_index=c.index,
@@ -601,46 +601,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_KEYS = {
-    "q", "p", "k", "kprime", "family", "format", "seed", "cap",
-    "delta-samples", "row", "out",
-}
-_INT_KEYS = {"q", "p", "k", "kprime", "seed", "cap", "delta-samples", "row"}
-
-
-def parse_config_file(path: str) -> dict:
-    """key=value lines, # comments; keys mirror the long flags."""
-    values = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(
-                f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("_", "-")
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val, 0)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} needs an integer, got "
-                    f"{val!r}") from exc
-        else:
-            values[key] = val
-    return values
-
-
 _FLAGS = {
+    "family": dict(help="catalog id, or 'all' (default)"),
+    "row": dict(type=int, choices=range(1, 14), metavar="1..13"),
+    "c-index": dict(type=int, action="append",
+                    help="coefficient index to sweep (repeatable)"),
+    "s-from": dict(type=int),
+    "s-to": dict(type=int),
+    "input": dict(help="path to a saved JSON report"),
     "q": dict(type=int, help="base q (a prime power)"),
     "p": dict(type=int, help="characteristic, with --k"),
     "k": dict(type=int, help="exponent k of q = p^k"),
@@ -656,11 +624,17 @@ _FIELD = ("k", "kprime", "cap")
 _SAMPLING = ("seed", "delta-samples")
 _OUTPUT = ("format", "config", "out")
 
-
-def _add_flags(sp: argparse.ArgumentParser, *names: str) -> None:
-    """Give a verb the flags it reads; any other exits 3 as unrecognized."""
-    for name in names:
-        sp.add_argument(f"--{name}", **_FLAGS[name])
+# verb -> (handler, help, the flags it reads; any other exits 3 as unrecognized)
+_VERBS = {
+    "verify": (cmd_verify, "check one family (or the whole catalog)",
+               ("family", "q", "p", *_FIELD, *_SAMPLING, *_OUTPUT)),
+    "table1": (cmd_table1, "the thirteen consolidated delta-form rows",
+               ("row", *_FIELD, *_SAMPLING, *_OUTPUT)),
+    "sweep": (cmd_sweep, "list every permuting trinomial exponent over GF(q^2)",
+              ("c-index", "s-from", "s-to", "q", "p", *_FIELD, *_OUTPUT)),
+    "report": (cmd_report, "re-emit a saved report", ("input", *_OUTPUT)),
+    "catalog": (cmd_catalog, "dump the family manifest", _OUTPUT),
+}
 
 
 def _check_out(path: Optional[str]) -> None:
@@ -689,59 +663,51 @@ def _config_from(args) -> RunConfig:
 
 
 def _apply_config_file(args) -> None:
+    """Fill the flags left unset from the --config file: key=value lines and
+    # comments.  Each key is a single-valued long flag of the verb, and its
+    value is converted and checked by that flag's own definition."""
     if not getattr(args, "config", None):
         return
-    file_vals = parse_config_file(args.config)
-    for key, val in file_vals.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue  # key valid globally but not for this verb
+    try:
+        with open(args.config) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    values = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{args.config}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        key, _, val = (part.strip() for part in line.partition("="))
+        key = key.replace("_", "-")
+        spec = _FLAGS[key] if key in _VERBS[args.verb][2] else {}
+        if not spec or key == "config" or "action" in spec:
+            raise ConfigError(f"{where}: {args.verb} takes no key {key!r}")
+        try:
+            value = spec.get("type", str)(val)
+        except ValueError:
+            raise ConfigError(
+                f"{where}: {key} needs an integer, got {val!r}") from None
+        if value not in spec.get("choices", (value,)):
+            raise ConfigError(f"{where}: {key} cannot be {val!r}")
+        values[key.replace("-", "_")] = value
+    for attr, value in values.items():
         if getattr(args, attr) is None:
-            setattr(args, attr, val)
+            setattr(args, attr, value)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="permlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_verify = sub.add_parser(
-        "verify", help="check one family (or the whole catalog)")
-    p_verify.add_argument("--family", default=None,
-                          help="catalog id, or 'all' (default)")
-    _add_flags(p_verify, "q", "p", *_FIELD, *_SAMPLING, *_OUTPUT)
-
-    p_table = sub.add_parser(
-        "table1", help="the thirteen consolidated delta-form rows")
-    p_table.add_argument("--row", type=int, choices=range(1, 14),
-                         metavar="1..13", default=None)
-    _add_flags(p_table, *_FIELD, *_SAMPLING, *_OUTPUT)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="list every permuting trinomial exponent over GF(q^2)")
-    p_sweep.add_argument("--c-index", type=int, action="append",
-                         help="coefficient index to sweep (repeatable)")
-    p_sweep.add_argument("--s-from", type=int, default=None)
-    p_sweep.add_argument("--s-to", type=int, default=None)
-    _add_flags(p_sweep, "q", "p", *_FIELD, *_OUTPUT)
-
-    p_report = sub.add_parser("report", help="re-emit a saved report")
-    p_report.add_argument("--input", help="path to a saved JSON report")
-    _add_flags(p_report, *_OUTPUT)
-
-    p_cat = sub.add_parser("catalog", help="dump the family manifest")
-    _add_flags(p_cat, *_OUTPUT)
-
+    for verb, (_, help_text, flags) in _VERBS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        for name in flags:
+            sp.add_argument(f"--{name}", **_FLAGS[name])
     return parser
-
-
-_DISPATCH = {
-    "verify": cmd_verify,
-    "table1": cmd_table1,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
-    "catalog": cmd_catalog,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -751,10 +717,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config_file(args)
         if args.format is None:
             args.format = "json"
-        if args.format not in ("json", "csv"):
-            raise ConfigError(f"unknown format {args.format!r}")
         _check_out(args.out)
-        return _DISPATCH[args.verb](args)
+        return _VERBS[args.verb][0](args)
     except ConfigError as exc:
         print(f"permlab: {exc}", file=sys.stderr)
         return EXIT_CONFIG

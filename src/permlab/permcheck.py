@@ -22,11 +22,12 @@ position 1+t is x = gamma^t for the field generator gamma.  Frobenius is
 additive, so u = g^(q^k) - g is, at gamma^t, a sum over g's terms a*x^e of
 exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod order-1): exp
 gathers only.  c*x at gamma^t is exp[log c + t], the exp table rolled by
-log c, a contiguous copy.  Only c*x depends on c, so h_verdicts builds u
-once per (g, k), in fixed blocks, and decides every c from it by marking
-the values u + c*x hits; only a failing c scatters its table into
-element-index order, where is_permutation finds the first-collision
-witness.  evaluate_all's h side is the same evaluation plus that scatter.
+log c, a contiguous copy.  Only c*x depends on c, so _h_passes builds u
+once per (g, k), in fixed blocks, and for every c marks the values u + c*x
+hits.  Both engines read that one pass.  h_verdicts permutes a c that hits
+every value; only a failing c scatters its table into element-index order,
+where is_permutation finds the first-collision witness.  evaluate_all's h
+side is the same evaluation plus that scatter.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -38,11 +39,12 @@ h collides on their phi_d images, and
 
     image deficit of f_d = order - q^l * |h(T_d)|.
 
-fibre_deficits reads that off one evaluation of h for every d at once.
-
-f_verdicts, the f side's engine as h_verdicts is the h side's, decides f_d
-for many d from that one call, with brute force as its cross-check; verify's
-shift forms and transform.prop2_check both go through it.
+Tr(h(y)) = c*Tr(y), as Tr(z^(q^k)) = Tr(z) when l | k, so h maps T_d into
+the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
+one bincount of the trace over a c's hits gives every d's deficit.
+f_verdicts, the f side's engine, decides f_d for many c and d that way,
+with brute force as its cross-check; verify's shift forms and
+transform.prop2_check both go through it.
 
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
@@ -74,7 +76,6 @@ __all__ = [
     "evaluate",
     "evaluate_all",
     "f_verdicts",
-    "fibre_deficits",
     "h_verdicts",
     "is_permutation",
     "lemma1_check",
@@ -362,33 +363,43 @@ def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
     return outs
 
 
-def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermVerdict]:
-    """The verdict of h = g^(q^k) - g + c*x for each c in cs, in order, equal
-    to is_permutation(compose_h(g, c, k)).  u = g^(q^k) - g is built once in
-    log order (_log_order_u) and each c adds its c*x block by block, marking
-    the values hit; only a failing c scatters its table into index order,
-    where is_permutation finds its witness.  When times is a list, it
-    receives each c's seconds: its own plus an equal share of building u,
-    so they add up to the work done."""
+def _h_passes(g: GSpec, k: int, cs):
+    """For each c in cs, in order: (compose_h(g, c, k), u, hits, seconds).
+    u = g^(q^k) - g is built once in log order (_log_order_u), each c adds
+    its c*x block by block, and hits marks the values h = u + c*x takes.
+    seconds is the c's own time plus an equal share of building u, so they
+    add up to the work done.  hits is one buffer refilled for each c, valid
+    until the next item, so a single mask is ever allocated."""
     t0 = time.perf_counter()
     fns = [compose_h(g, c, k) for c in cs]
+    if not fns:
+        return
     bulk = g.field.bulk()
-    Q = g.field.order
-    u = _log_order_u(g.field, g.terms, g.qdeg * k) if fns else None
-    u_share = (time.perf_counter() - t0) / max(1, len(fns))
-    clock = []
-    verdicts = []
+    u = _log_order_u(g.field, g.terms, g.qdeg * k)
+    hits = np.empty(bulk.Q, dtype=bool)
+    u_share = (time.perf_counter() - t0) / len(fns)
     for fn in fns:
         t0 = time.perf_counter()
-        seen = np.zeros(Q, dtype=bool)
-        seen[u[0]] = True
+        hits.fill(False)
+        hits[u[0]] = True
         for _, _, h in _h_blocks(bulk, u, fn.c):
-            seen[h] = True
-        if np.count_nonzero(seen) == Q:
-            verdicts.append(_PERMUTES)
-        else:
-            verdicts.append(is_permutation(fn, outs=_index_order_h(bulk, u, fn.c)))
-        clock.append(u_share + time.perf_counter() - t0)
+            hits[h] = True
+        yield fn, u, hits, u_share + time.perf_counter() - t0
+
+
+def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermVerdict]:
+    """The verdict of h = g^(q^k) - g + c*x for each c in cs, in order, equal
+    to is_permutation(compose_h(g, c, k)), from one _h_passes pass: a c that
+    hits every value permutes, and only a failing c scatters its table into
+    index order, where is_permutation finds its witness.  When times is a
+    list, it receives each c's seconds, its share of u included."""
+    verdicts, clock = [], []
+    for fn, u, hits, pass_s in _h_passes(g, k, cs):
+        t0 = time.perf_counter()
+        permutes = np.count_nonzero(hits) == hits.size
+        verdicts.append(_PERMUTES if permutes else is_permutation(
+            fn, outs=_index_order_h(g.field.bulk(), u, fn.c)))
+        clock.append(pass_s + time.perf_counter() - t0)
     if times is not None:
         times.extend(clock)
     return verdicts
@@ -465,63 +476,68 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     return hits, len(survivors)
 
 
-def fibre_deficits(g: GSpec, c: Element, k: int) -> Optional[np.ndarray]:
-    """Image deficit of f_d = g(x^(q^k) - x + d) + c*x at every d, indexed
-    by d, from one evaluation of h = compose_h(g, c, k) (the lemma in the
-    module docstring).  None when c is not in GF(q^l), l = gcd(k, m), where
-    the lemma does not apply."""
-    h_fn = compose_h(g, c, k)
+def _trace_deficits(g: GSpec, c: Element, k: int, hits: np.ndarray,
+                    delta_idx: np.ndarray) -> Optional[np.ndarray]:
+    """Image deficit of f_d = g(x^(q^k) - x + d) + c*x at each d in
+    delta_idx, from the mask hits of the values h = compose_h(g, c, k)
+    takes (the lemma in the module docstring): h maps the trace fibre of d
+    into the one above c*Tr(d).  None when c is not in GF(q^l),
+    l = gcd(k, m), where the lemma does not apply."""
     base = g.qdeg * math.gcd(k, g.m)
     fld = g.field
     if not fld.is_in_subfield(c, base):
         return None
-    Q = fld.order
-    tr = fld.bulk().trace(base)
-    pairs = np.unique(tr * Q + evaluate_all(h_fn))
-    distinct = np.bincount(pairs // Q, minlength=Q)     # |h(T)| per trace value
-    return Q - fld.p**base * distinct[tr]
+    bulk = fld.bulk()
+    tr = bulk.trace(base)
+    distinct = np.bincount(tr[hits], minlength=fld.order)    # |h(T)| per trace
+    return fld.order - fld.p**base * distinct[bulk.mul_scalar(c.index, tr[delta_idx])]
 
 
-def f_verdicts(g: GSpec, c: Element, k: int, deltas,
+def f_verdicts(g: GSpec, k: int, cs, deltas,
                times: Optional[list] = None) -> list[tuple[PermVerdict, str]]:
-    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each d in
-    deltas, in order; each verdict equals is_permutation(compose_f(g, c, k, d)).
-    One fibre_deficits call gives every delta's image deficit.  Brute force
-    ("brute") checks each delta with a nonzero deficit and the first delta of
-    each trace fibre, its probe, and a disagreement raises RuntimeError; the
+    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
+    and d in deltas, c-major; each verdict equals
+    is_permutation(compose_f(g, c, k, d)).  One _h_passes pass gives, per c,
+    every delta's image deficit (_trace_deficits).  Brute force ("brute")
+    checks each delta with a nonzero deficit and the first delta of each
+    trace fibre, its probe, and a disagreement raises RuntimeError; the
     fibre route ("fibre") decides the rest of a fibre brute force has seen
-    permute.  With c outside GF(q^l) every delta is brute-forced.  When times
-    is a list, it receives each delta's seconds: its own plus an equal share
-    of the fibre call, spread over the fibre-decided deltas (all deltas when
-    there are none), so they add up to the work done."""
-    t0 = time.perf_counter()
-    fibre = fibre_deficits(g, c, k)
-    fibre_s = time.perf_counter() - t0
-    if fibre is not None:
-        tr = g.field.bulk().trace(g.qdeg * math.gcd(k, g.m))
-    out, clock, permuting = [], [], set()
-    for d in deltas:
-        i = d.index
-        if fibre is not None and not fibre.item(i) and tr.item(i) in permuting:
-            out.append((_PERMUTES, "fibre"))
-            clock.append(0.0)
-            continue
+    permute.  With c outside GF(q^l) every delta is brute-forced.  When
+    times is a list, it receives each row's seconds: its own plus an equal
+    share of its c's pass, spread over the fibre-decided deltas (all deltas
+    when there are none), so they add up to the work done."""
+    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
+    tr = g.field.bulk().trace(g.qdeg * math.gcd(k, g.m))
+    out, clock = [], []
+    for c, (_, _, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
         t0 = time.perf_counter()
-        verdict = is_permutation(compose_f(g, c, k, d))
-        clock.append(time.perf_counter() - t0)
-        if fibre is not None:
-            if verdict.image_deficit != fibre.item(i):
-                raise RuntimeError(
-                    f"fibre route and brute force disagree at step {k}, "
-                    f"c {c.index}, delta {i}: image deficit {fibre.item(i)} "
-                    f"vs {verdict.image_deficit}")
-            if not verdict.image_deficit:
-                permuting.add(tr.item(i))
-        out.append((verdict, "brute"))
-    if times is not None:
-        decided = [j for j, (_, r) in enumerate(out) if r == "fibre"] or range(len(out))
+        fibre = _trace_deficits(g, c, k, hits, delta_idx)
+        fibre_s = pass_s + time.perf_counter() - t0
+        rows, row_s, permuting = [], [], set()
+        for j, d in enumerate(deltas):
+            i = d.index
+            if fibre is not None and not fibre.item(j) and tr.item(i) in permuting:
+                rows.append((_PERMUTES, "fibre"))
+                row_s.append(0.0)
+                continue
+            t0 = time.perf_counter()
+            verdict = is_permutation(compose_f(g, c, k, d))
+            row_s.append(time.perf_counter() - t0)
+            if fibre is not None:
+                if verdict.image_deficit != fibre.item(j):
+                    raise RuntimeError(
+                        f"fibre route and brute force disagree at step {k}, "
+                        f"c {c.index}, delta {i}: image deficit {fibre.item(j)} "
+                        f"vs {verdict.image_deficit}")
+                if not verdict.image_deficit:
+                    permuting.add(tr.item(i))
+            rows.append((verdict, "brute"))
+        decided = [j for j, (_, r) in enumerate(rows) if r == "fibre"] or range(len(rows))
         for j in decided:
-            clock[j] += fibre_s / len(decided)
+            row_s[j] += fibre_s / len(decided)
+        out += rows
+        clock += row_s
+    if times is not None:
         times.extend(clock)
     return out
 

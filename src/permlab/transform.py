@@ -20,10 +20,12 @@ square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
 field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
-prop2_check decides its deltas through permcheck.f_verdicts, the trace-fibre
-engine that verify's shift forms use too.  prop4_check stays brute force at
-every delta: its commuting square needs every f_delta's values anyway, and
-it remains the exhaustive reference the engine is tested against.
+prop2_check reads both sides off permcheck's engines: h_verdicts for h and
+f_verdicts, the trace-fibre engine that verify's shift forms use too, for
+every delta; each builds u = g^(q^k) - g once.  prop4_check stays brute
+force at every delta: its commuting square needs every f_delta's values
+anyway, and it remains the exhaustive reference the engines are tested
+against.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -42,7 +44,7 @@ import numpy as np
 from .ffcore import Element, FieldCtx
 from .permcheck import (GSpec, PermVerdict, _resolve_view, build_inverse_table,
                         compose_f, compose_h, evaluate_all, f_verdicts,
-                        is_permutation, make_gspec)
+                        h_verdicts, is_permutation, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -127,16 +129,16 @@ def prop2_check(g: GSpec, c: Element, k: int,
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas
-    overrides the default exhaustive-or-sampled sweep.  permcheck.f_verdicts
-    decides the f side.
+    overrides the default exhaustive-or-sampled sweep.  permcheck.h_verdicts
+    decides the h side and permcheck.f_verdicts the f side.
     """
     _resolve_view(g.field, g.qdeg, k)
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
     deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
-    h_v = is_permutation(compose_h(g, c, k))
-    f_vs = f_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
+    h_v = h_verdicts(g, k, [c])[0]
+    f_vs = f_verdicts(g, k, [c], [g.field.element_at(di) for di in deltas])
     return Prop2Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=exhaustive)
@@ -240,9 +242,9 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
     deltas, exhaustive = _delta_sweep(fld, deltas, seed)
     one = fld.one
     h_fn = compose_h(g, one, 1)
-    h_v = is_permutation(h_fn)
-    bulk = fld.bulk()
     ho = evaluate_all(h_fn)
+    h_v = is_permutation(h_fn, ho)
+    bulk = fld.bulk()
     tr = bulk.trace(g.qdeg)
     fibers_ok = bool(np.array_equal(tr[ho], tr))   # h preserves every fiber
     out = []

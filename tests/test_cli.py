@@ -206,13 +206,13 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     """thm14 at q = 3: the step-2 form permutes on all 9 trace fibres over
     GF(9), so brute force checks only their 9 probes; the step-1 form fails
     at every delta and is brute-forced throughout."""
-    real, pause = permcheck.fibre_deficits, 0.02
+    real, pause = permcheck._trace_deficits, 0.02
 
     def slow(*args):
         time.sleep(pause)
         return real(*args)
 
-    monkeypatch.setattr(permcheck, "fibre_deficits", slow)
+    monkeypatch.setattr(permcheck, "_trace_deficits", slow)
     code, doc = run(tmp_path, "verify", "--family", "thm14", "--q", "3")
     assert code == 0
     t = doc["timings"]["runs"][0]
@@ -348,6 +348,27 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("familly = thm7\n")
     assert main(["verify", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("verb, argv, text", [
+    ("sweep", ["--q", "4"], "seed = 5\ndelta-samples = 70000\n"),   # unread keys
+    ("verify", [], "row = 3\n"),                                     # table1's key
+    ("table1", [], "row = 99\n"),                                    # refused choice
+])
+def test_config_file_keys_are_checked_as_their_flags(tmp_path, capsys, verb,
+                                                     argv, text):
+    """A key the verb has no flag for, or a value its flag refuses, exits 3
+    with the file and line named, as the flag itself would; no traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.json"
+    assert main([verb, *argv, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"permlab: {cfg}:1: ") and "Traceback" not in err
+    assert not out.exists()
+    cfg.write_text("row = 9\nformat = csv\n")        # accepted by the flags
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().startswith(",".join(CSV_COLUMNS))
 
 
 # ---------------------------------------------------------------------------

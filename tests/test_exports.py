@@ -1,0 +1,38 @@
+"""Every exported name resolves: each module's __all__ and the names the
+package's __init__ imports, so a stale export fails here rather than at a
+user's import."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import permlab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(permlab.__path__))
+
+
+def test_the_package_has_its_modules():
+    assert MODULES == ["cli", "families", "ffcore", "permcheck", "transform"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    mod = importlib.import_module(f"permlab.{name}")
+    assert mod.__all__
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_every_name_the_package_imports_resolves():
+    tree = ast.parse(Path(permlab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} == {
+        "ffcore", "permcheck", "families", "transform"}
+    for node in imports:
+        mod = importlib.import_module(f"permlab.{node.module}")
+        for alias in node.names:
+            assert hasattr(mod, alias.name), (node.module, alias.name)
+            assert hasattr(permlab, alias.asname or alias.name), alias.name

@@ -16,7 +16,6 @@ from permlab.permcheck import (
     evaluate,
     evaluate_all,
     f_verdicts,
-    fibre_deficits,
     h_verdicts,
     is_permutation,
     lemma1_assemble,
@@ -322,7 +321,7 @@ def test_witness_is_always_a_real_collision():
 
 
 # ---------------------------------------------------------------------------
-# trace-fibre route: fibre_deficits against brute force at every delta
+# trace-fibre route: _trace_deficits against brute force at every delta
 # ---------------------------------------------------------------------------
 
 # (p, n, qdeg) views; each runs every Frobenius step 1 <= k < m
@@ -335,6 +334,13 @@ FIBRE_CASES = [(p, n, qdeg, k) for p, n, qdeg in FIBRE_VIEWS
 def _lemma_base(n, qdeg, k):
     """Degree over GF(p) of GF(q^l), l = gcd(k, m)."""
     return qdeg * math.gcd(k, n // qdeg)
+
+
+def _engine_deficits(g, c, k):
+    """_trace_deficits at every delta, read off the hits of one _h_passes
+    pass, as f_verdicts reads them."""
+    (_, _, hits, _), = permcheck._h_passes(g, k, [c])
+    return permcheck._trace_deficits(g, c, k, hits, np.arange(g.field.order))
 
 
 def _brute_deficits(g, c, k):
@@ -362,7 +368,7 @@ def test_fibre_deficits_match_brute_force_every_delta(p, n, qdeg, k):
     for g in gs:
         for ci in sorted({1, rng.choice(sub), sub[-1]}):
             c = f.element_at(ci)
-            got = fibre_deficits(g, c, k)
+            got = _engine_deficits(g, c, k)
             assert got.shape == (Q,)
             want = _brute_deficits(g, c, k)
             assert got.tolist() == want, (g.terms, ci)
@@ -377,8 +383,8 @@ def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
     g = make_gspec(f, [(f.one, 3)], qdeg)
     outside = [i for i in range(1, f.order) if i not in inside]
     for ci in outside[:3] + outside[-3:]:
-        assert fibre_deficits(g, f.element_at(ci), k) is None
-    assert fibre_deficits(g, f.one, k) is not None
+        assert _engine_deficits(g, f.element_at(ci), k) is None
+    assert _engine_deficits(g, f.one, k) is not None
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -392,7 +398,7 @@ def test_fibre_deficits_agree_on_random_binomial_g(case, data):
               data.draw(st.integers(0, 2 * Q))) for _ in range(2)]
     g = make_gspec(f, terms, qdeg)
     c = f.element_at(data.draw(st.sampled_from(sub)))
-    assert fibre_deficits(g, c, k).tolist() == _brute_deficits(g, c, k)
+    assert _engine_deficits(g, c, k).tolist() == _brute_deficits(g, c, k)
 
 
 @pytest.mark.parametrize("argv, plant", [
@@ -403,14 +409,14 @@ def test_fibre_deficits_agree_on_random_binomial_g(case, data):
 ])
 def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
                                                  argv, plant):
-    real = permcheck.fibre_deficits
+    real = permcheck._trace_deficits
 
-    def planted(g, c, k):
-        out = real(g, c, k)
+    def planted(*args):
+        out = real(*args)
         plant(out)
         return out
 
-    monkeypatch.setattr(permcheck, "fibre_deficits", planted)
+    monkeypatch.setattr(permcheck, "_trace_deficits", planted)
     assert cli.main(["verify", *argv, "--out", str(tmp_path / "o.json")]) == 4
     err = capsys.readouterr().err
     assert "fibre route and brute force disagree" in err and argv[1] in err
@@ -426,11 +432,68 @@ def test_f_verdicts_routes_and_times():
     deltas = [f.element_at(i) for i in range(f.order)]
     for c, routes in [(f.one, {"brute": 10, "fibre": 6}), (f.element_at(2), {"brute": 16})]:
         times = []
-        got = f_verdicts(g, c, 1, deltas, times)
+        got = f_verdicts(g, 1, [c], deltas, times)
         assert [v for v, _ in got] == [is_permutation(compose_f(g, c, 1, d)) for d in deltas]
         assert Counter(route for _, route in got) == routes
         assert len(times) == len(deltas) and all(t >= 0 for t in times)
-    assert f_verdicts(g, f.one, 1, []) == []
+    assert f_verdicts(g, 1, [f.one], []) == []
+    assert f_verdicts(g, 1, [], deltas) == []
+
+
+def test_f_verdicts_many_c_equal_their_single_c_calls():
+    """Rows come c-major, and each c's rows and seconds are those of its own
+    call, for c inside and outside GF(q^l)."""
+    f = field(7, 2)
+    g = make_gspec(f, [(f.one, 19)], 1)
+    inside = sorted(f.subfield_indices(1) - {0})
+    outside = next(i for i in range(1, f.order) if i not in inside)
+    cs = [f.element_at(i) for i in inside + [outside]]
+    deltas = [f.element_at(i) for i in range(0, f.order, 2)]
+    times, want, want_times = [], [], []
+    got = f_verdicts(g, 1, cs, deltas, times)
+    for c in cs:
+        want += f_verdicts(g, 1, [c], deltas, want_times)
+    assert got == want
+    assert len(times) == len(want_times) == len(cs) * len(deltas)
+    assert {r for _, r in got} == {"brute", "fibre"}
+    assert {v.is_permutation for v, _ in got} == {True, False}
+
+
+@pytest.mark.parametrize("n_c", [1, 3, 15])
+def test_engines_build_u_once_per_call(monkeypatch, n_c):
+    """Both engines build u = g^(q^k) - g once per call, whatever the number
+    of c."""
+    f = field(2, 4)
+    g = make_gspec(f, [(f.one, 3)], 2)
+    cs = [f.element_at(i) for i in range(1, n_c + 1)]
+    calls = []
+    real = permcheck._log_order_u
+    monkeypatch.setattr(permcheck, "_log_order_u",
+                        lambda *args: calls.append(args) or real(*args))
+    h_verdicts(g, 1, cs)
+    assert len(calls) == 1
+    f_verdicts(g, 1, cs, list(f.elements()))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_h_maps_trace_fibres_by_c(p, n, qdeg, k, data):
+    """Tr(h(y)) = c*Tr(y) for c in GF(q^l)*, Tr onto GF(q^l): the identity
+    _trace_deficits rests on, checked by scalar arithmetic at every y."""
+    f = field(p, n)
+    Q = f.order
+    base = _lemma_base(n, qdeg, k)
+    terms = [(f.element_at(data.draw(st.integers(1, Q - 1))),
+              data.draw(st.integers(0, 2 * Q)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    c = f.element_at(data.draw(st.sampled_from(
+        sorted(f.subfield_indices(base) - {0}))))
+    h = compose_h(make_gspec(f, terms, qdeg), c, k)
+    for y in f.elements():
+        assert (f.trace_to_subfield(evaluate(h, y), base)
+                == c * f.trace_to_subfield(y, base)), (terms, c, y)
 
 
 # ---------------------------------------------------------------------------

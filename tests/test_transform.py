@@ -273,14 +273,14 @@ def test_prop2_f_results_match_per_delta_brute_force(p, n, qdeg, k, anchored):
 def test_prop2_planted_fibre_deficit_raises(monkeypatch, p, s, plant):
     f = field(p, 2)
     g = make_gspec(f, [(f.one, s)], qdeg=1)
-    real = permcheck.fibre_deficits
+    real = permcheck._trace_deficits
 
-    def planted(g, c, k):
-        out = real(g, c, k)
+    def planted(*args):
+        out = real(*args)
         plant(out)
         return out
 
-    monkeypatch.setattr(permcheck, "fibre_deficits", planted)
+    monkeypatch.setattr(permcheck, "_trace_deficits", planted)
     with pytest.raises(RuntimeError, match="disagree"):
         prop2_check(g, f.one, 1)
 
