@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -209,60 +211,54 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
 # ---------------------------------------------------------------------------
 # report assembly
 
+def _counts(rows: Sequence[InstanceResult]) -> dict:
+    """A condition block's summary: asserted and informational verdicts."""
+    n = Counter((r.informational, r.permutes) for r in rows)
+    return {
+        "instances": len(rows),
+        "asserted": n[False, True] + n[False, False],
+        "passed": n[False, True],
+        "failed": n[False, False],
+        "informational_passed": n[True, True],
+        "informational_failed": n[True, False],
+    }
+
+
 def _variant_blocks(run: FamilyRun) -> list[dict]:
-    """Instances grouped by condition tag; dual conditions stay separate."""
-    tags = []
+    """Instances grouped by condition tag, in order of first appearance;
+    dual conditions stay separate."""
+    groups: dict[str, list[InstanceResult]] = {}
     for r in run.instances:
-        if r.condition not in tags:
-            tags.append(r.condition)
-    blocks = []
-    for tag in tags:
-        rows = [r for r in run.instances if r.condition == tag]
-        entries = []
-        for r in rows:
-            entries.append({
-                "s_tag": r.s_tag,
-                "step": r.step,
-                "s": r.s,
-                "c": r.c_index,
-                "delta": r.delta_index,
-                "permutes": r.permutes,
-                "witness": None if r.witness is None else list(r.witness),
-                "image_deficit": r.image_deficit,
-                "informational": r.informational,
-            })
-        asserted = [r for r in rows if not r.informational]
-        informational = [r for r in rows if r.informational]
-        blocks.append({
-            "condition": tag,
-            "instances": entries,
-            "summary": {
-                "instances": len(rows),
-                "asserted": len(asserted),
-                "passed": sum(r.permutes for r in asserted),
-                "failed": sum(not r.permutes for r in asserted),
-                "informational_passed": sum(
-                    r.permutes for r in informational),
-                "informational_failed": sum(
-                    not r.permutes for r in informational),
-            },
-        })
-    return blocks
+        groups.setdefault(r.condition, []).append(r)
+    return [{
+        "condition": tag,
+        "instances": [{
+            "s_tag": r.s_tag,
+            "step": r.step,
+            "s": r.s,
+            "c": r.c_index,
+            "delta": r.delta_index,
+            "permutes": r.permutes,
+            "witness": None if r.witness is None else list(r.witness),
+            "image_deficit": r.image_deficit,
+            "informational": r.informational,
+        } for r in rows],
+        "summary": _counts(rows),
+    } for tag, rows in groups.items()]
 
 
 def _step_outcomes(run: FamilyRun) -> Optional[dict]:
     """Which declared Frobenius step passes, for families that list several."""
-    steps = sorted({r.step for r in run.instances})
-    if len(steps) < 2:
+    passes: dict[int, bool] = {}
+    for r in run.instances:
+        passes[r.step] = passes.get(r.step, True) and r.permutes
+    if len(passes) < 2:
         return None
-    out = {}
-    for st in steps:
-        rows = [r for r in run.instances if r.step == st]
-        out[str(st)] = "pass" if all(r.permutes for r in rows) else "fail"
-    return out
+    return {str(st): "pass" if ok else "fail" for st, ok in sorted(passes.items())}
 
 
 def run_to_stable(run: FamilyRun) -> dict:
+    blocks = _variant_blocks(run)
     doc = {
         "family": run.family,
         "p": run.p,
@@ -271,13 +267,9 @@ def run_to_stable(run: FamilyRun) -> dict:
         "q": run.q,
         "kprime": run.kprime,
         "deltas_exhaustive": run.deltas_exhaustive,
-        "conditions": _variant_blocks(run),
-        "summary": {
-            "instances": len(run.instances),
-            "asserted": len(run.asserted),
-            "passed": sum(r.permutes for r in run.asserted),
-            "failed": sum(not r.permutes for r in run.asserted),
-        },
+        "conditions": blocks,
+        "summary": {key: sum(b["summary"][key] for b in blocks)
+                    for key in ("instances", "asserted", "passed", "failed")},
     }
     steps = _step_outcomes(run)
     if steps is not None:
@@ -314,7 +306,50 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
 
 def stable_json(doc: dict) -> str:
     """Canonical serialization of the deterministic section."""
-    return json.dumps(doc["stable"], sort_keys=True, indent=2)
+    return _to_json(doc["stable"])
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(inner: str, sort_keys: bool = True) -> json.JSONEncoder:
+    """json's C encoder, with the items of a container on lines of their own
+    indented by inner (json takes its C path only without indent)."""
+    return json.JSONEncoder(sort_keys=sort_keys, separators=(",\n" + inner, ": "))
+
+
+def _to_json(o, indent: str = "") -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte.
+
+    Each container is one C-encoder call, with the containers inside it
+    written as 0 and then replaced by their own text.  A raw newline can
+    only come from the item separator (json escapes those in strings), so
+    splitting on the separator recovers the items."""
+    if not isinstance(o, _CONTAINERS):
+        return _encoder("").encode(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = indent + "  "
+    values = o.values() if isinstance(o, dict) else o
+    if _SCALARS.issuperset(map(type, values)):
+        text = _encoder(inner).encode(o)
+    else:
+        if isinstance(o, dict):
+            items = sorted(o.items())     # json's order, kept by an unsorted encoding
+            values = [v for _, v in items]
+            shell = {key: 0 if isinstance(v, _CONTAINERS) else v for key, v in items}
+        else:
+            shell = [0 if isinstance(v, _CONTAINERS) else v for v in o]
+        sep = ",\n" + inner
+        text = _encoder(inner, False).encode(shell)
+        lines = text[1:-1].split(sep)
+        for i, v in enumerate(values):
+            if isinstance(v, _CONTAINERS):
+                lines[i] = lines[i][:-1] + _to_json(v, inner)
+        text = text[0] + sep.join(lines) + text[-1]
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
 
 
 CSV_COLUMNS = [
@@ -372,7 +407,7 @@ def _emit(doc, fmt: str, out: Optional[str],
     if fmt == "csv":
         text = to_csv(doc)
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _to_json(doc) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -380,19 +415,22 @@ def _emit(doc, fmt: str, out: Optional[str],
         sys.stdout.write(text)
 
 
-def _summarize(runs: Sequence[FamilyRun]) -> None:
-    for run in runs:
-        verdict = "PASS" if run.all_pass else "FAIL"
+def _summarize(doc: dict) -> int:
+    """One line per run of a verify/table1 report on stderr; returns the
+    verb's exit code."""
+    for run in doc["stable"]["runs"]:
+        n = run["summary"]
         extra = ""
-        info = [r for r in run.instances if r.informational]
+        info = n["instances"] - n["asserted"]
         if info:
-            bad = sum(not r.permutes for r in info)
-            extra = f" (+{len(info)} informational, {bad} failing)"
+            bad = sum(b["summary"]["informational_failed"] for b in run["conditions"])
+            extra = f" (+{info} informational, {bad} failing)"
         print(
-            f"{verdict} {run.family} q={run.q}: "
-            f"{sum(r.permutes for r in run.asserted)}/{len(run.asserted)} "
-            f"instances permute{extra}",
+            f"{'FAIL' if n['failed'] else 'PASS'} {run['family']} q={run['q']}: "
+            f"{n['passed']}/{n['asserted']} instances permute{extra}",
             file=sys.stderr)
+    failed = any(run["summary"]["failed"] for run in doc["stable"]["runs"])
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +483,7 @@ def cmd_verify(args) -> int:
             runs.append(run_family_verification(fid, q, cfg))
     doc = build_report(runs, cfg, "verify", t_start)
     _emit(doc, args.format, args.out, report_csv)
-    _summarize(runs)
-    return EXIT_PASS if all(r.all_pass for r in runs) else EXIT_FAIL
+    return _summarize(doc)
 
 
 TABLE1_MAX_ORDER = 1 << 16
@@ -481,8 +518,7 @@ def cmd_table1(args) -> int:
         runs.append(run_family_verification(fid, 2**k, cfg))
     doc = build_report(runs, cfg, "table1", t_start)
     _emit(doc, args.format, args.out, report_csv)
-    _summarize(runs)
-    return EXIT_PASS if all(r.all_pass for r in runs) else EXIT_FAIL
+    return _summarize(doc)
 
 
 def _sweep_annotations(fld: FieldCtx, q: int, kprime: int) -> dict:

@@ -44,7 +44,8 @@ the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
 one bincount of the trace over a c's hits gives every d's deficit.
 f_verdicts, the f side's engine, decides f_d for many c and d that way,
 with brute force as its cross-check; verify's shift forms and
-transform.prop2_check both go through it.
+transform.prop2_check both go through it, and prop2_check reads h's
+verdict off the same pass.
 
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
@@ -396,13 +397,19 @@ def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermV
     verdicts, clock = [], []
     for fn, u, hits, pass_s in _h_passes(g, k, cs):
         t0 = time.perf_counter()
-        permutes = np.count_nonzero(hits) == hits.size
-        verdicts.append(_PERMUTES if permutes else is_permutation(
-            fn, outs=_index_order_h(g.field.bulk(), u, fn.c)))
+        verdicts.append(_h_verdict(fn, u, hits))
         clock.append(pass_s + time.perf_counter() - t0)
     if times is not None:
         times.extend(clock)
     return verdicts
+
+
+def _h_verdict(fn: FnSpec, u: np.ndarray, hits: np.ndarray) -> PermVerdict:
+    """h's verdict from its _h_passes item: a full mask permutes; a failing
+    h's table is scattered into index order for is_permutation's witness."""
+    if np.count_nonzero(hits) == hits.size:
+        return _PERMUTES
+    return is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c))
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
@@ -506,10 +513,22 @@ def f_verdicts(g: GSpec, k: int, cs, deltas,
     times is a list, it receives each row's seconds: its own plus an equal
     share of its c's pass, spread over the fibre-decided deltas (all deltas
     when there are none), so they add up to the work done."""
+    out, clock = [], []
+    for _, _, _, rows, row_s in _f_passes(g, k, cs, deltas):
+        out += rows
+        clock += row_s
+    if times is not None:
+        times.extend(clock)
+    return out
+
+
+def _f_passes(g: GSpec, k: int, cs, deltas):
+    """For each c in cs, in order: (compose_h(g, c, k), u, hits, rows,
+    row_s), the _h_passes item followed by f_verdicts' rows and seconds for
+    that c.  hits is valid until the next item."""
     delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
     tr = g.field.bulk().trace(g.qdeg * math.gcd(k, g.m))
-    out, clock = [], []
-    for c, (_, _, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
+    for c, (fn, u, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
         t0 = time.perf_counter()
         fibre = _trace_deficits(g, c, k, hits, delta_idx)
         fibre_s = pass_s + time.perf_counter() - t0
@@ -535,11 +554,14 @@ def f_verdicts(g: GSpec, k: int, cs, deltas,
         decided = [j for j, (_, r) in enumerate(rows) if r == "fibre"] or range(len(rows))
         for j in decided:
             row_s[j] += fibre_s / len(decided)
-        out += rows
-        clock += row_s
-    if times is not None:
-        times.extend(clock)
-    return out
+        yield fn, u, hits, rows, row_s
+
+
+def _pair_verdicts(g: GSpec, c: Element, k: int, deltas):
+    """(h's verdict, f_verdicts(g, k, [c], deltas)) from one _h_passes
+    pass: both sides of the companion pair from one u."""
+    for fn, u, hits, rows, _ in _f_passes(g, k, [c], deltas):
+        return _h_verdict(fn, u, hits), rows
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

@@ -20,9 +20,10 @@ square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
 field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
-prop2_check reads both sides off permcheck's engines: h_verdicts for h and
-f_verdicts, the trace-fibre engine that verify's shift forms use too, for
-every delta; each builds u = g^(q^k) - g once.  prop4_check stays brute
+prop2_check reads both sides off one pass of permcheck's f_verdicts, the
+trace-fibre engine that verify's shift forms use too: it builds
+u = g^(q^k) - g once, decides every delta from it, and gives h's verdict
+from the same marks (as h_verdicts would).  prop4_check stays brute
 force at every delta: its commuting square needs every f_delta's values
 anyway, and it remains the exhaustive reference the engines are tested
 against.
@@ -42,9 +43,9 @@ from typing import Optional
 import numpy as np
 
 from .ffcore import Element, FieldCtx
-from .permcheck import (GSpec, PermVerdict, _resolve_view, build_inverse_table,
-                        compose_f, compose_h, evaluate_all, f_verdicts,
-                        h_verdicts, is_permutation, make_gspec)
+from .permcheck import (GSpec, PermVerdict, _pair_verdicts, _resolve_view,
+                        build_inverse_table, compose_f, compose_h, evaluate_all,
+                        is_permutation, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -129,16 +130,16 @@ def prop2_check(g: GSpec, c: Element, k: int,
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas
-    overrides the default exhaustive-or-sampled sweep.  permcheck.h_verdicts
-    decides the h side and permcheck.f_verdicts the f side.
+    overrides the default exhaustive-or-sampled sweep.  One permcheck pass
+    over u = g^(q^k) - g decides both sides: h as permcheck.h_verdicts does
+    and every delta as permcheck.f_verdicts does.
     """
     _resolve_view(g.field, g.qdeg, k)
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
     deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
-    h_v = h_verdicts(g, k, [c])[0]
-    f_vs = f_verdicts(g, k, [c], [g.field.element_at(di) for di in deltas])
+    h_v, f_vs = _pair_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
     return Prop2Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=exhaustive)

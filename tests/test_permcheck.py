@@ -29,6 +29,7 @@ from permlab.permcheck import (
     reduce_exponent,
     trinomial_hits,
 )
+from permlab.transform import prop2_check
 
 _FIELDS = {}
 
@@ -462,7 +463,7 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
 @pytest.mark.parametrize("n_c", [1, 3, 15])
 def test_engines_build_u_once_per_call(monkeypatch, n_c):
     """Both engines build u = g^(q^k) - g once per call, whatever the number
-    of c."""
+    of c, and prop2_check decides h and every f_d from one u."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     cs = [f.element_at(i) for i in range(1, n_c + 1)]
@@ -474,6 +475,8 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
     assert len(calls) == 1
     f_verdicts(g, 1, cs, list(f.elements()))
     assert len(calls) == 2
+    prop2_check(g, f.one, 1)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
