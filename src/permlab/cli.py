@@ -123,14 +123,6 @@ class FamilyRun:
     field_s: float = 0.0
     instances: list[InstanceResult] = dc_field(default_factory=list)
 
-    @property
-    def asserted(self) -> list[InstanceResult]:
-        return [r for r in self.instances if not r.informational]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.permutes for r in self.asserted)
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     try:

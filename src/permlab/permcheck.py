@@ -43,9 +43,9 @@ Tr(h(y)) = c*Tr(y), as Tr(z^(q^k)) = Tr(z) when l | k, so h maps T_d into
 the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
 one bincount of the trace over a c's hits gives every d's deficit.
 f_verdicts, the f side's engine, decides f_d for many c and d that way,
-with brute force as its cross-check; verify's shift forms and
-transform.prop2_check both go through it, and prop2_check reads h's
-verdict off the same pass.
+with brute force as its cross-check; verify's shift forms,
+transform.prop2_check and transform.prop4_check all go through it, and the
+two transform checks read h's verdict and value table off the same pass.
 
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
@@ -108,9 +108,6 @@ class FnSpec:
 
     def evaluate(self, x: Element) -> Element:
         return evaluate(self, x)
-
-    def evaluate_all(self) -> np.ndarray:
-        return evaluate_all(self)
 
 
 @dataclass(frozen=True)
@@ -397,19 +394,15 @@ def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermV
     verdicts, clock = [], []
     for fn, u, hits, pass_s in _h_passes(g, k, cs):
         t0 = time.perf_counter()
-        verdicts.append(_h_verdict(fn, u, hits))
+        if np.count_nonzero(hits) == hits.size:
+            verdicts.append(_PERMUTES)
+        else:
+            outs = _index_order_h(fn.field.bulk(), u, fn.c)
+            verdicts.append(is_permutation(fn, outs=outs))
         clock.append(pass_s + time.perf_counter() - t0)
     if times is not None:
         times.extend(clock)
     return verdicts
-
-
-def _h_verdict(fn: FnSpec, u: np.ndarray, hits: np.ndarray) -> PermVerdict:
-    """h's verdict from its _h_passes item: a full mask permutes; a failing
-    h's table is scattered into index order for is_permutation's witness."""
-    if np.count_nonzero(hits) == hits.size:
-        return _PERMUTES
-    return is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c))
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
@@ -558,10 +551,12 @@ def _f_passes(g: GSpec, k: int, cs, deltas):
 
 
 def _pair_verdicts(g: GSpec, c: Element, k: int, deltas):
-    """(h's verdict, f_verdicts(g, k, [c], deltas)) from one _h_passes
-    pass: both sides of the companion pair from one u."""
+    """(h's verdict, h's value table in index order, f_verdicts(g, k, [c],
+    deltas)) from one _h_passes pass: both sides of the companion pair from
+    one u."""
     for fn, u, hits, rows, _ in _f_passes(g, k, [c], deltas):
-        return _h_verdict(fn, u, hits), rows
+        outs = _index_order_h(fn.field.bulk(), u, fn.c)
+        return is_permutation(fn, outs=outs), outs, rows
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

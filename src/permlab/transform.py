@@ -20,13 +20,11 @@ square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
 field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
-prop2_check reads both sides off one pass of permcheck's f_verdicts, the
-trace-fibre engine that verify's shift forms use too: it builds
-u = g^(q^k) - g once, decides every delta from it, and gives h's verdict
-from the same marks (as h_verdicts would).  prop4_check stays brute
-force at every delta: its commuting square needs every f_delta's values
-anyway, and it remains the exhaustive reference the engines are tested
-against.
+prop2_check and prop4_check read both sides off one pass of permcheck's
+f_verdicts, the trace-fibre engine that verify's shift forms use too: it
+builds u = g^(q^k) - g once, decides every delta from it, and gives h's
+verdict and value table from the same u.  prop4_check evaluates f_delta
+only for its commuting square, once per trace fiber.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -45,7 +43,7 @@ import numpy as np
 from .ffcore import Element, FieldCtx
 from .permcheck import (GSpec, PermVerdict, _pair_verdicts, _resolve_view,
                         build_inverse_table, compose_f, compose_h, evaluate_all,
-                        is_permutation, make_gspec)
+                        make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -139,7 +137,7 @@ def prop2_check(g: GSpec, c: Element, k: int,
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
     deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
-    h_v, f_vs = _pair_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
+    h_v, _, f_vs = _pair_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
     return Prop2Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=exhaustive)
@@ -200,7 +198,7 @@ def trace_coset(field: FieldCtx, delta: Element, qdeg: int = 1) -> CosetSet:
 
 
 @dataclass(frozen=True)
-class Prop4Report:
+class Prop4Report(Prop2Report):
     """Both-direction equivalence for g over GF(q), k = 1, c = 1.
 
     The statement quantifies over the shift: h permutes the field if and
@@ -208,17 +206,14 @@ class Prop4Report:
     enough for the forward direction: f_delta being bijective only forces h
     to be bijective on the one trace fiber containing the shifted image, and
     h can still fail elsewhere (g = x^2 over GF(9) gives such a delta).
+    Prop2Report's fields and h => f direction come with it.
     """
 
-    h_verdict: PermVerdict
-    f_results: tuple          # ((delta index, PermVerdict), ...)
-    deltas_exhaustive: bool
-    commutes_all: bool        # phi o f_delta == h o phi for every swept delta
-    fibers_stable: bool       # h maps each swept Tr-fiber into itself
-
-    @property
-    def f_all_permute(self) -> bool:
-        return all(v.is_permutation for _, v in self.f_results)
+    # phi o f_delta == h o phi for every swept delta, checked at the first
+    # swept delta of each Tr-fiber: the translate identity in prop4_check
+    # carries the square to the rest of that fiber
+    commutes_all: bool
+    fibers_stable: bool       # h maps every Tr-fiber onto GF(q) into itself
 
     @property
     def iff_holds(self) -> bool:
@@ -234,7 +229,8 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
                 seed: int = DEFAULT_SEED) -> Prop4Report:
     """Verify (f_delta permutes for all delta) <=> (h permutes), with k = 1
     and c = 1 and g over GF(q), plus the commuting square
-    phi o f_delta = h o phi through the trace fiber of each delta."""
+    phi o f_delta = h o phi through the trace fiber of each delta.  h and
+    every f_delta are decided as prop2_check decides them, from one u."""
     fld = g.field
     if g.coeff_subdeg > g.qdeg or g.qdeg % g.coeff_subdeg:
         raise ValueError(
@@ -242,25 +238,28 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
             f"needs them inside GF({fld.p}^{g.qdeg})")
     deltas, exhaustive = _delta_sweep(fld, deltas, seed)
     one = fld.one
-    h_fn = compose_h(g, one, 1)
-    ho = evaluate_all(h_fn)
-    h_v = is_permutation(h_fn, ho)
+    h_v, ho, f_vs = _pair_verdicts(g, one, 1, [fld.element_at(di) for di in deltas])
     bulk = fld.bulk()
     tr = bulk.trace(g.qdeg)
-    fibers_ok = bool(np.array_equal(tr[ho], tr))   # h preserves every fiber
-    out = []
-    commutes = True
+    # For any b, f_(d + b^q - b)(x) = f_d(x + b) - b, so the square at
+    # d + b^q - b is the square at d with x shifted by b.  The d + b^q - b
+    # are exactly the deltas of d's trace fiber (x^q - x maps onto the
+    # trace-zero set), so the first swept delta of each fiber covers it.
+    firsts = {}                     # trace value -> its first swept delta
     for di in deltas:
-        f_fn = compose_f(g, one, 1, fld.element_at(di))
-        fo = evaluate_all(f_fn)
-        out.append((di, is_permutation(f_fn, fo)))
-        if commutes:
-            phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(di))
-            phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(di))
-            commutes = bool(np.array_equal(phi_fo, ho[phi_xs]))
-    return Prop4Report(h_verdict=h_v, f_results=tuple(out),
+        firsts.setdefault(tr.item(di), di)
+    commutes = True
+    for di in firsts.values():
+        fo = evaluate_all(compose_f(g, one, 1, fld.element_at(di)))
+        phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(di))
+        phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(di))
+        if not np.array_equal(phi_fo, ho[phi_xs]):
+            commutes = False
+            break
+    return Prop4Report(h_verdict=h_v,
+                       f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=exhaustive, commutes_all=commutes,
-                       fibers_stable=fibers_ok)
+                       fibers_stable=bool(np.array_equal(tr[ho], tr)))
 
 
 @dataclass(frozen=True)

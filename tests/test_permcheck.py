@@ -29,7 +29,7 @@ from permlab.permcheck import (
     reduce_exponent,
     trinomial_hits,
 )
-from permlab.transform import prop2_check
+from permlab.transform import prop2_check, prop4_check
 
 _FIELDS = {}
 
@@ -463,7 +463,7 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
 @pytest.mark.parametrize("n_c", [1, 3, 15])
 def test_engines_build_u_once_per_call(monkeypatch, n_c):
     """Both engines build u = g^(q^k) - g once per call, whatever the number
-    of c, and prop2_check decides h and every f_d from one u."""
+    of c, and prop2_check and prop4_check decide h and every f_d from one u."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     cs = [f.element_at(i) for i in range(1, n_c + 1)]
@@ -477,6 +477,8 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
     assert len(calls) == 2
     prop2_check(g, f.one, 1)
     assert len(calls) == 3
+    prop4_check(g)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
@@ -497,6 +499,28 @@ def test_h_maps_trace_fibres_by_c(p, n, qdeg, k, data):
     for y in f.elements():
         assert (f.trace_to_subfield(evaluate(h, y), base)
                 == c * f.trace_to_subfield(y, base)), (terms, c, y)
+
+
+@pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_f_translates_along_its_trace_fibre(p, n, qdeg, k, data):
+    """f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b for every c, d and b,
+    checked by scalar arithmetic at every x.  The d + b^(q^k) - b fill d's
+    trace fibre, so prop4_check's commuting square at one delta of a fibre
+    is the square at every other, with x shifted by b."""
+    f = field(p, n)
+    Q = f.order
+    terms = [(f.element_at(data.draw(st.integers(1, Q - 1))),
+              data.draw(st.integers(0, 2 * Q)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    g = make_gspec(f, terms, qdeg)
+    c = f.element_at(data.draw(st.integers(1, Q - 1)))
+    d, b = (f.element_at(data.draw(st.integers(0, Q - 1))) for _ in range(2))
+    f_d = compose_f(g, c, k, d)
+    f_moved = compose_f(g, c, k, f.frobenius(b, qdeg * k) - b + d)
+    for x in f.elements():
+        assert evaluate(f_moved, x) == evaluate(f_d, x + b) - c * b, (terms, c, d, b, x)
 
 
 # ---------------------------------------------------------------------------

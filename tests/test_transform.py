@@ -263,6 +263,8 @@ def test_prop2_f_results_match_per_delta_brute_force(p, n, qdeg, k, anchored):
         assert rep.h_verdict.is_permutation and rep.f_all_permute
 
 
+@pytest.mark.parametrize("check", [lambda g: prop2_check(g, g.field.one, 1), prop4_check],
+                         ids=["prop2_check", "prop4_check"])
 @pytest.mark.parametrize("p, s, plant", [
     # x^19 over GF(49): every f_d permutes; a nonzero deficit planted at 0
     (7, 19, lambda d: d.__setitem__(0, 1)),
@@ -270,7 +272,7 @@ def test_prop2_f_results_match_per_delta_brute_force(p, n, qdeg, k, anchored):
     # which only the probe of each fibre can catch
     (3, 2, lambda d: d.fill(0)),
 ])
-def test_prop2_planted_fibre_deficit_raises(monkeypatch, p, s, plant):
+def test_prop2_planted_fibre_deficit_raises(monkeypatch, p, s, plant, check):
     f = field(p, 2)
     g = make_gspec(f, [(f.one, s)], qdeg=1)
     real = permcheck._trace_deficits
@@ -282,7 +284,7 @@ def test_prop2_planted_fibre_deficit_raises(monkeypatch, p, s, plant):
 
     monkeypatch.setattr(permcheck, "_trace_deficits", planted)
     with pytest.raises(RuntimeError, match="disagree"):
-        prop2_check(g, f.one, 1)
+        check(g)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +421,69 @@ def test_prop4_exhaustive_monomial_slice():
         g = make_gspec(f, [(f.one, e)], qdeg=1)
         rep = prop4_check(g)
         assert rep.iff_holds and rep.commutes_all and rep.fibers_stable, e
+
+
+# every GF(q) view of GF(2^4), GF(2^6), GF(3^4), GF(5^2) and GF(7^2), q = p^qdeg
+PROP4_VIEWS = [(p, n, qdeg) for p, n in [(2, 4), (2, 6), (3, 4), (5, 2), (7, 2)]
+               for qdeg in range(1, n) if n % qdeg == 0]
+
+
+def _prop4_draw(f, qdeg, kind, rng):
+    """g over GF(q) for prop4_check.  An anchored x^e has e a multiple of
+    (Q-1)/(q-1), so g maps into GF(q) and h = x permutes; otherwise a random
+    monomial, or a random binomial with coefficients in GF(q)."""
+    q = f.p ** qdeg
+    if kind == "anchored":
+        terms = [(f.one, rng.randrange(1, q) * ((f.order - 1) // (q - 1)))]
+    elif kind == "monomial":
+        terms = [(f.one, rng.randrange(1, f.order - 1))]
+    else:
+        sub = sorted(f.subfield_indices(qdeg) - {0})
+        terms = [(f.element_at(rng.choice(sub)), rng.randrange(1, f.order - 1))
+                 for _ in range(2)]
+    return make_gspec(f, terms, qdeg=qdeg)
+
+
+def _prop4_brute(g):
+    """The per-delta loop prop4_check replaced: h's value table, then at
+    every delta f_delta's verdict from its own table and the commuting
+    square phi o f_delta == h o phi."""
+    f = g.field
+    bulk = f.bulk()
+    ho = evaluate_all(compose_h(g, f.one, 1))
+    verdicts, squares = [], []
+    for d in range(f.order):
+        f_fn = compose_f(g, f.one, 1, f.element_at(d))
+        fo = evaluate_all(f_fn)
+        verdicts.append(is_permutation(f_fn, fo))
+        phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(d))
+        phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(d))
+        squares.append(bool(np.array_equal(phi_fo, ho[phi_xs])))
+    tr = bulk.trace(g.qdeg)
+    return (is_permutation(compose_h(g, f.one, 1), ho), verdicts, all(squares),
+            bool(np.array_equal(tr[ho], tr)))
+
+
+@pytest.mark.parametrize("p, n, qdeg", PROP4_VIEWS)
+@pytest.mark.parametrize("kind", ["anchored", "monomial", "binomial"])
+def test_prop4_f_results_match_per_delta_brute_force(p, n, qdeg, kind):
+    """prop4_check decides h and every f_delta through the fibre engine and
+    checks the square once per trace fibre; the per-delta loop it replaced
+    stays here as the oracle, compared on verdict, image deficit and
+    witness at every delta."""
+    f = field(p, n)
+    g = _prop4_draw(f, qdeg, kind, random.Random(f"{p}-{n}-{qdeg}-{kind}"))
+    rep = prop4_check(g)
+    h_v, f_vs, commutes, stable = _prop4_brute(g)
+    assert [d for d, _ in rep.f_results] == list(range(f.order))
+    assert rep.deltas_exhaustive
+    assert [_verdict_key(v) for _, v in rep.f_results] == [_verdict_key(v) for v in f_vs]
+    assert _verdict_key(rep.h_verdict) == _verdict_key(h_v)
+    assert rep.commutes_all == commutes
+    assert rep.fibers_stable == stable
+    assert rep.iff_holds
+    if kind == "anchored":
+        assert rep.h_verdict.is_permutation and rep.f_all_permute
 
 
 # ---------------------------------------------------------------------------
