@@ -104,7 +104,8 @@ class InstanceResult:
     image_deficit: int
     informational: bool
     elapsed: float
-    route: str = "brute"      # "fibre": decided by its trace deficit alone
+    route: str = "brute"      # "fibre": decided by its trace deficit alone;
+                              # "prefix": that deficit plus a prefix-search witness
 
     def sort_key(self):
         return (self.condition, self.s_tag, self.step, self.c_index,
@@ -288,7 +289,7 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "field_s": round(run.field_s, 6),
                 "instances_s": [round(r.elapsed, 6) for r in run.instances],
                 "routes": {route: sum(r.route == route for r in run.instances)
-                           for route in ("fibre", "brute")},
+                           for route in ("fibre", "prefix", "brute")},
             }
             for run in runs
         ],

@@ -598,7 +598,9 @@ class FieldCtx:
     # -- element plumbing ----------------------------------------------------
 
     def _check(self, a: Element) -> None:
-        if not isinstance(a, Element) or a.field != self:
+        # identity first: the structural __eq__ is the slow path, kept for
+        # an equal field built separately
+        if not isinstance(a, Element) or (a.field is not self and a.field != self):
             raise ValueError(f"operand {a!r} does not belong to {self!r}")
 
     def element_at(self, index: int) -> Element:

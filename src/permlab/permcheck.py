@@ -46,6 +46,13 @@ f_verdicts, the f side's engine, decides f_d for many c and d that way,
 with brute force as its cross-check; verify's shift forms,
 transform.prop2_check and transform.prop4_check all go through it, and the
 two transform checks read h's verdict and value table off the same pass.
+Brute force checks one delta of each fibre, its probe.  The deficit is
+constant across a fibre, as f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b, so
+the other deltas of a failing fibre need only their witness, the first
+collision in index order.  It is decided by the points up to its second
+element, so _first_collisions finds it on a prefix of the field, for a
+block of deltas at a time, and doubles the prefix for the deltas without
+a repeat there.
 
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
@@ -291,10 +298,19 @@ def evaluate_all(fn: FnSpec) -> np.ndarray:
         return _index_order_h(bulk, _log_order_u(fn.field, fn.terms, fn.pstep), fn.c)
     if fn.side != "f":
         raise ValueError(f"unknown map side {fn.side!r}")
-    t = bulk.add(bulk.shift_base(fn.pstep), np.int64(fn.delta))
-    out = _eval_terms_all(bulk, fn.terms, t)
+    return _f_table(bulk, fn.terms, fn.pstep, fn.c, np.array([fn.delta]), bulk.Q)[0]
+
+
+def _f_table(bulk, terms, pstep: int, c_idx: int, deltas: np.ndarray,
+             n: int) -> np.ndarray:
+    """f_d = g(x^(q^k) - x + d) + c*x (q^k = p^pstep) on the points of index
+    0 .. n-1, one row per d in the int64 array deltas: the whole field for
+    evaluate_all, a prefix for the witness search."""
+    t = bulk.add(bulk.shift_base(pstep)[:n], deltas[:, None])
+    out = _eval_terms_all(bulk, terms, t)
     del t
-    return bulk.add(out, xs if fn.c == 1 else bulk.mul_scalar(fn.c, xs))
+    xs = bulk.xs[:n]
+    return bulk.add(out, xs if c_idx == 1 else bulk.mul_scalar(c_idx, xs))
 
 
 BLOCK = 1 << 14     # elements per temporary block: a slice of a log-order
@@ -493,21 +509,81 @@ def _trace_deficits(g: GSpec, c: Element, k: int, hits: np.ndarray,
     return fld.order - fld.p**base * distinct[bulk.mul_scalar(c.index, tr[delta_idx])]
 
 
+def _table_collisions(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) per row of the 2-D value table vals, by is_permutation's rule:
+    b is the smallest column whose value an earlier column holds and a is
+    the first column holding it; b = vals.shape[1], and a is meaningless,
+    where a row repeats no value.  One sort of value * n + column ranks each
+    row by value, then column, so every column after the first of its
+    value follows an equal value."""
+    rows, n = vals.shape
+    key = vals * n
+    key += np.arange(n)
+    key.sort(axis=1)
+    val, col = np.divmod(key, n)
+    b = np.where(val[:, 1:] == val[:, :-1], col[:, 1:], n).min(axis=1, initial=n)
+    r = np.arange(rows)
+    a = (vals == vals[r, np.minimum(b, n - 1), None]).argmax(axis=1)
+    return a, b
+
+
+def _first_collisions(rows_at, count: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first collision (a, b) in index order of each of count value
+    tables over Q points, as is_permutation finds it; b = Q where a table
+    takes no value twice.  rows_at(rows, n) gives the tables of the int64
+    index array rows on the points 0 .. n-1 as one 2-D array.  A collision
+    is decided by the points up to b, so the tables are read on their first
+    n = prefix_size(Q) points, in blocks of at most BLOCK elements, and the
+    rows without a repeat there are read again with n doubled, up to Q."""
+    a = np.zeros(count, dtype=np.int64)
+    b = np.full(count, Q, dtype=np.int64)
+    todo = np.arange(count)
+    n = prefix_size(Q)
+    while todo.size:
+        step = max(1, BLOCK // n)
+        for lo in range(0, todo.size, step):
+            rows = todo[lo:lo + step]
+            a[rows], b[rows] = _table_collisions(rows_at(rows, n))
+        if n == Q:
+            break
+        todo = todo[b[todo] == n]
+        n = min(Q, 2 * n)
+    return a, b
+
+
+def _prefix_witnesses(g: GSpec, c: Element, k: int,
+                      delta_idx: np.ndarray) -> list[tuple[Element, Element]]:
+    """The first-collision witness of f_d = g(x^(q^k) - x + d) + c*x at each
+    d in delta_idx, equal to is_permutation(compose_f(g, c, k, d)).witness,
+    from _first_collisions on prefix tables of f.  Only failing f_d have
+    one: an f_d that takes no value twice raises RuntimeError, as the fibre
+    route said it fails."""
+    fld = g.field
+    bulk = fld.bulk()
+    a, b = _first_collisions(
+        lambda rows, n: _f_table(bulk, g.terms, g.qdeg * k, c.index, delta_idx[rows], n),
+        delta_idx.size, fld.order)
+    missing = np.flatnonzero(b == fld.order)
+    if missing.size:
+        raise RuntimeError(
+            f"fibre route and brute force disagree at step {k}, c {c.index}, "
+            f"delta {delta_idx[missing[0]]}: f_d takes no value twice")
+    el = fld.element_at
+    return [(el(i), el(j)) for i, j in zip(a.tolist(), b.tolist())]
+
+
 def f_verdicts(g: GSpec, k: int, cs, deltas,
                times: Optional[list] = None) -> list[tuple[PermVerdict, str]]:
     """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
     and d in deltas, c-major; each verdict equals
     is_permutation(compose_f(g, c, k, d)).  One _h_passes pass gives, per c,
-    every delta's image deficit (_trace_deficits).  Brute force ("brute")
-    checks each delta with a nonzero deficit and the first delta of each
-    trace fibre, its probe, and a disagreement raises RuntimeError; the
-    fibre route ("fibre") decides the rest of a fibre brute force has seen
-    permute.  With c outside GF(q^l) every delta is brute-forced.  When
-    times is a list, it receives each row's seconds: its own plus an equal
-    share of its c's pass, spread over the fibre-decided deltas (all deltas
-    when there are none), so they add up to the work done."""
+    every delta's image deficit (_trace_deficits), and _f_rows decides the
+    deltas from it.  When times is a list, it receives each row's
+    seconds."""
+    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
     out, clock = [], []
-    for _, _, _, rows, row_s in _f_passes(g, k, cs, deltas):
+    for c, (_, _, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
+        rows, row_s = _f_rows(g, c, k, delta_idx, hits, pass_s)
         out += rows
         clock += row_s
     if times is not None:
@@ -515,48 +591,79 @@ def f_verdicts(g: GSpec, k: int, cs, deltas,
     return out
 
 
-def _f_passes(g: GSpec, k: int, cs, deltas):
-    """For each c in cs, in order: (compose_h(g, c, k), u, hits, rows,
-    row_s), the _h_passes item followed by f_verdicts' rows and seconds for
-    that c.  hits is valid until the next item."""
-    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
-    tr = g.field.bulk().trace(g.qdeg * math.gcd(k, g.m))
-    for c, (fn, u, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
+def _f_rows(g: GSpec, c: Element, k: int, delta_idx: np.ndarray,
+            hits: np.ndarray, pass_s: float, on_probe=None):
+    """(rows, row_s): f_verdicts' (verdict, route) and seconds for one c
+    and the deltas of index delta_idx, given the mask hits of the values h
+    takes and the seconds pass_s of the c's h pass.
+
+    Brute force ("brute") checks the first delta of each trace fibre, its
+    probe, and every delta whose deficit differs from its fibre's probed
+    one; a deficit that differs from brute force's raises RuntimeError.
+    The rest of a fibre has its probe's deficit, by the translate identity:
+    the fibre route ("fibre") decides them when it is 0, and when it is not
+    ("prefix") the deficit stands and _prefix_witnesses finds the witnesses,
+    all of the c's at once.  With c outside GF(q^l) every delta is
+    brute-forced.  on_probe(d index, f_d's value table) is called with each
+    probe's table before the next is made.  A row's seconds are its own
+    plus an equal share of pass_s and the deficits, spread over the rows
+    whose deficit they decided (all rows when there are none), so they add
+    up to the work done."""
+    t0 = time.perf_counter()
+    fibre = _trace_deficits(g, c, k, hits, delta_idx)
+    fibre_s = pass_s + time.perf_counter() - t0
+    fld = g.field
+    tr = fld.bulk().trace(g.qdeg * math.gcd(k, g.m))
+    rows, row_s, probed, prefix = [], [], {}, []
+    for j, i in enumerate(delta_idx.tolist()):
+        want = None if fibre is None else fibre.item(j)
+        if want is not None and probed.get(tr.item(i)) == want:
+            if want:
+                prefix.append(j)
+            rows.append(None if want else (_PERMUTES, "fibre"))
+            row_s.append(0.0)
+            continue
         t0 = time.perf_counter()
-        fibre = _trace_deficits(g, c, k, hits, delta_idx)
-        fibre_s = pass_s + time.perf_counter() - t0
-        rows, row_s, permuting = [], [], set()
-        for j, d in enumerate(deltas):
-            i = d.index
-            if fibre is not None and not fibre.item(j) and tr.item(i) in permuting:
-                rows.append((_PERMUTES, "fibre"))
-                row_s.append(0.0)
-                continue
-            t0 = time.perf_counter()
-            verdict = is_permutation(compose_f(g, c, k, d))
-            row_s.append(time.perf_counter() - t0)
-            if fibre is not None:
-                if verdict.image_deficit != fibre.item(j):
-                    raise RuntimeError(
-                        f"fibre route and brute force disagree at step {k}, "
-                        f"c {c.index}, delta {i}: image deficit {fibre.item(j)} "
-                        f"vs {verdict.image_deficit}")
-                if not verdict.image_deficit:
-                    permuting.add(tr.item(i))
-            rows.append((verdict, "brute"))
-        decided = [j for j, (_, r) in enumerate(rows) if r == "fibre"] or range(len(rows))
-        for j in decided:
-            row_s[j] += fibre_s / len(decided)
-        yield fn, u, hits, rows, row_s
+        fd = compose_f(g, c, k, fld.element_at(i))
+        outs = evaluate_all(fd)
+        verdict = is_permutation(fd, outs=outs)
+        row_s.append(time.perf_counter() - t0)
+        rows.append((verdict, "brute"))
+        if want is not None:
+            if verdict.image_deficit != want:
+                raise RuntimeError(
+                    f"fibre route and brute force disagree at step {k}, "
+                    f"c {c.index}, delta {i}: image deficit {want} "
+                    f"vs {verdict.image_deficit}")
+            if tr.item(i) not in probed:
+                probed[tr.item(i)] = want
+                if on_probe is not None:
+                    on_probe(i, outs)
+        del outs            # one f_d table alive at a time
+    if prefix:
+        t0 = time.perf_counter()
+        witnesses = _prefix_witnesses(g, c, k, delta_idx[prefix])
+        share = (time.perf_counter() - t0) / len(prefix)
+        for j, w in zip(prefix, witnesses):
+            rows[j] = (PermVerdict(False, w, fibre.item(j)), "prefix")
+            row_s[j] = share
+    decided = [j for j, (_, r) in enumerate(rows) if r != "brute"] or range(len(rows))
+    for j in decided:
+        row_s[j] += fibre_s / len(decided)
+    return rows, row_s
 
 
-def _pair_verdicts(g: GSpec, c: Element, k: int, deltas):
-    """(h's verdict, h's value table in index order, f_verdicts(g, k, [c],
-    deltas)) from one _h_passes pass: both sides of the companion pair from
-    one u."""
-    for fn, u, hits, rows, _ in _f_passes(g, k, [c], deltas):
-        outs = _index_order_h(fn.field.bulk(), u, fn.c)
-        return is_permutation(fn, outs=outs), outs, rows
+def _pair_verdicts(g: GSpec, c: Element, k: int, deltas, on_probe=None):
+    """(h's verdict, h's value table ho in index order, f_verdicts(g, k,
+    [c], deltas)) from one _h_passes pass: both sides of the companion pair
+    from one u.  on_probe(ho, d index, f_d's value table) is called with
+    each probe _f_rows makes."""
+    (fn, u, hits, pass_s), = _h_passes(g, k, [c])
+    ho = _index_order_h(fn.field.bulk(), u, fn.c)
+    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
+    rows, _ = _f_rows(g, c, k, delta_idx, hits, pass_s,
+                      on_probe and (lambda i, fo: on_probe(ho, i, fo)))
+    return is_permutation(fn, outs=ho), ho, rows
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

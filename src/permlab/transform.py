@@ -23,8 +23,9 @@ are checkable here (prop4_check).
 prop2_check and prop4_check read both sides off one pass of permcheck's
 f_verdicts, the trace-fibre engine that verify's shift forms use too: it
 builds u = g^(q^k) - g once, decides every delta from it, and gives h's
-verdict and value table from the same u.  prop4_check evaluates f_delta
-only for its commuting square, once per trace fiber.
+verdict and value table from the same u.  prop4_check's commuting square
+reads the engine's own table of f_delta at its probe, one per trace fiber,
+so f_delta is never evaluated twice.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -42,8 +43,7 @@ import numpy as np
 
 from .ffcore import Element, FieldCtx
 from .permcheck import (GSpec, PermVerdict, _pair_verdicts, _resolve_view,
-                        build_inverse_table, compose_f, compose_h, evaluate_all,
-                        make_gspec)
+                        build_inverse_table, compose_f, compose_h, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -219,11 +219,6 @@ class Prop4Report(Prop2Report):
     def iff_holds(self) -> bool:
         return self.f_all_permute == self.h_verdict.is_permutation
 
-    @property
-    def mixed_deltas(self) -> bool:
-        seen = {v.is_permutation for _, v in self.f_results}
-        return len(seen) == 2
-
 
 def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
                 seed: int = DEFAULT_SEED) -> Prop4Report:
@@ -237,28 +232,27 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
             f"g has coefficients of degree {g.coeff_subdeg}; the equivalence "
             f"needs them inside GF({fld.p}^{g.qdeg})")
     deltas, exhaustive = _delta_sweep(fld, deltas, seed)
-    one = fld.one
-    h_v, ho, f_vs = _pair_verdicts(g, one, 1, [fld.element_at(di) for di in deltas])
     bulk = fld.bulk()
     tr = bulk.trace(g.qdeg)
     # For any b, f_(d + b^q - b)(x) = f_d(x + b) - b, so the square at
     # d + b^q - b is the square at d with x shifted by b.  The d + b^q - b
     # are exactly the deltas of d's trace fiber (x^q - x maps onto the
-    # trace-zero set), so the first swept delta of each fiber covers it.
-    firsts = {}                     # trace value -> its first swept delta
-    for di in deltas:
-        firsts.setdefault(tr.item(di), di)
-    commutes = True
-    for di in firsts.values():
-        fo = evaluate_all(compose_f(g, one, 1, fld.element_at(di)))
-        phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(di))
-        phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(di))
-        if not np.array_equal(phi_fo, ho[phi_xs]):
-            commutes = False
-            break
+    # trace-zero set), so the engine's probe of each fiber, its first swept
+    # delta, covers it; the square reads the probe's own table.
+    failed = []
+
+    def square(ho, di, fo):
+        if not failed:
+            phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(di))
+            phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(di))
+            if not np.array_equal(phi_fo, ho[phi_xs]):
+                failed.append(di)
+
+    h_v, ho, f_vs = _pair_verdicts(g, fld.one, 1,
+                                   [fld.element_at(di) for di in deltas], square)
     return Prop4Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
-                       deltas_exhaustive=exhaustive, commutes_all=commutes,
+                       deltas_exhaustive=exhaustive, commutes_all=not failed,
                        fibers_stable=bool(np.array_equal(tr[ho], tr)))
 
 

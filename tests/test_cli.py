@@ -205,7 +205,8 @@ def test_timings_record_field_construction_per_run(tmp_path, monkeypatch):
 def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     """thm14 at q = 3: the step-2 form permutes on all 9 trace fibres over
     GF(9), so brute force checks only their 9 probes; the step-1 form fails
-    at every delta and is brute-forced throughout."""
+    at every delta, and past the probes of its 3 fibres the prefix search
+    finds the witnesses."""
     real, pause = permcheck._trace_deficits, 0.02
 
     def slow(*args):
@@ -216,7 +217,7 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     code, doc = run(tmp_path, "verify", "--family", "thm14", "--q", "3")
     assert code == 0
     t = doc["timings"]["runs"][0]
-    assert t["routes"] == {"fibre": 72, "brute": 90}
+    assert t["routes"] == {"fibre": 72, "brute": 12, "prefix": 78}
     forms = {}
     for (_, inst), el in zip(flat_instances(doc), t["instances_s"]):
         forms.setdefault((inst["step"], inst["c"]), []).append(el)
@@ -227,7 +228,7 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     assert shares[1] >= 72 and shares[0] >= pause / 72
     # trinomial families never take the fibre route
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
-    assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5}
+    assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5, "prefix": 0}
 
 
 def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):

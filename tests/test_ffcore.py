@@ -792,3 +792,22 @@ def test_field_equality_and_element_guard():
     b = other.element_at(4)
     with pytest.raises(ValueError):
         f1.add(a, b)
+
+
+def test_element_guard_identity_fast_path(monkeypatch):
+    """An element of the field itself is accepted without the structural
+    comparison; one of an equal field built separately is still accepted
+    through it, and one of another field, or a non-element, is refused."""
+    f1, f2, other = FieldCtx(3, 2), FieldCtx(3, 2), FieldCtx(3, 4)
+    calls = []
+    real = FieldCtx.__eq__
+    monkeypatch.setattr(FieldCtx, "__eq__", lambda s, o: calls.append(o) or real(s, o))
+    f1._check(f1.element_at(4))
+    assert calls == []
+    f1._check(f2.element_at(4))
+    assert calls
+    assert f1.add(f1.element_at(4), f2.element_at(5)) == f1.add(f1.element_at(4),
+                                                                f1.element_at(5))
+    for bad in (other.element_at(4), 4, None):
+        with pytest.raises(ValueError, match="does not belong"):
+            f1._check(bad)

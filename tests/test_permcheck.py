@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,13 +426,14 @@ def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
 
 def test_f_verdicts_routes_and_times():
     """x^3 over GF(4^2) at c = 1 fails on 2 of the 4 trace fibres: brute
-    force checks their 8 deltas and one probe of each permuting fibre, and
-    the fibre route decides the other 6.  A c outside GF(4) leaves every
-    delta to brute force.  Each delta gets one seconds entry."""
+    force checks one probe of each fibre, the prefix search finds the
+    witnesses of the other 6 failing deltas, and the fibre route decides
+    the other 6 permuting ones.  A c outside GF(4) leaves every delta to
+    brute force.  Each delta gets one seconds entry."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     deltas = [f.element_at(i) for i in range(f.order)]
-    for c, routes in [(f.one, {"brute": 10, "fibre": 6}), (f.element_at(2), {"brute": 16})]:
+    for c, routes in [(f.one, {"brute": 4, "fibre": 6, "prefix": 6}), (f.element_at(2), {"brute": 16})]:
         times = []
         got = f_verdicts(g, 1, [c], deltas, times)
         assert [v for v, _ in got] == [is_permutation(compose_f(g, c, 1, d)) for d in deltas]
@@ -456,8 +458,87 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
         want += f_verdicts(g, 1, [c], deltas, want_times)
     assert got == want
     assert len(times) == len(want_times) == len(cs) * len(deltas)
-    assert {r for _, r in got} == {"brute", "fibre"}
+    assert {r for _, r in got} == {"brute", "fibre", "prefix"}
     assert {v.is_permutation for v, _ in got} == {True, False}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_collisions_equal_is_permutation_witnesses(data):
+    """Random value tables over GF(2^8) with collisions planted at b, where
+    b includes the ends of the first prefixes (B - 1, B, 2B - 1, 2B) and the
+    last point: each row's first collision is is_permutation's witness, a
+    row without one reaches Q, and no block read exceeds BLOCK elements
+    (BLOCK shrunk so that blocks hold two rows, then one)."""
+    f = field(2, 8)
+    Q, B = f.order, prefix_size(f.order)
+    fn = make_fn_exponent_sum(f, [(f.one, 1)])
+    ends = st.sampled_from([B - 1, B, 2 * B - 1, 2 * B, Q - 1])
+    tables = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        t = np.array(data.draw(st.permutations(range(Q))), dtype=np.int64)
+        for b, a in data.draw(st.lists(st.tuples(ends | st.integers(1, Q - 1),
+                                                 st.integers(0, Q - 1)), max_size=3)):
+            t[b] = t[a % b]
+        tables.append(t)
+    tables = np.array(tables)
+    reads = []
+
+    def rows_at(rows, n):
+        reads.append((rows.size, n))
+        return tables[rows, :n]
+
+    with mock.patch.object(permcheck, "BLOCK", 2 * B + 10):
+        a, b = permcheck._first_collisions(rows_at, len(tables), Q)
+    for t, ai, bi in zip(tables, a.tolist(), b.tolist()):
+        v = is_permutation(fn, outs=t)
+        if v.is_permutation:
+            assert bi == Q
+        else:
+            assert (ai, bi) == tuple(e.index for e in v.witness)
+    assert all(rows * n <= 2 * B + 10 or rows == 1 for rows, n in reads)
+    widths = sorted({n for _, n in reads})
+    assert widths == [min(Q, B << i) for i in range(len(widths))]
+
+
+def test_prefix_witnesses_match_brute_force_and_refuse_a_permuting_f():
+    """x^2 over GF(9) fails at deltas 1, 4 and 7, where the witness search
+    gives is_permutation's witnesses; x^19 over GF(49) permutes at every
+    delta, so searching it for witnesses raises."""
+    f = field(3, 2)
+    g = make_gspec(f, [(f.one, 2)], 1)
+    got = permcheck._prefix_witnesses(g, f.one, 1, np.array([1, 4, 7]))
+    assert got == [is_permutation(compose_f(g, f.one, 1, f.element_at(d))).witness
+                   for d in (1, 4, 7)]
+    f = field(7, 2)
+    g = make_gspec(f, [(f.one, 19)], 1)
+    with pytest.raises(RuntimeError, match="disagree.*delta 5"):
+        permcheck._prefix_witnesses(g, f.one, 1, np.array([5, 0]))
+
+
+@pytest.mark.parametrize("p, s, probe, later, deficit", [
+    # x^19 over GF(49) permutes at every delta: a nonzero deficit planted at
+    # 7, past the probe 0 of its trace fibre
+    (7, 19, 0, 7, 7),
+    # x^2 over GF(9) fails with deficit 6 on the fibre of 1, 4 and 7: a
+    # different deficit planted at 4, past the probe 1
+    (3, 2, 1, 4, 3),
+])
+def test_planted_deficit_past_the_probe_raises(monkeypatch, p, s, probe, later, deficit):
+    f = field(p, 2)
+    g = make_gspec(f, [(f.one, s)], 1)
+    tr = f.bulk().trace(1)
+    assert tr[probe] not in tr[:probe] and tr[later] == tr[probe] and later > probe
+    real = permcheck._trace_deficits
+
+    def planted(*args):
+        out = real(*args)
+        out[later] = deficit
+        return out
+
+    monkeypatch.setattr(permcheck, "_trace_deficits", planted)
+    with pytest.raises(RuntimeError, match=f"disagree.*delta {later}:"):
+        f_verdicts(g, 1, [f.one], list(f.elements()))
 
 
 @pytest.mark.parametrize("n_c", [1, 3, 15])

@@ -387,7 +387,6 @@ def test_prop4_identity_g():
     rep = prop4_check(g)
     assert rep.h_verdict.is_permutation and rep.f_all_permute
     assert rep.iff_holds and rep.commutes_all and rep.fibers_stable
-    assert not rep.mixed_deltas
 
 
 def test_prop4_single_delta_is_not_enough():
@@ -398,7 +397,6 @@ def test_prop4_single_delta_is_not_enough():
     g = make_gspec(f, [(f.one, 2)], qdeg=1)
     rep = prop4_check(g)
     assert not rep.h_verdict.is_permutation
-    assert rep.mixed_deltas
     passing = [d for d, v in rep.f_results if v.is_permutation]
     assert passing == [0, 2, 3, 5, 6, 8]
     assert not rep.f_all_permute
@@ -484,6 +482,21 @@ def test_prop4_f_results_match_per_delta_brute_force(p, n, qdeg, kind):
     assert rep.iff_holds
     if kind == "anchored":
         assert rep.h_verdict.is_permutation and rep.f_all_permute
+
+
+def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
+    """Anchored x^28 over GF(3^6) with q = 27: every f_delta permutes, so the
+    engine evaluates f only at the probe of each of the 27 trace fibres, and
+    the commuting square reads those same tables."""
+    f = field(3, 6)
+    g = make_gspec(f, [(f.one, 28)], qdeg=3)
+    calls = []
+    real = permcheck._f_table
+    monkeypatch.setattr(permcheck, "_f_table",
+                        lambda *args: calls.append(args[4].size) or real(*args))
+    rep = prop4_check(g)
+    assert rep.f_all_permute and rep.commutes_all and rep.deltas_exhaustive
+    assert calls == [1] * 27
 
 
 # ---------------------------------------------------------------------------
