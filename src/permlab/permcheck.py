@@ -172,9 +172,6 @@ class GSpec:
     def m(self) -> int:
         return self.field.n // self.qdeg
 
-    def eval_at(self, x: Element) -> Element:
-        return _eval_terms(self.field, self.terms, x)
-
 
 def make_gspec(field: FieldCtx, terms, qdeg: Optional[int] = None) -> GSpec:
     """Build a GSpec from (coefficient Element, exponent >= 0) pairs; the

@@ -14,6 +14,11 @@ permutes the field for EVERY delta, with explicit inverse
 
     x = c^(-1) * (alpha - g(h^(-1)(alpha^(q^k) - alpha + c*delta))).
 
+invert_f evaluates that formula over the whole field at once, from the
+field's cached shift image x^(q^k) - x and h's dense inverse, and answers
+each alpha from the resulting f^(-1) table; the last table stays in one
+module-level slot, so a sweep over alpha pays one bulk pass.
+
 When additionally g has coefficients in GF(q), k = 1 and c = 1, the converse
 holds as well: f permutes iff h does.  The proof mechanism is the commuting
 square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
@@ -42,8 +47,9 @@ from typing import Optional
 import numpy as np
 
 from .ffcore import Element, FieldCtx
-from .permcheck import (GSpec, PermVerdict, _pair_verdicts, _resolve_view,
-                        build_inverse_table, compose_f, compose_h, make_gspec)
+from .permcheck import (FnSpec, GSpec, PermVerdict, _eval_terms_all, _pair_verdicts,
+                        _resolve_view, build_inverse_table, compose_f, compose_h,
+                        evaluate_all, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -143,22 +149,67 @@ def prop2_check(g: GSpec, c: Element, k: int,
                        deltas_exhaustive=exhaustive)
 
 
+def _f_inverse_table(g: GSpec, c: Element, k: int, delta: Element,
+                     h_inverse: np.ndarray) -> np.ndarray:
+    """f's inverse over the whole field, position alpha -> f^(-1)(alpha), by
+    Prop. 2's formula x = c^(-1)(alpha - g(h^(-1)(alpha^(q^k) - alpha + c*delta)))
+    read off the field's cached shift image and h's dense inverse."""
+    fld = g.field
+    bulk = fld.bulk()
+    w = bulk.add(bulk.shift_base(g.qdeg * k),
+                 np.int64(fld._mul_idx(c.index, delta.index)))
+    out = bulk.sub(bulk.xs, _eval_terms_all(bulk, g.terms, h_inverse[w]))
+    return out if c.index == 1 else bulk.mul_scalar(fld.inv(c).index, out)
+
+
+def _checked_h_inverse(h: FnSpec, h_inverse) -> np.ndarray:
+    """The caller's h_inverse as an index array, after checking that it
+    inverts h: h_inverse[h(x)] = x at every x.  With Q entries that makes h
+    a bijection and every entry h's preimage, so no range check is needed."""
+    inv = np.asarray(h_inverse)
+    xs = h.field.bulk().xs
+    if (inv.shape != xs.shape or inv.dtype.kind not in "iu"
+            or not np.array_equal(inv[evaluate_all(h)], xs)):
+        raise ValueError("h_inverse is not the inverse table of h")
+    return inv
+
+
+# The last f^(-1) table invert_f built: (g, c index, k, delta index), the
+# caller's h_inverse object (None when invert_f built h's inverse itself),
+# and the table.  One slot, so at most one table is alive at a time.
+_F_INVERSE = None
+
+
 def invert_f(g: GSpec, c: Element, k: int, delta: Element, alpha: Element,
              h_inverse: Optional[np.ndarray] = None) -> Element:
     """Preimage of alpha under f by the closed formula
     x = c^(-1)(alpha - g(h^(-1)(alpha^(q^k) - alpha + c*delta))).
 
-    h must permute the field (its dense inverse is built unless supplied).
+    h must permute the field.  The formula is evaluated once over the whole
+    field and the table kept in a single slot, keyed on (g, c, k, delta)
+    and on the identity of h_inverse, so a sweep over alpha costs one bulk
+    pass and then one lookup per call; the next call with another key
+    replaces it.  Filling the slot builds h's dense inverse when h_inverse
+    is None, and otherwise checks the supplied table against h once (a table
+    that does not invert h raises ValueError).  A caller who edits
+    h_inverse in place must pass a new array: the same object is not
+    checked again.
     """
+    global _F_INVERSE
     fld = g.field
-    _resolve_view(g.field, g.qdeg, k)
+    _resolve_view(fld, g.qdeg, k)
     _require_coeff_domain(g, c, k)
-    if h_inverse is None:
-        h_inverse = build_inverse_table(compose_h(g, c, k))
-    w = fld.add(fld.sub(fld.frobenius(alpha, g.qdeg * k), alpha),
-                fld.mul(c, delta))
-    y = fld.element_at(int(h_inverse[w.index]))
-    return fld.div(fld.sub(alpha, g.eval_at(y)), c)
+    fld._check(delta)
+    fld._check(alpha)
+    key = (g, c.index, k, delta.index)
+    slot = _F_INVERSE
+    if slot is None or slot[0] != key or slot[1] is not h_inverse:
+        _F_INVERSE = None           # the old table goes before the next is built
+        h = compose_h(g, c, k)
+        h_inv = (build_inverse_table(h) if h_inverse is None
+                 else _checked_h_inverse(h, h_inverse))
+        slot = _F_INVERSE = (key, h_inverse, _f_inverse_table(g, c, k, delta, h_inv))
+    return fld.element_at(int(slot[2][alpha.index]))
 
 
 @dataclass(frozen=True)

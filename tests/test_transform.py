@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from permlab import permcheck
+from permlab import permcheck, transform
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
     build_inverse_table,
+    evaluate,
     evaluate_all,
+    h_verdicts,
     is_permutation,
     make_fn_delta,
+    make_fn_exponent_sum,
     make_fn_trinomial,
 )
 from permlab.transform import (
@@ -36,6 +39,11 @@ def field(p, n):
     return _FIELDS[(p, n)]
 
 
+def g_fn(g):
+    """g alone as a checkable map, for scalar and bulk reads of g."""
+    return make_fn_exponent_sum(g.field, [(g.field.element_at(ci), e) for ci, e in g.terms])
+
+
 # ---------------------------------------------------------------------------
 # g construction
 # ---------------------------------------------------------------------------
@@ -49,7 +57,7 @@ def test_make_gspec_merges_and_reduces():
     assert g.qdeg == 1 and g.m == 2
     x = f.element_at(5)
     want = f.add(two, f.mul(two, f.pow(x, 3)))
-    assert g.eval_at(x) == want
+    assert evaluate(g_fn(g), x) == want
 
 
 def test_make_gspec_default_view_splits_evenly():
@@ -79,7 +87,7 @@ def test_cancelling_terms_leave_empty_g():
     four = f.element_at(4)   # -1
     g = make_gspec(f, [(f.one, 3), (four, 3)], qdeg=1)
     assert g.terms == ()
-    assert g.eval_at(f.element_at(7)) == f.zero
+    assert evaluate(g_fn(g), f.element_at(7)) == f.zero
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,160 @@ def test_invert_f_rejects_out_of_domain_coefficient():
     g = make_gspec(f, [(f.one, 5)], qdeg=1)
     with pytest.raises(ValueError):
         invert_f(g, f.element_at(2), 1, f.zero, f.one)
+
+
+def scalar_invert_f(g, c, k, delta, alpha, h_inverse):
+    """The per-point closed formula invert_f evaluated before its bulk table
+    (about a dozen scalar field operations per alpha), kept as an oracle."""
+    fld = g.field
+    w = fld.add(fld.sub(fld.frobenius(alpha, g.qdeg * k), alpha), fld.mul(c, delta))
+    y = fld.element_at(int(h_inverse[w.index]))
+    return fld.div(fld.sub(alpha, evaluate(g_fn(g), y)), c)
+
+
+def _views(n):
+    """(qdeg, k) of every GF(q) view of GF(p^n) and every step."""
+    return [(qd, k) for qd in range(1, n) if n % qd == 0 for k in range(1, n // qd)]
+
+
+def _anchored(g, sub):
+    return set(evaluate_all(g_fn(g)).tolist()) <= sub
+
+
+def _permuting_pairs(f, qdeg, k):
+    """(g, c) with h permuting, for every c in GF(q^l)*: two anchored g
+    (values in GF(q^l), so h = c*x) at every c, then the first three
+    monomials and two seeded binomials off GF(q^l) a brute-force scan finds,
+    each at the c where its h permutes.  Returns (anchored, scanned)."""
+    Q = f.order
+    sub = f.subfield_indices(qdeg * math.gcd(k, f.n // qdeg))
+    cs = [f.element_at(i) for i in sorted(sub) if i]
+    norm = (Q - 1) // len(cs)                     # x^norm maps into GF(q^l)
+    anchored, scanned = [], []
+    for terms in ([(f.one, norm)], [(cs[-1], 2 * norm), (cs[0], 0)]):
+        g = make_gspec(f, terms, qdeg)
+        assert _anchored(g, sub)
+        anchored += [(g, c) for c in cs]
+    rng = random.Random(Q * 100 + qdeg * 10 + k)
+    draws = ([[(f.one, s)] for s in range(1, Q - 1)],
+             [[(f.one, rng.randrange(1, Q - 1)),
+               (f.element_at(rng.randrange(1, Q)), rng.randrange(1, Q - 1))]
+              for _ in range(300)])
+    for found, candidates in zip((3, 2), draws):
+        for terms in candidates:
+            g = make_gspec(f, terms, qdeg)
+            if not g.terms or _anchored(g, sub):
+                continue
+            hits = [c for c, v in zip(cs, h_verdicts(g, k, cs)) if v.is_permutation]
+            scanned += [(g, c) for c in hits]
+            found -= bool(hits)
+            if not found:
+                break
+    return anchored, scanned
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (3, 4), (5, 2), (7, 2)])
+def test_f_inverse_table_is_the_inverse_of_f(p, n):
+    """Third route to f^(-1): the bulk closed formula equals the dense
+    inverse of f's value table, in every view, at every step and every c in
+    GF(q^l)*, at delta = 0 and one delta in every trace fibre onto GF(q^l);
+    the per-point formula agrees on sampled alpha."""
+    f = field(p, n)
+    rng = random.Random(p * 100 + n)
+    scanned_pairs = 0
+    for qdeg, k in _views(n):
+        tr = f.bulk().trace(qdeg * math.gcd(k, n // qdeg))
+        _, last = np.unique(tr[::-1], return_index=True)
+        deltas = [f.zero] + [f.element_at(f.order - 1 - int(i)) for i in last]
+        anchored, scanned = _permuting_pairs(f, qdeg, k)
+        scanned_pairs += len(scanned)
+        for g, c in anchored + scanned:
+            h_inv = build_inverse_table(compose_h(g, c, k))
+            for d in deltas:
+                table = transform._f_inverse_table(g, c, k, d, h_inv)
+                assert np.array_equal(table, build_inverse_table(compose_f(g, c, k, d))), \
+                    (qdeg, k, g.terms, c, d)
+                for a in rng.sample(range(f.order), 4):
+                    assert scalar_invert_f(g, c, k, d, f.element_at(a), h_inv).index == table[a]
+    assert scanned_pairs
+
+
+def _slot_cases():
+    """(g, c, k, delta, h^(-1)) over three fields, two deltas each, every h
+    permuting.  g = x at c = 1 appears over GF(9) and over GF(49): two keys
+    that differ only in the field."""
+    cases = []
+    for (p, n), terms, k, cs in (((7, 2), [(1, 3), (1, 9)], 1, (3, 5)),
+                                 ((7, 2), [(1, 1)], 1, (1, 3)),
+                                 ((3, 2), [(1, 1)], 1, (1,)),
+                                 ((2, 4), [(1, 5)], 2, (6, 7))):
+        f = field(p, n)
+        g = make_gspec(f, [(f.element_at(ci), e) for ci, e in terms], 1)
+        for c in map(f.element_at, cs):
+            h_inv = build_inverse_table(compose_h(g, c, k))
+            cases += [(g, c, k, f.element_at(di), h_inv) for di in (0, 5)]
+    return cases
+
+
+def test_invert_f_slot_serves_interleaved_keys_and_tables():
+    """Calls that alternate between fields, c, deltas, and h_inverse given as
+    None, as a table, or as an equal but distinct copy of it all return the
+    per-point formula's preimage."""
+    rng = random.Random(15)
+    cases = _slot_cases()
+    for _ in range(400):
+        g, c, k, d, h_inv = rng.choice(cases)
+        alpha = g.field.element_at(rng.randrange(g.field.order))
+        supplied = rng.choice((None, h_inv, h_inv.copy()))
+        assert (invert_f(g, c, k, d, alpha, h_inverse=supplied)
+                == scalar_invert_f(g, c, k, d, alpha, h_inv))
+
+
+def test_invert_f_sweep_fills_the_slot_once(monkeypatch):
+    """A full alpha sweep with h_inverse supplied evaluates the formula once
+    and never rebuilds h's inverse."""
+    f = field(7, 2)
+    g = make_gspec(f, [(f.one, 19)], qdeg=1)
+    d = f.element_at(23)
+    h_inv = build_inverse_table(compose_h(g, f.one, 1))
+    monkeypatch.setattr(transform, "_F_INVERSE", None)
+    fills, builds = [], []
+    for name, calls in (("_f_inverse_table", fills), ("build_inverse_table", builds)):
+        real = getattr(transform, name)
+        monkeypatch.setattr(transform, name,
+                            lambda *a, real=real, calls=calls: calls.append(a) or real(*a))
+    back = [invert_f(g, f.one, 1, d, alpha, h_inverse=h_inv).index for alpha in f.elements()]
+    assert np.array_equal(evaluate_all(compose_f(g, f.one, 1, d))[back], np.arange(f.order))
+    assert len(fills) == 1 and builds == []
+
+
+def test_invert_f_refuses_bad_input_and_keeps_no_poisoned_slot():
+    f, other = field(7, 2), field(2, 4)
+    g = make_gspec(f, [(f.one, 19)], qdeg=1)
+    d = f.element_at(23)
+    h_inv = build_inverse_table(compose_h(g, f.one, 1))
+    outs = evaluate_all(compose_f(g, f.one, 1, d))
+    g_bad = make_gspec(f, [(f.one, 2)], qdeg=1)
+    assert not is_permutation(compose_h(g_bad, f.one, 1)).is_permutation
+    swapped = h_inv.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    bad_calls = [
+        lambda: invert_f(g_bad, f.one, 1, d, f.one),                    # h not bijective
+        lambda: invert_f(g_bad, f.one, 1, d, f.one, h_inverse=h_inv),   # ... h_inverse for another h
+        lambda: invert_f(g, f.one, 1, d, other.one, h_inverse=h_inv),   # foreign alpha
+        lambda: invert_f(g, f.one, 1, other.one, f.one, h_inverse=h_inv),   # foreign delta
+        lambda: invert_f(g, f.element_at(8), 1, d, f.one),              # c outside GF(7)
+    ] + [lambda bogus=bogus: invert_f(g, f.one, 1, d, f.one, h_inverse=bogus)
+         for bogus in (swapped, h_inv[:-1], h_inv.astype(float), h_inv + f.order,
+                       h_inv - f.order, np.zeros(f.order, dtype=np.int64))]
+    rng = random.Random(7)
+    for bad in bad_calls:
+        with pytest.raises(ValueError):
+            bad()
+        for supplied in (h_inv, None):
+            x = rng.randrange(f.order)
+            assert invert_f(g, f.one, 1, d, f.element_at(int(outs[x])),
+                            h_inverse=supplied) == f.element_at(x)
 
 
 # ---------------------------------------------------------------------------
