@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
-from .ffcore import DEFAULT_SIZE_CAP, FieldCtx, get_field, prime_power
+from .ffcore import DEFAULT_SIZE_CAP, MAX_ORDER, FieldCtx, get_field, prime_power
 from .families import (
     InapplicableError,
     default_parameters,
@@ -642,7 +642,8 @@ _FLAGS = {
     "p": dict(type=int, help="characteristic, with --k"),
     "k": dict(type=int, help="exponent k of q = p^k"),
     "kprime": dict(type=int, help="auxiliary k' for the families that take one"),
-    "cap": dict(type=int, help="largest field order the run may construct"),
+    "cap": dict(type=int, help="largest field order the run may construct "
+                "(at most 2^31 - 1)"),
     "seed": dict(type=int, help="delta sampling seed"),
     "delta-samples": dict(type=int, help="sample count when a field is too big to sweep"),
     "format": dict(choices=("json", "csv")),
@@ -688,6 +689,9 @@ def _config_from(args) -> RunConfig:
         raise ConfigError("--delta-samples must be >= 2 (0 and 1 always run)")
     if cfg.cap < 4:
         raise ConfigError(f"--cap {cfg.cap} cannot hold any GF(q^2)")
+    if cfg.cap > MAX_ORDER:
+        raise ConfigError(f"--cap {cfg.cap} exceeds {MAX_ORDER}, the largest "
+                          f"order the int32 field tables index")
     return cfg
 
 

@@ -19,7 +19,8 @@ table.  No table is larger than the block it serves (beyond a one-bit
 table's two entries); for odd p, where not even a one-digit table fits, the
 digits are read directly.  The log table is its inverse permutation, and
 the Zech table is Z(k) = log(1 + g^k).  Each table is kept once, as a
-read-only int64 array.
+read-only int32 array: every entry is an element index or a log below the
+order, and FieldCtx refuses orders above MAX_ORDER = 2^31 - 1.
 
 The scalar Element path and the bulk layer compute from these same tables:
 products and powers are exp[log a + log b] and exp[e * log a] mod order-1
@@ -28,10 +29,16 @@ addition in odd characteristic with n > 1 goes through Zech logarithms,
 a + b = g^(log a + Z(log b - log a)), with -b = b * g^((order-1)/2).  The
 scalar path reads the tables through memoryviews, which index to Python
 ints; the bulk layer gathers log[x] once, does the exponent arithmetic in
-place and zeroes the operand-zero positions after the exp gather.  The
-shift image x^(p^i) - x, which every shift form and trace fibre starts
-from, is built once per field and kept read only (_Bulk.shift_base), and
-so is the relative trace onto each subfield (_Bulk.trace).
+place in int64 (e * log a passes 2^31) and zeroes the operand-zero
+positions after the exp gather, which it writes back into that int64
+array: pow_const, mul_scalar, mul and the Zech add return int64 value
+arrays, which index without a cast.  Its gathers go through
+ndarray.take, which reads an int32 index array (an exp slice, or a value
+read straight off a table) without the slower cast path of fancy
+indexing.  The shift image x^(p^i) - x, which every shift form and trace
+fibre starts from, is built once per field and kept read only
+(_Bulk.shift_base), and so is the relative trace onto each subfield
+(_Bulk.trace).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +58,7 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "Element",
     "FieldCtx",
+    "MAX_ORDER",
     "get_field",
     "is_prime",
     "make_field",
@@ -58,6 +66,7 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 1 << 22
+MAX_ORDER = 2**31 - 1       # the largest order whose indices the int32 tables hold
 
 
 def is_prime(m: int) -> bool:
@@ -194,11 +203,11 @@ def _width(unit: int, size: int) -> int:
 
 
 def _lookup(fn, keys, count: int):
-    """fn(keys) for an int64 array of keys in range(count), where fn maps an
-    array elementwise: through a table of fn over range(count) when that
+    """fn(keys) for an integer array of keys in range(count), where fn maps
+    an array elementwise: through a table of fn over range(count) when that
     table is no larger than keys, else directly on keys."""
     if count <= keys.size:
-        return fn(np.arange(count, dtype=np.int64))[keys]
+        return fn(np.arange(count, dtype=np.int64)).take(keys)
     return fn(keys)
 
 
@@ -265,7 +274,9 @@ class Element:
 
 
 class _Bulk:
-    """Vectorized index arithmetic over one field; lazily built, read only."""
+    """Vectorized index arithmetic over one field; lazily built, read only.
+    The whole-field index ramp xs is built on first use: deciding a
+    trinomial never reads it."""
 
     def __init__(self, field: "FieldCtx"):
         self.field = field
@@ -275,25 +286,27 @@ class _Bulk:
         self.exp = field._exp_arr
         self.log = field._log_arr
         self.zech = field._zech_arr
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """Every element index in order, int64, read only."""
         xs = np.arange(self.Q, dtype=np.int64)
         xs.flags.writeable = False
-        self.xs = xs
+        return xs
 
     def _zech_add(self, a, b, shift: int):
         """a + b * g^shift; shift (Q-1)/2 multiplies b by -1.  Numpy scalars
-        broadcast on either side."""
-        M = self.Q - 1
-        la = self.log[a]
-        t = self.log[b] - la
+        broadcast on either side.  The log sums are int64, as log a + Z
+        passes 2^31 above order 2^30."""
+        la = self.log.take(a).astype(np.int64)
+        t = self.log.take(b) - la
         if shift:
             t += shift
-        t %= M
-        t = self.zech[t]
-        cancel = t < 0              # a = -b * g^shift
-        t += la
-        t %= M
-        out = self.exp[t]
-        out[cancel] = 0
+        z = self.zech.take(t, mode="wrap")
+        cancel = z < 0              # a = -b * g^shift
+        np.add(z, la, out=t)
+        del z
+        out = self._from_logs(t, cancel)
         # zero operands: log[0] = -1 made t meaningless there
         np.copyto(out, a, where=b == 0)
         az = np.broadcast_to(a == 0, out.shape)
@@ -317,27 +330,29 @@ class _Bulk:
         return self._zech_add(a, b, (self.Q - 1) // 2)
 
     def _from_logs(self, t, zero):
-        """exp[t mod (Q-1)], in place on the fresh log array t, with 0 where
-        the operand mask zero holds (log[0] = -1 left t meaningless there)."""
-        t %= self.Q - 1
-        out = self.exp[t]
-        out[zero] = 0
-        return out
+        """exp[t mod (Q-1)], written back into the fresh int64 log array t,
+        with 0 where the mask zero holds (log[0] = -1 left t meaningless
+        there).  take's wrap mode reduces t, which lies within a few
+        multiples of Q-1, without a division."""
+        t[...] = self.exp.take(t, mode="wrap")
+        t[zero] = 0
+        return t
 
     def pow_const(self, arr, e: int):
         """arr**e elementwise for a fixed exponent e >= 1 (0**e = 0)."""
-        t = self.log[arr]
-        t *= e % (self.Q - 1)
+        t = np.multiply(self.log.take(arr), e % (self.Q - 1), dtype=np.int64)
+        t %= self.Q - 1
         return self._from_logs(t, arr == 0)
 
     def pow_outer(self, logs, es):
         """x**e for every exponent e in the int64 array es (rows) and every
         point x given by its log in logs (columns, -1 for x = 0 and 0**e = 0;
-        each e >= 1): one exp gather for the whole 2-D table."""
+        each e >= 1): one exp gather for the whole 2-D table, which is int32
+        like exp."""
         M = self.Q - 1
-        t = np.multiply.outer(es % M, logs)
+        t = np.multiply.outer(es % M, logs.astype(np.int64))
         t %= M
-        out = self.exp[t]
+        out = self.exp.take(t)
         out[:, logs < 0] = 0
         return out
 
@@ -372,13 +387,12 @@ class _Bulk:
             return np.zeros_like(arr)
         if c_idx == 1:
             return arr.copy()
-        t = self.log[arr]
-        t += self.log.item(c_idx)
+        t = np.add(self.log.take(arr), self.log.item(c_idx), dtype=np.int64)
         return self._from_logs(t, arr == 0)
 
     def mul(self, a, b):
         """a * b elementwise; arrays broadcast against each other."""
-        t = self.log[a] + self.log[b]
+        t = np.add(self.log.take(a), self.log.take(b), dtype=np.int64)
         return self._from_logs(t, (a == 0) | (b == 0))
 
 
@@ -393,6 +407,9 @@ class FieldCtx:
         order = p**n
         if order > cap:
             raise ValueError(f"field order {p}^{n} = {order} exceeds size cap {cap}")
+        if order > MAX_ORDER:
+            raise ValueError(f"field order {p}^{n} = {order} exceeds {MAX_ORDER}, "
+                             f"the largest order the int32 tables index")
         self.p = p
         self.n = n
         self.order = order
@@ -478,19 +495,18 @@ class FieldCtx:
         chunk of all n digits is read directly, without a table)."""
         p, n, size = self.p, self.n, arr.size
         if n == 1:
-            np.multiply(arr, c, out=out)
-            out %= p
+            np.remainder(np.multiply(arr, c, dtype=np.int64), p, out=out)
             return
         rows = [self._mul_raw(p**i, c) for i in range(n)]
         if p == 2:
             for i, (lo, w) in enumerate(_spans(n, max(1, _width(2, size)))):
-                table = np.zeros(1 << w, dtype=np.int64)
+                table = np.zeros(1 << w, dtype=out.dtype)
                 for b in range(w):
                     np.bitwise_xor(table[:1 << b], rows[lo + b],
                                    out=table[1 << b:2 << b])
                 key = (arr >> lo) & ((1 << w) - 1)
                 if i:
-                    out ^= table[key]
+                    out ^= table.take(key)
                 else:
                     np.take(table, key, out=out)
             return
@@ -507,7 +523,7 @@ class FieldCtx:
             w += 1
         row_digits = np.array([_digits(r, p, n) for r in rows], dtype=np.int64)
         field_shift = np.left_shift(1, bits * np.arange(n, dtype=np.int64))
-        packed = np.zeros_like(arr)
+        packed = np.zeros(arr.shape, dtype=np.int64)
         for lo, w in spans:
             chunk = arr // p**lo if lo else arr
             packed += _lookup(
@@ -539,7 +555,7 @@ class FieldCtx:
         # block no shorter than the one before; starting at n left a shorter
         # last block at GF(2^22), whose temporaries stayed on the heap rather
         # than unmapped and measured 12 MB more peak RSS.
-        exp = np.empty(Q - 1, dtype=np.int64)
+        exp = np.empty(Q - 1, dtype=np.int32)
         exp[0] = 1
         size = min(1 << (n.bit_length() - 1), Q - 1)
         for i in range(1, size):
@@ -549,12 +565,12 @@ class FieldCtx:
             self._times_const(exp[:block], self._mul_raw(int(exp[size - 1]), gen),
                               exp[size:size + block])
             size += block
-        log = np.full(Q, -1, dtype=np.int64)
-        log[exp] = np.arange(Q - 1, dtype=np.int64)
+        log = np.full(Q, -1, dtype=np.int32)
+        log[exp] = np.arange(Q - 1, dtype=np.int32)
         zech = None
         if p != 2 and n > 1:
             # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
-            zech = log[exp + 1 - p * (exp % p == p - 1)]
+            zech = log.take(exp + 1 - p * (exp % p == p - 1))
             zech.flags.writeable = False
         exp.flags.writeable = False
         log.flags.writeable = False

@@ -306,7 +306,7 @@ def _f_table(bulk, terms, pstep: int, c_idx: int, deltas: np.ndarray,
     t = bulk.add(bulk.shift_base(pstep)[:n], deltas[:, None])
     out = _eval_terms_all(bulk, terms, t)
     del t
-    xs = bulk.xs[:n]
+    xs = np.arange(n, dtype=np.int64)
     return bulk.add(out, xs if c_idx == 1 else bulk.mul_scalar(c_idx, xs))
 
 
@@ -320,20 +320,21 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
     of g adds exp[F*L] - exp[L] at gamma^t, L = log a + e*t mod order-1 and
     F = p^pstep: two exp gathers per term, no log gather, no zero masks.  A
     constant term adds u(0) everywhere.  Built BLOCK positions at a
-    time, so no temporary is as large as u."""
+    time, so no temporary is as large as u, and u is int32 like the tables
+    (the exponent arithmetic stays int64: e*t and F*L pass 2^31)."""
     bulk = field.bulk()
     M = field.order - 1
     F = pow(field.p, pstep, M)
     # g(0) is the constant term's coefficient; merged terms hold at most one
     g0 = field.element_at(sum(ci for ci, e in terms if e == 0))
     u0 = field.sub(field.frobenius(g0, pstep), g0).index
-    u = np.empty(field.order, dtype=np.int64)
+    u = np.empty(field.order, dtype=np.int32)
     u[0] = u0
     powers = [(bulk.log.item(ci), e % M) for ci, e in terms if e]
     if not powers:
         u[1:] = u0
         return u
-    ts = bulk.xs[:BLOCK]
+    ts = np.arange(min(M, BLOCK), dtype=np.int64)
     for lo in range(0, M, BLOCK):
         hi = min(M, lo + BLOCK)
         acc = None
@@ -341,10 +342,10 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
             L = ts[:hi - lo] * e
             L += (lc + lo * e) % M
             L %= M
-            gx = bulk.exp[L]
+            gx = bulk.exp.take(L)
             L *= F
             L %= M
-            term = bulk.sub(bulk.exp[L], gx)
+            term = bulk.sub(bulk.exp.take(L), gx)
             acc = term if acc is None else bulk.add(acc, term)
         u[1 + lo:1 + hi] = bulk.add(acc, np.int64(u0)) if u0 else acc
     return u
@@ -353,7 +354,8 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
 def _h_blocks(bulk, u: np.ndarray, c_idx: int):
     """(lo, hi, h at gamma^lo .. gamma^(hi-1)) for h = u + c*x, a block at a
     time.  c*x at gamma^t is exp[log c + t]: a contiguous slice of exp,
-    wrapping once round the table."""
+    wrapping once round the table.  Each block is int64: an int32 index
+    array scatters through numpy's slower casting path."""
     M = bulk.Q - 1
     lc = bulk.log.item(c_idx)
     for lo in range(0, M, BLOCK):
@@ -361,7 +363,7 @@ def _h_blocks(bulk, u: np.ndarray, c_idx: int):
         a = (lc + lo) % M
         b = a + hi - lo
         cx = bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
-        yield lo, hi, bulk.add(u[1 + lo:1 + hi], cx)
+        yield lo, hi, bulk.add(u[1 + lo:1 + hi], cx).astype(np.int64, copy=False)
 
 
 def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
@@ -370,7 +372,7 @@ def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
     outs = np.empty(bulk.Q, dtype=np.int64)
     outs[0] = u[0]
     for lo, hi, h in _h_blocks(bulk, u, c_idx):
-        outs[bulk.exp[lo:hi]] = h
+        outs[bulk.exp[lo:hi].astype(np.int64)] = h
     return outs
 
 
@@ -463,7 +465,7 @@ def prefix_survivors(field: FieldCtx, c: Element, s_values, k: int = 1,
     Q = field.order
     B = prefix_size(Q)
     logs = bulk.log[:B]
-    cx = bulk.mul_scalar(c.index, bulk.xs[:B])
+    cx = bulk.mul_scalar(c.index, np.arange(B)).astype(np.int32)  # like pow_outer's
     qk = pow(field.p, qdeg * k, Q - 1)
     rows = max(1, BLOCK // B)
     keep = np.empty(s_arr.size, dtype=bool)
@@ -512,9 +514,10 @@ def _table_collisions(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the first column holding it; b = vals.shape[1], and a is meaningless,
     where a row repeats no value.  One sort of value * n + column ranks each
     row by value, then column, so every column after the first of its
-    value follows an equal value."""
+    value follows an equal value.  The keys are int64: value * n passes
+    2^31 on the largest fields."""
     rows, n = vals.shape
-    key = vals * n
+    key = np.multiply(vals, n, dtype=np.int64)
     key += np.arange(n)
     key.sort(axis=1)
     val, col = np.divmod(key, n)

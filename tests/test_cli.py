@@ -79,6 +79,20 @@ def test_verify_config_errors(tmp_path):
                "--cap", "16")[0] == 3                        # over the cap
 
 
+@pytest.mark.parametrize("verb", [["verify", "--family", "thm7", "--q", "7"],
+                                  ["sweep", "--q", "4"]])
+def test_cap_int32_tables_cannot_index_exits_config(tmp_path, capsys, monkeypatch, verb):
+    """A --cap above 2^31 - 1 is refused before any field is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "get_field", built)
+    assert run(tmp_path, *verb, "--cap", str(2**31))[0] == 3
+    assert "--cap 2147483648" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert run(tmp_path, *verb, "--cap", str(2**31 - 1))[0] == 0
+
+
 def test_verify_bad_flag_exits_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--bogus"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from permlab.ffcore import (DEFAULT_SIZE_CAP, Element, FieldCtx, _Bulk, _digits,
-                            _first_irreducible, is_prime, make_field)
+from permlab.ffcore import (DEFAULT_SIZE_CAP, MAX_ORDER, Element, FieldCtx, _Bulk,
+                            _digits, _first_irreducible, is_prime, make_field)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,10 @@ def test_tables_match_scalar_chain_every_small_field():
 
 @pytest.fixture(scope="module")
 def large_fields():
-    return [FieldCtx(2, 22), FieldCtx(5, 8)]
+    """The cap in characteristic 2, a wide odd-p extension, and the two odd-p
+    fields nearest the cap, where e * log a and the n = 1 products of the
+    table build pass 2^31 while the tables themselves are int32."""
+    return [FieldCtx(2, 22), FieldCtx(5, 8), FieldCtx(2039, 2), FieldCtx(4194301, 1)]
 
 
 def test_tables_chain_at_seeded_positions_large_fields(large_fields):
@@ -700,20 +703,38 @@ def test_bulk_power_kernels_every_point_small_fields():
 
 
 def test_bulk_power_kernels_seeded_positions_large_fields(large_fields):
+    """pow_const, mul_scalar, mul, add/sub, frob and pow_outer against the
+    scalar path at seeded positions of the fields at the cap, where the
+    exponent arithmetic passes 2^31 over int32 tables; int32 operands (an
+    exp slice, the tables' own dtype) give the same values."""
     rng = random.Random(23)
     for f in large_fields:
         b = f.bulk()
         Q = f.order
+        assert b.exp.dtype == b.log.dtype == np.int32
         xs = np.array([0, 1, Q - 1] + [rng.randrange(Q) for _ in range(200)], dtype=np.int64)
         ys = np.array([rng.randrange(Q) for _ in range(xs.size)], dtype=np.int64)
         ys[:5] = 0
+        ys[5:10] = xs[5:10]
         els = [f.element_at(i) for i in xs.tolist()]
-        for e in (2, 3, f.p ** (f.n // 2), Q - 2, Q - 1, Q + 5):
-            assert b.pow_const(xs, e).tolist() == [f.pow(x, e).index for x in els], (f, e)
+        yels = [f.element_at(i) for i in ys.tolist()]
+        es = (2, 3, f.p ** (f.n // 2), Q - 2, Q - 1, Q + 5)
+        for e in es:
+            want = [f.pow(x, e).index for x in els]
+            assert b.pow_const(xs, e).tolist() == want, (f, e)
+            assert b.pow_const(xs.astype(np.int32), e).tolist() == want, (f, e)
+        table = b.pow_outer(b.log[xs], np.array(es, dtype=np.int64))
+        assert table.tolist() == [[f.pow(x, e).index for x in els] for e in es], f
         c = rng.randrange(2, Q)
         assert b.mul_scalar(c, xs).tolist() == [f.mul(f.element_at(c), x).index for x in els]
-        want = [f.mul(x, f.element_at(y)).index for x, y in zip(els, ys.tolist())]
+        want = [f.mul(x, y).index for x, y in zip(els, yels)]
         assert b.mul(xs, ys).tolist() == want, f
+        assert b.add(xs, ys).tolist() == [f.add(x, y).index for x, y in zip(els, yels)], f
+        assert b.sub(xs, ys).tolist() == [f.sub(x, y).index for x, y in zip(els, yels)], f
+        assert b.add(xs.astype(np.int32), ys.astype(np.int32)).tolist() == [
+            f.add(x, y).index for x, y in zip(els, yels)], f
+        for i in range(1, f.n + 1):
+            assert b.frob(xs, i).tolist() == [f.frobenius(x, i).index for x in els], (f, i)
 
 
 def test_shift_base_is_read_only_and_built_once(monkeypatch):
@@ -778,6 +799,21 @@ def test_rejects_order_above_cap():
     with pytest.raises(ValueError):
         FieldCtx(2, 5, cap=16)
     assert make_field(2, 4, cap=16).order == 16
+
+
+@pytest.mark.parametrize("p, n", [(2, 31), (3, 20), (2147483659, 1)])
+def test_rejects_order_int32_tables_cannot_index(p, n, monkeypatch):
+    """An order above 2^31 - 1 is refused whatever the cap, before the
+    modulus search or any table is built."""
+    assert MAX_ORDER == 2**31 - 1 < p**n
+
+    def built(*args):
+        raise AssertionError("field construction started")
+
+    monkeypatch.setattr(FieldCtx, "_init_tables", built)
+    monkeypatch.setattr("permlab.ffcore._first_irreducible", built)
+    with pytest.raises(ValueError, match="int32"):
+        FieldCtx(p, n, cap=2**40)
 
 
 def test_cap_default_allows_desk_scale():

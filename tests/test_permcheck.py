@@ -743,10 +743,44 @@ def test_h_is_additive_in_g_and_c(case, data):
                             for a, b in zip(h1.tolist(), h2.tolist())]
 
 
+def test_permuting_trinomial_never_builds_the_index_ramp():
+    """Deciding a permuting trinomial reads blocks of exp and an arange of
+    its own block length only: the whole-field ramp _Bulk.xs stays unbuilt."""
+    f = FieldCtx(2, 16)
+    g = make_gspec(f, [(f.one, 2 * 256 - 1)], 8)
+    assert h_verdicts(g, 1, [f.one]) == [permcheck._PERMUTES]
+    assert "xs" not in f.bulk().__dict__
+    assert np.array_equal(f.bulk().xs, np.arange(f.order))
+    assert "xs" in f.bulk().__dict__
+
+
+def test_first_collisions_key_passes_2_31_at_the_cap():
+    """A collision planted at the last column of a GF(2^22)-wide int32
+    table is found, though its sort key value * Q + column passes 2^31."""
+    Q = 1 << 22
+    table = np.arange(Q, dtype=np.int32)
+    table[Q - 1] = 12345
+    assert 12345 * Q + Q - 1 > 2**31
+    a, b = permcheck._first_collisions(
+        lambda rows, n: np.broadcast_to(table[:n], (rows.size, n)), 1, Q)
+    assert (a.tolist(), b.tolist()) == ([12345], [Q - 1])
+
+
+def test_h_verdicts_witness_at_the_cap_matches_scalar_oracle():
+    """At GF(2^22), a failing h's witness is the first repeat that scalar
+    evaluate meets scanning the points in index order."""
+    f = field(2, 22)
+    c = f.element_at(3)
+    (v,) = h_verdicts(make_gspec(f, [(f.one, 7)], 11), 1, [c])
+    assert not v.is_permutation
+    want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 11), range(f.order))
+    assert tuple(e.index for e in v.witness) == want == (1264, 2065)
+
+
 def test_log_order_u_memory_stays_bounded():
-    """u over GF(2^16) is built in blocks: the traced peak stays under four
-    times u itself (1.3 MB now against 0.5 MB for u), where building it
-    whole adds five whole-field temporaries (3.7 MB)."""
+    """u over GF(2^16) is int32, like the tables, and built in blocks: the
+    traced peak (0.9 MB now against 0.25 MB for u) stays under 1.5 MB,
+    where building it whole adds five whole-field temporaries (3.7 MB)."""
     f = field(2, 16)
     g = make_gspec(f, [(f.one, 255), (f.element_at(3), 1), (f.element_at(5), 0)], 8)
     f.bulk()
@@ -756,8 +790,8 @@ def test_log_order_u_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert u.nbytes == 8 * f.order
-    assert peak < 4 * u.nbytes, peak
+    assert u.dtype == np.int32 and u.size == f.order
+    assert peak < 1.5 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
