@@ -11,13 +11,10 @@ from .permcheck import (
     FnSpec,
     PermVerdict,
     build_inverse_table,
-    evaluate,
     evaluate_all,
     is_permutation,
     lemma1_check,
-    make_fn_delta,
     make_fn_exponent_sum,
-    make_fn_trinomial,
 )
 from .families import (
     CoeffCondition,

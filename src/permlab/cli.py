@@ -40,8 +40,8 @@ from .families import (
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import f_verdicts, h_verdicts, make_gspec, trinomial_hits
-from .transform import DEFAULT_SEED, DELTA_EXHAUSTIVE_CAP, DELTA_SAMPLES, pick_deltas
+from .permcheck import DELTA_EXHAUSTIVE_CAP, f_verdicts, h_verdicts, make_gspec, trinomial_hits
+from .transform import DEFAULT_SEED, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
     "ConfigError",
@@ -176,16 +176,16 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
-                times = []      # each instance's seconds, in the order of rows
-                if fam.form == "delta_form":
-                    keys = [(c, d) for c in cs for d in deltas]
-                    try:
+                times, routes = [], []  # each instance's seconds and route, in row order
+                try:
+                    if fam.form == "delta_form":
+                        keys = [(c, d) for c in cs for d in deltas]
                         rows = f_verdicts(g, step, cs, deltas, times)
-                    except RuntimeError as exc:     # the two routes disagree
-                        raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
-                else:
-                    keys = [(c, None) for c in cs]
-                    rows = [(v, "brute") for v in h_verdicts(g, step, cs, times)]
+                    else:
+                        keys = [(c, None) for c in cs]
+                        rows = zip(h_verdicts(g, step, cs, times, routes), routes)
+                except RuntimeError as exc:     # the two routes disagree
+                    raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 for (c, d), (verdict, route), el in zip(keys, rows, times):
                     run.instances.append(InstanceResult(
                         condition=ctag or "default", s_tag=stag,
@@ -289,7 +289,7 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "field_s": round(run.field_s, 6),
                 "instances_s": [round(r.elapsed, 6) for r in run.instances],
                 "routes": {route: sum(r.route == route for r in run.instances)
-                           for route in ("fibre", "prefix", "brute")},
+                           for route in ("fibre", "prefix", "brute", "mu")},
             }
             for run in runs
         ],

@@ -54,6 +54,18 @@ element, so _first_collisions finds it on a prefix of the field, for a
 block of deltas at a time, and doubles the prefix for the deltas without
 a repeat there.
 
+The mu route decides h by Lemma 1 (Park-Lee 2001, Zieve 2009) where g is
+canonical: GF(q^2), k odd and every term a*x^e of g with e = 1 + i(q-1).
+Then h(x) = x*H(x^(q-1)) with H(z) = c + sum of a^q z^(1+qi) - a z^i, and h
+permutes iff H has no root on mu_(q+1) and z*H(z)^(q-1) permutes mu_(q+1):
+q+1 points per c, not q^2.  _mu_verdicts evaluates H at z_j =
+gamma^(j(q-1)) as one 2-D table, a row per c, and _mu_permutes decides
+every row by one bincount of j + log H(z_j) mod q+1.  h_verdicts runs it
+first and keeps brute force as its cross-check: every c on fields of at
+most DELTA_EXHAUSTIVE_CAP points, above that the first c and every c the
+mu route fails, which also gives that c's witness; lemma1_check's
+reduction side is the same kernel.
+
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
 (B = prefix_size(order), about 4*sqrt(order)) is proven to fail, so blocks
@@ -74,6 +86,7 @@ import numpy as np
 from .ffcore import Element, FieldCtx
 
 __all__ = [
+    "DELTA_EXHAUSTIVE_CAP",
     "FnSpec",
     "GSpec",
     "Lemma1Result",
@@ -81,15 +94,12 @@ __all__ = [
     "build_inverse_table",
     "compose_f",
     "compose_h",
-    "evaluate",
     "evaluate_all",
     "f_verdicts",
     "h_verdicts",
     "is_permutation",
     "lemma1_check",
-    "make_fn_delta",
     "make_fn_exponent_sum",
-    "make_fn_trinomial",
     "make_gspec",
     "trinomial_hits",
 ]
@@ -112,9 +122,6 @@ class FnSpec:
     delta: int = -1         # shift index (f), -1 when absent
     qdeg: int = 0           # q = p^qdeg, recorded for reporting
     kstep: int = 0          # Frobenius step in q-units, recorded for reporting
-
-    def evaluate(self, x: Element) -> Element:
-        return evaluate(self, x)
 
 
 @dataclass(frozen=True)
@@ -207,65 +214,19 @@ def compose_f(g: GSpec, c: Element, k: int, delta: Element) -> FnSpec:
     return _companion(g, "f", c, k, delta.index)
 
 
-def _check_power(s) -> None:
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"exponent must be a positive integer, got {s!r}")
-
-
 def _trinomial_g(field: FieldCtx, s: int, qdeg: Optional[int]) -> GSpec:
     """g = x^s of a trinomial; refuses an s whose x^s is constant off 0."""
-    _check_power(s)
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"exponent must be a positive integer, got {s!r}")
     if field.order > 2 and s % (field.order - 1) == 0:
         raise ValueError("exponent is a multiple of order-1; power term degenerates")
     return make_gspec(field, [(field.one, s)], qdeg)
-
-
-def make_fn_trinomial(field: FieldCtx, c: Element, s: int, k: int = 1,
-                      qdeg: Optional[int] = None) -> FnSpec:
-    """x -> c*x - x^s + x^((q^k)*s) over GF(q^m), q = p^qdeg: the h side of
-    g = x^s."""
-    return compose_h(_trinomial_g(field, s, qdeg), c, k)
-
-
-def make_fn_delta(field: FieldCtx, c: Element, s: int, k: int, delta: Element,
-                  qdeg: Optional[int] = None) -> FnSpec:
-    """x -> (x^(q^k) - x + delta)^s + c*x over GF(q^m), q = p^qdeg: the f
-    side of g = x^s."""
-    _check_power(s)
-    return compose_f(make_gspec(field, [(field.one, s)], qdeg), c, k, delta)
 
 
 def make_fn_exponent_sum(field: FieldCtx, terms) -> FnSpec:
     """x -> sum of coeff * x^e.  Negative e is reduced mod order-1; e = 0 is a
     constant term.  Terms with equal reduced exponents merge."""
     return FnSpec(field=field, side="g", terms=_merge_terms(field, terms))
-
-
-def _eval_terms(field: FieldCtx, terms, x: Element) -> Element:
-    acc = field.zero
-    for ci, e in terms:
-        coeff = field.element_at(ci)
-        if e == 0:
-            acc = field.add(acc, coeff)
-        else:
-            acc = field.add(acc, field.mul(coeff, field.pow(x, e)))
-    return acc
-
-
-def evaluate(fn: FnSpec, x: Element) -> Element:
-    """Pointwise evaluation via scalar field operations."""
-    field = fn.field
-    field._check(x)
-    if fn.side == "g":
-        return _eval_terms(field, fn.terms, x)
-    cx = field.mul(field.element_at(fn.c), x)
-    if fn.side == "h":
-        gx = _eval_terms(field, fn.terms, x)
-        return field.add(field.sub(field.frobenius(gx, fn.pstep), gx), cx)
-    if fn.side == "f":
-        t = field.add(field.sub(field.frobenius(x, fn.pstep), x), field.element_at(fn.delta))
-        return field.add(_eval_terms(field, fn.terms, t), cx)
-    raise ValueError(f"unknown map side {fn.side!r}")
 
 
 def _eval_terms_all(bulk, terms, arr: np.ndarray) -> np.ndarray:
@@ -312,6 +273,9 @@ def _f_table(bulk, terms, pstep: int, c_idx: int, deltas: np.ndarray,
 
 BLOCK = 1 << 14     # elements per temporary block: a slice of a log-order
                     # table, or a 2-D table of the prefix screen
+# brute force checks every instance on fields up to this order: every delta
+# of a shift form, every c of a trinomial the mu route decides
+DELTA_EXHAUSTIVE_CAP = 1 << 14
 
 
 def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
@@ -321,7 +285,10 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
     F = p^pstep: two exp gathers per term, no log gather, no zero masks.  A
     constant term adds u(0) everywhere.  Built BLOCK positions at a
     time, so no temporary is as large as u, and u is int32 like the tables
-    (the exponent arithmetic stays int64: e*t and F*L pass 2^31)."""
+    (the exponent arithmetic stays int64: e*t and F*L pass 2^31).  No
+    division in the loop: the ramps e*t and F*e*t mod order-1 are made once,
+    each block adds its reduced offsets log a + lo*e and F times that, and
+    take's wrap mode reduces the sums, which are below 2*(order-1)."""
     bulk = field.bulk()
     M = field.order - 1
     F = pow(field.p, pstep, M)
@@ -330,24 +297,21 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
     u0 = field.sub(field.frobenius(g0, pstep), g0).index
     u = np.empty(field.order, dtype=np.int32)
     u[0] = u0
-    powers = [(bulk.log.item(ci), e % M) for ci, e in terms if e]
-    if not powers:
+    ts = np.arange(min(M, BLOCK), dtype=np.int64)
+    ramps = [(bulk.log.item(ci), e, ts * e % M) for ci, e in terms if e]
+    if not ramps:
         u[1:] = u0
         return u
-    ts = np.arange(min(M, BLOCK), dtype=np.int64)
+    ramps = [(lc, e, et, et * F % M) for lc, e, et in ramps]
     for lo in range(0, M, BLOCK):
-        hi = min(M, lo + BLOCK)
+        n = min(M, lo + BLOCK) - lo
         acc = None
-        for lc, e in powers:
-            L = ts[:hi - lo] * e
-            L += (lc + lo * e) % M
-            L %= M
-            gx = bulk.exp.take(L)
-            L *= F
-            L %= M
-            term = bulk.sub(bulk.exp.take(L), gx)
+        for lc, e, et, fet in ramps:
+            off = (lc + lo * e) % M
+            term = bulk.sub(bulk.exp.take(fet[:n] + F * off % M, mode="wrap"),
+                            bulk.exp.take(et[:n] + off, mode="wrap"))
             acc = term if acc is None else bulk.add(acc, term)
-        u[1 + lo:1 + hi] = bulk.add(acc, np.int64(u0)) if u0 else acc
+        u[1 + lo:1 + lo + n] = bulk.add(acc, np.int64(u0)) if u0 else acc
     return u
 
 
@@ -400,23 +364,91 @@ def _h_passes(g: GSpec, k: int, cs):
         yield fn, u, hits, u_share + time.perf_counter() - t0
 
 
-def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None) -> list[PermVerdict]:
+def _mu_values(bulk, d: int, terms) -> np.ndarray:
+    """H(z) = sum of a*z^e over terms, given as (log a, e) pairs, at
+    z_j = gamma^(j(order-1)/d) for j = 0 .. d-1, the points of mu_d: one exp
+    gather per term at log a + e*j*(order-1)/d."""
+    M = bulk.Q - 1
+    logz = np.arange(d, dtype=np.int64) * (M // d)
+    acc = None
+    for la, e in terms:
+        term = bulk.exp.take((logz * (e % M) + la) % M)
+        acc = term if acc is None else bulk.add(acc, term)
+    return np.zeros(d, dtype=np.int64) if acc is None else acc
+
+
+def _mu_permutes(bulk, d: int, r: int, H: np.ndarray) -> np.ndarray:
+    """For each row of H, the values H(z_j) at the points z_j of mu_d as
+    _mu_values orders them: True where z -> z^r * H(z)^((order-1)/d)
+    permutes mu_d.  It does iff H has no zero on the row and j + log H(z_j)
+    (in units of (order-1)/d, so mod d) is distinct over j: one offset
+    bincount for all rows."""
+    rows = H.shape[0]
+    key = bulk.log.take(H) + r * np.arange(d)  # int64; log -1 at a zero, masked below
+    key %= d
+    key += d * np.arange(rows)[:, None]
+    seen = np.bincount(key.ravel(), minlength=rows * d).reshape(rows, d)
+    return (seen == 1).all(axis=1) & (H != 0).all(axis=1)
+
+
+def _mu_verdicts(g: GSpec, k: int, c_idx) -> Optional[np.ndarray]:
+    """The mu route's verdict (module docstring) on h = g^(q^k) - g + c*x
+    for each c index in c_idx, or None where g is not canonical; H's rows
+    are exp gathers and one add."""
+    fld = g.field
+    q = fld.p**g.qdeg
+    if g.m != 2 or k % 2 == 0 or not all(e and (e - 1) % (q - 1) == 0 for _, e in g.terms):
+        return None
+    bulk = fld.bulk()
+    M = fld.order - 1
+    neg = 0 if fld.p == 2 else M // 2          # log(-1)
+    terms = []
+    for ci, e in g.terms:
+        i = (e - 1) // (q - 1)
+        la = bulk.log.item(ci)
+        terms += [(la * q % M, 1 + q * i), ((la + neg) % M, i)]
+    H = bulk.add(_mu_values(bulk, q + 1, terms)[None, :],
+                 np.array(c_idx, dtype=np.int64)[:, None])
+    return _mu_permutes(bulk, q + 1, 1, H)
+
+
+def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None,
+               routes: Optional[list] = None) -> list[PermVerdict]:
     """The verdict of h = g^(q^k) - g + c*x for each c in cs, in order, equal
-    to is_permutation(compose_h(g, c, k)), from one _h_passes pass: a c that
-    hits every value permutes, and only a failing c scatters its table into
-    index order, where is_permutation finds its witness.  When times is a
-    list, it receives each c's seconds, its share of u included."""
-    verdicts, clock = [], []
-    for fn, u, hits, pass_s in _h_passes(g, k, cs):
+    to is_permutation(compose_h(g, c, k)).  Brute force reads it off one
+    _h_passes pass: a c that hits every value permutes, and only a failing
+    c scatters its table into index order, where is_permutation finds its
+    witness.  Where the mu route applies, brute force checks the c the
+    module docstring names, and a c where the two routes disagree raises
+    RuntimeError.  When times is a list, it receives each c's seconds: its
+    own, plus equal shares of building u over the brute-forced c and of the
+    mu route over all.  When routes is a list, it receives each c's route:
+    "mu" where the mu route alone decided it, else "brute"."""
+    cs = list(cs)
+    if not cs:
+        return []
+    t0 = time.perf_counter()
+    mu = _mu_verdicts(g, k, [compose_h(g, c, k).c for c in cs])
+    if mu is None or g.field.order <= DELTA_EXHAUSTIVE_CAP:
+        brute = list(range(len(cs)))
+    else:
+        brute = [j for j in range(len(cs)) if j == 0 or not mu[j]]
+    verdicts = [_PERMUTES] * len(cs)
+    clock = [(time.perf_counter() - t0) / len(cs)] * len(cs)
+    route = ["mu"] * len(cs)
+    for j, (fn, u, hits, pass_s) in zip(brute, _h_passes(g, k, [cs[j] for j in brute])):
         t0 = time.perf_counter()
-        if np.count_nonzero(hits) == hits.size:
-            verdicts.append(_PERMUTES)
-        else:
-            outs = _index_order_h(fn.field.bulk(), u, fn.c)
-            verdicts.append(is_permutation(fn, outs=outs))
-        clock.append(pass_s + time.perf_counter() - t0)
+        if np.count_nonzero(hits) != hits.size:
+            verdicts[j] = is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c))
+        if mu is not None and mu[j] != verdicts[j].is_permutation:
+            raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
+                               f"image deficit {verdicts[j].image_deficit} by brute force")
+        clock[j] += pass_s + time.perf_counter() - t0
+        route[j] = "brute"
     if times is not None:
         times.extend(clock)
+    if routes is not None:
+        routes.extend(route)
     return verdicts
 
 
@@ -433,7 +465,7 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     deficit = Q - int(np.count_nonzero(np.bincount(outs, minlength=Q)))
     if deficit == 0:
         return PermVerdict(True, None, 0)
-    idx = field.bulk().xs
+    idx = np.arange(Q, dtype=np.int64)     # transient: bulk.xs would stay cached
     first = np.full(Q, Q, dtype=np.int64)
     np.minimum.at(first, outs, idx)
     b = int(np.flatnonzero(first[outs] != idx)[0])
@@ -710,7 +742,8 @@ def lemma1_check(field: FieldCtx, r: int, h_terms, d: int) -> Lemma1Result:
     """Check both sides of the coset reduction.
 
     gcd_ok:      gcd(r, (Q-1)/d) = 1
-    mu_permuted: x -> x^r * h(x)^((Q-1)/d) maps mu_d onto mu_d
+    mu_permuted: x -> x^r * h(x)^((Q-1)/d) maps mu_d onto mu_d, decided by
+                 the mu-route kernel (_mu_values, _mu_permutes)
     and the brute-force verdict of the assembled full-field map, so callers
     can confirm the two routes agree.
     """
@@ -719,16 +752,10 @@ def lemma1_check(field: FieldCtx, r: int, h_terms, d: int) -> Lemma1Result:
         raise ValueError(f"d = {d} does not divide {Q - 1}")
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
-    e = (Q - 1) // d
-    gcd_ok = math.gcd(r, e) == 1
-    h_fn = make_fn_exponent_sum(field, h_terms)
-    mu = field.mu_subgroup(d)
-    image = set()
-    for x in mu:
-        hx = evaluate(h_fn, x)
-        y = field.mul(field.pow(x, r), field.pow(hx, e)) if hx.index else field.zero
-        image.add(y.index)
-    mu_permuted = image == {x.index for x in mu}
+    gcd_ok = math.gcd(r, (Q - 1) // d) == 1
+    bulk = field.bulk()
+    H = _mu_values(bulk, d, [(bulk.log.item(ci), e) for ci, e in _merge_terms(field, h_terms)])
+    mu_permuted = bool(_mu_permutes(bulk, d, r, H[None, :])[0])
     assembled = lemma1_assemble(field, r, h_terms, d)
     brute = is_permutation(assembled)
     return Lemma1Result(gcd_ok, mu_permuted, brute.is_permutation, assembled)

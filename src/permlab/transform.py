@@ -47,9 +47,9 @@ from typing import Optional
 import numpy as np
 
 from .ffcore import Element, FieldCtx
-from .permcheck import (FnSpec, GSpec, PermVerdict, _eval_terms_all, _pair_verdicts,
-                        _resolve_view, build_inverse_table, compose_f, compose_h,
-                        evaluate_all, make_gspec)
+from .permcheck import (DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict, _eval_terms_all,
+                        _pair_verdicts, _resolve_view, build_inverse_table, compose_f,
+                        compose_h, evaluate_all, make_gspec)
 
 __all__ = [
     "CosetSet",
@@ -71,8 +71,7 @@ __all__ = [
     "trace_coset",
 ]
 
-# delta sets: exhaustive up to this field order, seeded sample beyond it
-DELTA_EXHAUSTIVE_CAP = 1 << 14
+# delta sets: exhaustive up to DELTA_EXHAUSTIVE_CAP, seeded sample beyond it
 DELTA_SAMPLES = 64
 DEFAULT_SEED = 1
 

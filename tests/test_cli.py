@@ -231,7 +231,7 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     code, doc = run(tmp_path, "verify", "--family", "thm14", "--q", "3")
     assert code == 0
     t = doc["timings"]["runs"][0]
-    assert t["routes"] == {"fibre": 72, "brute": 12, "prefix": 78}
+    assert t["routes"] == {"fibre": 72, "brute": 12, "prefix": 78, "mu": 0}
     forms = {}
     for (_, inst), el in zip(flat_instances(doc), t["instances_s"]):
         forms.setdefault((inst["step"], inst["c"]), []).append(el)
@@ -240,9 +240,10 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
         assert sum(els) >= pause           # the fibre call is counted once
     shares = Counter(forms[(2, 1)]).most_common(1)[0]
     assert shares[1] >= 72 and shares[0] >= pause / 72
-    # trinomial families never take the fibre route
+    # trinomial families never take the fibre route, and on a field of at
+    # most 2^14 points brute force checks every c the mu route decides
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
-    assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5, "prefix": 0}
+    assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5, "prefix": 0, "mu": 0}
 
 
 def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):

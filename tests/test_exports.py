@@ -36,3 +36,12 @@ def test_every_name_the_package_imports_resolves():
         for alias in node.names:
             assert hasattr(mod, alias.name), (node.module, alias.name)
             assert hasattr(permlab, alias.asname or alias.name), alias.name
+
+
+def test_the_scalar_evaluator_is_a_test_oracle_only():
+    """The pointwise evaluator and the two map-shape builders live in
+    tests/scalar_oracle.py: permcheck and the package export none of them."""
+    from permlab import permcheck
+    for name in ("evaluate", "_eval_terms", "make_fn_trinomial", "make_fn_delta"):
+        assert not hasattr(permcheck, name) and not hasattr(permlab, name), name
+    assert not hasattr(permcheck.FnSpec, "evaluate")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -14,16 +15,13 @@ from permlab.permcheck import (
     build_inverse_table,
     compose_f,
     compose_h,
-    evaluate,
     evaluate_all,
     f_verdicts,
     h_verdicts,
     is_permutation,
     lemma1_assemble,
     lemma1_check,
-    make_fn_delta,
     make_fn_exponent_sum,
-    make_fn_trinomial,
     make_gspec,
     prefix_size,
     prefix_survivors,
@@ -31,6 +29,7 @@ from permlab.permcheck import (
     trinomial_hits,
 )
 from permlab.transform import prop2_check, prop4_check
+from scalar_oracle import evaluate, log_order_u_by_division, make_fn_delta, make_fn_trinomial
 
 _FIELDS = {}
 
@@ -754,6 +753,19 @@ def test_permuting_trinomial_never_builds_the_index_ramp():
     assert "xs" in f.bulk().__dict__
 
 
+def test_failing_h_leaves_no_index_ramp_behind():
+    """A failing h's witness search ranks the points with a transient
+    arange: after it, on a field of several blocks, _Bulk.xs is still
+    unbuilt, and the witness is the scalar oracle's first repeat."""
+    f = FieldCtx(2, 16)
+    c = f.element_at(3)
+    (v,) = h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, [c])
+    assert not v.is_permutation and f.order > permcheck.BLOCK
+    assert "xs" not in f.bulk().__dict__
+    want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 8), range(f.order))
+    assert tuple(e.index for e in v.witness) == want
+
+
 def test_first_collisions_key_passes_2_31_at_the_cap():
     """A collision planted at the last column of a GF(2^22)-wide int32
     table is found, though its sort key value * Q + column passes 2^31."""
@@ -792,6 +804,155 @@ def test_log_order_u_memory_stays_bounded():
         tracemalloc.stop()
     assert u.dtype == np.int32 and u.size == f.order
     assert peak < 1.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("p, n, qdeg", [(2, 16, 8), (3, 10, 5), (7, 6, 3), (5, 8, 4)])
+def test_divide_free_log_order_u_equals_the_formula(p, n, qdeg):
+    """_log_order_u reduces its ramps once and gathers through take's wrap
+    mode; on fields of several blocks, with several terms and a constant
+    term, it equals the formula with two % per term and block."""
+    f = field(p, n)
+    assert f.order > 2 * permcheck.BLOCK
+    rng = random.Random(p * 100 + n)
+    terms = [(f.element_at(rng.randrange(1, f.order)), rng.randrange(1, 3 * f.order))
+             for _ in range(3)] + [(f.element_at(rng.randrange(2, f.order)), 0)]
+    for g in (make_gspec(f, terms, qdeg), make_gspec(f, terms[:1], qdeg)):
+        for k in range(1, n // qdeg):
+            u = permcheck._log_order_u(f, g.terms, qdeg * k)
+            want = log_order_u_by_division(f, g.terms, qdeg * k)
+            assert u.dtype == want.dtype and np.array_equal(u, want), (g.terms, k)
+
+
+# ---------------------------------------------------------------------------
+# the mu route: Lemma 1 on mu_(q+1) for canonical g over GF(q^2)
+# ---------------------------------------------------------------------------
+
+MU_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("q", MU_QS)
+def test_mu_route_matches_brute_every_canonical_s_and_c(q):
+    """Every canonical s = 1 + i(q-1), i = 0 .. q, and every c in GF(q^2)*:
+    the mu route's verdict is brute force's.  Where H(z) = c - z^i +
+    z^(1+qi) has a root on mu_(q+1) (scalar arithmetic), h fails; c outside
+    GF(q) permutes for some s."""
+    p, k = prime_power(q)
+    f = field(p, 2 * k)
+    cs = list(f.elements())[1:]
+    mu = f.mu_subgroup(q + 1)
+    rooted, outside_hits = 0, 0
+    for i in range(q + 1):
+        g = make_gspec(f, [(f.one, 1 + i * (q - 1))], k)
+        got = permcheck._mu_verdicts(g, 1, [c.index for c in cs]).tolist()
+        want = [is_permutation(compose_h(g, c, 1)).is_permutation for c in cs]
+        assert got == want, i
+        roots = {(f.pow(z, i) - f.pow(z, 1 + q * i)).index for z in mu}
+        rooted += sum(c.index in roots for c in cs)
+        assert not any(ok for c, ok in zip(cs, got) if c.index in roots)
+        outside_hits += sum(ok for c, ok in zip(cs, got) if not f.is_in_subfield(c, k))
+    assert rooted and outside_hits
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.sampled_from(MU_QS + [16, 25, 27]), data=st.data())
+def test_mu_route_matches_brute_on_random_canonical_g(q, data):
+    """g with up to three canonical terms and random coefficients."""
+    p, k = prime_power(q)
+    f = field(p, 2 * k)
+    Q = f.order
+    terms = [(f.element_at(data.draw(st.integers(1, Q - 1))),
+              1 + data.draw(st.integers(0, 2 * q + 2)) * (q - 1))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    g = make_gspec(f, terms, k)
+    cs = [f.element_at(i) for i in data.draw(st.lists(
+        st.integers(1, Q - 1), min_size=1, max_size=6, unique=True))]
+    got = permcheck._mu_verdicts(g, 1, [c.index for c in cs]).tolist()
+    assert got == [is_permutation(compose_h(g, c, 1)).is_permutation for c in cs]
+
+
+def test_mu_route_applies_to_canonical_g_over_gf_q2_only():
+    f = field(3, 4)
+    assert permcheck._mu_verdicts(make_gspec(f, [(f.one, 17)], 2), 1, [1]) is not None
+    for g, k in [(make_gspec(f, [(f.one, 3)], 2), 1),            # 3 != 1 mod 8
+                 (make_gspec(f, [(f.one, 17), (f.one, 0)], 2), 1),  # a constant term
+                 (make_gspec(f, [(f.one, 3)], 1), 1),             # GF(3^4) as m = 4
+                 (make_gspec(f, [(f.one, 5)], 1), 2)]:
+        assert permcheck._mu_verdicts(g, k, [1]) is None, (g.terms, k)
+
+
+def test_h_verdicts_mu_routes_above_the_cap():
+    """GF(2^16), q = 256, s = 1 + 2(q-1): brute force checks the first c and
+    every c the mu route fails, with today's witnesses; the others are
+    "mu".  A non-canonical s stays all "brute".  Seconds add up per c."""
+    f = field(2, 16)
+    assert f.order > permcheck.DELTA_EXHAUSTIVE_CAP
+    g = make_gspec(f, [(f.one, 2 * 256 - 1)], 8)
+    cs = [f.element_at(i) for i in (5, 1, 2, 3, 4, 6, 7, 8)]
+    mu = permcheck._mu_verdicts(g, 1, [c.index for c in cs]).tolist()
+    assert set(mu[1:]) == {True, False}
+    times, routes = [], []
+    got = h_verdicts(g, 1, cs, times, routes)
+    want = [is_permutation(compose_h(g, c, 1)) for c in cs]
+    assert [_verdict_tuple(v) for v in got] == [_verdict_tuple(v) for v in want]
+    assert routes == ["brute"] + ["mu" if ok else "brute" for ok in mu[1:]]
+    assert len(times) == len(cs) and all(t > 0 for t in times)
+    routes = []
+    h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, cs[:3], routes=routes)
+    assert routes == ["brute"] * 3
+
+
+def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
+    """On GF(2^14) every c is brute-forced as well; a mu verdict planted
+    wrong at any c, or at a permuting c above the cap, raises."""
+    f = field(2, 14)
+    assert f.order == permcheck.DELTA_EXHAUSTIVE_CAP
+    g = make_gspec(f, [(f.one, 1 + 2 * 127)], 7)
+    cs = [f.element_at(i) for i in range(1, 9)]
+    routes = []
+    h_verdicts(g, 1, cs, routes=routes)
+    assert routes == ["brute"] * len(cs)
+    real = permcheck._mu_verdicts
+
+    def planted(*args):
+        out = real(*args)
+        out[-1] = not out[-1]
+        return out
+    monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
+    with pytest.raises(RuntimeError, match=f"mu route and brute force disagree at step 1, c {cs[-1].index}"):
+        h_verdicts(g, 1, cs)
+
+
+@pytest.mark.parametrize("argv, at", [
+    # every c brute-checked on GF(81): a wrong verdict planted at the last c
+    (["--family", "thm5", "--q", "9"], -1),
+    # lem15-1 over GF(2^18): a permuting c planted as failing is brute-checked
+    (["--family", "lem15-1", "--q", "512"], -1),
+    # and the first c, brute-checked whatever the mu route says
+    (["--family", "lem15-1", "--q", "512"], 0),
+])
+def test_verify_exits_4_when_mu_and_brute_disagree(tmp_path, monkeypatch, capsys,
+                                                   argv, at):
+    real = permcheck._mu_verdicts
+
+    def planted(*args):
+        out = real(*args)
+        out[at] = not out[at]
+        return out
+
+    monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "o.json")]) == 4
+    err = capsys.readouterr().err
+    assert "mu route and brute force disagree" in err and argv[1] in err
+
+
+def test_verify_lem15_1_q512_takes_the_mu_route(tmp_path):
+    """GF(2^18) with 3 values of c: brute force checks the first, the mu
+    route alone decides the other 2."""
+    out = tmp_path / "o.json"
+    assert cli.main(["verify", "--family", "lem15-1", "--q", "512", "--out", str(out)]) == 0
+    run = json.loads(out.read_text())["timings"]["runs"][0]
+    assert run["routes"] == {"fibre": 0, "prefix": 0, "brute": 1, "mu": 2}
+    assert len(run["instances_s"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +1015,32 @@ def test_lemma1_iff_randomized():
         res = lemma1_check(f, r, h_terms, d)
         assert res.consistent, (p, n, r, d, h_terms)
         checked += 1
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 2), (7, 2), (2, 8)])
+def test_lemma1_mu_side_matches_the_scalar_loop(p, n):
+    """mu_permuted from the mu-route kernel equals the scalar loop over
+    mu_subgroup(d): x^r * h(x)^((Q-1)/d) at each x, a zero of h mapping to
+    0, onto the set mu_d."""
+    f = field(p, n)
+    Q = f.order
+    rng = random.Random(p * 10 + n)
+    seen = set()
+    for d in [d for d in range(1, Q) if (Q - 1) % d == 0]:
+        for _ in range(6):
+            r = rng.randint(1, 12)
+            h_terms = [(f.element_at(rng.randrange(1, Q)), rng.randrange(-3, 2 * d))
+                       for _ in range(rng.randint(1, 3))]
+            h_fn = make_fn_exponent_sum(f, h_terms)
+            mu = f.mu_subgroup(d)
+            image = set()
+            for x in mu:
+                hx = evaluate(h_fn, x)
+                image.add((x**r * hx**((Q - 1) // d)).index if hx.index else 0)
+            want = image == {x.index for x in mu}
+            assert lemma1_check(f, r, h_terms, d).mu_permuted == want, (d, r, h_terms)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_lemma1_rejects_bad_divisor():
