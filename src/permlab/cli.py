@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -28,6 +27,7 @@ import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from .ffcore import DEFAULT_SIZE_CAP, MAX_ORDER, FieldCtx, get_field, prime_power
@@ -302,47 +302,100 @@ def stable_json(doc: dict) -> str:
     return _to_json(doc["stable"])
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_CONTAINERS = (dict, list, tuple)
+def _float(f: float) -> str:
+    text = float.__repr__(f)
+    return _NONFINITE.get(text, text)
 
 
-@functools.lru_cache(maxsize=None)
-def _encoder(inner: str, sort_keys: bool = True) -> json.JSONEncoder:
-    """json's C encoder, with the items of a container on lines of their own
-    indented by inner (json takes its C path only without indent)."""
-    return json.JSONEncoder(sort_keys=sort_keys, separators=(",\n" + inner, ": "))
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's text for a value of each scalar type, in the order json tests them
+_ATOMS = {
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    int: int.__repr__,
+    float: _float,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _to_json(o, indent: str = "") -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte.
 
-    Each container is one C-encoder call, with the containers inside it
-    written as 0 and then replaced by their own text.  A raw newline can
-    only come from the item separator (json escapes those in strings), so
-    splitting on the separator recovers the items."""
-    if not isinstance(o, _CONTAINERS):
-        return _encoder("").encode(o)
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    inner = indent + "  "
-    values = o.values() if isinstance(o, dict) else o
-    if _SCALARS.issuperset(map(type, values)):
-        text = _encoder(inner).encode(o)
+    One pass appends the text to a list of chunks, joined once.  A list of
+    two or more non-empty dicts with one set of str keys (a list of records,
+    such as a report's instance rows) is written from one %-template for
+    its sorted keys, filled column by column.  A column, like a list, whose
+    values share one scalar type maps that type's text over them; any other
+    column is written cell by cell."""
+    chunks: list[str] = []
+    _write(o, indent, chunks.append)
+    return "".join(chunks)
+
+
+def _write(o, indent: str, put: Callable[[str], None]) -> None:
+    """Pass the text of o, nested at indent, to put in chunks."""
+    if isinstance(o, dict):
+        items = sorted(o.items())
+        heads, values, brackets = [_key(k) for k, _ in items], [v for _, v in items], "{}"
+    elif isinstance(o, (list, tuple)):
+        heads, values, brackets = None, o, "[]"
     else:
-        if isinstance(o, dict):
-            items = sorted(o.items())     # json's order, kept by an unsorted encoding
-            values = [v for _, v in items]
-            shell = {key: 0 if isinstance(v, _CONTAINERS) else v for key, v in items}
-        else:
-            shell = [0 if isinstance(v, _CONTAINERS) else v for v in o]
-        sep = ",\n" + inner
-        text = _encoder(inner, False).encode(shell)
-        lines = text[1:-1].split(sep)
+        put(_ATOMS.get(type(o), _atom)(o))
+        return
+    if not values:
+        put(brackets)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    put(brackets[0] + "\n" + inner)
+    if heads is None and (texts := _columnar(values, inner)) is not None:
+        put(sep.join(texts))
+    else:
         for i, v in enumerate(values):
-            if isinstance(v, _CONTAINERS):
-                lines[i] = lines[i][:-1] + _to_json(v, inner)
-        text = text[0] + sep.join(lines) + text[-1]
-    return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+            if i:
+                put(sep)
+            if heads:
+                put(heads[i])
+            _write(v, inner, put)
+    put("\n" + indent + brackets[1])
+
+
+def _columnar(values: Sequence, indent: str):
+    """The text of each of values at indent if they share one scalar type
+    or are a list of records, else None."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _ATOMS:
+        return map(_ATOMS[kind], values)
+    keys = values[0].keys() if kind is dict and len(values) > 1 else ()
+    if (not keys or not all(type(k) is str for k in keys)
+            or not all(map(keys.__eq__, map(dict.keys, values)))):
+        return None
+    keys = sorted(keys)
+    inner = indent + "  "
+    template = "{\n" + inner + (",\n" + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + "\n" + indent + "}"
+    columns = [[d[k] for d in values] for k in keys]
+    return map(template.__mod__, zip(*(
+        texts if (texts := _columnar(col, inner)) is not None
+        else [_to_json(v, inner) for v in col] for col in columns)))
+
+
+def _atom(o) -> str:
+    for kind, render in _ATOMS.items():
+        if isinstance(o, kind):
+            return render(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key's text and separator; json writes a non-str key as the
+    string of its scalar text."""
+    if not isinstance(k, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    text = _atom(k)
+    return (text if isinstance(k, str) else f'"{text}"') + ": "
 
 
 CSV_COLUMNS = [
@@ -608,11 +661,16 @@ def cmd_report(args) -> int:
         raise ConfigError(f"not a {SCHEMA} document: {args.input}")
     if args.format == "csv" and stable.get("verb") not in ("verify", "table1"):
         raise ConfigError("csv re-emission only covers verify/table1 runs")
-    try:
-        _emit(doc, args.format, args.out, report_csv)
-    except KeyError as exc:
-        raise ConfigError(
-            f"{args.input} lacks the key {exc.args[0]!r}") from exc
+
+    def to_csv(doc: dict) -> str:
+        try:
+            return report_csv(doc)
+        except KeyError as exc:
+            raise ConfigError(
+                f"{args.input} lacks the key {exc.args[0]!r}") from exc
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ConfigError(f"{args.input} is malformed: {exc}") from exc
+    _emit(doc, args.format, args.out, to_csv)
     return EXIT_PASS
 
 

@@ -428,6 +428,36 @@ def test_report_names_missing_key(tmp_path, capsys):
     assert "'runs'" in capsys.readouterr().err
 
 
+def _set_conditions(stable, v):
+    stable["runs"][0]["conditions"] = v
+
+
+def _set_runs(stable, v):
+    stable["runs"] = v
+
+
+def _set_witness(stable, v):
+    stable["runs"][0]["conditions"][0]["instances"][0]["witness"] = v
+
+
+@pytest.mark.parametrize("plant, value", [
+    (_set_conditions, "default"),     # TypeError
+    (_set_runs, 3),                   # TypeError
+    (_set_witness, 5),                # TypeError
+    (_set_witness, [5]),              # IndexError
+], ids=["conditions-str", "runs-int", "witness-int", "witness-one-element"])
+def test_report_csv_of_mistyped_report_exits_3(tmp_path, capsys, plant, value):
+    code, doc = run(tmp_path, "verify", "--family", "thm7", "--q", "7")
+    assert code == 0
+    plant(doc["stable"], value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--input", str(bad), "--format", "csv"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(bad) in err
+
+
 def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("stray")

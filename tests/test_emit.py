@@ -48,6 +48,44 @@ def test_emitter_equals_json_dumps(o):
     assert _to_json(o) == reference(o)
 
 
+# Lists of records: one key set per list, keys that need escaping or carry
+# a %, and columns that hold one type or mix them.
+record_keys = st.sets(st.one_of(
+    st.sampled_from(["%", "%s", "%%d", "%(a)s", '"', "\\", "é", "\U0001f600", ""]),
+    texts), min_size=1, max_size=6)
+specials = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+columns = st.sampled_from([
+    st.integers(), st.booleans(), st.none(), specials, st.floats(), texts,
+    st.one_of(st.integers(), st.booleans()),
+    st.one_of(st.none(), st.lists(st.integers(), min_size=2, max_size=2)),
+    st.fixed_dictionaries({"%": st.integers(), "b": st.one_of(st.none(), specials)}),
+    trees,
+])
+
+
+@st.composite
+def records(draw):
+    keys = draw(record_keys)
+    cells = {k: draw(columns) for k in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(cells), min_size=1, max_size=6))
+    return draw(st.sampled_from([rows, tuple(rows), {"rows": rows}, [rows, rows]]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(records())
+@example([{}, {}])
+@example([{"%": 1}, {"%": True}])
+@example([{"a": 1}, {"b": 2}])
+@example([{"a": 1, "b": [2, None]}])
+@example(({"a": 1, "%s": "x"}, {"a": 2, "%s": "%s"}))
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{"a": {"x": [1]}, "": -0.0}, {"a": {"x": []}, "": float("nan")}])
+@example([{"a": 1}, {"a": 2}, {}])
+@example([{1: "a", 2.5: None}, {1: "b", 2.5: True}])      # keys json coerces
+def test_records_equal_json_dumps(o):
+    assert _to_json(o) == reference(o)
+
+
 @pytest.mark.parametrize("o", [
     {1: 2, 3: 4},
     {2.5: [1], -1.0: {"a": None}},
@@ -79,6 +117,8 @@ def test_unencodable_input_raises_type_error_as_json_does(o):
     "sweep --q 16",
     "catalog",
     "verify --family thm18-4 --q 32",     # the largest catalog document
+    "verify",                             # the whole catalog
+    "verify --family thm14 --q 7",        # prefix-route witness rows
 ])
 def test_reports_are_json_dumps_bytes(tmp_path, argv):
     out = tmp_path / "r.json"
@@ -93,3 +133,23 @@ def test_report_re_emits_its_input_byte_for_byte(tmp_path):
     assert main(["report", "--input", str(saved), "--format", "json",
                  "--out", str(again)]) == 0
     assert again.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    "report --format json --input",       # a saved verify report, re-emitted
+    "report --format csv --input",
+    "catalog --format json",
+    "catalog --format csv",
+])
+def test_stdout_equals_out_file(tmp_path, capsys, argv):
+    """The same bytes reach stdout and --out (timings aside, which is why
+    verify/table1/sweep are compared through their saved report)."""
+    saved, out = tmp_path / "saved.json", tmp_path / "r.out"
+    argv = argv.split()
+    if argv[-1] == "--input":
+        assert main(["verify", "--family", "thm14", "--q", "3", "--out", str(saved)]) == 0
+        argv.append(str(saved))
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
