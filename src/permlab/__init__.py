@@ -9,12 +9,16 @@ from .ffcore import (
 )
 from .permcheck import (
     FnSpec,
+    GSpec,
     PermVerdict,
     build_inverse_table,
+    compose_f,
+    compose_h,
     evaluate_all,
     is_permutation,
     lemma1_check,
     make_fn_exponent_sum,
+    make_gspec,
 )
 from .families import (
     CoeffCondition,
@@ -30,11 +34,7 @@ from .families import (
 )
 from .transform import (
     CosetSet,
-    GSpec,
-    compose_f,
-    compose_h,
     invert_f,
-    make_gspec,
     prop2_check,
     prop4_check,
     quadratic_form_solutions,

@@ -27,6 +27,8 @@ import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
@@ -138,33 +140,35 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     Non-primary Frobenius steps are recorded as informational: their verdicts
     appear in the report but do not count against the exit code, so a variant
     that fails as stated is surfaced rather than silently swapped or hidden.
+    Each (s, step) form is one engine call, timed here and split equally
+    over its instances.
     """
     fam = lookup(fid)
     p, k = _factor_prime_power(q)
-    m = 2 if fam.shape == "square" else 4
-    if q**m > cfg.cap:
+    if q**fam.m > cfg.cap:
         raise ConfigError(
-            f"field order {q}**{m} exceeds the size cap {cfg.cap}")
+            f"field order {q}**{fam.m} exceeds the size cap {cfg.cap}")
     if not fam.applies(p, k, cfg.kprime):
         raise InapplicableError(
             f"{fid} does not apply at q = {q}"
             + (f", k' = {cfg.kprime}" if fam.uses_kprime else ""))
-    if (fam.form == "delta_form" and q**m > DELTA_EXHAUSTIVE_CAP
-            and cfg.delta_samples > q**m):
+    if (fam.form == "delta_form" and q**fam.m > DELTA_EXHAUSTIVE_CAP
+            and cfg.delta_samples > q**fam.m):
         raise ConfigError(
             f"--delta-samples {cfg.delta_samples} exceeds the field order "
-            f"{q**m}")
+            f"{q**fam.m}")
     t0 = time.perf_counter()
-    fld = get_field(p, k * m, cfg.cap)
+    fld = get_field(p, k * fam.m, cfg.cap)
     field_s = time.perf_counter() - t0
     if fam.form == "delta_form":
         delta_idx, exhaustive = pick_deltas(
             fld, samples=cfg.delta_samples, seed=cfg.seed)
         deltas = [fld.element_at(i) for i in delta_idx]
+        engine = partial(f_verdicts, deltas=deltas)
     else:
-        deltas, exhaustive = (), None
+        deltas, exhaustive, engine = [None], None, h_verdicts
 
-    run = FamilyRun(family=fid, p=p, n=k * m, modulus=fld.modulus, q=q,
+    run = FamilyRun(family=fid, p=p, n=fld.n, modulus=fld.modulus, q=q,
                     kprime=cfg.kprime if fam.uses_kprime else None,
                     deltas_exhaustive=exhaustive, field_s=field_s)
     # valid_coefficients has already checked every c against the condition,
@@ -172,21 +176,18 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     # without instantiate's per-call checks
     for ci, (ctag, _) in enumerate(fam.conds):
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
+        keys = [(c, d) for c in cs for d in deltas]     # the rows' order
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
-                times, routes = [], []  # each instance's seconds and route, in row order
+                t0 = time.perf_counter()
                 try:
-                    if fam.form == "delta_form":
-                        keys = [(c, d) for c in cs for d in deltas]
-                        rows = f_verdicts(g, step, cs, deltas, times)
-                    else:
-                        keys = [(c, None) for c in cs]
-                        rows = zip(h_verdicts(g, step, cs, times, routes), routes)
+                    rows = engine(g, step, cs)
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
-                for (c, d), (verdict, route), el in zip(keys, rows, times):
+                el = (time.perf_counter() - t0) / max(1, len(rows))
+                for (c, d), (verdict, route) in zip(keys, rows):
                     run.instances.append(InstanceResult(
                         condition=ctag or "default", s_tag=stag,
                         step=step, s=s_val, c_index=c.index,
@@ -318,22 +319,24 @@ _ATOMS = {
 }
 
 
-def _to_json(o, indent: str = "") -> str:
+def _to_json(o) -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte.
 
     One pass appends the text to a list of chunks, joined once.  A list of
     two or more non-empty dicts with one set of str keys (a list of records,
-    such as a report's instance rows) is written from one %-template for
-    its sorted keys, filled column by column.  A column, like a list, whose
-    values share one scalar type maps that type's text over them; any other
-    column is written cell by cell."""
+    such as a report's instance rows) is written column by column: each
+    record's cell texts joined between the fixed pieces of its sorted keys.
+    A column, like a list, whose values share one scalar type maps that
+    type's text over them; any other column is written cell by cell.
+    Circular input raises ValueError, as json's circular check does."""
     chunks: list[str] = []
-    _write(o, indent, chunks.append)
+    _write(o, "", chunks.append, set())
     return "".join(chunks)
 
 
-def _write(o, indent: str, put: Callable[[str], None]) -> None:
-    """Pass the text of o, nested at indent, to put in chunks."""
+def _write(o, indent: str, put: Callable[[str], None], markers: set) -> None:
+    """Pass the text of o, nested at indent, to put in chunks; markers holds
+    the ids of the containers being written around o."""
     if isinstance(o, dict):
         items = sorted(o.items())
         heads, values, brackets = [_key(k) for k, _ in items], [v for _, v in items], "{}"
@@ -345,41 +348,63 @@ def _write(o, indent: str, put: Callable[[str], None]) -> None:
     if not values:
         put(brackets)
         return
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
     inner = indent + "  "
     sep = ",\n" + inner
     put(brackets[0] + "\n" + inner)
-    if heads is None and (texts := _columnar(values, inner)) is not None:
-        put(sep.join(texts))
+    if heads is None and (text := _columnar(values, inner, markers)) is not None:
+        put(text)
     else:
         for i, v in enumerate(values):
             if i:
                 put(sep)
             if heads:
                 put(heads[i])
-            _write(v, inner, put)
+            _write(v, inner, put, markers)
     put("\n" + indent + brackets[1])
+    markers.discard(id(o))
 
 
-def _columnar(values: Sequence, indent: str):
-    """The text of each of values at indent if they share one scalar type
-    or are a list of records, else None."""
+def _kind(values: Sequence):
+    """The one type of all of values, or None."""
     kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _columnar(values: Sequence, indent: str, markers: set) -> Optional[str]:
+    """The text between the brackets of values, a list nested at indent, if
+    they share one scalar type or are a list of records, else None."""
+    sep = ",\n" + indent
+    kind = _kind(values)
     if kind in _ATOMS:
-        return map(_ATOMS[kind], values)
+        return sep.join(map(_ATOMS[kind], values))
     keys = values[0].keys() if kind is dict and len(values) > 1 else ()
     if (not keys or not all(type(k) is str for k in keys)
             or not all(map(keys.__eq__, map(dict.keys, values)))):
         return None
-    keys = sorted(keys)
     inner = indent + "  "
-    template = "{\n" + inner + (",\n" + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    ) + "\n" + indent + "}"
-    columns = [[d[k] for d in values] for k in keys]
-    return map(template.__mod__, zip(*(
-        texts if (texts := _columnar(col, inner)) is not None
-        else [_to_json(v, inner) for v in col] for col in columns)))
+    parts = []
+    for i, k in enumerate(sorted(keys)):
+        head = ("," if i else "{") + "\n" + inner + encode_basestring_ascii(k) + ": "
+        col = [d[k] for d in values]
+        kind = _kind(col)
+        parts += [repeat(head) if i else chain((head,), repeat(sep + head)),
+                  map(_ATOMS[kind], col) if kind in _ATOMS
+                  else [_cell(v, d, inner, markers) for v, d in zip(col, values)]]
+    return "".join(chain.from_iterable(zip(*parts, repeat("\n" + indent + "}"))))
+
+
+def _cell(v, record: dict, indent: str, markers: set) -> str:
+    """The text of v, a value of record, nested at indent."""
+    if type(v) in _ATOMS:
+        return _ATOMS[type(v)](v)
+    chunks: list[str] = []
+    markers.add(id(record))
+    _write(v, indent, chunks.append, markers)
+    markers.discard(id(record))
+    return "".join(chunks)
 
 
 def _atom(o) -> str:

@@ -210,12 +210,16 @@ class FamilySpec:
     cross: tuple[str, ...] = ()
     notes: str = ""
 
+    @property
+    def m(self) -> int:
+        """Extension degree over GF(q): 2 for GF(q^2), 4 for GF(q^4)."""
+        return 2 if self.shape == "square" else 4
+
     def qdeg_for(self, fld: FieldCtx) -> int:
-        m = 2 if self.shape == "square" else 4
-        if fld.n % m:
+        if fld.n % self.m:
             raise InapplicableError(
-                f"{self.fid} needs a degree divisible by {m}, got GF({fld.p}^{fld.n})")
-        return fld.n // m
+                f"{self.fid} needs a degree divisible by {self.m}, got GF({fld.p}^{fld.n})")
+        return fld.n // self.m
 
 
 def _trivial(q, k, kp):
@@ -632,8 +636,7 @@ def resolve_exponent(fid: str, q: int, kprime: int = 1, variant: int = 0) -> int
     """The family's s-variant at base order q, reduced modulo its own field
     order minus one (q^2 - 1 for square shape, q^4 - 1 for quartic)."""
     fam = lookup(fid)
-    order = q * q if fam.shape == "square" else q**4
-    return reduce_exponent(fam.s_rules[variant][1](q, kprime), order)
+    return reduce_exponent(fam.s_rules[variant][1](q, kprime), q**fam.m)
 
 
 def instantiate(fid: str, fld: FieldCtx, c: Element, delta: Optional[Element] = None,
@@ -672,12 +675,11 @@ def default_parameters(fid: str, count: int = 2, cap: int = 1 << 22,
                        kprime: int = 1) -> list[tuple[int, int]]:
     """Smallest `count` applicable (p, k) pairs with field order within cap."""
     fam = lookup(fid)
-    m = 2 if fam.shape == "square" else 4
     found: list[tuple[int, int]] = []
     q = 1
     while len(found) < count:
         q += 1
-        if q**m > cap:
+        if q**fam.m > cap:
             break
         try:
             p, k = prime_power(q)

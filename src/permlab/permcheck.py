@@ -77,7 +77,6 @@ each, and only the exponents without such a repeat get the full check
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -341,27 +340,21 @@ def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
 
 
 def _h_passes(g: GSpec, k: int, cs):
-    """For each c in cs, in order: (compose_h(g, c, k), u, hits, seconds).
+    """For each c in cs, in order: (compose_h(g, c, k), u, hits).
     u = g^(q^k) - g is built once in log order (_log_order_u), each c adds
     its c*x block by block, and hits marks the values h = u + c*x takes.
-    seconds is the c's own time plus an equal share of building u, so they
-    add up to the work done.  hits is one buffer refilled for each c, valid
-    until the next item, so a single mask is ever allocated."""
-    t0 = time.perf_counter()
+    hits is one buffer refilled for each c, valid until the next item, so a
+    single mask is ever allocated."""
     fns = [compose_h(g, c, k) for c in cs]
-    if not fns:
-        return
     bulk = g.field.bulk()
     u = _log_order_u(g.field, g.terms, g.qdeg * k)
     hits = np.empty(bulk.Q, dtype=bool)
-    u_share = (time.perf_counter() - t0) / len(fns)
     for fn in fns:
-        t0 = time.perf_counter()
         hits.fill(False)
         hits[u[0]] = True
         for _, _, h in _h_blocks(bulk, u, fn.c):
             hits[h] = True
-        yield fn, u, hits, u_share + time.perf_counter() - t0
+        yield fn, u, hits
 
 
 def _mu_values(bulk, d: int, terms) -> np.ndarray:
@@ -412,44 +405,30 @@ def _mu_verdicts(g: GSpec, k: int, c_idx) -> Optional[np.ndarray]:
     return _mu_permutes(bulk, q + 1, 1, H)
 
 
-def h_verdicts(g: GSpec, k: int, cs, times: Optional[list] = None,
-               routes: Optional[list] = None) -> list[PermVerdict]:
-    """The verdict of h = g^(q^k) - g + c*x for each c in cs, in order, equal
-    to is_permutation(compose_h(g, c, k)).  Brute force reads it off one
-    _h_passes pass: a c that hits every value permutes, and only a failing
-    c scatters its table into index order, where is_permutation finds its
-    witness.  Where the mu route applies, brute force checks the c the
-    module docstring names, and a c where the two routes disagree raises
-    RuntimeError.  When times is a list, it receives each c's seconds: its
-    own, plus equal shares of building u over the brute-forced c and of the
-    mu route over all.  When routes is a list, it receives each c's route:
-    "mu" where the mu route alone decided it, else "brute"."""
+def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
+    """(verdict, route) of h = g^(q^k) - g + c*x for each c in cs, in order;
+    each verdict equals is_permutation(compose_h(g, c, k)).  Brute force
+    ("brute") reads it off one _h_passes pass: a c that hits every value
+    permutes, and only a failing c scatters its table into index order,
+    where is_permutation finds its witness.  Where the mu route applies,
+    brute force checks the c the module docstring names, the mu route alone
+    decides the rest ("mu"), and a c where the two routes disagree raises
+    RuntimeError."""
     cs = list(cs)
-    if not cs:
-        return []
-    t0 = time.perf_counter()
     mu = _mu_verdicts(g, k, [compose_h(g, c, k).c for c in cs])
     if mu is None or g.field.order <= DELTA_EXHAUSTIVE_CAP:
         brute = list(range(len(cs)))
     else:
         brute = [j for j in range(len(cs)) if j == 0 or not mu[j]]
-    verdicts = [_PERMUTES] * len(cs)
-    clock = [(time.perf_counter() - t0) / len(cs)] * len(cs)
-    route = ["mu"] * len(cs)
-    for j, (fn, u, hits, pass_s) in zip(brute, _h_passes(g, k, [cs[j] for j in brute])):
-        t0 = time.perf_counter()
-        if np.count_nonzero(hits) != hits.size:
-            verdicts[j] = is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c))
-        if mu is not None and mu[j] != verdicts[j].is_permutation:
+    rows = [(_PERMUTES, "mu")] * len(cs)
+    for j, (fn, u, hits) in zip(brute, _h_passes(g, k, [cs[j] for j in brute])):
+        verdict = (_PERMUTES if np.count_nonzero(hits) == hits.size
+                   else is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c)))
+        if mu is not None and mu[j] != verdict.is_permutation:
             raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
-                               f"image deficit {verdicts[j].image_deficit} by brute force")
-        clock[j] += pass_s + time.perf_counter() - t0
-        route[j] = "brute"
-    if times is not None:
-        times.extend(clock)
-    if routes is not None:
-        routes.extend(route)
-    return verdicts
+                               f"image deficit {verdict.image_deficit} by brute force")
+        rows[j] = (verdict, "brute")
+    return rows
 
 
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
@@ -519,7 +498,7 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     s_arr = np.asarray(s_values, dtype=np.int64)
     survivors = s_arr[prefix_survivors(field, c, s_arr, k, qdeg)].tolist()
     hits = [s for s in survivors if h_verdicts(
-        _trinomial_g(field, s, qdeg), k, [c])[0].is_permutation]
+        _trinomial_g(field, s, qdeg), k, [c])[0][0].is_permutation]
     return hits, len(survivors)
 
 
@@ -604,30 +583,21 @@ def _prefix_witnesses(g: GSpec, c: Element, k: int,
     return [(el(i), el(j)) for i, j in zip(a.tolist(), b.tolist())]
 
 
-def f_verdicts(g: GSpec, k: int, cs, deltas,
-               times: Optional[list] = None) -> list[tuple[PermVerdict, str]]:
+def f_verdicts(g: GSpec, k: int, cs, deltas) -> list[tuple[PermVerdict, str]]:
     """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
     and d in deltas, c-major; each verdict equals
     is_permutation(compose_f(g, c, k, d)).  One _h_passes pass gives, per c,
     every delta's image deficit (_trace_deficits), and _f_rows decides the
-    deltas from it.  When times is a list, it receives each row's
-    seconds."""
+    deltas from it."""
     delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
-    out, clock = [], []
-    for c, (_, _, hits, pass_s) in zip(cs, _h_passes(g, k, cs)):
-        rows, row_s = _f_rows(g, c, k, delta_idx, hits, pass_s)
-        out += rows
-        clock += row_s
-    if times is not None:
-        times.extend(clock)
-    return out
+    return [row for c, (_, _, hits) in zip(cs, _h_passes(g, k, cs))
+            for row in _f_rows(g, c, k, delta_idx, hits)]
 
 
 def _f_rows(g: GSpec, c: Element, k: int, delta_idx: np.ndarray,
-            hits: np.ndarray, pass_s: float, on_probe=None):
-    """(rows, row_s): f_verdicts' (verdict, route) and seconds for one c
-    and the deltas of index delta_idx, given the mask hits of the values h
-    takes and the seconds pass_s of the c's h pass.
+            hits: np.ndarray, on_probe=None) -> list[tuple[PermVerdict, str]]:
+    """f_verdicts' (verdict, route) rows for one c and the deltas of index
+    delta_idx, given the mask hits of the values h takes.
 
     Brute force ("brute") checks the first delta of each trace fibre, its
     probe, and every delta whose deficit differs from its fibre's probed
@@ -637,29 +607,21 @@ def _f_rows(g: GSpec, c: Element, k: int, delta_idx: np.ndarray,
     ("prefix") the deficit stands and _prefix_witnesses finds the witnesses,
     all of the c's at once.  With c outside GF(q^l) every delta is
     brute-forced.  on_probe(d index, f_d's value table) is called with each
-    probe's table before the next is made.  A row's seconds are its own
-    plus an equal share of pass_s and the deficits, spread over the rows
-    whose deficit they decided (all rows when there are none), so they add
-    up to the work done."""
-    t0 = time.perf_counter()
+    probe's table before the next is made."""
     fibre = _trace_deficits(g, c, k, hits, delta_idx)
-    fibre_s = pass_s + time.perf_counter() - t0
     fld = g.field
     tr = fld.bulk().trace(g.qdeg * math.gcd(k, g.m))
-    rows, row_s, probed, prefix = [], [], {}, []
+    rows, probed, prefix = [], {}, []
     for j, i in enumerate(delta_idx.tolist()):
         want = None if fibre is None else fibre.item(j)
         if want is not None and probed.get(tr.item(i)) == want:
             if want:
                 prefix.append(j)
             rows.append(None if want else (_PERMUTES, "fibre"))
-            row_s.append(0.0)
             continue
-        t0 = time.perf_counter()
         fd = compose_f(g, c, k, fld.element_at(i))
         outs = evaluate_all(fd)
         verdict = is_permutation(fd, outs=outs)
-        row_s.append(time.perf_counter() - t0)
         rows.append((verdict, "brute"))
         if want is not None:
             if verdict.image_deficit != want:
@@ -672,17 +634,9 @@ def _f_rows(g: GSpec, c: Element, k: int, delta_idx: np.ndarray,
                 if on_probe is not None:
                     on_probe(i, outs)
         del outs            # one f_d table alive at a time
-    if prefix:
-        t0 = time.perf_counter()
-        witnesses = _prefix_witnesses(g, c, k, delta_idx[prefix])
-        share = (time.perf_counter() - t0) / len(prefix)
-        for j, w in zip(prefix, witnesses):
-            rows[j] = (PermVerdict(False, w, fibre.item(j)), "prefix")
-            row_s[j] = share
-    decided = [j for j, (_, r) in enumerate(rows) if r != "brute"] or range(len(rows))
-    for j in decided:
-        row_s[j] += fibre_s / len(decided)
-    return rows, row_s
+    for j, w in zip(prefix, _prefix_witnesses(g, c, k, delta_idx[prefix])):
+        rows[j] = (PermVerdict(False, w, fibre.item(j)), "prefix")
+    return rows
 
 
 def _pair_verdicts(g: GSpec, c: Element, k: int, deltas, on_probe=None):
@@ -690,11 +644,11 @@ def _pair_verdicts(g: GSpec, c: Element, k: int, deltas, on_probe=None):
     [c], deltas)) from one _h_passes pass: both sides of the companion pair
     from one u.  on_probe(ho, d index, f_d's value table) is called with
     each probe _f_rows makes."""
-    (fn, u, hits, pass_s), = _h_passes(g, k, [c])
+    (fn, u, hits), = _h_passes(g, k, [c])
     ho = _index_order_h(fn.field.bulk(), u, fn.c)
     delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
-    rows, _ = _f_rows(g, c, k, delta_idx, hits, pass_s,
-                      on_probe and (lambda i, fo: on_probe(ho, i, fo)))
+    rows = _f_rows(g, c, k, delta_idx, hits,
+                   on_probe and (lambda i, fo: on_probe(ho, i, fo)))
     return is_permutation(fn, outs=ho), ho, rows
 
 

@@ -6,9 +6,6 @@ coefficient c, the two companion maps are
     h(x) = g(x)^(q^k) - g(x) + c*x
     f(x) = g(x^(q^k) - x + delta) + c*x
 
-(GSpec, make_gspec, compose_h and compose_f live in permcheck and are
-re-exported here.)
-
 When c lies in GF(q^l)* with l = gcd(k, m) and h permutes the field, f
 permutes the field for EVERY delta, with explicit inverse
 
@@ -48,22 +45,17 @@ import numpy as np
 
 from .ffcore import Element, FieldCtx
 from .permcheck import (DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict, _eval_terms_all,
-                        _pair_verdicts, _resolve_view, build_inverse_table, compose_f,
-                        compose_h, evaluate_all, make_gspec)
+                        _pair_verdicts, _resolve_view, build_inverse_table, compose_h,
+                        evaluate_all)
 
 __all__ = [
     "CosetSet",
-    "DELTA_EXHAUSTIVE_CAP",
     "DELTA_SAMPLES",
     "DEFAULT_SEED",
-    "GSpec",
     "Prop2Report",
     "Prop4Report",
     "QuadFormReport",
-    "compose_f",
-    "compose_h",
     "invert_f",
-    "make_gspec",
     "pick_deltas",
     "prop2_check",
     "prop4_check",

@@ -20,9 +20,11 @@ from permlab.cli import (
 )
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
+    compose_f,
     is_permutation,
     lemma1_check,
     make_fn_exponent_sum,
+    make_gspec,
 )
 from permlab.families import (
     instantiate,
@@ -31,10 +33,7 @@ from permlab.families import (
     valid_coefficients,
 )
 from permlab.transform import (
-    compose_f,
-    compose_h,
     invert_f,
-    make_gspec,
     pick_deltas,
     prop2_check,
     prop4_check,

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import time
-from collections import Counter
 
 import pytest
 
@@ -25,6 +24,20 @@ def flat_instances(doc):
         for blk in r["conditions"]:
             for inst in blk["instances"]:
                 yield r, inst
+
+
+def form_times(doc):
+    """Per run, the instances_s entries of each (condition, s, step) form,
+    the instances one engine call decides."""
+    out = []
+    for r, t in zip(doc["stable"]["runs"], doc["timings"]["runs"]):
+        forms = {}
+        rows = [(blk["condition"], inst) for blk in r["conditions"] for inst in blk["instances"]]
+        assert len(rows) == len(t["instances_s"])
+        for (cond, inst), el in zip(rows, t["instances_s"]):
+            forms.setdefault((cond, inst["s_tag"], inst["step"]), []).append(el)
+        out.append(forms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +245,11 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     assert code == 0
     t = doc["timings"]["runs"][0]
     assert t["routes"] == {"fibre": 72, "brute": 12, "prefix": 78, "mu": 0}
-    forms = {}
-    for (_, inst), el in zip(flat_instances(doc), t["instances_s"]):
-        forms.setdefault((inst["step"], inst["c"]), []).append(el)
+    (forms,) = form_times(doc)
     assert sorted(map(len, forms.values())) == [81, 81]
     for els in forms.values():
-        assert sum(els) >= pause           # the fibre call is counted once
-    shares = Counter(forms[(2, 1)]).most_common(1)[0]
-    assert shares[1] >= 72 and shares[0] >= pause / 72
+        # the form's one engine call, fibre count included, in equal shares
+        assert len(set(els)) == 1 and els[0] >= round(pause / 81, 6)
     # trinomial families never take the fibre route, and on a field of at
     # most 2^14 points brute force checks every c the mu route decides
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
@@ -264,6 +274,36 @@ def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
     assert all(el >= pause / 5 for el in els)
     assert pause <= sum(els) < 1.5 * pause
     assert doc["timings"]["total_s"] >= sum(els) + doc["timings"]["runs"][0]["field_s"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "thm14", "--q", "3"),     # two delta forms
+    ("verify", "--family", "thm5", "--q", "9"),      # one trinomial form
+    ("table1", "--row", "9"),                        # two conditions
+])
+def test_slowed_engine_call_shows_as_equal_shares_in_its_form(tmp_path, monkeypatch, argv):
+    """Each engine call, slowed by pause, is timed once by the caller: every
+    instance of its form gets the same share, at least pause over the
+    form's instance count, and the shares, with field_s, fit in total_s."""
+    pause, calls = 0.02, []
+
+    def slowed(engine):
+        def slow(*args, **kwargs):
+            calls.append(engine)
+            time.sleep(pause)
+            return engine(*args, **kwargs)
+        return slow
+
+    monkeypatch.setattr(cli, "f_verdicts", slowed(cli.f_verdicts))
+    monkeypatch.setattr(cli, "h_verdicts", slowed(cli.h_verdicts))
+    code, doc = run(tmp_path, *argv)
+    assert code == 0
+    (forms,) = form_times(doc)
+    assert len(forms) == len(calls)
+    for els in forms.values():
+        assert len(set(els)) == 1 and els[0] >= round(pause / len(els), 6)
+    (t,) = doc["timings"]["runs"]
+    assert sum(t["instances_s"]) + t["field_s"] <= doc["timings"]["total_s"]
 
 
 def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):

@@ -111,6 +111,38 @@ def test_unencodable_input_raises_type_error_as_json_does(o):
         _to_json(o)
 
 
+def _circular():
+    """Self-containing inputs: a list, a dict, and lists of records that
+    reach back to themselves, their list or one of their records."""
+    lst = []
+    lst.append(lst)
+    dct = {}
+    dct["a"] = dct
+    rows = [{"x": 1}, {"x": 2}]
+    rows[1]["x"] = rows
+    selfish = [{"x": 1}, {"x": 2}]
+    selfish[0]["x"] = [selfish[0]]
+    deep = [{"s": {"t": 1}}, {"s": {"t": 2}}]
+    deep[1]["s"]["t"] = deep[1]
+    return {"list": lst, "dict": dct, "records": rows, "record": selfish,
+            "nested record": {"k": deep}}
+
+
+@pytest.mark.parametrize("o", list(_circular().values()), ids=list(_circular()))
+def test_circular_input_raises_value_error_as_json_does(o):
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        reference(o)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        _to_json(o)
+
+
+def test_shared_but_acyclic_input_is_written_as_json_does():
+    """A container met twice on different paths is not circular."""
+    b = {"x": 1}
+    for o in ([{"x": b}, b], [b, b], [[b, b], [b]], {"p": b, "q": [b, {"x": b}]}):
+        assert _to_json(o) == reference(o)
+
+
 @pytest.mark.parametrize("argv", [
     "verify --family thm14 --q 3",        # witness rows
     "table1 --row 8 --k 3",

@@ -26,6 +26,22 @@ def test_every_name_in_all_resolves(name):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_only_names_the_module_defines(name):
+    """No module re-exports another's names: each name in __all__ is bound
+    by a def, a class or an assignment at the module's top level, not by an
+    import."""
+    mod = importlib.import_module(f"permlab.{name}")
+    defined = set()
+    for node in ast.parse(Path(mod.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert [n for n in mod.__all__ if n not in defined] == []
+
+
 def test_every_name_the_package_imports_resolves():
     tree = ast.parse(Path(permlab.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]

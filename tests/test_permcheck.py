@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -340,7 +341,7 @@ def _lemma_base(n, qdeg, k):
 def _engine_deficits(g, c, k):
     """_trace_deficits at every delta, read off the hits of one _h_passes
     pass, as f_verdicts reads them."""
-    (_, _, hits, _), = permcheck._h_passes(g, k, [c])
+    (_, _, hits), = permcheck._h_passes(g, k, [c])
     return permcheck._trace_deficits(g, c, k, hits, np.arange(g.field.order))
 
 
@@ -428,35 +429,37 @@ def test_f_verdicts_routes_and_times():
     force checks one probe of each fibre, the prefix search finds the
     witnesses of the other 6 failing deltas, and the fibre route decides
     the other 6 permuting ones.  A c outside GF(4) leaves every delta to
-    brute force.  Each delta gets one seconds entry."""
+    brute force.  Each delta gets one (verdict, route) row; the engine
+    keeps no clock and takes no out-list, as its caller times the call."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     deltas = [f.element_at(i) for i in range(f.order)]
     for c, routes in [(f.one, {"brute": 4, "fibre": 6, "prefix": 6}), (f.element_at(2), {"brute": 16})]:
-        times = []
-        got = f_verdicts(g, 1, [c], deltas, times)
+        got = f_verdicts(g, 1, [c], deltas)
         assert [v for v, _ in got] == [is_permutation(compose_f(g, c, 1, d)) for d in deltas]
         assert Counter(route for _, route in got) == routes
-        assert len(times) == len(deltas) and all(t >= 0 for t in times)
+        assert len(got) == len(deltas)
+    assert list(inspect.signature(f_verdicts).parameters) == ["g", "k", "cs", "deltas"]
+    assert not hasattr(permcheck, "time")
     assert f_verdicts(g, 1, [f.one], []) == []
     assert f_verdicts(g, 1, [], deltas) == []
 
 
 def test_f_verdicts_many_c_equal_their_single_c_calls():
-    """Rows come c-major, and each c's rows and seconds are those of its own
-    call, for c inside and outside GF(q^l)."""
+    """Rows come c-major, and each c's rows are those of its own call, for
+    c inside and outside GF(q^l)."""
     f = field(7, 2)
     g = make_gspec(f, [(f.one, 19)], 1)
     inside = sorted(f.subfield_indices(1) - {0})
     outside = next(i for i in range(1, f.order) if i not in inside)
     cs = [f.element_at(i) for i in inside + [outside]]
     deltas = [f.element_at(i) for i in range(0, f.order, 2)]
-    times, want, want_times = [], [], []
-    got = f_verdicts(g, 1, cs, deltas, times)
+    want = []
+    got = f_verdicts(g, 1, cs, deltas)
     for c in cs:
-        want += f_verdicts(g, 1, [c], deltas, want_times)
+        want += f_verdicts(g, 1, [c], deltas)
     assert got == want
-    assert len(times) == len(want_times) == len(cs) * len(deltas)
+    assert len(got) == len(want) == len(cs) * len(deltas)
     assert {r for _, r in got} == {"brute", "fibre", "prefix"}
     assert {v.is_permutation for v, _ in got} == {True, False}
 
@@ -651,7 +654,7 @@ def test_h_verdicts_match_scalar_path_every_c(p, n, qdeg, k):
     cs = [f.element_at(i) for i in range(1, f.order)]
     seen = set()
     for gi, g in enumerate(_h_gs(f, qdeg)):
-        got = [_verdict_tuple(v) for v in h_verdicts(g, k, cs)]
+        got = [_verdict_tuple(v) for v, _ in h_verdicts(g, k, cs)]
         u = _scalar_u(g, k)
         for c, v in zip(cs, got):
             assert v == _scalar_verdict(u, c), (gi, c)
@@ -674,7 +677,7 @@ def test_h_verdicts_agree_on_random_binomial_g(case, data):
     idx = data.draw(st.lists(st.integers(1, Q - 1), min_size=1, max_size=4,
                              unique=True))
     cs = [f.element_at(i) for i in idx]
-    got = [_verdict_tuple(v) for v in h_verdicts(g, k, cs)]
+    got = [_verdict_tuple(v) for v, _ in h_verdicts(g, k, cs)]
     u = _scalar_u(g, k)
     assert got == [_scalar_verdict(u, c) for c in cs]
 
@@ -685,23 +688,25 @@ def test_h_verdicts_scatter_only_failing_c(monkeypatch):
     f = field(2, 6)
     g = _h_gs(f, 3)[0]
     cs = [f.element_at(i) for i in range(1, f.order)]
-    want = [v.is_permutation for v in h_verdicts(g, 1, cs)]
+    want = [v.is_permutation for v, _ in h_verdicts(g, 1, cs)]
     assert set(want) == {True, False}
     calls = []
     real = permcheck.is_permutation
     monkeypatch.setattr(permcheck, "is_permutation",
                         lambda fn, outs=None: calls.append(fn.c) or real(fn, outs))
-    assert [v.is_permutation for v in h_verdicts(g, 1, cs)] == want
+    assert [v.is_permutation for v, _ in h_verdicts(g, 1, cs)] == want
     assert calls == [c.index for c, ok in zip(cs, want) if not ok]
 
 
 def test_h_verdicts_times_and_refusals():
+    """One (verdict, route) row per c; the engine keeps no clock and takes
+    no out-list, as its caller times the call."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 7)], 2)
-    times = []
     cs = [f.one, f.element_at(6), f.element_at(9)]
-    assert len(h_verdicts(g, 1, cs, times)) == 3
-    assert len(times) == 3 and all(t >= 0 for t in times)
+    assert len(h_verdicts(g, 1, cs)) == 3
+    assert list(inspect.signature(h_verdicts).parameters) == ["g", "k", "cs"]
+    assert not hasattr(permcheck, "time")
     assert h_verdicts(g, 1, []) == []
     with pytest.raises(ValueError):
         h_verdicts(g, 1, [f.one, f.zero])
@@ -747,7 +752,7 @@ def test_permuting_trinomial_never_builds_the_index_ramp():
     its own block length only: the whole-field ramp _Bulk.xs stays unbuilt."""
     f = FieldCtx(2, 16)
     g = make_gspec(f, [(f.one, 2 * 256 - 1)], 8)
-    assert h_verdicts(g, 1, [f.one]) == [permcheck._PERMUTES]
+    assert h_verdicts(g, 1, [f.one]) == [(permcheck._PERMUTES, "brute")]
     assert "xs" not in f.bulk().__dict__
     assert np.array_equal(f.bulk().xs, np.arange(f.order))
     assert "xs" in f.bulk().__dict__
@@ -759,7 +764,7 @@ def test_failing_h_leaves_no_index_ramp_behind():
     unbuilt, and the witness is the scalar oracle's first repeat."""
     f = FieldCtx(2, 16)
     c = f.element_at(3)
-    (v,) = h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, [c])
+    ((v, _),) = h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, [c])
     assert not v.is_permutation and f.order > permcheck.BLOCK
     assert "xs" not in f.bulk().__dict__
     want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 8), range(f.order))
@@ -783,7 +788,7 @@ def test_h_verdicts_witness_at_the_cap_matches_scalar_oracle():
     evaluate meets scanning the points in index order."""
     f = field(2, 22)
     c = f.element_at(3)
-    (v,) = h_verdicts(make_gspec(f, [(f.one, 7)], 11), 1, [c])
+    ((v, _),) = h_verdicts(make_gspec(f, [(f.one, 7)], 11), 1, [c])
     assert not v.is_permutation
     want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 11), range(f.order))
     assert tuple(e.index for e in v.witness) == want == (1264, 2065)
@@ -883,22 +888,44 @@ def test_mu_route_applies_to_canonical_g_over_gf_q2_only():
 def test_h_verdicts_mu_routes_above_the_cap():
     """GF(2^16), q = 256, s = 1 + 2(q-1): brute force checks the first c and
     every c the mu route fails, with today's witnesses; the others are
-    "mu".  A non-canonical s stays all "brute".  Seconds add up per c."""
+    "mu".  A non-canonical s stays all "brute"."""
     f = field(2, 16)
     assert f.order > permcheck.DELTA_EXHAUSTIVE_CAP
     g = make_gspec(f, [(f.one, 2 * 256 - 1)], 8)
     cs = [f.element_at(i) for i in (5, 1, 2, 3, 4, 6, 7, 8)]
     mu = permcheck._mu_verdicts(g, 1, [c.index for c in cs]).tolist()
     assert set(mu[1:]) == {True, False}
-    times, routes = [], []
-    got = h_verdicts(g, 1, cs, times, routes)
+    got = h_verdicts(g, 1, cs)
     want = [is_permutation(compose_h(g, c, 1)) for c in cs]
-    assert [_verdict_tuple(v) for v in got] == [_verdict_tuple(v) for v in want]
-    assert routes == ["brute"] + ["mu" if ok else "brute" for ok in mu[1:]]
-    assert len(times) == len(cs) and all(t > 0 for t in times)
-    routes = []
-    h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, cs[:3], routes=routes)
+    assert [_verdict_tuple(v) for v, _ in got] == [_verdict_tuple(v) for v in want]
+    assert [r for _, r in got] == ["brute"] + ["mu" if ok else "brute" for ok in mu[1:]]
+    assert len(got) == len(cs)
+    routes = [r for _, r in h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, cs[:3])]
     assert routes == ["brute"] * 3
+
+
+@pytest.mark.parametrize("p, n, qdeg, s", [
+    (3, 4, 2, 17),          # 81 points, canonical: every c brute-forced
+    (2, 6, 3, 5),           # 64 points, not canonical
+    (2, 16, 8, 511),        # above the cap, canonical: the mu route decides
+    (2, 16, 8, 7),          # above the cap, not canonical
+])
+def test_h_verdicts_rows_are_verdict_and_route(p, n, qdeg, s):
+    """Each row is (is_permutation(compose_h(g, c, k)), route): "mu" exactly
+    for a permuting c after the first of a canonical g above
+    DELTA_EXHAUSTIVE_CAP, "brute" otherwise."""
+    f = field(p, n)
+    g = make_gspec(f, [(f.one, s)], qdeg)
+    cs = [f.element_at(i) for i in (5, 1, 2, 3, 4, 6, 7, 8)]
+    mu_applies = permcheck._mu_verdicts(g, 1, [1]) is not None
+    want = []
+    for j, c in enumerate(cs):
+        v = is_permutation(compose_h(g, c, 1))
+        mu = mu_applies and f.order > permcheck.DELTA_EXHAUSTIVE_CAP and j > 0
+        want.append((v, "mu" if mu and v.is_permutation else "brute"))
+    assert h_verdicts(g, 1, cs) == want
+    above = f.order > permcheck.DELTA_EXHAUSTIVE_CAP
+    assert ({r for _, r in want} == {"brute", "mu"}) == (mu_applies and above)
 
 
 def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
@@ -908,8 +935,7 @@ def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
     assert f.order == permcheck.DELTA_EXHAUSTIVE_CAP
     g = make_gspec(f, [(f.one, 1 + 2 * 127)], 7)
     cs = [f.element_at(i) for i in range(1, 9)]
-    routes = []
-    h_verdicts(g, 1, cs, routes=routes)
+    routes = [r for _, r in h_verdicts(g, 1, cs)]
     assert routes == ["brute"] * len(cs)
     real = permcheck._mu_verdicts
 

@@ -7,19 +7,19 @@ import pytest
 from permlab import permcheck, transform
 from permlab.ffcore import FieldCtx
 from permlab.permcheck import (
+    DELTA_EXHAUSTIVE_CAP,
     build_inverse_table,
+    compose_f,
+    compose_h,
     evaluate_all,
     h_verdicts,
     is_permutation,
     make_fn_exponent_sum,
+    make_gspec,
 )
 from permlab.transform import (
-    DELTA_EXHAUSTIVE_CAP,
     DELTA_SAMPLES,
-    compose_f,
-    compose_h,
     invert_f,
-    make_gspec,
     pick_deltas,
     prop2_check,
     prop4_check,
@@ -376,7 +376,7 @@ def _permuting_pairs(f, qdeg, k):
             g = make_gspec(f, terms, qdeg)
             if not g.terms or _anchored(g, sub):
                 continue
-            hits = [c for c, v in zip(cs, h_verdicts(g, k, cs)) if v.is_permutation]
+            hits = [c for c, (v, _) in zip(cs, h_verdicts(g, k, cs)) if v.is_permutation]
             scanned += [(g, c) for c in hits]
             found -= bool(hits)
             if not found:
