@@ -28,8 +28,9 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .ffcore import DEFAULT_SIZE_CAP, MAX_ORDER, FieldCtx, get_field, prime_power
@@ -47,7 +48,6 @@ from .transform import DEFAULT_SEED, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
     "ConfigError",
-    "InstanceResult",
     "FamilyRun",
     "RunConfig",
     "SCHEMA",
@@ -93,29 +93,24 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+@dataclass
+class Form:
+    """One (condition, s, step) engine call: its instances' report records
+    in (c, delta) order, each instance's equal share of the call's seconds,
+    and how many instances each route decided."""
     condition: str
     s_tag: str
     step: int
-    s: int
-    c_index: int
-    delta_index: Optional[int]
-    permutes: bool
-    witness: Optional[tuple[int, int]]
-    image_deficit: int
     informational: bool
-    elapsed: float
-    route: str = "brute"      # "fibre": decided by its trace deficit alone;
-                              # "prefix": that deficit plus a prefix-search witness
-
-    def sort_key(self):
-        return (self.condition, self.s_tag, self.step, self.c_index,
-                -1 if self.delta_index is None else self.delta_index)
+    records: list[dict]
+    seconds: float
+    routes: Counter
 
 
 @dataclass
 class FamilyRun:
+    """One family at one q: its field and its forms, sorted by (condition,
+    s_tag, step)."""
     family: str
     p: int
     n: int
@@ -124,7 +119,7 @@ class FamilyRun:
     kprime: Optional[int]
     deltas_exhaustive: Optional[bool]
     field_s: float = 0.0
-    instances: list[InstanceResult] = dc_field(default_factory=list)
+    forms: list[Form] = dc_field(default_factory=list)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -140,8 +135,8 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     Non-primary Frobenius steps are recorded as informational: their verdicts
     appear in the report but do not count against the exit code, so a variant
     that fails as stated is surfaced rather than silently swapped or hidden.
-    Each (s, step) form is one engine call, timed here and split equally
-    over its instances.
+    Each (condition, s, step) form is one engine call, timed here and split
+    equally over its instances, whose report records it keeps.
     """
     fam = lookup(fid)
     p, k = _factor_prime_power(q)
@@ -176,7 +171,10 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     # without instantiate's per-call checks
     for ci, (ctag, _) in enumerate(fam.conds):
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
-        keys = [(c, d) for c in cs for d in deltas]     # the rows' order
+        if not cs:      # no instances, so no condition block
+            continue
+        keys = [(c.index, None if d is None else d.index)   # the rows' order
+                for c in cs for d in deltas]
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
@@ -186,30 +184,33 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
                     rows = engine(g, step, cs)
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
-                el = (time.perf_counter() - t0) / max(1, len(rows))
-                for (c, d), (verdict, route) in zip(keys, rows):
-                    run.instances.append(InstanceResult(
-                        condition=ctag or "default", s_tag=stag,
-                        step=step, s=s_val, c_index=c.index,
-                        delta_index=None if d is None else d.index,
-                        permutes=verdict.is_permutation,
-                        witness=verdict.witness and tuple(
-                            e.index for e in verdict.witness),
-                        image_deficit=verdict.image_deficit,
-                        informational=step != fam.steps[0], elapsed=el,
-                        route=route))
-    run.instances.sort(key=InstanceResult.sort_key)
+                el = (time.perf_counter() - t0) / len(rows)
+                info = step != fam.steps[0]
+                run.forms.append(Form(ctag or "default", stag, step, info, [{
+                    "s_tag": stag, "step": step, "s": s_val, "c": c, "delta": d,
+                    "permutes": v.is_permutation,
+                    "witness": v.witness and [e.index for e in v.witness],
+                    "image_deficit": v.image_deficit, "informational": info,
+                } for (c, d), (v, _) in zip(keys, rows)], el,
+                    Counter(map(itemgetter(1), rows))))
+    # each form's rows are in (c, delta) order already, since cs and deltas
+    # are sorted by index
+    run.forms.sort(key=attrgetter("condition", "s_tag", "step"))
     return run
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _counts(rows: Sequence[InstanceResult]) -> dict:
+def _counts(forms: Sequence[Form]) -> dict:
     """A condition block's summary: asserted and informational verdicts."""
-    n = Counter((r.informational, r.permutes) for r in rows)
+    n = Counter()
+    for f in forms:
+        passed = sum(map(itemgetter("permutes"), f.records))
+        n[f.informational, True] += passed
+        n[f.informational, False] += len(f.records) - passed
     return {
-        "instances": len(rows),
+        "instances": sum(n.values()),
         "asserted": n[False, True] + n[False, False],
         "passed": n[False, True],
         "failed": n[False, False],
@@ -219,33 +220,25 @@ def _counts(rows: Sequence[InstanceResult]) -> dict:
 
 
 def _variant_blocks(run: FamilyRun) -> list[dict]:
-    """Instances grouped by condition tag, in order of first appearance;
+    """The records of each condition's forms, in sorted condition order;
     dual conditions stay separate."""
-    groups: dict[str, list[InstanceResult]] = {}
-    for r in run.instances:
-        groups.setdefault(r.condition, []).append(r)
-    return [{
-        "condition": tag,
-        "instances": [{
-            "s_tag": r.s_tag,
-            "step": r.step,
-            "s": r.s,
-            "c": r.c_index,
-            "delta": r.delta_index,
-            "permutes": r.permutes,
-            "witness": None if r.witness is None else list(r.witness),
-            "image_deficit": r.image_deficit,
-            "informational": r.informational,
-        } for r in rows],
-        "summary": _counts(rows),
-    } for tag, rows in groups.items()]
+    blocks = []
+    for tag, group in groupby(run.forms, attrgetter("condition")):
+        forms = list(group)
+        blocks.append({
+            "condition": tag,
+            "instances": list(chain.from_iterable(f.records for f in forms)),
+            "summary": _counts(forms),
+        })
+    return blocks
 
 
 def _step_outcomes(run: FamilyRun) -> Optional[dict]:
     """Which declared Frobenius step passes, for families that list several."""
     passes: dict[int, bool] = {}
-    for r in run.instances:
-        passes[r.step] = passes.get(r.step, True) and r.permutes
+    for f in run.forms:
+        passes[f.step] = passes.get(f.step, True) and all(
+            map(itemgetter("permutes"), f.records))
     if len(passes) < 2:
         return None
     return {str(st): "pass" if ok else "fail" for st, ok in sorted(passes.items())}
@@ -288,8 +281,9 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "family": run.family,
                 "q": run.q,
                 "field_s": round(run.field_s, 6),
-                "instances_s": [round(r.elapsed, 6) for r in run.instances],
-                "routes": {route: sum(r.route == route for r in run.instances)
+                "instances_s": list(chain.from_iterable(
+                    repeat(round(f.seconds, 6), len(f.records)) for f in run.forms)),
+                "routes": {route: sum(f.routes[route] for f in run.forms)
                            for route in ("fibre", "prefix", "brute", "mu")},
             }
             for run in runs
@@ -768,6 +762,8 @@ def _config_from(args) -> RunConfig:
     given = {key: getattr(args, key, None)
              for key in ("cap", "seed", "delta_samples", "kprime")}
     cfg = RunConfig(**{key: v for key, v in given.items() if v is not None})
+    if cfg.kprime < 1:
+        raise ConfigError(f"--kprime must be >= 1, got {cfg.kprime}")
     if cfg.delta_samples < 2:
         raise ConfigError("--delta-samples must be >= 2 (0 and 1 always run)")
     if cfg.cap < 4:

@@ -254,7 +254,7 @@ def test_c6_table_rows():
         assert is_permutation(fn).is_permutation, d
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"{elapsed:.2f}s exceeds the 2 min budget"
-    n_inst = sum(len(r.instances) for r in runs)
+    n_inst = sum(run_to_stable(r)["summary"]["instances"] for r in runs)
     return (f"13/13 rows pass ({n_inst} instances, deltas exhaustive); "
             f"sampled policy exercised on 2^16 ({len(deltas)} deltas)")
 

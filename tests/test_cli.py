@@ -7,6 +7,7 @@ import pytest
 
 from permlab import cli, permcheck
 from permlab.cli import CSV_COLUMNS, main
+from permlab.families import lookup
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
 # quiet and gives the test a file to parse
@@ -104,6 +105,25 @@ def test_cap_int32_tables_cannot_index_exits_config(tmp_path, capsys, monkeypatc
     assert "--cap 2147483648" in capsys.readouterr().err
     monkeypatch.undo()
     assert run(tmp_path, *verb, "--cap", str(2**31 - 1))[0] == 0
+
+
+@pytest.mark.parametrize("kprime", ["0", "-1"])
+@pytest.mark.parametrize("verb", [["verify"], ["verify", "--family", "table1-r12", "--q", "4"],
+                                  ["table1"], ["sweep", "--q", "4"]])
+def test_kprime_below_one_exits_config(tmp_path, capsys, monkeypatch, verb, kprime):
+    """k' is a positive integer in every rule that reads it (2^k' - 1 is a
+    denominator), so a flag or config key below 1 exits 3, naming --kprime,
+    before any field is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "get_field", built)
+    assert run(tmp_path, *verb, "--kprime", kprime)[0] == 3
+    assert f"permlab: --kprime must be >= 1, got {kprime}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kprime = {kprime}\n")
+    assert run(tmp_path, *verb, "--config", str(cfg))[0] == 3
+    assert "--kprime" in capsys.readouterr().err
 
 
 def test_verify_bad_flag_exits_config(tmp_path):
@@ -304,6 +324,32 @@ def test_slowed_engine_call_shows_as_equal_shares_in_its_form(tmp_path, monkeypa
         assert len(set(els)) == 1 and els[0] >= round(pause / len(els), 6)
     (t,) = doc["timings"]["runs"]
     assert sum(t["instances_s"]) + t["field_s"] <= doc["timings"]["total_s"]
+
+
+@pytest.mark.parametrize("argv, declared", [
+    (("verify", "--family", "thm14", "--q", "3"), lambda f: f.steps == (2, 1)),
+    (("table1", "--row", "1"), lambda f: [t for t, _ in f.s_rules] == ["i=2", "i=-1"]),
+    (("table1", "--row", "9"), lambda f: [t for t, _ in f.conds] == ["unity", "c=1"]),
+], ids=["thm14-steps", "r1-s-tags", "r9-conditions"])
+def test_forms_come_sorted_whatever_order_the_family_declares(tmp_path, argv, declared):
+    """Condition blocks come in sorted order, and each block's instances are
+    sorted by (s_tag, step, c, delta), although the family declares its
+    steps, s variants or conditions out of that order; the timings hold one
+    equal share per instance of each form and one route per instance."""
+    code, doc = run(tmp_path, *argv)
+    assert code == 0
+    (r,) = doc["stable"]["runs"]
+    assert declared(lookup(r["family"]))
+    conds = [b["condition"] for b in r["conditions"]]
+    assert conds == sorted(set(conds))
+    for b in r["conditions"]:
+        insts = b["instances"]
+        assert insts == sorted(insts, key=lambda i: (i["s_tag"], i["step"], i["c"], i["delta"]))
+    (t,) = doc["timings"]["runs"]
+    n = r["summary"]["instances"]
+    assert len(t["instances_s"]) == n and sum(t["routes"].values()) == n
+    (forms,) = form_times(doc)
+    assert len(forms) > 1 and all(len(set(els)) == 1 for els in forms.values())
 
 
 def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):
