@@ -96,8 +96,8 @@ class RunConfig:
 @dataclass
 class Form:
     """One (condition, s, step) engine call: its instances' report records
-    in (c, delta) order, each instance's equal share of the call's seconds,
-    and how many instances each route decided."""
+    in (c, delta) order, the call's seconds, and how many instances each
+    route decided."""
     condition: str
     s_tag: str
     step: int
@@ -135,8 +135,9 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     Non-primary Frobenius steps are recorded as informational: their verdicts
     appear in the report but do not count against the exit code, so a variant
     that fails as stated is surfaced rather than silently swapped or hidden.
-    Each (condition, s, step) form is one engine call, timed here and split
-    equally over its instances, whose report records it keeps.
+    Each (condition, s, step) form is one engine call, timed here, whose
+    instances' report records it keeps.  Shift forms take pick_deltas'
+    indices as they are: no delta becomes an Element outside the engine.
     """
     fam = lookup(fid)
     p, k = _factor_prime_power(q)
@@ -156,10 +157,9 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     fld = get_field(p, k * fam.m, cfg.cap)
     field_s = time.perf_counter() - t0
     if fam.form == "delta_form":
-        delta_idx, exhaustive = pick_deltas(
+        deltas, exhaustive = pick_deltas(
             fld, samples=cfg.delta_samples, seed=cfg.seed)
-        deltas = [fld.element_at(i) for i in delta_idx]
-        engine = partial(f_verdicts, deltas=deltas)
+        engine = partial(f_verdicts, delta_idx=deltas)
     else:
         deltas, exhaustive, engine = [None], None, h_verdicts
 
@@ -173,8 +173,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
         if not cs:      # no instances, so no condition block
             continue
-        keys = [(c.index, None if d is None else d.index)   # the rows' order
-                for c in cs for d in deltas]
+        keys = [(c.index, d) for c in cs for d in deltas]   # the rows' order
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
@@ -184,14 +183,14 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
                     rows = engine(g, step, cs)
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
-                el = (time.perf_counter() - t0) / len(rows)
+                seconds = time.perf_counter() - t0
                 info = step != fam.steps[0]
                 run.forms.append(Form(ctag or "default", stag, step, info, [{
                     "s_tag": stag, "step": step, "s": s_val, "c": c, "delta": d,
                     "permutes": v.is_permutation,
                     "witness": v.witness and [e.index for e in v.witness],
                     "image_deficit": v.image_deficit, "informational": info,
-                } for (c, d), (v, _) in zip(keys, rows)], el,
+                } for (c, d), (v, _) in zip(keys, rows)], seconds,
                     Counter(map(itemgetter(1), rows))))
     # each form's rows are in (c, delta) order already, since cs and deltas
     # are sorted by index
@@ -281,8 +280,9 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "family": run.family,
                 "q": run.q,
                 "field_s": round(run.field_s, 6),
-                "instances_s": list(chain.from_iterable(
-                    repeat(round(f.seconds, 6), len(f.records)) for f in run.forms)),
+                "forms": [{"condition": f.condition, "s_tag": f.s_tag, "step": f.step,
+                           "instances": len(f.records), "seconds": round(f.seconds, 6)}
+                          for f in run.forms],
                 "routes": {route: sum(f.routes[route] for f in run.forms)
                            for route in ("fibre", "prefix", "brute", "mu")},
             }
@@ -554,18 +554,6 @@ def cmd_verify(args) -> int:
 TABLE1_MAX_ORDER = 1 << 16
 
 
-def smallest_table1_k(row: int, kprime: int) -> int:
-    """Smallest k with the row applicable and field order 2^(2k) <= 2^16."""
-    fam = lookup(f"table1-r{row}")
-    for k in range(1, 9):
-        if 4**k > TABLE1_MAX_ORDER:
-            break
-        if fam.applies(2, k, kprime):
-            return k
-    raise InapplicableError(
-        f"table1-r{row}: no admissible k with k' = {kprime}")
-
-
 def cmd_table1(args) -> int:
     t_start = time.perf_counter()
     cfg = _config_from(args)
@@ -574,8 +562,14 @@ def cmd_table1(args) -> int:
     for row in rows:
         fid = f"table1-r{row}"
         fam = lookup(fid)
-        k = args.k if args.k is not None else smallest_table1_k(
-            row, cfg.kprime)
+        k = args.k
+        if k is None:
+            found = default_parameters(fid, count=1, cap=TABLE1_MAX_ORDER,
+                                       kprime=cfg.kprime)
+            if not found:
+                raise InapplicableError(
+                    f"{fid}: no admissible k with k' = {cfg.kprime}")
+            k = found[0][1]
         if not fam.applies(2, k, cfg.kprime):
             raise InapplicableError(
                 f"{fid} does not admit k = {k}"

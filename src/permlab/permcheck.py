@@ -42,17 +42,19 @@ h collides on their phi_d images, and
 Tr(h(y)) = c*Tr(y), as Tr(z^(q^k)) = Tr(z) when l | k, so h maps T_d into
 the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
 one bincount of the trace over a c's hits gives every d's deficit.
-f_verdicts, the f side's engine, decides f_d for many c and d that way,
-with brute force as its cross-check; verify's shift forms,
-transform.prop2_check and transform.prop4_check all go through it, and the
-two transform checks read h's verdict and value table off the same pass.
-Brute force checks one delta of each fibre, its probe.  The deficit is
-constant across a fibre, as f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b, so
-the other deltas of a failing fibre need only their witness, the first
-collision in index order.  It is decided by the points up to its second
-element, so _first_collisions finds it on a prefix of the field, for a
-block of deltas at a time, and doubles the prefix for the deltas without
-a repeat there.
+f_verdicts, the f side's engine, decides f_d that way for many c and an
+integer array of delta indices, with brute force as its cross-check;
+verify's shift forms, transform.prop2_check and transform.prop4_check all
+go through it, and the two transform checks read h's verdict and value
+table off the same pass.  Brute force checks the first listed delta of
+each fibre, its probe: one np.unique of the deltas' trace values finds
+every probe.  The deficit is constant across a fibre, as
+f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b, so the other deltas of a
+failing fibre need only their witness, the first collision in index
+order.  It is decided by the points up to its second element, so
+_first_collisions finds it on a prefix of the field, for a block of
+deltas at a time, and doubles the prefix for the deltas without a repeat
+there.  is_permutation takes its witness from the same search.
 
 The mu route decides h by Lemma 1 (Park-Lee 2001, Zieve 2009) where g is
 canonical: GF(q^2), k odd and every term a*x^e of g with e = 1 + i(q-1).
@@ -435,8 +437,9 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     """Exhaustive scan: one bincount of the value table gives the image
     deficit (order minus the number of values hit).  Only a failing map
     pays for the witness search, and its witness is the first collision in
-    element-index order (smallest second preimage, then its earliest mate).
-    Pass outs to reuse an already computed value table."""
+    element-index order (smallest second preimage, then its earliest mate),
+    found by _first_collisions on prefixes of the table.  Pass outs to
+    reuse an already computed value table."""
     field = fn.field
     if outs is None:
         outs = evaluate_all(fn)
@@ -444,12 +447,8 @@ def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict
     deficit = Q - int(np.count_nonzero(np.bincount(outs, minlength=Q)))
     if deficit == 0:
         return PermVerdict(True, None, 0)
-    idx = np.arange(Q, dtype=np.int64)     # transient: bulk.xs would stay cached
-    first = np.full(Q, Q, dtype=np.int64)
-    np.minimum.at(first, outs, idx)
-    b = int(np.flatnonzero(first[outs] != idx)[0])
-    a = int(first[outs[b]])
-    return PermVerdict(False, (field.element_at(a), field.element_at(b)), deficit)
+    a, b = _first_collisions(lambda rows, n: outs[None, :n], 1, Q)
+    return PermVerdict(False, (field.element_at(a.item(0)), field.element_at(b.item(0))), deficit)
 
 
 def prefix_size(order: int) -> int:
@@ -540,7 +539,8 @@ def _table_collisions(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_collisions(rows_at, count: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """The first collision (a, b) in index order of each of count value
-    tables over Q points, as is_permutation finds it; b = Q where a table
+    tables over Q points: b is the smallest point whose value an earlier
+    point holds, and a the first point holding it; b = Q where a table
     takes no value twice.  rows_at(rows, n) gives the tables of the int64
     index array rows on the points 0 .. n-1 as one 2-D array.  A collision
     is decided by the points up to b, so the tables are read on their first
@@ -583,71 +583,74 @@ def _prefix_witnesses(g: GSpec, c: Element, k: int,
     return [(el(i), el(j)) for i, j in zip(a.tolist(), b.tolist())]
 
 
-def f_verdicts(g: GSpec, k: int, cs, deltas) -> list[tuple[PermVerdict, str]]:
+def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
     """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
-    and d in deltas, c-major; each verdict equals
-    is_permutation(compose_f(g, c, k, d)).  One _h_passes pass gives, per c,
-    every delta's image deficit (_trace_deficits), and _f_rows decides the
-    deltas from it."""
-    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
+    and each delta index d in delta_idx (an integer sequence or array),
+    c-major; each verdict equals is_permutation(compose_f(g, c, k, d)).  One
+    _h_passes pass gives, per c, every delta's image deficit
+    (_trace_deficits), and _f_rows decides the deltas from it."""
+    delta_idx = np.asarray(delta_idx, dtype=np.int64)
     return [row for c, (_, _, hits) in zip(cs, _h_passes(g, k, cs))
             for row in _f_rows(g, c, k, delta_idx, hits)]
 
 
 def _f_rows(g: GSpec, c: Element, k: int, delta_idx: np.ndarray,
             hits: np.ndarray, on_probe=None) -> list[tuple[PermVerdict, str]]:
-    """f_verdicts' (verdict, route) rows for one c and the deltas of index
-    delta_idx, given the mask hits of the values h takes.
+    """f_verdicts' (verdict, route) rows for one c and the int64 delta
+    indices delta_idx, given the mask hits of the values h takes.
 
-    Brute force ("brute") checks the first delta of each trace fibre, its
-    probe, and every delta whose deficit differs from its fibre's probed
-    one; a deficit that differs from brute force's raises RuntimeError.
-    The rest of a fibre has its probe's deficit, by the translate identity:
-    the fibre route ("fibre") decides them when it is 0, and when it is not
-    ("prefix") the deficit stands and _prefix_witnesses finds the witnesses,
-    all of the c's at once.  With c outside GF(q^l) every delta is
-    brute-forced.  on_probe(d index, f_d's value table) is called with each
-    probe's table before the next is made."""
-    fibre = _trace_deficits(g, c, k, hits, delta_idx)
+    The first delta of each trace fibre, in the order given, is its probe.
+    Brute force ("brute") checks, in order, the probes and every delta
+    whose deficit differs from its probe's; a deficit that differs from
+    brute force's raises RuntimeError.  The rest of a fibre has its probe's
+    deficit, by the translate identity: the fibre route ("fibre") decides
+    them when it is 0, and when it is not ("prefix") the deficit stands and
+    _prefix_witnesses finds the witnesses, all of the c's at once.  With c
+    outside GF(q^l) every delta is brute-forced.  on_probe(d index, f_d's
+    value table) is called with each probe's table before the next is
+    made."""
     fld = g.field
-    tr = fld.bulk().trace(g.qdeg * math.gcd(k, g.m))
-    rows, probed, prefix = [], {}, []
-    for j, i in enumerate(delta_idx.tolist()):
-        want = None if fibre is None else fibre.item(j)
-        if want is not None and probed.get(tr.item(i)) == want:
-            if want:
-                prefix.append(j)
-            rows.append(None if want else (_PERMUTES, "fibre"))
-            continue
+    if delta_idx.size and not 0 <= delta_idx.min() <= delta_idx.max() < fld.order:
+        raise ValueError(f"delta indices must lie in [0, {fld.order})")
+    fibre = _trace_deficits(g, c, k, hits, delta_idx)
+    probe = np.zeros(delta_idx.size, dtype=bool)
+    if fibre is None:
+        brute = ~probe
+    else:
+        tr = fld.bulk().trace(g.qdeg * math.gcd(k, g.m))
+        _, first, which = np.unique(tr[delta_idx], return_index=True, return_inverse=True)
+        probe[first] = True
+        brute = probe | (fibre != fibre[first][which])
+    rows = [(_PERMUTES, "fibre")] * delta_idx.size
+    for j in np.flatnonzero(brute).tolist():
+        i = delta_idx.item(j)
         fd = compose_f(g, c, k, fld.element_at(i))
         outs = evaluate_all(fd)
         verdict = is_permutation(fd, outs=outs)
-        rows.append((verdict, "brute"))
-        if want is not None:
-            if verdict.image_deficit != want:
-                raise RuntimeError(
-                    f"fibre route and brute force disagree at step {k}, "
-                    f"c {c.index}, delta {i}: image deficit {want} "
-                    f"vs {verdict.image_deficit}")
-            if tr.item(i) not in probed:
-                probed[tr.item(i)] = want
-                if on_probe is not None:
-                    on_probe(i, outs)
+        rows[j] = (verdict, "brute")
+        if fibre is not None and verdict.image_deficit != fibre.item(j):
+            raise RuntimeError(
+                f"fibre route and brute force disagree at step {k}, "
+                f"c {c.index}, delta {i}: image deficit {fibre.item(j)} "
+                f"vs {verdict.image_deficit}")
+        if probe.item(j) and on_probe is not None:
+            on_probe(i, outs)
         del outs            # one f_d table alive at a time
-    for j, w in zip(prefix, _prefix_witnesses(g, c, k, delta_idx[prefix])):
-        rows[j] = (PermVerdict(False, w, fibre.item(j)), "prefix")
+    if fibre is not None:
+        prefix = np.flatnonzero(~brute & (fibre != 0))
+        for j, w in zip(prefix.tolist(), _prefix_witnesses(g, c, k, delta_idx[prefix])):
+            rows[j] = (PermVerdict(False, w, fibre.item(j)), "prefix")
     return rows
 
 
-def _pair_verdicts(g: GSpec, c: Element, k: int, deltas, on_probe=None):
+def _pair_verdicts(g: GSpec, c: Element, k: int, delta_idx, on_probe=None):
     """(h's verdict, h's value table ho in index order, f_verdicts(g, k,
-    [c], deltas)) from one _h_passes pass: both sides of the companion pair
-    from one u.  on_probe(ho, d index, f_d's value table) is called with
-    each probe _f_rows makes."""
+    [c], delta_idx)) from one _h_passes pass: both sides of the companion
+    pair from one u.  on_probe(ho, d index, f_d's value table) is called
+    with each probe _f_rows makes."""
     (fn, u, hits), = _h_passes(g, k, [c])
     ho = _index_order_h(fn.field.bulk(), u, fn.c)
-    delta_idx = np.array([d.index for d in deltas], dtype=np.int64)
-    rows = _f_rows(g, c, k, delta_idx, hits,
+    rows = _f_rows(g, c, k, np.asarray(delta_idx, dtype=np.int64), hits,
                    on_probe and (lambda i, fo: on_probe(ho, i, fo)))
     return is_permutation(fn, outs=ho), ho, rows
 

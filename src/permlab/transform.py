@@ -81,15 +81,6 @@ def pick_deltas(field: FieldCtx, cap: int = DELTA_EXHAUSTIVE_CAP,
     return tuple(sorted(picked)), False
 
 
-def _delta_sweep(fld: FieldCtx, deltas: Optional[tuple[int, ...]],
-                 seed: int) -> tuple[tuple[int, ...], bool]:
-    """(deltas to sweep, whether they cover the whole field); pick_deltas
-    chooses them when none are given."""
-    if deltas is None:
-        return pick_deltas(fld, seed=seed)
-    return deltas, len(set(deltas)) == fld.order
-
-
 def _require_coeff_domain(g: GSpec, c: Element, k: int) -> None:
     ell = math.gcd(k, g.m)
     if not g.field.is_in_subfield(c, g.qdeg * ell):
@@ -120,24 +111,24 @@ class Prop2Report:
 
 
 def prop2_check(g: GSpec, c: Element, k: int,
-                deltas: Optional[tuple[int, ...]] = None,
-                seed: int = DEFAULT_SEED) -> Prop2Report:
+                deltas: Optional[tuple[int, ...]] = None) -> Prop2Report:
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
-    c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas
-    overrides the default exhaustive-or-sampled sweep.  One permcheck pass
-    over u = g^(q^k) - g decides both sides: h as permcheck.h_verdicts does
-    and every delta as permcheck.f_verdicts does.
+    c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas,
+    a tuple of delta indices, overrides pick_deltas' sweep.  One permcheck
+    pass over u = g^(q^k) - g decides both sides: h as permcheck.h_verdicts
+    does and every delta as permcheck.f_verdicts does.
     """
     _resolve_view(g.field, g.qdeg, k)
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     _require_coeff_domain(g, c, k)
-    deltas, exhaustive = _delta_sweep(g.field, deltas, seed)
-    h_v, _, f_vs = _pair_verdicts(g, c, k, [g.field.element_at(di) for di in deltas])
+    if deltas is None:
+        deltas = pick_deltas(g.field)[0]
+    h_v, _, f_vs = _pair_verdicts(g, c, k, deltas)
     return Prop2Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
-                       deltas_exhaustive=exhaustive)
+                       deltas_exhaustive=len(set(deltas)) == g.field.order)
 
 
 def _f_inverse_table(g: GSpec, c: Element, k: int, delta: Element,
@@ -262,8 +253,7 @@ class Prop4Report(Prop2Report):
         return self.f_all_permute == self.h_verdict.is_permutation
 
 
-def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
-                seed: int = DEFAULT_SEED) -> Prop4Report:
+def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Report:
     """Verify (f_delta permutes for all delta) <=> (h permutes), with k = 1
     and c = 1 and g over GF(q), plus the commuting square
     phi o f_delta = h o phi through the trace fiber of each delta.  h and
@@ -273,7 +263,8 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
         raise ValueError(
             f"g has coefficients of degree {g.coeff_subdeg}; the equivalence "
             f"needs them inside GF({fld.p}^{g.qdeg})")
-    deltas, exhaustive = _delta_sweep(fld, deltas, seed)
+    if deltas is None:
+        deltas = pick_deltas(fld)[0]
     bulk = fld.bulk()
     tr = bulk.trace(g.qdeg)
     # For any b, f_(d + b^q - b)(x) = f_d(x + b) - b, so the square at
@@ -290,11 +281,11 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None,
             if not np.array_equal(phi_fo, ho[phi_xs]):
                 failed.append(di)
 
-    h_v, ho, f_vs = _pair_verdicts(g, fld.one, 1,
-                                   [fld.element_at(di) for di in deltas], square)
+    h_v, ho, f_vs = _pair_verdicts(g, fld.one, 1, deltas, square)
     return Prop4Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
-                       deltas_exhaustive=exhaustive, commutes_all=not failed,
+                       deltas_exhaustive=len(set(deltas)) == fld.order,
+                       commutes_all=not failed,
                        fibers_stable=bool(np.array_equal(tr[ho], tr)))
 
 

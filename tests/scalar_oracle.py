@@ -4,7 +4,8 @@ The scalar evaluator reads a map one point at a time through Element
 arithmetic: no exp gathers, no log order, no blocks.  make_fn_trinomial and
 make_fn_delta build the paper's two map shapes as FnSpec objects for it.
 log_order_u_by_division is the h pass's u built with two % per term and
-block, the formula the divide-free build replaced.
+block, the formula the divide-free build replaced.  first_collision is the
+whole-table witness search that the prefix search replaced.
 """
 
 from typing import Optional
@@ -89,3 +90,19 @@ def log_order_u_by_division(field: FieldCtx, terms, pstep: int) -> np.ndarray:
             acc = term if acc is None else bulk.add(acc, term)
         u[1 + lo:1 + hi] = bulk.add(acc, np.int64(u0)) if u0 else acc
     return u
+
+
+def first_collision(outs: np.ndarray) -> Optional[tuple[int, int]]:
+    """(a, b) for the value table outs over all Q points: b is the smallest
+    point whose value an earlier point holds, a the first point holding it;
+    None where outs takes no value twice.  One np.minimum.at pass records
+    each value's first point over the whole table."""
+    Q = outs.size
+    idx = np.arange(Q, dtype=np.int64)
+    first = np.full(Q, Q, dtype=np.int64)
+    np.minimum.at(first, outs, idx)
+    late = np.flatnonzero(first[outs] != idx)
+    if not late.size:
+        return None
+    b = int(late[0])
+    return int(first[outs[b]]), b

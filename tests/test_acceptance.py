@@ -11,11 +11,11 @@ import random
 import time
 
 from permlab.cli import (
+    TABLE1_MAX_ORDER,
     RunConfig,
     build_report,
     run_family_verification,
     run_to_stable,
-    smallest_table1_k,
     stable_json,
 )
 from permlab.ffcore import FieldCtx
@@ -27,6 +27,7 @@ from permlab.permcheck import (
     make_gspec,
 )
 from permlab.families import (
+    default_parameters,
     instantiate,
     lookup,
     resolve_exponent,
@@ -238,7 +239,7 @@ def test_c6_table_rows():
     runs = []
     for row in range(1, 14):
         fid = f"table1-r{row}"
-        k = smallest_table1_k(row, cfg.kprime)
+        ((_, k),) = default_parameters(fid, count=1, cap=TABLE1_MAX_ORDER, kprime=cfg.kprime)
         runs.append(run_family_verification(fid, 2**k, cfg))
     bad = [r.family for r in runs if run_to_stable(r)["summary"]["failed"]]
     assert not bad, f"failing rows: {bad}"

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import sys
 import time
+from collections import Counter
 
 import pytest
 
 from permlab import cli, permcheck
 from permlab.cli import CSV_COLUMNS, main
 from permlab.families import lookup
+from permlab.ffcore import FieldCtx
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
 # quiet and gives the test a file to parse
@@ -28,16 +31,18 @@ def flat_instances(doc):
 
 
 def form_times(doc):
-    """Per run, the instances_s entries of each (condition, s, step) form,
-    the instances one engine call decides."""
+    """Per run, the seconds of each (condition, s, step) form, the one
+    engine call that decides its instances.  timings.runs[*].forms holds
+    one record per form, in the order the stable section lists the forms'
+    instances, with the form's instance count."""
     out = []
     for r, t in zip(doc["stable"]["runs"], doc["timings"]["runs"]):
-        forms = {}
-        rows = [(blk["condition"], inst) for blk in r["conditions"] for inst in blk["instances"]]
-        assert len(rows) == len(t["instances_s"])
-        for (cond, inst), el in zip(rows, t["instances_s"]):
-            forms.setdefault((cond, inst["s_tag"], inst["step"]), []).append(el)
-        out.append(forms)
+        counts = Counter((blk["condition"], inst["s_tag"], inst["step"])
+                         for blk in r["conditions"] for inst in blk["instances"])
+        assert [(f["condition"], f["s_tag"], f["step"], f["instances"])
+                for f in t["forms"]] == [(*key, n) for key, n in counts.items()]
+        assert "instances_s" not in t
+        out.append({(f["condition"], f["s_tag"], f["step"]): f["seconds"] for f in t["forms"]})
     return out
 
 
@@ -243,8 +248,9 @@ def test_timings_record_field_construction_per_run(tmp_path, monkeypatch):
             (r["family"], r["q"]) for r in stable_runs]
         for t, r in zip(timing_runs, stable_runs):
             assert t["field_s"] >= pause
-            assert len(t["instances_s"]) == r["summary"]["instances"]
-        accounted = sum(sum(t["instances_s"]) + t["field_s"] for t in timing_runs)
+            assert sum(f["instances"] for f in t["forms"]) == r["summary"]["instances"]
+        accounted = sum(sum(f["seconds"] for f in t["forms"]) + t["field_s"]
+                        for t in timing_runs)
         assert doc["timings"]["total_s"] >= accounted
         assert "field_s" not in json.dumps(doc["stable"])
 
@@ -253,7 +259,8 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     """thm14 at q = 3: the step-2 form permutes on all 9 trace fibres over
     GF(9), so brute force checks only their 9 probes; the step-1 form fails
     at every delta, and past the probes of its 3 fibres the prefix search
-    finds the witnesses."""
+    finds the witnesses.  A slowed fibre count shows in each form's
+    seconds."""
     real, pause = permcheck._trace_deficits, 0.02
 
     def slow(*args):
@@ -266,10 +273,9 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     t = doc["timings"]["runs"][0]
     assert t["routes"] == {"fibre": 72, "brute": 12, "prefix": 78, "mu": 0}
     (forms,) = form_times(doc)
-    assert sorted(map(len, forms.values())) == [81, 81]
-    for els in forms.values():
-        # the form's one engine call, fibre count included, in equal shares
-        assert len(set(els)) == 1 and els[0] >= round(pause / 81, 6)
+    assert [f["instances"] for f in t["forms"]] == [81, 81]
+    # the form's one engine call, fibre count included
+    assert all(seconds >= pause for seconds in forms.values())
     # trinomial families never take the fibre route, and on a field of at
     # most 2^14 points brute force checks every c the mu route decides
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
@@ -278,8 +284,7 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
 
 def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
     """thm5 at q = 9: one h_verdicts call decides the form's 5 values of c,
-    and a slowed build of u shows up once in the total, an equal share in
-    each instance's seconds."""
+    and a slowed build of u shows up once, in the form's seconds."""
     real, pause = permcheck._log_order_u, 0.05
 
     def slow(*args):
@@ -289,11 +294,10 @@ def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
     monkeypatch.setattr(permcheck, "_log_order_u", slow)
     code, doc = run(tmp_path, "verify", "--family", "thm5", "--q", "9")
     assert code == 0
-    els = doc["timings"]["runs"][0]["instances_s"]
-    assert len(els) == 5
-    assert all(el >= pause / 5 for el in els)
-    assert pause <= sum(els) < 1.5 * pause
-    assert doc["timings"]["total_s"] >= sum(els) + doc["timings"]["runs"][0]["field_s"]
+    (form,) = doc["timings"]["runs"][0]["forms"]
+    assert form["instances"] == 5
+    assert pause <= form["seconds"] < 1.5 * pause
+    assert doc["timings"]["total_s"] >= form["seconds"] + doc["timings"]["runs"][0]["field_s"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,9 +306,9 @@ def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
     ("table1", "--row", "9"),                        # two conditions
 ])
 def test_slowed_engine_call_shows_as_equal_shares_in_its_form(tmp_path, monkeypatch, argv):
-    """Each engine call, slowed by pause, is timed once by the caller: every
-    instance of its form gets the same share, at least pause over the
-    form's instance count, and the shares, with field_s, fit in total_s."""
+    """Each engine call, slowed by pause, is timed once by the caller: its
+    form's one seconds entry is at least pause, and the forms' seconds, with
+    field_s, fit in total_s."""
     pause, calls = 0.02, []
 
     def slowed(engine):
@@ -320,10 +324,9 @@ def test_slowed_engine_call_shows_as_equal_shares_in_its_form(tmp_path, monkeypa
     assert code == 0
     (forms,) = form_times(doc)
     assert len(forms) == len(calls)
-    for els in forms.values():
-        assert len(set(els)) == 1 and els[0] >= round(pause / len(els), 6)
+    assert all(seconds >= pause for seconds in forms.values())
     (t,) = doc["timings"]["runs"]
-    assert sum(t["instances_s"]) + t["field_s"] <= doc["timings"]["total_s"]
+    assert sum(forms.values()) + t["field_s"] <= doc["timings"]["total_s"]
 
 
 @pytest.mark.parametrize("argv, declared", [
@@ -335,7 +338,7 @@ def test_forms_come_sorted_whatever_order_the_family_declares(tmp_path, argv, de
     """Condition blocks come in sorted order, and each block's instances are
     sorted by (s_tag, step, c, delta), although the family declares its
     steps, s variants or conditions out of that order; the timings hold one
-    equal share per instance of each form and one route per instance."""
+    record per form, in that order, and one route per instance."""
     code, doc = run(tmp_path, *argv)
     assert code == 0
     (r,) = doc["stable"]["runs"]
@@ -347,9 +350,32 @@ def test_forms_come_sorted_whatever_order_the_family_declares(tmp_path, argv, de
         assert insts == sorted(insts, key=lambda i: (i["s_tag"], i["step"], i["c"], i["delta"]))
     (t,) = doc["timings"]["runs"]
     n = r["summary"]["instances"]
-    assert len(t["instances_s"]) == n and sum(t["routes"].values()) == n
+    assert sum(f["instances"] for f in t["forms"]) == n and sum(t["routes"].values()) == n
     (forms,) = form_times(doc)
-    assert len(forms) > 1 and all(len(set(els)) == 1 for els in forms.values())
+    assert len(forms) == len(t["forms"]) > 1
+
+
+@pytest.mark.parametrize("fid, q", [("thm18-4", 32), ("thm14", 7)])
+def test_shift_forms_make_elements_only_for_brute_deltas_and_witnesses(monkeypatch, fid, q):
+    """verify hands pick_deltas' indices to the engine as they are.  The
+    only Elements made past the coefficient pools are one per brute-forced
+    delta, two per witness and one g(0) per engine call as it builds u;
+    cli makes none.  thm18-4 at q = 32 permutes at every delta, and thm14
+    at q = 7 has failing deltas whose witnesses come from brute force and
+    from the prefix route."""
+    real, calls = FieldCtx.element_at, Counter()
+
+    def counted(fld, index):
+        calls[sys._getframe(1).f_globals["__name__"]] += 1
+        return real(fld, index)
+
+    monkeypatch.setattr(FieldCtx, "element_at", counted)
+    run = cli.run_family_verification(fid, q, cli.RunConfig())
+    brute = sum(f.routes["brute"] for f in run.forms)
+    witnesses = sum(r["witness"] is not None for f in run.forms for r in f.records)
+    assert brute < sum(len(f.records) for f in run.forms)
+    assert calls["permlab.cli"] == 0
+    assert calls["permlab.permcheck"] == brute + 2 * witnesses + len(run.forms)
 
 
 def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):
