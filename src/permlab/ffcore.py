@@ -315,12 +315,15 @@ class _Bulk:
             out[az] = nb if shift == 0 else self.mul_scalar(self.exp.item(shift), nb)
         return out
 
-    def add(self, a, b):
+    def add(self, a, b, out=None):
+        """a + b elementwise, written into out when it is given."""
         if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.n == 1:
-            return (a + b) % self.p
-        return self._zech_add(a, b, 0)
+            return np.bitwise_xor(a, b, out=out)
+        s = (a + b) % self.p if self.n == 1 else self._zech_add(a, b, 0)
+        if out is None:
+            return s
+        out[...] = s
+        return out
 
     def sub(self, a, b):
         if self.p == 2:

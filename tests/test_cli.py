@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -356,13 +359,14 @@ def test_forms_come_sorted_whatever_order_the_family_declares(tmp_path, argv, de
 
 
 @pytest.mark.parametrize("fid, q", [("thm18-4", 32), ("thm14", 7)])
-def test_shift_forms_make_elements_only_for_brute_deltas_and_witnesses(monkeypatch, fid, q):
-    """verify hands pick_deltas' indices to the engine as they are.  The
-    only Elements made past the coefficient pools are one per brute-forced
-    delta, two per witness and one g(0) per engine call as it builds u;
-    cli makes none.  thm18-4 at q = 32 permutes at every delta, and thm14
-    at q = 7 has failing deltas whose witnesses come from brute force and
-    from the prefix route."""
+def test_shift_forms_make_elements_only_for_witnesses(monkeypatch, fid, q):
+    """verify hands pick_deltas' indices to the engine as they are, and
+    brute force decides its deltas on index arrays.  The only Elements made
+    past the coefficient pools are one per distinct witness point of an
+    engine call and one g(0) per engine call as it builds u; cli makes
+    none.  thm18-4 at q = 32 permutes at every delta, and thm14 at q = 7 has
+    failing deltas whose witnesses come from brute force and from the
+    prefix route."""
     real, calls = FieldCtx.element_at, Counter()
 
     def counted(fld, index):
@@ -372,10 +376,46 @@ def test_shift_forms_make_elements_only_for_brute_deltas_and_witnesses(monkeypat
     monkeypatch.setattr(FieldCtx, "element_at", counted)
     run = cli.run_family_verification(fid, q, cli.RunConfig())
     brute = sum(f.routes["brute"] for f in run.forms)
-    witnesses = sum(r["witness"] is not None for f in run.forms for r in f.records)
-    assert brute < sum(len(f.records) for f in run.forms)
+    points = [{x for r in f.records if r["witness"] for x in r["witness"]} for f in run.forms]
+    assert 0 < brute < sum(len(f.records) for f in run.forms)
     assert calls["permlab.cli"] == 0
-    assert calls["permlab.permcheck"] == brute + 2 * witnesses + len(run.forms)
+    assert calls["permlab.permcheck"] == sum(map(len, points)) + len(run.forms)
+    assert any(points) == (fid == "thm14")
+
+
+def test_shift_forms_evaluate_each_probe_once_for_every_c(monkeypatch):
+    """thm18-4 at q = 32 has one form of 11 values of c over GF(2^10), whose
+    1,024 deltas fall into 32 trace fibres.  G_d = g(x^(q^k) - x + d) does
+    not depend on c, so it is evaluated at the 32 probes once, not once per
+    (c, probe): 352 brute-forced rows read 32 rows of G."""
+    real, evaluated = permcheck._g_rows, []
+
+    def counted(bulk, terms, shift_log, deltas):
+        evaluated.extend(deltas.tolist())
+        return real(bulk, terms, shift_log, deltas)
+
+    monkeypatch.setattr(permcheck, "_g_rows", counted)
+    run = cli.run_family_verification("thm18-4", 32, cli.RunConfig())
+    (form,) = run.forms
+    assert len({r["c"] for r in form.records}) == 11
+    assert form.routes["brute"] == 352
+    assert len(evaluated) == len(set(evaluated)) == 32
+
+
+@pytest.mark.parametrize("argv", ["verify --family thm14 --q 3", "table1 --row 8 --k 3",
+                                  "sweep --q 8"])
+def test_cold_start_never_imports_numpy_ma(tmp_path, argv):
+    """A bare np.unique imports numpy.ma on first use, about 15 ms in a
+    fresh process; no verb of the catalog or sweep path may reach it."""
+    code = ("import sys\n"
+            "from permlab.cli import main\n"
+            f"main({argv.split() + ['--out', str(tmp_path / 'r.json')]!r})\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_delta_samples_above_the_field_order_exits_config(tmp_path, capsys):

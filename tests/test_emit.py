@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from permlab import cli
 from permlab.cli import _to_json, main
 
 
@@ -82,6 +83,7 @@ def records(draw):
 @example([{"a": {"x": [1]}, "": -0.0}, {"a": {"x": []}, "": float("nan")}])
 @example([{"a": 1}, {"a": 2}, {}])
 @example([{1: "a", 2.5: None}, {1: "b", 2.5: True}])      # keys json coerces
+@example([{"w": None}, {"w": []}, {"w": [1, -2, 2**70]}])  # an int-list column
 def test_records_equal_json_dumps(o):
     assert _to_json(o) == reference(o)
 
@@ -157,6 +159,40 @@ def test_reports_are_json_dumps_bytes(tmp_path, argv):
     main(argv.split() + ["--out", str(out)])
     text = out.read_text()
     assert text == reference(json.loads(text)) + "\n"
+
+
+def _counted_cells(monkeypatch) -> list:
+    """The values cli._cell writes from now on, one per call."""
+    cells, real = [], cli._cell
+    monkeypatch.setattr(cli, "_cell", lambda v, *rest: cells.append(v) or real(v, *rest))
+    return cells
+
+
+@pytest.mark.parametrize("argv", ["verify --family thm14 --q 3", "table1 --row 8 --k 3"])
+def test_witness_column_is_written_in_one_pass(tmp_path, monkeypatch, argv):
+    """A witness column, None or [a, b] per record, is rendered as one
+    column, with no cell written on its own, and the bytes stay
+    json.dumps'."""
+    cells = _counted_cells(monkeypatch)
+    out = tmp_path / "r.json"
+    main(argv.split() + ["--out", str(out)])
+    text = out.read_text()
+    assert text == reference(json.loads(text)) + "\n"
+    assert '"witness": null' in text and '"witness": [' in text
+    assert cells == []
+
+
+@pytest.mark.parametrize("column", [
+    [None, [1, 2], [3, "a"]],       # a list that holds a str
+    [[1, 2], [True, 0], None],      # a bool is not an int to json's text
+    [None, (1, 2)],                 # a tuple
+    [[1, 2], {"a": 1}],
+], ids=repr)
+def test_other_mixed_columns_are_still_written_cell_by_cell(monkeypatch, column):
+    cells = _counted_cells(monkeypatch)
+    o = [{"w": v, "x": i} for i, v in enumerate(column)] + [{"w": [], "x": -1}]
+    assert _to_json(o) == reference(o)
+    assert cells
 
 
 def test_report_re_emits_its_input_byte_for_byte(tmp_path):

@@ -456,21 +456,24 @@ def test_f_verdicts_routes_and_times():
 
 def test_f_verdicts_many_c_equal_their_single_c_calls():
     """Rows come c-major, and each c's rows are those of its own call, for
-    c inside and outside GF(q^l)."""
-    f = field(7, 2)
-    g = make_gspec(f, [(f.one, 19)], 1)
-    inside = sorted(f.subfield_indices(1) - {0})
-    outside = next(i for i in range(1, f.order) if i not in inside)
-    cs = [f.element_at(i) for i in inside + [outside]]
-    deltas = list(range(0, f.order, 2))
-    want = []
-    got = f_verdicts(g, 1, cs, deltas)
-    for c in cs:
-        want += f_verdicts(g, 1, [c], deltas)
-    assert got == want
-    assert len(got) == len(want) == len(cs) * len(deltas)
-    assert {r for _, r in got} == {"brute", "fibre", "prefix"}
-    assert {v.is_permutation for v, _ in got} == {True, False}
+    calls that interleave c inside and outside GF(q^l), so that the c share
+    the rows of G_d although their brute-forced deltas differ, and for
+    deltas with repeats."""
+    for p, n, qdeg, s in [(7, 2, 1, 19), (2, 4, 2, 3), (3, 4, 1, 10)]:
+        f = field(p, n)
+        g = make_gspec(f, [(f.one, s)], qdeg)
+        inside = sorted(f.subfield_indices(qdeg) - {0})
+        outside = [i for i in range(1, f.order) if i not in inside]
+        cs = [f.element_at(i) for i in (inside[0], outside[0], inside[-1], outside[-1])]
+        deltas = list(range(0, f.order, 2)) + [4, 2, 4]
+        want = []
+        got = f_verdicts(g, 1, cs, deltas)
+        for c in cs:
+            want += f_verdicts(g, 1, [c], deltas)
+        assert got == want
+        assert len(got) == len(want) == len(cs) * len(deltas)
+        assert {r for _, r in got} == {"brute", "fibre", "prefix"}
+        assert {v.is_permutation for v, _ in got} == {True, False}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -478,11 +481,11 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
        data=st.data())
 def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data):
     """A shuffled delta index list with repeats, for a g = x^s or a random
-    binomial and a c inside or outside GF(q^l): each row's verdict (image
-    deficit and witness) is brute force's at its delta.  With c inside, the
-    first listed delta of each trace fibre is brute-forced as its probe, and
-    every later one is decided from its fibre's deficit; with c outside,
-    every delta is brute-forced."""
+    binomial and one to three c, each inside or outside GF(q^l): each row's
+    verdict (image deficit and witness) is brute force's at its (c, delta).
+    For a c inside, the first listed delta of each trace fibre is
+    brute-forced as its probe, and every later one is decided from its
+    fibre's deficit; for a c outside, every delta is brute-forced."""
     p, n, qdeg, k = case
     f = field(p, n)
     Q = f.order
@@ -492,24 +495,27 @@ def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data
     if data.draw(st.booleans()):
         terms.append((f.element_at(data.draw(st.integers(1, Q - 1))), data.draw(st.integers(0, Q))))
     g = make_gspec(f, terms, qdeg)
-    c_in = data.draw(st.booleans())
-    c = f.element_at(data.draw(st.sampled_from(
-        sorted(inside - {0}) if c_in else sorted(set(range(1, Q)) - inside))))
+    c_in = data.draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    cs = [f.element_at(data.draw(st.sampled_from(
+        sorted(inside - {0}) if i else sorted(set(range(1, Q)) - inside)))) for i in c_in]
     picked = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=40))
     repeats = data.draw(st.lists(st.sampled_from(picked), min_size=1, max_size=10))
     deltas = data.draw(st.permutations(picked + repeats))
-    rows = f_verdicts(g, k, [c], deltas)
-    brute = {d: is_permutation(compose_f(g, c, k, f.element_at(d))) for d in set(deltas)}
-    assert [v for v, _ in rows] == [brute[d] for d in deltas]
+    rows = f_verdicts(g, k, cs, deltas)
+    assert len(rows) == len(cs) * len(deltas)
     tr = f.bulk().trace(base)
-    seen = set()
-    for d, (v, route) in zip(deltas, rows):
-        probe = c_in and tr[d] not in seen
-        seen.add(tr[d])
-        if probe or not c_in:
-            assert route == "brute"
-        else:
-            assert route == ("fibre" if v.is_permutation else "prefix")
+    for c, c_rows, in_lemma in zip(cs, np.array_split(np.arange(len(rows)), len(cs)), c_in):
+        brute = {d: is_permutation(compose_f(g, c, k, f.element_at(d))) for d in set(deltas)}
+        assert [rows[j][0] for j in c_rows] == [brute[d] for d in deltas]
+        seen = set()
+        for d, j in zip(deltas, c_rows.tolist()):
+            v, route = rows[j]
+            probe = in_lemma and tr[d] not in seen
+            seen.add(tr[d])
+            if probe or not in_lemma:
+                assert route == "brute"
+            else:
+                assert route == ("fibre" if v.is_permutation else "prefix")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -546,19 +552,53 @@ def test_first_collisions_equal_is_permutation_witnesses(data):
     assert widths == [min(Q, B << i) for i in range(len(widths))]
 
 
-def test_prefix_witnesses_match_brute_force_and_refuse_a_permuting_f():
-    """x^2 over GF(9) fails at deltas 1, 4 and 7, where the witness search
-    gives is_permutation's witnesses; x^19 over GF(49) permutes at every
-    delta, so searching it for witnesses raises."""
+def test_translate_witnesses_match_brute_force_and_refuse_a_permuting_f():
+    """x^2 over GF(9) fails at deltas 1, 4 and 7, one trace fibre, where the
+    translates of f_1's table give is_permutation's witnesses; x^19 over
+    GF(49) permutes at every delta, so searching the translates of f_0's
+    table for witnesses raises."""
     f = field(3, 2)
     g = make_gspec(f, [(f.one, 2)], 1)
-    got = permcheck._prefix_witnesses(g, f.one, 1, np.array([1, 4, 7]))
-    assert got == [is_permutation(compose_f(g, f.one, 1, f.element_at(d))).witness
-                   for d in (1, 4, 7)]
+    table = evaluate_all(compose_f(g, f.one, 1, f.element_at(1)))
+    a, b = permcheck._translate_witnesses(g, 1, 1, 1, table, np.array([1, 4, 7]))
+    assert list(zip(a.tolist(), b.tolist())) == [
+        tuple(e.index for e in is_permutation(compose_f(g, f.one, 1, f.element_at(d))).witness)
+        for d in (1, 4, 7)]
     f = field(7, 2)
     g = make_gspec(f, [(f.one, 19)], 1)
-    with pytest.raises(RuntimeError, match="disagree.*delta 5"):
-        permcheck._prefix_witnesses(g, f.one, 1, np.array([5, 0]))
+    fibre = np.flatnonzero(f.bulk().trace(1) == 0)[[3, 1]]
+    table = evaluate_all(compose_f(g, f.one, 1, f.zero))
+    with pytest.raises(RuntimeError, match=f"disagree.*delta {fibre[0]}:"):
+        permcheck._translate_witnesses(g, 1, 1, 0, table, fibre)
+
+
+def _misplaced_preimage(monkeypatch):
+    """Plant a wrong translate: every shift preimage moved by one place, so
+    the translated tables are no longer f_d's."""
+    real = permcheck._shift_preimage
+    monkeypatch.setattr(permcheck, "_shift_preimage",
+                        lambda bulk, pstep: np.roll(real(bulk, pstep), 1))
+
+
+def test_a_wrong_translate_fails_the_witness_check(monkeypatch):
+    """Every reported witness is evaluated afresh, from Frobenius, at both
+    its points: witnesses read off a wrongly translated table raise, naming
+    the step, c and delta."""
+    f = field(3, 2)
+    g = make_gspec(f, [(f.one, 2)], 1)
+    assert f_verdicts(g, 1, [f.one], range(f.order))
+    _misplaced_preimage(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 1, delta \d+: "):
+        f_verdicts(g, 1, [f.one], range(f.order))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", "thm14", "--q", "3"],
+                                  ["table1", "--row", "8", "--k", "3"]])
+def test_verify_exits_4_on_a_wrong_witness(tmp_path, monkeypatch, capsys, argv):
+    _misplaced_preimage(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path / "o.json")]) == 4
+    err = capsys.readouterr().err
+    assert "witness check failed" in err and argv[2] in err
 
 
 @pytest.mark.parametrize("p, s, probe, later, deficit", [

@@ -646,17 +646,19 @@ def test_prop4_f_results_match_per_delta_brute_force(p, n, qdeg, kind):
 
 def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
     """Anchored x^28 over GF(3^6) with q = 27: every f_delta permutes, so the
-    engine evaluates f only at the probe of each of the 27 trace fibres, and
-    the commuting square reads those same tables."""
+    engine evaluates f only at the probe of each of the 27 trace fibres, a
+    row of G_d = g(x^q - x + d) each, every probe once, and the commuting
+    square reads those same tables."""
     f = field(3, 6)
     g = make_gspec(f, [(f.one, 28)], qdeg=3)
-    calls = []
-    real = permcheck._f_table
-    monkeypatch.setattr(permcheck, "_f_table",
-                        lambda *args: calls.append(args[4].size) or real(*args))
+    rows = []
+    real = permcheck._g_rows
+    monkeypatch.setattr(permcheck, "_g_rows",
+                        lambda *args: rows.extend(args[3].tolist()) or real(*args))
     rep = prop4_check(g)
     assert rep.f_all_permute and rep.commutes_all and rep.deltas_exhaustive
-    assert calls == [1] * 27
+    tr = f.bulk().trace(3)
+    assert len(rows) == len(set(rows)) == len(set(tr[rows].tolist())) == 27
 
 
 # ---------------------------------------------------------------------------
