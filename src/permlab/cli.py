@@ -578,6 +578,8 @@ TABLE1_MAX_ORDER = 1 << 16
 def cmd_table1(args) -> int:
     t_start = time.perf_counter()
     cfg = _config_from(args)
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     rows = [args.row] if args.row else list(range(1, 14))
     runs = []
     for row in rows:

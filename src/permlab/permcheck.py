@@ -17,17 +17,20 @@ Bulk evaluation of the f side adds d to the field's cached shift image
 x^(q^k) - x (ffcore's _Bulk.shift_base), so a sweep over d does not
 recompute it.
 
-Bulk evaluation of the h side works in log order: position 0 is x = 0 and
-position 1+t is x = gamma^t for the field generator gamma.  Frobenius is
-additive, so u = g^(q^k) - g is, at gamma^t, a sum over g's terms a*x^e of
-exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod order-1): exp
-gathers only.  c*x at gamma^t is exp[log c + t], the exp table rolled by
-log c, a contiguous copy.  Only c*x depends on c, so _h_passes builds u
-once per (g, k), in fixed blocks, and for every c marks the values u + c*x
-hits.  Both engines read that one pass.  h_verdicts permutes a c that hits
-every value; only a failing c scatters its table into element-index order,
-where is_permutation finds the first-collision witness.  evaluate_all's h
-side is the same evaluation plus that scatter.
+The engines work in log order: position 0 is x = 0 and position 1+t is
+x = gamma^t for the field generator gamma.  c*x at gamma^t is
+exp[log c + t], the exp table rolled by log c, so a block of it is a
+contiguous slice (_cx_block), and both sides of the pair are a log-order
+table plus c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
+G_d(x) = g(x^(q^k) - x + d).  One kernel serves both: _hits marks the
+values that each row of a table plus c*x takes, and _index_order scatters
+one row plus c*x into element-index order.  Frobenius is additive, so u
+is, at gamma^t, a sum over g's terms a*x^e of exp[F*L] - exp[L] with
+L = log a + e*t and F = q^k (mod order-1): exp gathers only, built once
+per (g, k) in fixed blocks.  h_verdicts permutes a c whose u + c*x hits
+every value; only a failing c scatters its table, where is_permutation
+finds the first-collision witness.  evaluate_all's h side is u plus that
+scatter.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -42,25 +45,25 @@ h collides on their phi_d images, and
 Tr(h(y)) = c*Tr(y), as Tr(z^(q^k)) = Tr(z) when l | k, so h maps T_d into
 the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
 one bincount of the trace over a c's hits gives every d's deficit.
-f_verdicts, the f side's engine, decides f_d that way for many c and an
-integer array of delta indices, with brute force as its cross-check;
-verify's shift forms, transform.prop2_check and transform.prop4_check all
-go through _shift_rows, and the two transform checks read h's verdict and
-value table off the same pass.  Brute force checks the first listed delta
-of each fibre, its probe: one np.unique of the deltas' trace values finds
-every probe, once per call.  f_d = G_d + c*x with G_d(x) = g(x^(q^k) - x +
-d), and only c*x depends on c, so G_d is evaluated once per probe for all
-c, in log order (c*x is then the exp table rolled by log c) and in blocks
-of at most BLOCK elements, and one offset bincount per (block, c) decides
-every probe of the block.  The deficit is constant across a fibre, as
+f_verdicts, the f side's engine, decides f_d that way for many c of
+GF(q^l)* (another c raises ValueError) and an integer array of delta
+indices, with brute force as its cross-check; verify's shift forms,
+transform.prop2_check and transform.prop4_check all go through _shift_rows,
+and the two transform checks read h's verdict and value table off the same
+u.  Brute force checks the first listed delta of each fibre, its probe: one
+np.unique of the deltas' trace values finds every probe, once per call.
+Only c*x depends on c, so G_d is evaluated once per probe for all c, in
+blocks of at most BLOCK elements, and one _hits per (block, c) decides every
+probe of the block.  The deficit is constant across a fibre, as
 f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b, so the other deltas of a
 failing fibre need only their witness, the first collision in index
 order, which is that of the probe's table read at x + b.  It is decided
 by the points up to its second element, so _first_collisions finds it on
 a prefix of the field, for a block of deltas at a time, and doubles the
 prefix for the deltas without a repeat there.  is_permutation takes its
-witness from the same search, and every witness the engine reports is
-evaluated afresh at both its points.
+witness from the same search, and every witness either engine reports by
+brute force or a prefix search is evaluated afresh from Frobenius at both
+its points (_confirm_witnesses).
 
 The mu route decides h by Lemma 1 (Park-Lee 2001, Zieve 2009) where g is
 canonical: GF(q^2), k odd and every term a*x^e of g with e = 1 + i(q-1).
@@ -261,7 +264,8 @@ def evaluate_all(fn: FnSpec) -> np.ndarray:
         out = _eval_terms_all(bulk, fn.terms, xs)
         return out.copy() if out is xs else out
     if fn.side == "h":
-        return _index_order_h(bulk, _log_order_u(fn.field, fn.terms, fn.pstep), fn.c)
+        u = _log_order_u(fn.field, fn.terms, fn.pstep)
+        return _index_order(bulk, u, bulk.log.item(fn.c))
     if fn.side != "f":
         raise ValueError(f"unknown map side {fn.side!r}")
     t = bulk.add(bulk.shift_base(fn.pstep), np.int64(fn.delta))
@@ -313,47 +317,49 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
     return u
 
 
-def _h_blocks(bulk, u: np.ndarray, c_idx: int):
-    """(lo, hi, h at gamma^lo .. gamma^(hi-1)) for h = u + c*x, a block at a
-    time.  c*x at gamma^t is exp[log c + t]: a contiguous slice of exp,
-    wrapping once round the table.  Each block is int64: an int32 index
-    array scatters through numpy's slower casting path."""
+def _cx_block(bulk, lc: int, lo: int, hi: int) -> np.ndarray:
+    """c*x at gamma^lo .. gamma^(hi-1) for c = gamma^lc: c*x at gamma^t is
+    exp[lc + t], so this is a contiguous slice of the exp table rolled by
+    lc, wrapping at most once round it."""
     M = bulk.Q - 1
-    lc = bulk.log.item(c_idx)
+    a = (lc + lo) % M
+    b = a + hi - lo
+    return bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
+
+
+def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
+    """One bool mask per row of the 2-D log-order table T: the values that
+    row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  The columns
+    go in blocks of at most BLOCK elements, and row r marks its values at
+    r*Q + value through an int64 index (an int32 one scatters through
+    numpy's slower casting path); a single row needs no offset."""
+    rows, Q = T.shape
+    M = Q - 1
+    hits = np.zeros((rows, Q), dtype=bool)
+    flat = hits.reshape(-1)
+    off = np.arange(0, rows * Q, Q, dtype=np.int64) if rows > 1 else 0
+    flat[T[:, 0] + off] = True
+    step = max(1, BLOCK // rows)
+    for lo in range(0, M, step):
+        hi = min(M, lo + step)
+        v = bulk.add(T[:, 1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
+        flat[v + off[:, None] if rows > 1 else v.astype(np.int64, copy=False)] = True
+    return hits
+
+
+def _index_order(bulk, row: np.ndarray, lc: int) -> np.ndarray:
+    """The value table of row + c*x, c = gamma^lc, in element-index order,
+    for the 1-D log-order table row: its blocks scattered through exp.  The
+    index and the values are int64, as a scatter that casts either is
+    slower."""
+    M = bulk.Q - 1
+    out = np.empty(bulk.Q, dtype=np.int64)
+    out[0] = row[0]
     for lo in range(0, M, BLOCK):
         hi = min(M, lo + BLOCK)
-        a = (lc + lo) % M
-        b = a + hi - lo
-        cx = bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
-        yield lo, hi, bulk.add(u[1 + lo:1 + hi], cx).astype(np.int64, copy=False)
-
-
-def _index_order_h(bulk, u: np.ndarray, c_idx: int) -> np.ndarray:
-    """The value table of h = u + c*x in element-index order: the log-order
-    blocks scattered through exp, and h(0) = u(0)."""
-    outs = np.empty(bulk.Q, dtype=np.int64)
-    outs[0] = u[0]
-    for lo, hi, h in _h_blocks(bulk, u, c_idx):
-        outs[bulk.exp[lo:hi].astype(np.int64)] = h
-    return outs
-
-
-def _h_passes(g: GSpec, k: int, cs):
-    """For each c in cs, in order: (compose_h(g, c, k), u, hits).
-    u = g^(q^k) - g is built once in log order (_log_order_u), each c adds
-    its c*x block by block, and hits marks the values h = u + c*x takes.
-    hits is one buffer refilled for each c, valid until the next item, so a
-    single mask is ever allocated."""
-    fns = [compose_h(g, c, k) for c in cs]
-    bulk = g.field.bulk()
-    u = _log_order_u(g.field, g.terms, g.qdeg * k)
-    hits = np.empty(bulk.Q, dtype=bool)
-    for fn in fns:
-        hits.fill(False)
-        hits[u[0]] = True
-        for _, _, h in _h_blocks(bulk, u, fn.c):
-            hits[h] = True
-        yield fn, u, hits
+        v = bulk.add(row[1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
+        out[bulk.exp[lo:hi].astype(np.int64)] = v.astype(np.int64, copy=False)
+    return out
 
 
 def _mu_values(bulk, d: int, terms) -> np.ndarray:
@@ -407,26 +413,36 @@ def _mu_verdicts(g: GSpec, k: int, c_idx) -> Optional[np.ndarray]:
 def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
     """(verdict, route) of h = g^(q^k) - g + c*x for each c in cs, in order;
     each verdict equals is_permutation(compose_h(g, c, k)).  Brute force
-    ("brute") reads it off one _h_passes pass: a c that hits every value
-    permutes, and only a failing c scatters its table into index order,
-    where is_permutation finds its witness.  Where the mu route applies,
-    brute force checks the c the module docstring names, the mu route alone
-    decides the rest ("mu"), and a c where the two routes disagree raises
-    RuntimeError."""
-    cs = list(cs)
-    mu = _mu_verdicts(g, k, [compose_h(g, c, k).c for c in cs])
+    ("brute") builds u = g^(q^k) - g once and marks each c's values of u +
+    c*x (_hits): a c that hits every value permutes, and only a failing c
+    scatters its table into index order (_index_order), where
+    is_permutation finds its witness, which _confirm_witnesses evaluates
+    afresh.  Where the mu route applies, brute force checks the c the
+    module docstring names, the mu route alone decides the rest ("mu"), and
+    a c where the two routes disagree raises RuntimeError."""
+    fns = [compose_h(g, c, k) for c in cs]
+    mu = _mu_verdicts(g, k, [fn.c for fn in fns])
     if mu is None or g.field.order <= DELTA_EXHAUSTIVE_CAP:
-        brute = list(range(len(cs)))
+        brute = list(range(len(fns)))
     else:
-        brute = [j for j in range(len(cs)) if j == 0 or not mu[j]]
-    rows = [(_PERMUTES, "mu")] * len(cs)
-    for j, (fn, u, hits) in zip(brute, _h_passes(g, k, [cs[j] for j in brute])):
-        verdict = (_PERMUTES if np.count_nonzero(hits) == hits.size
-                   else is_permutation(fn, outs=_index_order_h(fn.field.bulk(), u, fn.c)))
+        brute = [j for j in range(len(fns)) if j == 0 or not mu[j]]
+    rows = [(_PERMUTES, "mu")] * len(fns)
+    bulk = g.field.bulk()
+    u = _log_order_u(g.field, g.terms, g.qdeg * k)
+    failed = []
+    for j in brute:
+        fn = fns[j]
+        lc = bulk.log.item(fn.c)
+        verdict = (_PERMUTES if _hits(bulk, u[None, :], lc).all()
+                   else is_permutation(fn, outs=_index_order(bulk, u, lc)))
         if mu is not None and mu[j] != verdict.is_permutation:
             raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
                                f"image deficit {verdict.image_deficit} by brute force")
+        if not verdict.is_permutation:
+            failed.append((fn.c, *(e.index for e in verdict.witness)))
         rows[j] = (verdict, "brute")
+    if failed:
+        _confirm_witnesses(g, k, *np.array(failed, dtype=np.int64).T)
     return rows
 
 
@@ -498,17 +514,26 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     return hits, len(survivors)
 
 
+def _require_coeff_domain(g: GSpec, c: Element, k: int) -> None:
+    """Refuse a c outside GF(q^l), l = gcd(k, m): the trace-fibre lemma and
+    the transfer between h and f (Prop. 2) need c there."""
+    ell = math.gcd(k, g.m)
+    if not g.field.is_in_subfield(c, g.qdeg * ell):
+        raise ValueError(
+            f"coefficient must lie in GF({g.field.p}^{g.qdeg * ell}) "
+            f"(= GF(q^gcd(k,m))), got index {c.index}")
+
+
 def _trace_deficits(g: GSpec, c: Element, k: int, hits: np.ndarray,
-                    delta_idx: np.ndarray) -> Optional[np.ndarray]:
+                    delta_idx: np.ndarray) -> np.ndarray:
     """Image deficit of f_d = g(x^(q^k) - x + d) + c*x at each d in
     delta_idx, from the mask hits of the values h = compose_h(g, c, k)
     takes (the lemma in the module docstring): h maps the trace fibre of d
-    into the one above c*Tr(d).  None when c is not in GF(q^l),
-    l = gcd(k, m), where the lemma does not apply."""
+    into the one above c*Tr(d).  A c outside GF(q^l), l = gcd(k, m), where
+    the lemma does not apply, raises ValueError."""
+    _require_coeff_domain(g, c, k)
     base = g.qdeg * math.gcd(k, g.m)
     fld = g.field
-    if not fld.is_in_subfield(c, base):
-        return None
     bulk = fld.bulk()
     tr = bulk.trace(base)
     distinct = np.bincount(tr[hits], minlength=fld.order)    # |h(T)| per trace
@@ -588,29 +613,6 @@ def _g_rows(bulk, terms, shift_log: np.ndarray, deltas: np.ndarray) -> np.ndarra
     return _eval_terms_all(bulk, terms, bulk.add(shift_log, deltas[:, None]))
 
 
-def _plus_cx(bulk, G: np.ndarray, lc: int) -> np.ndarray:
-    """G + c*x for log-order rows G and c = gamma^lc.  c*0 = 0, and c*x at
-    gamma^t is exp[lc + t]: the exp table rolled by lc, added as its two
-    contiguous slices, so no c*x table is made."""
-    M = bulk.Q - 1
-    f = np.empty(G.shape, dtype=np.int64)
-    f[:, 0] = G[:, 0]
-    bulk.add(G[:, 1:M - lc + 1], bulk.exp[lc:], out=f[:, 1:M - lc + 1])
-    bulk.add(G[:, M - lc + 1:], bulk.exp[:lc], out=f[:, M - lc + 1:])
-    return f
-
-
-def _row_deficits(f: np.ndarray) -> np.ndarray:
-    """Image deficit of each row of the 2-D value table f, whatever the
-    order of its columns: one bincount, each row's values offset by a
-    multiple of the field order."""
-    rows, Q = f.shape
-    if rows == 1:       # a whole-field row: no offset, and the flat count
-        return Q - np.count_nonzero(np.bincount(f[0], minlength=Q), keepdims=True)
-    seen = np.bincount((f + Q * np.arange(rows)[:, None]).ravel(), minlength=rows * Q)
-    return Q - np.count_nonzero(seen.reshape(rows, Q), axis=1)
-
-
 def _translate_witnesses(g: GSpec, k: int, c_idx: int, probe: int, table: np.ndarray,
                          ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first collision (a, b) in index order of f_d = g(x^(q^k) - x + d)
@@ -635,132 +637,122 @@ def _translate_witnesses(g: GSpec, k: int, c_idx: int, probe: int, table: np.nda
     return a, b
 
 
-def _confirm_witnesses(g: GSpec, k: int, c_idx: np.ndarray, d_idx: np.ndarray,
-                       a: np.ndarray, b: np.ndarray) -> None:
-    """Evaluate f_d = g(x^(q^k) - x + d) + c*x directly at both points of
-    each witness (a, b) of the (c, d) rows given as parallel int64 arrays:
-    one vectorized pass from Frobenius, which reads no value table.  A pair
-    that is not a collision of two points raises RuntimeError."""
+def _confirm_witnesses(g: GSpec, k: int, c_idx: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       d_idx: Optional[np.ndarray] = None) -> None:
+    """Evaluate the map directly at both points of each witness (a, b) of
+    the rows given as parallel int64 arrays: f_d = g(x^(q^k) - x + d) + c*x
+    for the (c, d) rows, or h = g^(q^k) - g + c*x for the c rows when d_idx
+    is None.  One vectorized pass from Frobenius, which reads no value
+    table; a pair that is not a collision of two points raises
+    RuntimeError."""
     bulk = g.field.bulk()
-    x = np.concatenate((a, b))
-    c2, d2 = np.tile(c_idx, 2), np.tile(d_idx, 2)
-    phi = bulk.add(bulk.sub(bulk.frob(x, g.qdeg * k), x), d2)
-    fx = bulk.add(_eval_terms_all(bulk, g.terms, phi), bulk.mul(c2, x))
-    fa, fb = fx[:a.size], fx[a.size:]
+    pstep = g.qdeg * k
+    x = np.stack((a, b))        # the rows broadcast against both points
+    if d_idx is None:
+        gx = _eval_terms_all(bulk, g.terms, x)
+        y = bulk.sub(bulk.frob(gx, pstep), gx)
+    else:
+        y = _eval_terms_all(bulk, g.terms, bulk.add(bulk.sub(bulk.frob(x, pstep), x), d_idx))
+    fa, fb = bulk.add(y, bulk.mul(c_idx, x))
     bad = np.flatnonzero((fa != fb) | (a == b))
     if bad.size:
         j = bad[0]
+        at, name = ("", "h") if d_idx is None else (f", delta {d_idx[j]}", "f_d")
         raise RuntimeError(
-            f"witness check failed at step {k}, c {c_idx[j]}, delta {d_idx[j]}: "
-            f"f_d({a[j]}) = {fa[j]}, f_d({b[j]}) = {fb[j]}")
+            f"witness check failed at step {k}, c {c_idx[j]}{at}: "
+            f"{name}({a[j]}) = {fa[j]}, {name}({b[j]}) = {fb[j]}")
 
 
 def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
     """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
     and each delta index d in delta_idx (an integer sequence or array),
-    c-major; each verdict equals is_permutation(compose_f(g, c, k, d)).  One
-    _h_passes pass gives, per c, every delta's image deficit
-    (_trace_deficits), and _shift_rows decides the deltas from it."""
-    cs = list(cs)
-    delta_idx = _delta_array(g.field, delta_idx)
-    return _shift_rows(g, k, cs, delta_idx, (
-        _trace_deficits(g, c, k, hits, delta_idx)
-        for c, (_, _, hits) in zip(cs, _h_passes(g, k, cs))))
+    c-major; each verdict equals is_permutation(compose_f(g, c, k, d)).
+    Every c must lie in GF(q^l)*, l = gcd(k, m), where the trace-fibre lemma
+    holds; another c raises ValueError (compose_f with is_permutation
+    decides a single f_d at any c).  u = g^(q^k) - g is built once, and
+    _shift_rows decides the deltas from it."""
+    return _shift_rows(g, k, list(cs), _delta_array(g.field, delta_idx),
+                       _log_order_u(g.field, g.terms, g.qdeg * k))
 
 
-def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, fibres,
+def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray,
                 on_probe=None) -> list[tuple[PermVerdict, str]]:
     """f_verdicts' (verdict, route) rows, c-major, for the int64 delta
-    indices delta_idx.  fibres yields each c's _trace_deficits in turn; it
-    is read after brute force, one c at a time.
+    indices delta_idx, given u = g^(q^k) - g in log order.
 
-    The first delta of each trace fibre, in the order given, is its probe.
-    Brute force ("brute") decides the probes of a c in GF(q^l) and every
-    delta of a c outside it.  G_d = g(x^(q^k) - x + d) is the same for
-    every c, so it is evaluated once per brute-forced delta, in log order
+    The first delta of each trace fibre, in the order given, is its probe,
+    and brute force ("brute") decides the probes.  G_d = g(x^(q^k) - x + d)
+    is the same for every c, so it is evaluated once per probe, in log order
     and in blocks of at most BLOCK elements (one row when the field is
-    larger), and each c's rows of a block are decided by one offset
-    bincount of G_d + c*x (_plus_cx, _row_deficits).  The rest of a fibre
-    has its probe's deficit, by the translate identity: the fibre route
-    ("fibre") decides them when it is 0, and when it is not ("prefix")
-    _translate_witnesses finds their witnesses in the probe's table.  Only
-    a failing row, or a probe on_probe asks for, is scattered into index
-    order, one table at a time; on_probe(d index, f_d's value table) is
-    called with each probe of a c in GF(q^l).  A fibre deficit that differs
-    from brute force's raises RuntimeError, and _confirm_witnesses checks
-    every witness reported."""
+    larger), and _hits marks each c's values of a block's rows at once.
+    The rest of a fibre has its probe's deficit, by the translate identity:
+    the fibre route ("fibre") decides them when it is 0, and when it is not
+    ("prefix") _translate_witnesses finds their witnesses in the probe's
+    table.  Only a failing probe, or one on_probe asks for, is scattered
+    into index order (_index_order), one table at a time;
+    on_probe(d index, f_d's value table) is called with each probe.  Each
+    c's fibre deficits (_trace_deficits, from the hits of u + c*x) must
+    equal brute force's, or RuntimeError is raised, and _confirm_witnesses
+    checks every witness reported.  A c outside GF(q^l), l = gcd(k, m),
+    raises ValueError."""
     c_idx = [compose_h(g, c, k).c for c in cs]
+    for c in cs:
+        _require_coeff_domain(g, c, k)
     if not c_idx:
         return []
     fld = g.field
     bulk = fld.bulk()
     Q = fld.order
-    base = g.qdeg * math.gcd(k, g.m)
-    lemma = [fld.is_in_subfield(c, base) for c in cs]
-    n = delta_idx.size
-    pos = np.arange(n)
-    probe_of = pos              # the brute-forced position deciding each position
-    if any(lemma):
-        _, first, which = np.unique(bulk.trace(base)[delta_idx],
-                                    return_index=True, return_inverse=True)
-        probe_of = first[which]
-        order = np.argsort(which, kind="stable")        # positions, fibre by fibre
-        cuts = np.concatenate(([0], np.cumsum(np.bincount(which))))
-    is_probe = probe_of == pos
-    rows = np.flatnonzero(is_probe) if all(lemma) else pos     # G_d evaluated here
+    lcs = [bulk.log.item(c) for c in c_idx]
+    _, first, which = np.unique(bulk.trace(g.qdeg * math.gcd(k, g.m))[delta_idx],
+                                return_index=True, return_inverse=True)
+    order = np.argsort(which, kind="stable")        # positions, fibre by fibre
+    cuts = np.concatenate(([0], np.cumsum(np.bincount(which))))
+    probes = np.sort(first)     # positions, in the order given
     shift_log = np.zeros(Q, dtype=np.int32)     # x^(q^k) - x in log order
     shift_log[1:] = bulk.shift_base(g.qdeg * k)[bulk.exp]
-    deficit = np.zeros((len(cs), rows.size), dtype=np.int64)
+    deficit = np.zeros((len(cs), first.size), dtype=np.int64)    # per c and fibre
     found = [[] for _ in cs]    # (probe, fibre positions, a, b) per failing fibre
     per = max(1, BLOCK // Q)
-    for lo in range(0, rows.size, per):
-        blk = rows[lo:lo + per]
+    for lo in range(0, probes.size, per):
+        blk = probes[lo:lo + per]
         G = _g_rows(bulk, g.terms, shift_log, delta_idx[blk])
-        for ci, c in enumerate(c_idx):
-            sel = np.flatnonzero(is_probe[blk]) if lemma[ci] else np.arange(blk.size)
-            f = _plus_cx(bulk, G if sel.size == blk.size else G[sel], bulk.log.item(c))
-            deficit[ci, lo + sel] = dfc = _row_deficits(f)
-            show = on_probe if lemma[ci] else None
-            for j in range(sel.size) if show else np.flatnonzero(dfc):
-                p = blk.item(sel[j])
-                table = np.empty(Q, dtype=np.int64)
-                table[0] = f[j, 0]
-                table[bulk.exp] = f[j, 1:]
-                if show:
-                    show(delta_idx.item(p), table)
+        for ci, lc in enumerate(lcs):
+            deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc), axis=1)
+            for j in range(blk.size) if on_probe else np.flatnonzero(dfc):
+                p = blk.item(j)
+                table = _index_order(bulk, G[j], lc)
+                if on_probe:
+                    on_probe(delta_idx.item(p), table)
                 if dfc[j]:
-                    mem = order[cuts[which[p]]:cuts[which[p] + 1]] if lemma[ci] else np.array([p])
+                    mem = order[cuts[which[p]]:cuts[which[p] + 1]]
                     found[ci].append((p, mem, *_translate_witnesses(
-                        g, k, c, delta_idx.item(p), table, delta_idx[mem])))
+                        g, k, c_idx[ci], delta_idx.item(p), table, delta_idx[mem])))
                 del table           # one index-order table alive at a time
-            del f
         del G                       # before the next block's
     del shift_log
     if any(found):
         cat = [np.concatenate(col) for col in zip(*(
-            (np.full(m.size, c), delta_idx[m], a, b)
+            (np.full(m.size, c), a, b, delta_idx[m])
             for c, fc in zip(c_idx, found) for _, m, a, b in fc))]
         _confirm_witnesses(g, k, *cat)
-    row_of = np.zeros(n, dtype=np.int64)
-    row_of[rows] = np.arange(rows.size)
     el = lru_cache(maxsize=None)(fld.element_at)    # witness points recur
     fails = {}                  # one PermVerdict per (a, b, deficit)
+    permuting = [(_PERMUTES, "fibre")] * delta_idx.size
+    for j in probes.tolist():
+        permuting[j] = (_PERMUTES, "brute")
     out = []
-    for ci, fibre in enumerate(fibres):
-        owner = probe_of if lemma[ci] else pos
-        brute = deficit[ci, row_of[owner]]      # the translate identity
-        if fibre is not None:
-            bad = np.flatnonzero(fibre != brute)
-            if bad.size:
-                j = bad[0]
-                raise RuntimeError(
-                    f"fibre route and brute force disagree at step {k}, "
-                    f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[j]} "
-                    f"vs {brute[j]}")
-        rows_c = [(_PERMUTES, "fibre" if lemma[ci] else "brute")] * n
-        if lemma[ci]:
-            for j in np.flatnonzero(is_probe).tolist():
-                rows_c[j] = (_PERMUTES, "brute")
+    for ci, c in enumerate(cs):
+        fibre = _trace_deficits(g, c, k, _hits(bulk, u[None, :], lcs[ci])[0], delta_idx)
+        brute = deficit[ci, which]      # each delta has its probe's: the translate identity
+        bad = np.flatnonzero(fibre != brute)
+        if bad.size:
+            j = bad[0]
+            raise RuntimeError(
+                f"fibre route and brute force disagree at step {k}, "
+                f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[j]} "
+                f"vs {brute[j]}")
+        rows_c = permuting.copy()
         for p, mem, a, b in found[ci]:
             dp = brute.item(p)
             for j, x, y in zip(mem.tolist(), a.tolist(), b.tolist()):
@@ -774,15 +766,20 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, fibres,
 
 def _pair_verdicts(g: GSpec, c: Element, k: int, delta_idx, on_probe=None):
     """(h's verdict, h's value table ho in index order, f_verdicts(g, k,
-    [c], delta_idx)) from one _h_passes pass: both sides of the companion
-    pair from one u.  on_probe(ho, d index, f_d's value table) is called
-    with each probe _shift_rows decides."""
+    [c], delta_idx)) from one u = g^(q^k) - g: both sides of the companion
+    pair.  h's witness is confirmed as h_verdicts confirms it, and
+    on_probe(ho, d index, f_d's value table) is called with each probe
+    _shift_rows decides."""
     delta_idx = _delta_array(g.field, delta_idx)
-    (fn, u, hits), = _h_passes(g, k, [c])
-    ho = _index_order_h(fn.field.bulk(), u, fn.c)
-    rows = _shift_rows(g, k, [c], delta_idx, [_trace_deficits(g, c, k, hits, delta_idx)],
-                       on_probe and (lambda i, fo: on_probe(ho, i, fo)))
-    return is_permutation(fn, outs=ho), ho, rows
+    fn = compose_h(g, c, k)
+    bulk = g.field.bulk()
+    u = _log_order_u(g.field, g.terms, fn.pstep)
+    ho = _index_order(bulk, u, bulk.log.item(fn.c))
+    h_v = is_permutation(fn, outs=ho)
+    if not h_v.is_permutation:
+        _confirm_witnesses(g, k, *np.array([[fn.c, *(e.index for e in h_v.witness)]]).T)
+    rows = _shift_rows(g, k, [c], delta_idx, u, on_probe and (lambda i, fo: on_probe(ho, i, fo)))
+    return h_v, ho, rows
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

@@ -36,7 +36,6 @@ is empty unless 3 | q, in which case it is exactly {x : x^(q^2-1) = +/-1}.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -45,8 +44,8 @@ import numpy as np
 
 from .ffcore import Element, FieldCtx
 from .permcheck import (DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict, _eval_terms_all,
-                        _pair_verdicts, _resolve_view, build_inverse_table, compose_h,
-                        evaluate_all)
+                        _pair_verdicts, _require_coeff_domain, _resolve_view,
+                        build_inverse_table, compose_h, evaluate_all)
 
 __all__ = [
     "CosetSet",
@@ -79,14 +78,6 @@ def pick_deltas(field: FieldCtx, cap: int = DELTA_EXHAUSTIVE_CAP,
     picked = set(rng.sample(range(field.order), samples))
     picked.update((0, 1))
     return tuple(sorted(picked)), False
-
-
-def _require_coeff_domain(g: GSpec, c: Element, k: int) -> None:
-    ell = math.gcd(k, g.m)
-    if not g.field.is_in_subfield(c, g.qdeg * ell):
-        raise ValueError(
-            f"coefficient must lie in GF({g.field.p}^{g.qdeg * ell}) "
-            f"(= GF(q^gcd(k,m))), got index {c.index}")
 
 
 @dataclass(frozen=True)

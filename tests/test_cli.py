@@ -429,6 +429,17 @@ def test_table1_inadmissible_k(tmp_path):
     assert code == 2 and doc is None
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "-2"])
+def test_table1_refuses_k_below_1_as_config(tmp_path, capsys, k):
+    """A --k below 1 is a configuration error (exit 3) named as such, for
+    every row, before any row's admissibility or field is looked at."""
+    for row in (["--row", "1"], []):
+        code, doc = run(tmp_path, "table1", *row, "--k", k)
+        assert code == 3 and doc is None
+        err = capsys.readouterr().err
+        assert f"--k must be >= 1, got {k}" in err and "prime power" not in err
+
+
 # ---------------------------------------------------------------------------
 # step variants
 # ---------------------------------------------------------------------------

@@ -340,9 +340,11 @@ def _lemma_base(n, qdeg, k):
 
 
 def _engine_deficits(g, c, k):
-    """_trace_deficits at every delta, read off the hits of one _h_passes
-    pass, as f_verdicts reads them."""
-    (_, _, hits), = permcheck._h_passes(g, k, [c])
+    """_trace_deficits at every delta, read off the hits of u + c*x, as
+    f_verdicts reads them."""
+    bulk = g.field.bulk()
+    u = permcheck._log_order_u(g.field, g.terms, g.qdeg * k)
+    hits = permcheck._hits(bulk, u[None, :], bulk.log.item(c.index))[0]
     return permcheck._trace_deficits(g, c, k, hits, np.arange(g.field.order))
 
 
@@ -381,13 +383,19 @@ def test_fibre_deficits_match_brute_force_every_delta(p, n, qdeg, k):
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
 def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
+    """The lemma needs c in GF(q^l): _trace_deficits and f_verdicts raise
+    ValueError for any other c, before any brute force."""
     f = field(p, n)
     inside = f.subfield_indices(_lemma_base(n, qdeg, k))
     g = make_gspec(f, [(f.one, 3)], qdeg)
     outside = [i for i in range(1, f.order) if i not in inside]
     for ci in outside[:3] + outside[-3:]:
-        assert _engine_deficits(g, f.element_at(ci), k) is None
-    assert _engine_deficits(g, f.one, k) is not None
+        c = f.element_at(ci)
+        with pytest.raises(ValueError, match="coefficient must lie in GF"):
+            _engine_deficits(g, c, k)
+        with pytest.raises(ValueError, match="coefficient must lie in GF"):
+            f_verdicts(g, k, [f.one, c], range(f.order))
+    assert _engine_deficits(g, f.one, k).shape == (f.order,)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -429,19 +437,23 @@ def test_f_verdicts_routes_and_times():
     """x^3 over GF(4^2) at c = 1 fails on 2 of the 4 trace fibres: brute
     force checks one probe of each fibre, the prefix search finds the
     witnesses of the other 6 failing deltas, and the fibre route decides
-    the other 6 permuting ones.  A c outside GF(4) leaves every delta to
-    brute force.  Each delta gets one (verdict, route) row; the engine
-    keeps no clock and takes no out-list, as its caller times the call.  A
-    range, a list and an int64 array of delta indices give the same rows,
-    and an index outside the field raises."""
+    the other 6 permuting ones.  A c outside GF(4) raises ValueError, and
+    compose_f with is_permutation still decides its f_d.  Each delta gets
+    one (verdict, route) row; the engine keeps no clock and takes no
+    out-list, as its caller times the call.  A range, a list and an int64
+    array of delta indices give the same rows, and an index outside the
+    field raises."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     deltas = range(f.order)
-    for c, routes in [(f.one, {"brute": 4, "fibre": 6, "prefix": 6}), (f.element_at(2), {"brute": 16})]:
-        got = f_verdicts(g, 1, [c], deltas)
-        assert [v for v, _ in got] == [is_permutation(compose_f(g, c, 1, d)) for d in f.elements()]
-        assert Counter(route for _, route in got) == routes
-        assert len(got) == len(deltas)
+    got = f_verdicts(g, 1, [f.one], deltas)
+    assert [v for v, _ in got] == [is_permutation(compose_f(g, f.one, 1, d)) for d in f.elements()]
+    assert Counter(route for _, route in got) == {"brute": 4, "fibre": 6, "prefix": 6}
+    assert len(got) == len(deltas)
+    outside = f.element_at(2)
+    with pytest.raises(ValueError, match=r"GF\(2\^2\).*got index 2"):
+        f_verdicts(g, 1, [outside], deltas)
+    assert not is_permutation(compose_f(g, outside, 1, f.zero)).is_permutation
     assert list(inspect.signature(f_verdicts).parameters) == ["g", "k", "cs", "delta_idx"]
     # any integer sequence of delta indices gives the same rows
     for same in (list(deltas), np.arange(f.order, dtype=np.int64)):
@@ -456,15 +468,14 @@ def test_f_verdicts_routes_and_times():
 
 def test_f_verdicts_many_c_equal_their_single_c_calls():
     """Rows come c-major, and each c's rows are those of its own call, for
-    calls that interleave c inside and outside GF(q^l), so that the c share
-    the rows of G_d although their brute-forced deltas differ, and for
-    deltas with repeats."""
+    calls of several c of GF(q^l)*, a c repeated, that share the rows of
+    G_d, and for deltas with repeats."""
     for p, n, qdeg, s in [(7, 2, 1, 19), (2, 4, 2, 3), (3, 4, 1, 10)]:
         f = field(p, n)
         g = make_gspec(f, [(f.one, s)], qdeg)
         inside = sorted(f.subfield_indices(qdeg) - {0})
-        outside = [i for i in range(1, f.order) if i not in inside]
-        cs = [f.element_at(i) for i in (inside[0], outside[0], inside[-1], outside[-1])]
+        picks = (inside[-1], inside[0], inside[-1], inside[len(inside) // 2])
+        cs = [f.element_at(i) for i in picks]
         deltas = list(range(0, f.order, 2)) + [4, 2, 4]
         want = []
         got = f_verdicts(g, 1, cs, deltas)
@@ -481,11 +492,12 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
        data=st.data())
 def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data):
     """A shuffled delta index list with repeats, for a g = x^s or a random
-    binomial and one to three c, each inside or outside GF(q^l): each row's
-    verdict (image deficit and witness) is brute force's at its (c, delta).
-    For a c inside, the first listed delta of each trace fibre is
-    brute-forced as its probe, and every later one is decided from its
-    fibre's deficit; for a c outside, every delta is brute-forced."""
+    binomial and one to three c, each inside or outside GF(q^l): a call
+    with a c outside raises ValueError, and the call with the c inside
+    alone gives rows whose verdicts (image deficit and witness) are brute
+    force's at each (c, delta).  The first listed delta of each trace fibre
+    is brute-forced as its probe, and every later one is decided from its
+    fibre's deficit."""
     p, n, qdeg, k = case
     f = field(p, n)
     Q = f.order
@@ -501,21 +513,25 @@ def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data
     picked = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=40))
     repeats = data.draw(st.lists(st.sampled_from(picked), min_size=1, max_size=10))
     deltas = data.draw(st.permutations(picked + repeats))
+    if not all(c_in):
+        with pytest.raises(ValueError, match="coefficient must lie in GF"):
+            f_verdicts(g, k, cs, deltas)
+        cs = [c for c, ok in zip(cs, c_in) if ok]
     rows = f_verdicts(g, k, cs, deltas)
     assert len(rows) == len(cs) * len(deltas)
     tr = f.bulk().trace(base)
-    for c, c_rows, in_lemma in zip(cs, np.array_split(np.arange(len(rows)), len(cs)), c_in):
+    for ci, c in enumerate(cs):
+        c_rows = range(ci * len(deltas), (ci + 1) * len(deltas))
         brute = {d: is_permutation(compose_f(g, c, k, f.element_at(d))) for d in set(deltas)}
         assert [rows[j][0] for j in c_rows] == [brute[d] for d in deltas]
         seen = set()
-        for d, j in zip(deltas, c_rows.tolist()):
+        for d, j in zip(deltas, c_rows):
             v, route = rows[j]
-            probe = in_lemma and tr[d] not in seen
-            seen.add(tr[d])
-            if probe or not in_lemma:
+            if tr[d] not in seen:
                 assert route == "brute"
             else:
                 assert route == ("fibre" if v.is_permutation else "prefix")
+            seen.add(tr[d])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -580,6 +596,39 @@ def _misplaced_preimage(monkeypatch):
                         lambda bulk, pstep: np.roll(real(bulk, pstep), 1))
 
 
+def test_failing_probes_above_block_match_brute_force(monkeypatch):
+    """GF(2^16) as GF(256^2), g = x^7, two c of GF(256)*, three deltas from
+    each of three trace fibres: the field is four BLOCKs, so each probe's
+    G_d is one row that _hits reads in column blocks, and each failing
+    probe's table is scattered by _index_order.  Verdicts (deficits and
+    witnesses) are is_permutation(compose_f(...))'s, the first delta of
+    each fibre is "brute", and its mates are "fibre" or "prefix"."""
+    f = field(2, 16)
+    Q = f.order
+    assert Q == 4 * permcheck.BLOCK
+    g = make_gspec(f, [(f.one, 7)], 8)
+    tr = f.bulk().trace(8)
+    ds = [d for t in np.unique(tr)[[0, 1, 5]].tolist()
+          for d in np.flatnonzero(tr == t)[[100, 0, 7]].tolist()]
+    cs = [f.one, f.element_at(max(f.subfield_indices(8)))]
+    g_rows, scattered = [], []
+    real_g, real_i = permcheck._g_rows, permcheck._index_order
+    monkeypatch.setattr(permcheck, "_g_rows",
+                        lambda *args: g_rows.append(real_g(*args).shape) or real_g(*args))
+    monkeypatch.setattr(permcheck, "_index_order",
+                        lambda bulk, row, lc: scattered.append(row.shape) or real_i(bulk, row, lc))
+    rows = f_verdicts(g, 1, cs, ds)
+    want = [is_permutation(compose_f(g, c, 1, f.element_at(d))) for c in cs for d in ds]
+    assert [v for v, _ in rows] == want
+    routes = [r for _, r in rows]
+    assert routes == [("brute" if j % 3 == 0 else "fibre" if v.is_permutation else "prefix")
+                      for j, v in enumerate(want)]
+    assert set(routes) == {"brute", "fibre", "prefix"}
+    assert g_rows == [(1, Q)] * 3
+    failing_probes = sum(not v.is_permutation for v in want[::3])
+    assert failing_probes >= 2 and scattered == [(Q,)] * failing_probes
+
+
 def test_a_wrong_translate_fails_the_witness_check(monkeypatch):
     """Every reported witness is evaluated afresh, from Frobenius, at both
     its points: witnesses read off a wrongly translated table raise, naming
@@ -599,6 +648,27 @@ def test_verify_exits_4_on_a_wrong_witness(tmp_path, monkeypatch, capsys, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "o.json")]) == 4
     err = capsys.readouterr().err
     assert "witness check failed" in err and argv[2] in err
+
+
+def test_a_wrong_h_table_fails_the_witness_check(tmp_path, monkeypatch, capsys):
+    """A failing h's witness, from h_verdicts or from the pair engine that
+    prop2_check reads, is evaluated afresh from Frobenius at both its
+    points: witnesses read off a wrongly scattered table (every value moved
+    by one place) raise, naming the step and c, and sweep exits 4."""
+    f = field(2, 6)
+    g = make_gspec(f, [(f.one, 7)], 3)
+    c = f.element_at(14)                    # in GF(8)
+    ((v, _),) = h_verdicts(g, 1, [c])
+    assert not v.is_permutation and prop2_check(g, c, 1).h_verdict == v
+    real = permcheck._index_order
+    monkeypatch.setattr(permcheck, "_index_order",
+                        lambda bulk, row, lc: np.roll(real(bulk, row, lc), 1))
+    with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 14: h\(\d+\) = "):
+        h_verdicts(g, 1, [c, f.one])
+    with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 14: h\("):
+        prop2_check(g, c, 1)
+    assert cli.main(["sweep", "--q", "8", "--out", str(tmp_path / "o.json")]) == 4
+    assert "witness check failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p, s, probe, later, deficit", [
@@ -629,10 +699,12 @@ def test_planted_deficit_past_the_probe_raises(monkeypatch, p, s, probe, later, 
 @pytest.mark.parametrize("n_c", [1, 3, 15])
 def test_engines_build_u_once_per_call(monkeypatch, n_c):
     """Both engines build u = g^(q^k) - g once per call, whatever the number
-    of c, and prop2_check and prop4_check decide h and every f_d from one u."""
+    of c (those of GF(4)*, repeated), and prop2_check and prop4_check decide
+    h and every f_d from one u."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
-    cs = [f.element_at(i) for i in range(1, n_c + 1)]
+    inside = sorted(f.subfield_indices(2) - {0})
+    cs = [f.element_at(inside[i % len(inside)]) for i in range(n_c)]
     calls = []
     real = permcheck._log_order_u
     monkeypatch.setattr(permcheck, "_log_order_u",
