@@ -7,38 +7,40 @@ Ben-Or's test, gcd(f, x^(p^i) - x) = 1 for every i <= n/2, with x^(p^i) mod f
 reached by repeated p-th powers.
 
 Each field precomputes discrete exp/log tables over a fixed multiplicative
-generator, a Zech-log table in odd characteristic with n > 1, and the
-element sets of all proper subfields, and is immutable afterwards.  The exp
-table is built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying by
-the constant g^L is GF(p)-linear, so it is a few table gathers per element:
-the index's base-p digits are cut into chunks, each chunk is looked up in a
-table of (chunk * p^offset) * g^L built from the n basis rows x^i * g^L, and
-the lookups are combined by xor for p = 2, or for odd p by adding digits
-packed into bit fields and reading the sums mod p back through a small
-table.  No table is larger than the block it serves (beyond a one-bit
-table's two entries); for odd p, where not even a one-digit table fits, the
-digits are read directly.  The log table is its inverse permutation, and
-the Zech table is Z(k) = log(1 + g^k).  Each table is kept once, as a
-read-only int32 array: every entry is an element index or a log below the
-order, and FieldCtx refuses orders above MAX_ORDER = 2^31 - 1.
+generator, digit tables for addition in odd characteristic with n > 1, and
+the element sets of all proper subfields, and is immutable afterwards.  The
+exp table is built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying
+by the constant g^L is GF(p)-linear, so it is a few table gathers per
+element: the index's base-p digits are cut into chunks, each chunk is looked
+up in a table of (chunk * p^offset) * g^L built from the n basis rows
+x^i * g^L, and the lookups are combined by xor for p = 2, or for odd p by
+adding digits packed into bit fields and reading the sums mod p back through
+a small table.  No table is larger than the block it serves (beyond a
+one-bit table's two entries); for odd p, where not even a one-digit table
+fits, the digits are read directly.  The log table is its inverse
+permutation.  Each table is kept once and read only; exp and log are int32:
+every entry is an element index or a log below the order, and FieldCtx
+refuses orders above MAX_ORDER = 2^31 - 1.
 
-The scalar Element path and the bulk layer compute from these same tables:
-products and powers are exp[log a + log b] and exp[e * log a] mod order-1
-(log[0] = -1 is a placeholder, so an operand 0 is handled apart), and
-addition in odd characteristic with n > 1 goes through Zech logarithms,
-a + b = g^(log a + Z(log b - log a)), with -b = b * g^((order-1)/2).  The
-scalar path reads the tables through memoryviews, which index to Python
-ints; the bulk layer gathers log[x] once, does the exponent arithmetic in
-place in int64 (e * log a passes 2^31) and zeroes the operand-zero
-positions after the exp gather, which it writes back into that int64
-array: pow_const, mul_scalar, mul and the Zech add return int64 value
-arrays, which index without a cast.  Its gathers go through
-ndarray.take, which reads an int32 index array (an exp slice, or a value
-read straight off a table) without the slower cast path of fancy
-indexing.  The shift image x^(p^i) - x, which every shift form and trace
-fibre starts from, is built once per field and kept read only
-(_Bulk.shift_base), and so is the relative trace onto each subfield
-(_Bulk.trace).
+Addition in odd characteristic with n > 1 is the same digit-wise sum:
+pack[x] holds x's base-p digits in bit fields of (2p-1).bit_length() bits,
+so a + b = unpack(pack[a] + pack[b]) and a - b = unpack(pack[a] + P -
+pack[b]), P with p in every field, where the unpack tables read the fields
+mod p back as an index; zero needs no special case.  Products and powers
+are exp[log a + log b] and exp[e * log a] mod order-1 (log[0] = -1 is a
+placeholder, so an operand 0 is handled apart).  The scalar Element path
+reads the same tables, exp, log and pack through memoryviews, which index
+to Python ints; the bulk layer gathers log[x] once, does the exponent
+arithmetic in place in int64 (e * log a passes 2^31) and zeroes the
+operand-zero positions after the exp gather, which it writes back into that
+int64 array: pow_const, mul_scalar and mul return int64 value arrays, which
+index without a cast, and add and sub the unpack tables' int32.  Its
+gathers go through ndarray.take, which reads an int32
+index array (an exp slice, or a value read straight off a table) without
+the slower cast path of fancy indexing.  The shift image x^(p^i) - x, which
+every shift form and trace fibre starts from, is built once per field and
+kept read only (_Bulk.shift_base), and so is the relative trace onto each
+subfield (_Bulk.trace).
 
 Elements are identified by a canonical index: the element with coefficient
 tuple (c0, ..., c_{n-1}) has index sum(c_i * p**i).  Index 0 is zero and
@@ -285,7 +287,8 @@ class _Bulk:
         self.n = field.n
         self.exp = field._exp_arr
         self.log = field._log_arr
-        self.zech = field._zech_arr
+        self.pack = field._pack_arr
+        self.unpack = field._unpack_arr
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -294,32 +297,22 @@ class _Bulk:
         xs.flags.writeable = False
         return xs
 
-    def _zech_add(self, a, b, shift: int):
-        """a + b * g^shift; shift (Q-1)/2 multiplies b by -1.  Numpy scalars
-        broadcast on either side.  The log sums are int64, as log a + Z
-        passes 2^31 above order 2^30."""
-        la = self.log.take(a).astype(np.int64)
-        t = self.log.take(b) - la
-        if shift:
-            t += shift
-        z = self.zech.take(t, mode="wrap")
-        cancel = z < 0              # a = -b * g^shift
-        np.add(z, la, out=t)
-        del z
-        out = self._from_logs(t, cancel)
-        # zero operands: log[0] = -1 made t meaningless there
-        np.copyto(out, a, where=b == 0)
-        az = np.broadcast_to(a == 0, out.shape)
-        if az.any():
-            nb = np.broadcast_to(b, out.shape)[az]
-            out[az] = nb if shift == 0 else self.mul_scalar(self.exp.item(shift), nb)
+    def _unpack(self, s):
+        """The element indices whose base-p digits are the bit fields of the
+        packed sums s, each field reduced mod p: one unpack-table gather per
+        group of fields, the top group first, as it needs no mask."""
+        (shift, table), *low = self.unpack
+        out = table.take(s >> shift if shift else s)
+        for shift, table in low:
+            out += table.take((s >> shift if shift else s) & (table.size - 1))
         return out
 
     def add(self, a, b, out=None):
-        """a + b elementwise, written into out when it is given."""
+        """a + b elementwise, written into out when it is given; numpy
+        scalars broadcast on either side."""
         if self.p == 2:
             return np.bitwise_xor(a, b, out=out)
-        s = (a + b) % self.p if self.n == 1 else self._zech_add(a, b, 0)
+        s = (a + b) % self.p if self.n == 1 else self._unpack(self.pack.take(a) + self.pack.take(b))
         if out is None:
             return s
         out[...] = s
@@ -330,7 +323,8 @@ class _Bulk:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a - b) % self.p
-        return self._zech_add(a, b, (self.Q - 1) // 2)
+        # each field a_i + p - b_i lies in [1, 2p - 1]: no borrow
+        return self._unpack(self.pack.take(a) + self.field._pack_p - self.pack.take(b))
 
     def _from_logs(self, t, zero):
         """exp[t mod (Q-1)], written back into the fresh int64 log array t,
@@ -568,23 +562,52 @@ class FieldCtx:
             self._times_const(exp[:block], self._mul_raw(int(exp[size - 1]), gen),
                               exp[size:size + block])
             size += block
+        # log is exp's inverse permutation, scattered through an intp index
+        # (an int32 one goes through numpy's casting path) a block at a
+        # time, so no whole-field index or ramp is made
         log = np.full(Q, -1, dtype=np.int32)
-        log[exp] = np.arange(Q - 1, dtype=np.int32)
-        zech = None
-        if p != 2 and n > 1:
-            # zech[k] = log(1 + g^k), -1 where 1 + g^k = 0; adding 1 changes digit 0 only
-            zech = log.take(exp + 1 - p * (exp % p == p - 1))
-            zech.flags.writeable = False
+        for lo in range(0, Q - 1, 1 << 16):
+            hi = min(Q - 1, lo + (1 << 16))
+            log[exp[lo:hi].astype(np.intp)] = np.arange(lo, hi, dtype=np.int32)
         exp.flags.writeable = False
         log.flags.writeable = False
         self._exp_arr = exp
         self._log_arr = log
-        self._zech_arr = zech
         # the scalar path reads the same buffers; indexing a memoryview
         # yields Python ints, so Element.index stays an int
         self._exp = memoryview(exp)
         self._log = memoryview(log)
-        self._zech = None if zech is None else memoryview(zech)
+        self._pack_arr = self._unpack_arr = self._pack = self._pack_p = None
+        if p != 2 and n > 1:
+            self._init_digits()
+
+    def _init_digits(self):
+        """The addition tables of odd p with n > 1 (module docstring).  pack
+        is built digit by digit as an outer sum, with no division; it is
+        uint32 where n fields fit in 32 bits, else int64.  Unpack table
+        entry v is the sum of (field j of v mod p) * p^(lo + j) over a group
+        of fields from lo, as many as a table of at most max(order, 2^16)
+        int32 entries covers; the top group comes first."""
+        p, n = self.p, self.n
+        bits = (2 * p - 1).bit_length()
+        dtype = np.uint32 if n * bits <= 32 else np.int64
+        pack = np.zeros(1, dtype=dtype)
+        for i in range(n):          # index d * p^i + (lower digits)
+            pack = np.add.outer(np.arange(p, dtype=dtype) << bits * i, pack).ravel()
+        field_mod_p = np.arange(1 << bits) % p
+        unpack = []
+        for lo, w in reversed(_spans(n, _width(1 << bits, max(self.order, 1 << 16)))):
+            table = np.zeros(1, dtype=np.int32)
+            for j in range(w):
+                table = np.add.outer((field_mod_p * p ** (lo + j)).astype(np.int32),
+                                     table).ravel()
+            table.flags.writeable = False
+            unpack.append((bits * lo, table))
+        pack.flags.writeable = False
+        self._pack_arr = pack
+        self._unpack_arr = tuple(unpack)
+        self._pack_p = sum(p << bits * i for i in range(n))
+        self._pack = memoryview(pack)
 
     def _init_subfields(self):
         """Element index sets of every proper subfield GF(p^m), m | n."""
@@ -693,27 +716,23 @@ class FieldCtx:
             return self.zero
         return Element(self, self._exp[self._log[a.index] * e % (self.order - 1)])
 
+    def _unpack_idx(self, s: int) -> int:
+        """_Bulk._unpack for one packed sum, as a Python int."""
+        return sum(table.item(s >> shift & table.size - 1) for shift, table in self._unpack_arr)
+
     def _add_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.n == 1:
             return (a + b) % self.p
-        if a == 0 or b == 0:
-            return a or b
-        M = self.order - 1
-        la = self._log[a]
-        t = self._zech[(self._log[b] - la) % M]
-        return 0 if t < 0 else self._exp[(la + t) % M]    # t < 0: a = -b
+        return self._unpack_idx(self._pack[a] + self._pack[b])
 
     def _neg_idx(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.n == 1:
             return (-a) % self.p
-        if a == 0:
-            return 0
-        M = self.order - 1
-        return self._exp[(self._log[a] + M // 2) % M]     # -1 = g^((order-1)/2)
+        return self._unpack_idx(self._pack_p - self._pack[a])
 
     def _mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -23,14 +23,14 @@ exp[log c + t], the exp table rolled by log c, so a block of it is a
 contiguous slice (_cx_block), and both sides of the pair are a log-order
 table plus c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
 G_d(x) = g(x^(q^k) - x + d).  One kernel serves both: _hits marks the
-values that each row of a table plus c*x takes, and _index_order scatters
-one row plus c*x into element-index order.  Frobenius is additive, so u
-is, at gamma^t, a sum over g's terms a*x^e of exp[F*L] - exp[L] with
-L = log a + e*t and F = q^k (mod order-1): exp gathers only, built once
-per (g, k) in fixed blocks.  h_verdicts permutes a c whose u + c*x hits
-every value; only a failing c scatters its table, where is_permutation
-finds the first-collision witness.  evaluate_all's h side is u plus that
-scatter.
+values that each row of a table plus c*x takes, and can keep them, and
+_index_order scatters one row plus c*x, or a kept row, into element-index
+order.  Frobenius is additive, so u is, at gamma^t, a sum over g's terms
+a*x^e of exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod
+order-1): exp gathers only, built once per (g, k) in fixed blocks.
+h_verdicts permutes a c whose u + c*x hits every value; only a failing c
+scatters its table, where is_permutation finds the first-collision
+witness.  evaluate_all's h side is u plus that scatter.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -49,8 +49,8 @@ f_verdicts, the f side's engine, decides f_d that way for many c of
 GF(q^l)* (another c raises ValueError) and an integer array of delta
 indices, with brute force as its cross-check; verify's shift forms,
 transform.prop2_check and transform.prop4_check all go through _shift_rows,
-and the two transform checks read h's verdict and value table off the same
-u.  Brute force checks the first listed delta of each fibre, its probe: one
+and the two transform checks read h's verdict off the hits of the same u.
+Brute force checks the first listed delta of each fibre, its probe: one
 np.unique of the deltas' trace values finds every probe, once per call.
 Only c*x depends on c, so G_d is evaluated once per probe for all c, in
 blocks of at most BLOCK elements, and one _hits per (block, c) decides every
@@ -327,37 +327,46 @@ def _cx_block(bulk, lc: int, lo: int, hi: int) -> np.ndarray:
     return bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
 
 
-def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
+def _hits(bulk, T: np.ndarray, lc: int, values: Optional[np.ndarray] = None) -> np.ndarray:
     """One bool mask per row of the 2-D log-order table T: the values that
     row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  The columns
     go in blocks of at most BLOCK elements, and row r marks its values at
     r*Q + value through an int64 index (an int32 one scatters through
-    numpy's slower casting path); a single row needs no offset."""
+    numpy's slower casting path); a single row needs no offset.  values,
+    an array of T's shape, receives T plus c*x when it is given, so a row
+    of it scatters into index order (_index_order) with no second add."""
     rows, Q = T.shape
     M = Q - 1
     hits = np.zeros((rows, Q), dtype=bool)
     flat = hits.reshape(-1)
     off = np.arange(0, rows * Q, Q, dtype=np.int64) if rows > 1 else 0
     flat[T[:, 0] + off] = True
+    if values is not None:
+        values[:, 0] = T[:, 0]
     step = max(1, BLOCK // rows)
     for lo in range(0, M, step):
         hi = min(M, lo + step)
         v = bulk.add(T[:, 1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
+        if values is not None:
+            values[:, 1 + lo:1 + hi] = v
         flat[v + off[:, None] if rows > 1 else v.astype(np.int64, copy=False)] = True
     return hits
 
 
-def _index_order(bulk, row: np.ndarray, lc: int) -> np.ndarray:
+def _index_order(bulk, row: np.ndarray, lc: Optional[int]) -> np.ndarray:
     """The value table of row + c*x, c = gamma^lc, in element-index order,
-    for the 1-D log-order table row: its blocks scattered through exp.  The
-    index and the values are int64, as a scatter that casts either is
-    slower."""
+    for the 1-D log-order table row, or of row itself when lc is None (a
+    row that _hits already wrote its values to): its blocks scattered
+    through exp.  The index and the values are int64, as a scatter that
+    casts either is slower."""
     M = bulk.Q - 1
     out = np.empty(bulk.Q, dtype=np.int64)
     out[0] = row[0]
     for lo in range(0, M, BLOCK):
         hi = min(M, lo + BLOCK)
-        v = bulk.add(row[1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
+        v = row[1 + lo:1 + hi]
+        if lc is not None:
+            v = bulk.add(v, _cx_block(bulk, lc, lo, hi))
         out[bulk.exp[lo:hi].astype(np.int64)] = v.astype(np.int64, copy=False)
     return out
 
@@ -625,9 +634,9 @@ def _translate_witnesses(g: GSpec, k: int, c_idx: int, probe: int, table: np.nda
     fails."""
     bulk = g.field.bulk()
     Q = bulk.Q
-    off = _shift_preimage(bulk, g.qdeg * k)[bulk.sub(ds, np.int64(probe))]
+    off = _shift_preimage(bulk, g.qdeg * k).take(bulk.sub(ds, np.int64(probe)))
     xs = bulk.xs
-    a, b = _first_collisions(lambda rows, n: table[bulk.add(xs[:n], off[rows, None])],
+    a, b = _first_collisions(lambda rows, n: table.take(bulk.add(xs[:n], off[rows, None])),
                              ds.size, Q)
     missing = np.flatnonzero(b == Q)
     if missing.size:
@@ -670,31 +679,34 @@ def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]
     Every c must lie in GF(q^l)*, l = gcd(k, m), where the trace-fibre lemma
     holds; another c raises ValueError (compose_f with is_permutation
     decides a single f_d at any c).  u = g^(q^k) - g is built once, and
-    _shift_rows decides the deltas from it."""
+    _shift_rows decides the deltas from each c's hits of u + c*x."""
+    bulk = g.field.bulk()
+    u = _log_order_u(g.field, g.terms, g.qdeg * k)
     return _shift_rows(g, k, list(cs), _delta_array(g.field, delta_idx),
-                       _log_order_u(g.field, g.terms, g.qdeg * k))
+                       lambda lc: _hits(bulk, u[None, :], lc)[0])
 
 
-def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray,
+def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
                 on_probe=None) -> list[tuple[PermVerdict, str]]:
     """f_verdicts' (verdict, route) rows, c-major, for the int64 delta
-    indices delta_idx, given u = g^(q^k) - g in log order.
+    indices delta_idx, given h_hits(lc), the mask of the values that h =
+    g^(q^k) - g + c*x takes for c = gamma^lc.
 
     The first delta of each trace fibre, in the order given, is its probe,
     and brute force ("brute") decides the probes.  G_d = g(x^(q^k) - x + d)
     is the same for every c, so it is evaluated once per probe, in log order
     and in blocks of at most BLOCK elements (one row when the field is
-    larger), and _hits marks each c's values of a block's rows at once.
-    The rest of a fibre has its probe's deficit, by the translate identity:
-    the fibre route ("fibre") decides them when it is 0, and when it is not
-    ("prefix") _translate_witnesses finds their witnesses in the probe's
-    table.  Only a failing probe, or one on_probe asks for, is scattered
-    into index order (_index_order), one table at a time;
-    on_probe(d index, f_d's value table) is called with each probe.  Each
-    c's fibre deficits (_trace_deficits, from the hits of u + c*x) must
-    equal brute force's, or RuntimeError is raised, and _confirm_witnesses
-    checks every witness reported.  A c outside GF(q^l), l = gcd(k, m),
-    raises ValueError."""
+    larger), and _hits marks each c's values of a block's rows at once and
+    keeps them.  The rest of a fibre has its probe's deficit, by the
+    translate identity: the fibre route ("fibre") decides them when it is
+    0, and when it is not ("prefix") _translate_witnesses finds their
+    witnesses in the probe's table.  Only a failing probe, or one on_probe
+    asks for, is scattered into index order (_index_order, from the kept
+    values: c*x is added once), one table at a time; on_probe(d index, f_d's
+    value table) is called with each probe.  Each c's fibre deficits
+    (_trace_deficits, from h_hits) must equal brute force's, or RuntimeError
+    is raised, and _confirm_witnesses checks every witness reported.  A c
+    outside GF(q^l), l = gcd(k, m), raises ValueError."""
     c_idx = [compose_h(g, c, k).c for c in cs]
     for c in cs:
         _require_coeff_domain(g, c, k)
@@ -717,11 +729,12 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray
     for lo in range(0, probes.size, per):
         blk = probes[lo:lo + per]
         G = _g_rows(bulk, g.terms, shift_log, delta_idx[blk])
+        F = np.empty(G.shape, dtype=np.int32)       # G_d + c*x, a c at a time
         for ci, lc in enumerate(lcs):
-            deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc), axis=1)
+            deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc, F), axis=1)
             for j in range(blk.size) if on_probe else np.flatnonzero(dfc):
                 p = blk.item(j)
-                table = _index_order(bulk, G[j], lc)
+                table = _index_order(bulk, F[j], None)
                 if on_probe:
                     on_probe(delta_idx.item(p), table)
                 if dfc[j]:
@@ -729,7 +742,7 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray
                     found[ci].append((p, mem, *_translate_witnesses(
                         g, k, c_idx[ci], delta_idx.item(p), table, delta_idx[mem])))
                 del table           # one index-order table alive at a time
-        del G                       # before the next block's
+        del G, F                    # before the next block's
     del shift_log
     if any(found):
         cat = [np.concatenate(col) for col in zip(*(
@@ -743,7 +756,7 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray
         permuting[j] = (_PERMUTES, "brute")
     out = []
     for ci, c in enumerate(cs):
-        fibre = _trace_deficits(g, c, k, _hits(bulk, u[None, :], lcs[ci])[0], delta_idx)
+        fibre = _trace_deficits(g, c, k, h_hits(lcs[ci]), delta_idx)
         brute = deficit[ci, which]      # each delta has its probe's: the translate identity
         bad = np.flatnonzero(fibre != brute)
         if bad.size:
@@ -767,18 +780,24 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, u: np.ndarray
 def _pair_verdicts(g: GSpec, c: Element, k: int, delta_idx, on_probe=None):
     """(h's verdict, h's value table ho in index order, f_verdicts(g, k,
     [c], delta_idx)) from one u = g^(q^k) - g: both sides of the companion
-    pair.  h's witness is confirmed as h_verdicts confirms it, and
-    on_probe(ho, d index, f_d's value table) is called with each probe
-    _shift_rows decides."""
+    pair.  h's verdict is read off the mask of its values, which _shift_rows
+    reads too; ho is built only when h fails, for its witness (confirmed as
+    h_verdicts confirms it), or when on_probe is given, and is None
+    otherwise.  on_probe(ho, d index, f_d's value table) is called with each
+    probe _shift_rows decides."""
     delta_idx = _delta_array(g.field, delta_idx)
     fn = compose_h(g, c, k)
     bulk = g.field.bulk()
     u = _log_order_u(g.field, g.terms, fn.pstep)
-    ho = _index_order(bulk, u, bulk.log.item(fn.c))
-    h_v = is_permutation(fn, outs=ho)
+    lc = bulk.log.item(fn.c)
+    hit = _hits(bulk, u[None, :], lc)[0]
+    h_ok = bool(hit.all())
+    ho = _index_order(bulk, u, lc) if on_probe or not h_ok else None
+    h_v = _PERMUTES if h_ok else is_permutation(fn, outs=ho)
     if not h_v.is_permutation:
         _confirm_witnesses(g, k, *np.array([[fn.c, *(e.index for e in h_v.witness)]]).T)
-    rows = _shift_rows(g, k, [c], delta_idx, u, on_probe and (lambda i, fo: on_probe(ho, i, fo)))
+    rows = _shift_rows(g, k, [c], delta_idx, lambda _: hit,
+                       on_probe and (lambda i, fo: on_probe(ho, i, fo)))
     return h_v, ho, rows
 
 

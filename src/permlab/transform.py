@@ -131,7 +131,7 @@ def _f_inverse_table(g: GSpec, c: Element, k: int, delta: Element,
     bulk = fld.bulk()
     w = bulk.add(bulk.shift_base(g.qdeg * k),
                  np.int64(fld._mul_idx(c.index, delta.index)))
-    out = bulk.sub(bulk.xs, _eval_terms_all(bulk, g.terms, h_inverse[w]))
+    out = bulk.sub(bulk.xs, _eval_terms_all(bulk, g.terms, h_inverse.take(w)))
     return out if c.index == 1 else bulk.mul_scalar(fld.inv(c).index, out)
 
 
@@ -268,7 +268,7 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Repo
 
     def square(ho, di, fo):
         if not failed and not np.array_equal(bulk.add(shift[fo], np.int64(di)),
-                                             ho[bulk.add(shift, np.int64(di))]):
+                                             ho.take(bulk.add(shift, np.int64(di)))):
             failed.append(di)
 
     h_v, ho, f_vs = _pair_verdicts(g, fld.one, 1, deltas, square)

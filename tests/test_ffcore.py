@@ -380,6 +380,33 @@ def test_frobenius_is_additive_and_multiplicative_scalar_and_bulk(pn, data):
     assert fA.tolist() == [f.frobenius(f.element_at(a), i).index for a in a_idx]
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(pn=st.sampled_from(PROPERTY_FIELDS + [(3, 6), (13, 2), (5, 1)]), data=st.data())
+def test_field_axioms_scalar_and_bulk(pn, data):
+    """Commutativity, associativity, distributivity of mul over add, and
+    (a - b) + b = a, on drawn triples through the scalar Element path and
+    the bulk layer, which must agree."""
+    f = FieldCtx(*pn)
+    triples = data.draw(st.lists(st.tuples(*[st.integers(0, f.order - 1)] * 3),
+                                 min_size=1, max_size=16))
+    A, B, C = np.array(triples, dtype=np.int64).T
+    for ai, bi, ci in triples:
+        a, b, c = f.element_at(ai), f.element_at(bi), f.element_at(ci)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a and a + (-a) == f.zero
+    bulk = f.bulk()
+    add, mul = bulk.add, bulk.mul
+    assert np.array_equal(add(A, B), add(B, A)) and np.array_equal(mul(A, B), mul(B, A))
+    assert np.array_equal(add(add(A, B), C), add(A, add(B, C)))
+    assert np.array_equal(mul(mul(A, B), C), mul(A, mul(B, C)))
+    assert np.array_equal(mul(A, add(B, C)), add(mul(A, B), mul(A, C)))
+    assert np.array_equal(add(bulk.sub(A, B), B), A)
+    assert add(A, B).tolist() == [(f.element_at(x) + f.element_at(y)).index
+                                  for x, y in zip(A.tolist(), B.tolist())]
+
+
 TRACE_CASES = [(p, n, base) for p, n in PROPERTY_FIELDS
                for base in range(1, n + 1) if n % base == 0]
 
@@ -543,12 +570,13 @@ EDGE_FIELDS = {(2, 21): 2, (3, 13): 3, (2039, 2): 2044, (4194301, 1): 7,
 
 @pytest.mark.parametrize("pn", list(EDGE_FIELDS), ids=lambda pn: f"GF({pn[0]}^{pn[1]})")
 def test_tables_chain_at_seeded_positions_edge_fields(pn):
-    """exp, log and Zech against the scalar _mul_raw chain, every position
-    of the tiny fields and seeded positions of the large ones."""
+    """exp and log against the scalar _mul_raw chain, and 1 + g^i by the
+    digit tables against the digit-wise oracle, every position of the tiny
+    fields and seeded positions of the large ones."""
     f = FieldCtx(*pn)
     p, n, Q = f.p, f.n, f.order
     assert f.generator_index == EDGE_FIELDS[pn]
-    exp, log, zech = f._exp_arr, f._log_arr, f._zech_arr
+    exp, log = f._exp_arr, f._log_arr
     assert exp[0] == 1 and log[0] == -1
     assert np.array_equal(np.sort(exp), np.arange(1, Q))
     rng = random.Random(sum(pn))
@@ -558,10 +586,8 @@ def test_tables_chain_at_seeded_positions_edge_fields(pn):
         e = int(exp[i])
         assert f._mul_raw(e, f.generator_index) == int(exp[(i + 1) % (Q - 1)]), (pn, i)
         assert log[e] == i, (pn, i)
-        if zech is not None:
-            one_plus = int(digitwise(e, 1, p, n, 1))
-            assert zech[i] == (-1 if one_plus == 0 else log[one_plus]), (pn, i)
-    assert (zech is None) == (p == 2 or n == 1)
+        assert f._add_idx(e, 1) == int(digitwise(e, 1, p, n, 1)), (pn, i)
+    assert (f._pack_arr is None) == (p == 2 or n == 1)
 
 
 def test_tables_match_sympy_powers(large_fields):
@@ -589,19 +615,31 @@ def digitwise(a, b, p, n, sign):
     return out
 
 
-def test_zech_add_sub_all_pairs_small_fields():
-    for p, n in [(3, 2), (3, 4), (5, 2), (7, 2)]:
+ODD_EXTENSIONS = [(p, n) for p, n in small_field_params(1 << 12) if p > 2 and n > 1]
+
+
+def test_bulk_add_sub_all_pairs_odd_extensions():
+    """Digit-wise add and sub against the oracle on every pair of every odd
+    field with n > 1 and order at most 2^12, a block of rows at a time."""
+    assert (3, 7) in ODD_EXTENSIONS and (61, 2) in ODD_EXTENSIONS and len(ODD_EXTENSIONS) == 29
+    for p, n in ODD_EXTENSIONS:
         f = FieldCtx(p, n)
         b = f.bulk()
-        a_all, b_all = np.meshgrid(b.xs, b.xs)
-        a_all, b_all = a_all.ravel(), b_all.ravel()
-        assert np.array_equal(b.add(a_all, b_all), digitwise(a_all, b_all, p, n, 1)), (p, n)
-        assert np.array_equal(b.sub(a_all, b_all), digitwise(a_all, b_all, p, n, -1)), (p, n)
+        Q = f.order
+        ys = np.arange(Q)
+        for lo in range(0, Q, 256):
+            xs = np.arange(lo, min(Q, lo + 256))[:, None]
+            assert np.array_equal(b.add(xs, ys), digitwise(xs, ys, p, n, 1)), (p, n, lo)
+            assert np.array_equal(b.sub(xs, ys), digitwise(xs, ys, p, n, -1)), (p, n, lo)
 
 
-def test_zech_add_sub_seeded_pairs_large_fields():
+def test_bulk_add_sub_seeded_pairs_large_fields():
+    """Seeded pairs where the pack table is int64 (GF(3^13)), fills 32 bits
+    (GF(5^8)), and where the unpack tables are two uneven groups (GF(7^7))
+    or one field each (GF(2039^2)): zero operands, a = -b, a = b, numpy
+    scalars on either side, and out=."""
     rng = np.random.default_rng(10)
-    for p, n in [(3, 10), (5, 8)]:
+    for p, n in [(3, 13), (5, 8), (7, 7), (2039, 2)]:
         f = FieldCtx(p, n)
         b = f.bulk()
         xs = rng.integers(0, f.order, 20000)
@@ -611,13 +649,20 @@ def test_zech_add_sub_seeded_pairs_large_fields():
         xs[100:110] = ys[100:110] = 0
         ys[110:200] = digitwise(0, xs[110:200], p, n, -1)   # a = -b
         ys[200:250] = xs[200:250]                     # a = b
-        assert np.array_equal(b.add(xs, ys), digitwise(xs, ys, p, n, 1)), (p, n)
+        want = digitwise(xs, ys, p, n, 1)
+        assert np.array_equal(b.add(xs, ys), want), (p, n)
         assert np.array_equal(b.sub(xs, ys), digitwise(xs, ys, p, n, -1)), (p, n)
+        assert (b.add(xs[110:200], ys[110:200]) == 0).all()
+        out = np.full(xs.size + 2, -1, dtype=np.int64)
+        assert b.add(xs, ys, out=out[1:-1]) is not None and np.array_equal(out[1:-1], want)
+        assert out[0] == out[-1] == -1
         for c in [0, 1, p - 1, int(rng.integers(f.order))]:
             s = np.int64(c)
             assert np.array_equal(b.add(xs, s), digitwise(xs, s, p, n, 1)), (p, n, c)
+            assert np.array_equal(b.add(s, xs), digitwise(xs, s, p, n, 1)), (p, n, c)
             assert np.array_equal(b.sub(s, xs), digitwise(s, xs, p, n, -1)), (p, n, c)
             assert np.array_equal(b.sub(xs, s), digitwise(xs, s, p, n, -1)), (p, n, c)
+            assert b.add(s, s) == digitwise(c, c, p, n, 1) and b.sub(s, s) == 0, (p, n, c)
 
 
 def scalar_add_sub_neg(f, xs, ys):
@@ -638,9 +683,25 @@ def test_scalar_add_sub_neg_all_pairs_small_fields():
         assert neg == digitwise(0, a_all, p, n, -1).tolist(), (p, n)
 
 
+def test_scalar_add_sub_neg_every_element_odd_extensions():
+    """Every element of every odd field with n > 1 and order at most 2^12
+    as the left operand, against 0, its negative and two seeded partners."""
+    rng = np.random.default_rng(11)
+    for p, n in ODD_EXTENSIONS:
+        f = FieldCtx(p, n)
+        xs = np.tile(np.arange(f.order), 4)
+        ys = rng.integers(0, f.order, xs.size)
+        ys[:f.order] = 0
+        ys[f.order:2 * f.order] = digitwise(0, xs[:f.order], p, n, -1)
+        add, sub, neg = scalar_add_sub_neg(f, xs.tolist(), ys.tolist())
+        assert add == digitwise(xs, ys, p, n, 1).tolist(), (p, n)
+        assert sub == digitwise(xs, ys, p, n, -1).tolist(), (p, n)
+        assert neg == digitwise(0, xs, p, n, -1).tolist(), (p, n)
+
+
 def test_scalar_add_sub_neg_seeded_pairs_large_fields():
     rng = np.random.default_rng(12)
-    for p, n in [(3, 10), (5, 8)]:
+    for p, n in [(3, 10), (3, 13), (5, 8), (7, 7), (2039, 2)]:
         f = FieldCtx(p, n)
         xs = rng.integers(0, f.order, 3000)
         ys = rng.integers(0, f.order, 3000)
@@ -681,19 +742,31 @@ def test_scalar_pow_inv_frobenius_match_pow_raw_every_point():
                 f._pow_raw(a, p**i) for a in range(Q)], (p, n, i)
 
 
-def test_one_shared_zech_table_per_field():
-    for p, n in [(3, 2), (3, 4), (5, 3), (7, 2)]:
+def test_one_shared_digit_table_per_field():
+    """The pack table and the unpack tables are built once per context,
+    read only, and shared by the scalar and bulk paths; pack is uint32
+    where n fields of (2p-1).bit_length() bits fit in 32 bits, else int64,
+    and every unpack table is int32 with at most max(order, 2^16) entries."""
+    for p, n in [(3, 2), (3, 6), (3, 13), (5, 3), (5, 8), (7, 2), (7, 7), (2039, 2)]:
         f = FieldCtx(p, n)
-        zech = f._zech_arr
-        assert not zech.flags.writeable
-        # zech[k] = log(1 + g^k), -1 where g^k = -1
-        assert np.array_equal(zech, f._log_arr[digitwise(f._exp_arr, 1, p, n, 1)]), (p, n)
+        pack = f._pack_arr
+        bits = (2 * p - 1).bit_length()
+        assert pack.dtype == (np.uint32 if n * bits <= 32 else np.int64), (p, n)
+        assert not pack.flags.writeable and pack.size == f.order
+        xs = np.arange(f.order, dtype=np.int64)
+        assert np.array_equal(pack, sum(xs // p**i % p << bits * i for i in range(n))), (p, n)
         b = f.bulk()
-        assert b.zech is zech and np.shares_memory(b.zech, np.asarray(f._zech))
-        assert f.bulk() is b and _Bulk(f).zech is zech    # a new bulk view builds none
+        assert b.pack is pack and np.shares_memory(pack, np.asarray(f._pack))
+        assert b.unpack is f._unpack_arr                    # the scalar path reads these too
+        assert f.bulk() is b and _Bulk(f).pack is pack     # a new bulk view builds none
+        assert len(b.unpack) == -(-n // max(
+            w for w in range(1, n + 1) if 1 << bits * w <= max(f.order, 1 << 16))), (p, n)
+        for _, table in b.unpack:
+            assert table.dtype == np.int32 and not table.flags.writeable
+            assert table.size <= max(f.order, 1 << 16), (p, n)
     for p, n in [(2, 1), (2, 6), (7, 1)]:
         f = FieldCtx(p, n)
-        assert f._zech_arr is None and f.bulk().zech is None
+        assert f._pack_arr is None and f.bulk().pack is None and f._unpack_arr is None
 
 
 def test_bulk_power_kernels_every_point_small_fields():

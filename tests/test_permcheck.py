@@ -600,7 +600,8 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     """GF(2^16) as GF(256^2), g = x^7, two c of GF(256)*, three deltas from
     each of three trace fibres: the field is four BLOCKs, so each probe's
     G_d is one row that _hits reads in column blocks, and each failing
-    probe's table is scattered by _index_order.  Verdicts (deficits and
+    probe's table is scattered by _index_order from the values _hits
+    kept, with no second add of c*x.  Verdicts (deficits and
     witnesses) are is_permutation(compose_f(...))'s, the first delta of
     each fibre is "brute", and its mates are "fibre" or "prefix"."""
     f = field(2, 16)
@@ -616,7 +617,8 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     monkeypatch.setattr(permcheck, "_g_rows",
                         lambda *args: g_rows.append(real_g(*args).shape) or real_g(*args))
     monkeypatch.setattr(permcheck, "_index_order",
-                        lambda bulk, row, lc: scattered.append(row.shape) or real_i(bulk, row, lc))
+                        lambda bulk, row, lc: scattered.append((row.shape, lc))
+                        or real_i(bulk, row, lc))
     rows = f_verdicts(g, 1, cs, ds)
     want = [is_permutation(compose_f(g, c, 1, f.element_at(d))) for c in cs for d in ds]
     assert [v for v, _ in rows] == want
@@ -626,7 +628,7 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     assert set(routes) == {"brute", "fibre", "prefix"}
     assert g_rows == [(1, Q)] * 3
     failing_probes = sum(not v.is_permutation for v in want[::3])
-    assert failing_probes >= 2 and scattered == [(Q,)] * failing_probes
+    assert failing_probes >= 2 and scattered == [((Q,), None)] * failing_probes
 
 
 def test_a_wrong_translate_fails_the_witness_check(monkeypatch):

@@ -651,14 +651,35 @@ def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
     square reads those same tables."""
     f = field(3, 6)
     g = make_gspec(f, [(f.one, 28)], qdeg=3)
-    rows = []
-    real = permcheck._g_rows
+    rows, scattered = [], []
+    real, real_i = permcheck._g_rows, permcheck._index_order
     monkeypatch.setattr(permcheck, "_g_rows",
                         lambda *args: rows.extend(args[3].tolist()) or real(*args))
+    monkeypatch.setattr(permcheck, "_index_order",
+                        lambda bulk, row, lc: scattered.append(lc) or real_i(bulk, row, lc))
     rep = prop4_check(g)
     assert rep.f_all_permute and rep.commutes_all and rep.deltas_exhaustive
     tr = f.bulk().trace(3)
     assert len(rows) == len(set(rows)) == len(set(tr[rows].tolist())) == 27
+    # h's table adds c*x as it scatters; each probe's table scatters the
+    # values _hits already added
+    assert scattered.count(None) == 27 and len(scattered) == 28
+
+
+@pytest.mark.parametrize("p, s, h_tables", [(7, 19, 0), (3, 2, 1)])
+def test_prop2_scatters_h_only_when_it_fails(monkeypatch, p, s, h_tables):
+    """prop2_check reads h's verdict off the mask of its values: h's
+    index-order table is built only for a failing h's witness (x^2 over
+    GF(9)), and never for a permuting one (x^19 over GF(49))."""
+    f = field(p, 2)
+    g = make_gspec(f, [(f.one, s)], qdeg=1)
+    scattered = []
+    real = permcheck._index_order
+    monkeypatch.setattr(permcheck, "_index_order",
+                        lambda bulk, row, lc: scattered.append(lc) or real(bulk, row, lc))
+    rep = prop2_check(g, f.one, 1)
+    assert rep.h_verdict.is_permutation == (h_tables == 0)
+    assert len(scattered) - scattered.count(None) == h_tables
 
 
 # ---------------------------------------------------------------------------
