@@ -441,37 +441,13 @@ class FieldCtx:
                 return acc
             self._mul_raw = mul2
         else:
-            # x^(n+j) mod modulus, as coefficient tuples, for folding products
-            xpow = []
-            cur = [(-c) % p for c in self.modulus[:n]]  # x^n
-            xpow.append(tuple(cur))
-            for _ in range(n - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for i in range(n):
-                        nxt[i] = (nxt[i] - lead * self.modulus[i]) % p
-                cur = [v % p for v in nxt]
-                xpow.append(tuple(cur))
-            def mulp(a: int, b: int, p=p, n=n, xpow=xpow) -> int:
-                da = _digits(a, p, n)
-                db = _digits(b, p, n)
-                conv = [0] * (2 * n - 1)
-                for i, ai in enumerate(da):
-                    if ai:
-                        for j, bj in enumerate(db):
-                            conv[i + j] += ai * bj
-                for j in range(2 * n - 2, n - 1, -1):
-                    c = conv[j] % p
-                    if c:
-                        fold = xpow[j - n]
-                        for i in range(n):
-                            conv[i] += c * fold[i]
+            # the product mod the modulus that Ben-Or's test uses, on digits
+            def mul_digits(a: int, b: int, p=p, n=n, f=self.modulus) -> int:
                 idx = 0
-                for i in range(n - 1, -1, -1):
-                    idx = idx * p + conv[i] % p
+                for v in reversed(_mul_mod(_digits(a, p, n), _digits(b, p, n), f, p)):
+                    idx = idx * p + v
                 return idx
-            self._mul_raw = mulp
+            self._mul_raw = mul_digits
 
     def _pow_raw(self, a: int, e: int) -> int:
         acc = 1

@@ -17,7 +17,7 @@ Bulk evaluation of the f side adds d to the field's cached shift image
 x^(q^k) - x (ffcore's _Bulk.shift_base), so a sweep over d does not
 recompute it.
 
-The engines work in log order: position 0 is x = 0 and position 1+t is
+The engine works in log order: position 0 is x = 0 and position 1+t is
 x = gamma^t for the field generator gamma.  c*x at gamma^t is
 exp[log c + t], the exp table rolled by log c, so a block of it is a
 contiguous slice (_cx_block), and both sides of the pair are a log-order
@@ -28,9 +28,16 @@ _index_order scatters one row plus c*x, or a kept row, into element-index
 order.  Frobenius is additive, so u is, at gamma^t, a sum over g's terms
 a*x^e of exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod
 order-1): exp gathers only, built once per (g, k) in fixed blocks.
-h_verdicts permutes a c whose u + c*x hits every value; only a failing c
-scatters its table, where is_permutation finds the first-collision
-witness.  evaluate_all's h side is u plus that scatter.
+evaluate_all's h side is u scattered by _index_order.
+
+One engine, pair_verdicts, decides both sides for a list of c: it builds u
+once, and for each c marks the values of u + c*x once.  h permutes where
+every value is hit; only a failing c scatters its table, where
+is_permutation finds the first-collision witness.  Given deltas, the same
+mask gives every delta's image deficit by the lemma below, and a probe pass
+checks those deficits against brute force.  h_verdicts and f_verdicts are
+its two sides, and verify, trinomial_hits and transform's prop2_check and
+prop4_check all go through it.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -44,12 +51,10 @@ h collides on their phi_d images, and
 
 Tr(h(y)) = c*Tr(y), as Tr(z^(q^k)) = Tr(z) when l | k, so h maps T_d into
 the fibre above c*Tr(d), and |h(T_d)| is the number of hit values there:
-one bincount of the trace over a c's hits gives every d's deficit.
-f_verdicts, the f side's engine, decides f_d that way for many c of
-GF(q^l)* (another c raises ValueError) and an integer array of delta
-indices, with brute force as its cross-check; verify's shift forms,
-transform.prop2_check and transform.prop4_check all go through _shift_rows,
-and the two transform checks read h's verdict off the hits of the same u.
+one bincount of the trace over a c's hits gives every d's deficit
+(_trace_deficits).  The engine decides f_d that way for c in GF(q^l)*
+(another c raises ValueError) and an integer array of delta indices, with
+brute force as its cross-check.
 Brute force checks the first listed delta of each fibre, its probe: one
 np.unique of the deltas' trace values finds every probe, once per call.
 Only c*x depends on c, so G_d is evaluated once per probe for all c, in
@@ -61,9 +66,9 @@ order, which is that of the probe's table read at x + b.  It is decided
 by the points up to its second element, so _first_collisions finds it on
 a prefix of the field, for a block of deltas at a time, and doubles the
 prefix for the deltas without a repeat there.  is_permutation takes its
-witness from the same search, and every witness either engine reports by
-brute force or a prefix search is evaluated afresh from Frobenius at both
-its points (_confirm_witnesses).
+witness from the same search, and every witness the engine reports, of h
+or of f_d, is evaluated afresh from Frobenius at both its points
+(_confirm_witnesses).
 
 The mu route decides h by Lemma 1 (Park-Lee 2001, Zieve 2009) where g is
 canonical: GF(q^2), k odd and every term a*x^e of g with e = 1 + i(q-1).
@@ -71,11 +76,12 @@ Then h(x) = x*H(x^(q-1)) with H(z) = c + sum of a^q z^(1+qi) - a z^i, and h
 permutes iff H has no root on mu_(q+1) and z*H(z)^(q-1) permutes mu_(q+1):
 q+1 points per c, not q^2.  _mu_verdicts evaluates H at z_j =
 gamma^(j(q-1)) as one 2-D table, a row per c, and _mu_permutes decides
-every row by one bincount of j + log H(z_j) mod q+1.  h_verdicts runs it
-first and keeps brute force as its cross-check: every c on fields of at
-most DELTA_EXHAUSTIVE_CAP points, above that the first c and every c the
-mu route fails, which also gives that c's witness; lemma1_check's
-reduction side is the same kernel.
+every row by one bincount of j + log H(z_j) mod q+1.  pair_verdicts runs
+it first and keeps brute force as its cross-check: every c when it is given
+deltas (each c's mask is marked anyway) or on fields of at most
+DELTA_EXHAUSTIVE_CAP points, above that the first c and every c the mu
+route fails, which also gives that c's witness; lemma1_check's reduction
+side is the same kernel.
 
 trinomial_hits finds the exponents s whose trinomial c*x - x^s + x^(q^k s)
 permutes the field.  A map that repeats a value on the first B points
@@ -112,6 +118,7 @@ __all__ = [
     "lemma1_check",
     "make_fn_exponent_sum",
     "make_gspec",
+    "pair_verdicts",
     "trinomial_hits",
 ]
 
@@ -419,42 +426,6 @@ def _mu_verdicts(g: GSpec, k: int, c_idx) -> Optional[np.ndarray]:
     return _mu_permutes(bulk, q + 1, 1, H)
 
 
-def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
-    """(verdict, route) of h = g^(q^k) - g + c*x for each c in cs, in order;
-    each verdict equals is_permutation(compose_h(g, c, k)).  Brute force
-    ("brute") builds u = g^(q^k) - g once and marks each c's values of u +
-    c*x (_hits): a c that hits every value permutes, and only a failing c
-    scatters its table into index order (_index_order), where
-    is_permutation finds its witness, which _confirm_witnesses evaluates
-    afresh.  Where the mu route applies, brute force checks the c the
-    module docstring names, the mu route alone decides the rest ("mu"), and
-    a c where the two routes disagree raises RuntimeError."""
-    fns = [compose_h(g, c, k) for c in cs]
-    mu = _mu_verdicts(g, k, [fn.c for fn in fns])
-    if mu is None or g.field.order <= DELTA_EXHAUSTIVE_CAP:
-        brute = list(range(len(fns)))
-    else:
-        brute = [j for j in range(len(fns)) if j == 0 or not mu[j]]
-    rows = [(_PERMUTES, "mu")] * len(fns)
-    bulk = g.field.bulk()
-    u = _log_order_u(g.field, g.terms, g.qdeg * k)
-    failed = []
-    for j in brute:
-        fn = fns[j]
-        lc = bulk.log.item(fn.c)
-        verdict = (_PERMUTES if _hits(bulk, u[None, :], lc).all()
-                   else is_permutation(fn, outs=_index_order(bulk, u, lc)))
-        if mu is not None and mu[j] != verdict.is_permutation:
-            raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
-                               f"image deficit {verdict.image_deficit} by brute force")
-        if not verdict.is_permutation:
-            failed.append((fn.c, *(e.index for e in verdict.witness)))
-        rows[j] = (verdict, "brute")
-    if failed:
-        _confirm_witnesses(g, k, *np.array(failed, dtype=np.int64).T)
-    return rows
-
-
 def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
     """Exhaustive scan: one bincount of the value table gives the image
     deficit (order minus the number of values hit).  Only a failing map
@@ -672,50 +643,83 @@ def _confirm_witnesses(g: GSpec, k: int, c_idx: np.ndarray, a: np.ndarray, b: np
             f"{name}({a[j]}) = {fa[j]}, {name}({b[j]}) = {fb[j]}")
 
 
-def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
-    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
-    and each delta index d in delta_idx (an integer sequence or array),
-    c-major; each verdict equals is_permutation(compose_f(g, c, k, d)).
-    Every c must lie in GF(q^l)*, l = gcd(k, m), where the trace-fibre lemma
-    holds; another c raises ValueError (compose_f with is_permutation
-    decides a single f_d at any c).  u = g^(q^k) - g is built once, and
-    _shift_rows decides the deltas from each c's hits of u + c*x."""
-    bulk = g.field.bulk()
-    u = _log_order_u(g.field, g.terms, g.qdeg * k)
-    return _shift_rows(g, k, list(cs), _delta_array(g.field, delta_idx),
-                       lambda lc: _hits(bulk, u[None, :], lc)[0])
+def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
+                  on_probe=None) -> tuple[list, list, list]:
+    """Both sides of the companion pair for each c in cs, from one u =
+    g^(q^k) - g: (h_rows, f_rows, h_tables).  h_rows holds h's (verdict,
+    route) per c, in order, and f_rows f_d's per c and per delta index d in
+    delta_idx (an integer sequence or array), c-major, or nothing when
+    delta_idx is None; each verdict equals is_permutation of compose_h(g, c,
+    k) or of compose_f(g, c, k, d).  With deltas every c must lie in
+    GF(q^l)*, l = gcd(k, m), where the trace-fibre lemma holds; another c
+    raises ValueError (compose_f with is_permutation decides a single f_d at
+    any c).
 
+    h: where g is canonical the mu route decides every c ("mu"), and brute
+    force ("brute") checks the c the module docstring names, or every c
+    when deltas are given; elsewhere brute force decides every c.  Brute
+    force marks the values of u + c*x once (_hits): a c that hits every
+    value permutes, a failing one scatters its table into index order
+    (_index_order), where is_permutation finds its witness, and a c where
+    the two routes disagree raises RuntimeError.  The same mask gives every
+    delta's fibre deficit (_trace_deficits).
 
-def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
-                on_probe=None) -> list[tuple[PermVerdict, str]]:
-    """f_verdicts' (verdict, route) rows, c-major, for the int64 delta
-    indices delta_idx, given h_hits(lc), the mask of the values that h =
-    g^(q^k) - g + c*x takes for c = gamma^lc.
-
-    The first delta of each trace fibre, in the order given, is its probe,
-    and brute force ("brute") decides the probes.  G_d = g(x^(q^k) - x + d)
-    is the same for every c, so it is evaluated once per probe, in log order
-    and in blocks of at most BLOCK elements (one row when the field is
-    larger), and _hits marks each c's values of a block's rows at once and
-    keeps them.  The rest of a fibre has its probe's deficit, by the
-    translate identity: the fibre route ("fibre") decides them when it is
-    0, and when it is not ("prefix") _translate_witnesses finds their
+    f: the first delta of each trace fibre, in the order given, is its
+    probe, and brute force ("brute") decides the probes.  G_d = g(x^(q^k) -
+    x + d) is the same for every c, so it is evaluated once per probe, in
+    log order and in blocks of at most BLOCK elements (one row when the
+    field is larger), and _hits marks each c's values of a block's rows at
+    once and keeps them.  The rest of a fibre has its probe's deficit, by
+    the translate identity: the fibre route ("fibre") decides them when it
+    is 0, and when it is not ("prefix") _translate_witnesses finds their
     witnesses in the probe's table.  Only a failing probe, or one on_probe
-    asks for, is scattered into index order (_index_order, from the kept
-    values: c*x is added once), one table at a time; on_probe(d index, f_d's
-    value table) is called with each probe.  Each c's fibre deficits
-    (_trace_deficits, from h_hits) must equal brute force's, or RuntimeError
-    is raised, and _confirm_witnesses checks every witness reported.  A c
-    outside GF(q^l), l = gcd(k, m), raises ValueError."""
-    c_idx = [compose_h(g, c, k).c for c in cs]
-    for c in cs:
-        _require_coeff_domain(g, c, k)
-    if not c_idx:
-        return []
+    asks for, is scattered into index order (from the kept values: c*x is
+    added once), one table at a time.  Each c's fibre deficits must equal
+    brute force's, or RuntimeError is raised.
+
+    h_tables is empty unless on_probe is given; then it holds each c's h
+    table in index order, and on_probe(h's table, d index, f_d's table) is
+    called with each probe and c.  _confirm_witnesses checks every witness
+    reported."""
+    fns = [compose_h(g, c, k) for c in cs]
+    if delta_idx is not None:
+        delta_idx = _delta_array(g.field, delta_idx)
+        for c in cs:
+            _require_coeff_domain(g, c, k)
+    if not fns:
+        return [], [], []
     fld = g.field
     bulk = fld.bulk()
     Q = fld.order
+    c_idx = [fn.c for fn in fns]
     lcs = [bulk.log.item(c) for c in c_idx]
+    u = _log_order_u(fld, g.terms, g.qdeg * k)
+    mu = _mu_verdicts(g, k, c_idx)
+    every = delta_idx is not None or mu is None or Q <= DELTA_EXHAUSTIVE_CAP
+    h_rows = [(_PERMUTES, "mu")] * len(fns)
+    fibre, h_tables, failed = [], [], []
+    for j, (fn, lc) in enumerate(zip(fns, lcs)):
+        if not (every or j == 0 or not mu[j]):
+            continue
+        hit = _hits(bulk, u[None, :], lc)[0]
+        if delta_idx is not None:
+            fibre.append(_trace_deficits(g, cs[j], k, hit, delta_idx))
+        ok = bool(hit.all())
+        ho = _index_order(bulk, u, lc) if on_probe or not ok else None
+        v = _PERMUTES if ok else is_permutation(fn, outs=ho)
+        if mu is not None and mu[j] != ok:
+            raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
+                               f"image deficit {v.image_deficit} by brute force")
+        if not ok:
+            failed.append((fn.c, *(e.index for e in v.witness)))
+        if on_probe:
+            h_tables.append(ho)
+        h_rows[j] = (v, "brute")
+    del hit, ho                 # before the probes' tables
+    if failed:
+        _confirm_witnesses(g, k, *np.array(failed, dtype=np.int64).T)
+    if delta_idx is None:
+        return h_rows, [], h_tables
     _, first, which = np.unique(bulk.trace(g.qdeg * math.gcd(k, g.m))[delta_idx],
                                 return_index=True, return_inverse=True)
     order = np.argsort(which, kind="stable")        # positions, fibre by fibre
@@ -723,8 +727,8 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
     probes = np.sort(first)     # positions, in the order given
     shift_log = np.zeros(Q, dtype=np.int32)     # x^(q^k) - x in log order
     shift_log[1:] = bulk.shift_base(g.qdeg * k)[bulk.exp]
-    deficit = np.zeros((len(cs), first.size), dtype=np.int64)    # per c and fibre
-    found = [[] for _ in cs]    # (probe, fibre positions, a, b) per failing fibre
+    deficit = np.zeros((len(fns), first.size), dtype=np.int64)   # per c and fibre
+    found = [[] for _ in fns]   # (probe, fibre positions, a, b) per failing fibre
     per = max(1, BLOCK // Q)
     for lo in range(0, probes.size, per):
         blk = probes[lo:lo + per]
@@ -736,7 +740,7 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
                 p = blk.item(j)
                 table = _index_order(bulk, F[j], None)
                 if on_probe:
-                    on_probe(delta_idx.item(p), table)
+                    on_probe(h_tables[ci], delta_idx.item(p), table)
                 if dfc[j]:
                     mem = order[cuts[which[p]]:cuts[which[p] + 1]]
                     found[ci].append((p, mem, *_translate_witnesses(
@@ -754,16 +758,15 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
     permuting = [(_PERMUTES, "fibre")] * delta_idx.size
     for j in probes.tolist():
         permuting[j] = (_PERMUTES, "brute")
-    out = []
-    for ci, c in enumerate(cs):
-        fibre = _trace_deficits(g, c, k, h_hits(lcs[ci]), delta_idx)
+    f_rows = []
+    for ci, c in enumerate(c_idx):
         brute = deficit[ci, which]      # each delta has its probe's: the translate identity
-        bad = np.flatnonzero(fibre != brute)
+        bad = np.flatnonzero(fibre[ci] != brute)
         if bad.size:
             j = bad[0]
             raise RuntimeError(
                 f"fibre route and brute force disagree at step {k}, "
-                f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[j]} "
+                f"c {c}, delta {delta_idx[j]}: image deficit {fibre[ci][j]} "
                 f"vs {brute[j]}")
         rows_c = permuting.copy()
         for p, mem, a, b in found[ci]:
@@ -773,32 +776,20 @@ def _shift_rows(g: GSpec, k: int, cs: list, delta_idx: np.ndarray, h_hits,
                 if v is None:
                     v = fails[x, y, dp] = PermVerdict(False, (el(x), el(y)), dp)
                 rows_c[j] = (v, "brute" if j == p else "prefix")
-        out += rows_c
-    return out
+        f_rows += rows_c
+    return h_rows, f_rows, h_tables
 
 
-def _pair_verdicts(g: GSpec, c: Element, k: int, delta_idx, on_probe=None):
-    """(h's verdict, h's value table ho in index order, f_verdicts(g, k,
-    [c], delta_idx)) from one u = g^(q^k) - g: both sides of the companion
-    pair.  h's verdict is read off the mask of its values, which _shift_rows
-    reads too; ho is built only when h fails, for its witness (confirmed as
-    h_verdicts confirms it), or when on_probe is given, and is None
-    otherwise.  on_probe(ho, d index, f_d's value table) is called with each
-    probe _shift_rows decides."""
-    delta_idx = _delta_array(g.field, delta_idx)
-    fn = compose_h(g, c, k)
-    bulk = g.field.bulk()
-    u = _log_order_u(g.field, g.terms, fn.pstep)
-    lc = bulk.log.item(fn.c)
-    hit = _hits(bulk, u[None, :], lc)[0]
-    h_ok = bool(hit.all())
-    ho = _index_order(bulk, u, lc) if on_probe or not h_ok else None
-    h_v = _PERMUTES if h_ok else is_permutation(fn, outs=ho)
-    if not h_v.is_permutation:
-        _confirm_witnesses(g, k, *np.array([[fn.c, *(e.index for e in h_v.witness)]]).T)
-    rows = _shift_rows(g, k, [c], delta_idx, lambda _: hit,
-                       on_probe and (lambda i, fo: on_probe(ho, i, fo)))
-    return h_v, ho, rows
+def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
+    """(verdict, route) of h = g^(q^k) - g + c*x for each c in cs, in order:
+    pair_verdicts' h side, with no deltas."""
+    return pair_verdicts(g, k, cs)[0]
+
+
+def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
+    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
+    and each delta index d in delta_idx, c-major: pair_verdicts' f side."""
+    return pair_verdicts(g, k, cs, delta_idx)[1]
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

@@ -22,12 +22,12 @@ square phi(f(x)) = h(phi(x)) with phi(x) = x^q - x + delta, which maps the
 field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
-prop2_check and prop4_check read both sides off one pass of permcheck's
-f_verdicts, the trace-fibre engine that verify's shift forms use too: it
-builds u = g^(q^k) - g once, decides every delta from it, and gives h's
-verdict and value table from the same u.  prop4_check's commuting square
-reads the engine's own table of f_delta at its probe, one per trace fiber,
-so f_delta is never evaluated twice.
+prop2_check and prop4_check each make one call of permcheck's
+pair_verdicts, the engine that verify uses too: it builds u = g^(q^k) - g
+once and decides h and every delta from it.  prop4_check also takes h's
+value table from it, and its commuting square reads the engine's own table
+of f_delta at its probe, one per trace fiber, so f_delta is never
+evaluated twice.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -44,8 +44,8 @@ import numpy as np
 
 from .ffcore import Element, FieldCtx
 from .permcheck import (DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict, _eval_terms_all,
-                        _pair_verdicts, _require_coeff_domain, _resolve_view,
-                        build_inverse_table, compose_h, evaluate_all)
+                        _require_coeff_domain, _resolve_view, build_inverse_table,
+                        compose_h, evaluate_all, pair_verdicts)
 
 __all__ = [
     "CosetSet",
@@ -70,14 +70,15 @@ DEFAULT_SEED = 1
 def pick_deltas(field: FieldCtx, cap: int = DELTA_EXHAUSTIVE_CAP,
                 samples: int = DELTA_SAMPLES,
                 seed: int = DEFAULT_SEED) -> tuple[tuple[int, ...], bool]:
-    """Delta indices to sweep: every element when the field is small enough,
-    otherwise a seeded sample (always containing 0 and 1)."""
+    """Delta indices to sweep, and whether they are every element: all of
+    them when the field is small enough, otherwise a seeded sample (always
+    containing 0 and 1), which is exhaustive only if it draws them all."""
     if field.order <= cap:
         return tuple(range(field.order)), True
     rng = random.Random(seed)
     picked = set(rng.sample(range(field.order), samples))
     picked.update((0, 1))
-    return tuple(sorted(picked)), False
+    return tuple(sorted(picked)), len(picked) == field.order
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,12 @@ def prop2_check(g: GSpec, c: Element, k: int,
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas,
-    a tuple of delta indices, overrides pick_deltas' sweep.  One permcheck
-    pass over u = g^(q^k) - g decides both sides: h as permcheck.h_verdicts
-    does and every delta as permcheck.f_verdicts does.
+    a tuple of delta indices, overrides pick_deltas' sweep.  One call of
+    permcheck.pair_verdicts decides both sides from one u = g^(q^k) - g.
     """
-    _resolve_view(g.field, g.qdeg, k)
-    if c.index == 0:
-        raise ValueError("linear coefficient c must be nonzero")
-    _require_coeff_domain(g, c, k)
     if deltas is None:
         deltas = pick_deltas(g.field)[0]
-    h_v, _, f_vs = _pair_verdicts(g, c, k, deltas)
+    ((h_v, _),), f_vs, _ = pair_verdicts(g, k, [c], deltas)
     return Prop2Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=len(set(deltas)) == g.field.order)
@@ -247,8 +243,8 @@ class Prop4Report(Prop2Report):
 def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Report:
     """Verify (f_delta permutes for all delta) <=> (h permutes), with k = 1
     and c = 1 and g over GF(q), plus the commuting square
-    phi o f_delta = h o phi through the trace fiber of each delta.  h and
-    every f_delta are decided as prop2_check decides them, from one u."""
+    phi o f_delta = h o phi through the trace fiber of each delta.  h, its
+    value table and every f_delta come from one pair_verdicts call."""
     fld = g.field
     if g.coeff_subdeg > g.qdeg or g.qdeg % g.coeff_subdeg:
         raise ValueError(
@@ -271,7 +267,7 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Repo
                                              ho.take(bulk.add(shift, np.int64(di)))):
             failed.append(di)
 
-    h_v, ho, f_vs = _pair_verdicts(g, fld.one, 1, deltas, square)
+    ((h_v, _),), f_vs, (ho,) = pair_verdicts(g, 1, [fld.one], deltas, square)
     return Prop4Report(h_verdict=h_v,
                        f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
                        deltas_exhaustive=len(set(deltas)) == fld.order,

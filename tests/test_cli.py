@@ -13,7 +13,7 @@ import pytest
 from permlab import cli, permcheck
 from permlab.cli import CSV_COLUMNS, main
 from permlab.families import lookup
-from permlab.ffcore import FieldCtx
+from permlab.ffcore import FieldCtx, get_field, prime_power
 
 # every invocation goes through main(argv) in-process; --out keeps stdout
 # quiet and gives the test a file to parse
@@ -363,10 +363,11 @@ def test_shift_forms_make_elements_only_for_witnesses(monkeypatch, fid, q):
     """verify hands pick_deltas' indices to the engine as they are, and
     brute force decides its deltas on index arrays.  The only Elements made
     past the coefficient pools are one per distinct witness point of an
-    engine call and one g(0) per engine call as it builds u; cli makes
+    engine call, one g(0) per engine call as it builds u, and the two points
+    of each failing h's witness, as the engine decides h too; cli makes
     none.  thm18-4 at q = 32 permutes at every delta, and thm14 at q = 7 has
     failing deltas whose witnesses come from brute force and from the
-    prefix route."""
+    prefix route, and one failing h, at step 1."""
     real, calls = FieldCtx.element_at, Counter()
 
     def counted(fld, index):
@@ -379,8 +380,13 @@ def test_shift_forms_make_elements_only_for_witnesses(monkeypatch, fid, q):
     points = [{x for r in f.records if r["witness"] for x in r["witness"]} for f in run.forms]
     assert 0 < brute < sum(len(f.records) for f in run.forms)
     assert calls["permlab.cli"] == 0
-    assert calls["permlab.permcheck"] == sum(map(len, points)) + len(run.forms)
-    assert any(points) == (fid == "thm14")
+    made = calls["permlab.permcheck"]
+    fld = get_field(run.p, run.n)
+    h_fails = sum(not v.is_permutation for f in run.forms for v, _ in permcheck.h_verdicts(
+        permcheck.make_gspec(fld, [(fld.one, f.records[0]["s"])], prime_power(q)[1]),
+        f.step, [fld.element_at(c) for c in sorted({r["c"] for r in f.records})]))
+    assert made == sum(map(len, points)) + len(run.forms) + 2 * h_fails
+    assert any(points) == (fid == "thm14") == (h_fails == 1)
 
 
 def test_shift_forms_evaluate_each_probe_once_for_every_c(monkeypatch):

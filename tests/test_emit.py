@@ -37,7 +37,7 @@ trees = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(trees)
 @example([[]])
 @example({"a": {}})
@@ -72,7 +72,7 @@ def records(draw):
     return draw(st.sampled_from([rows, tuple(rows), {"rows": rows}, [rows, rows]]))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(records())
 @example([{}, {}])
 @example([{"%": 1}, {"%": True}])

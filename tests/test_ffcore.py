@@ -355,7 +355,7 @@ def test_trace_fiber_sizes_gf81_to_gf3():
 PROPERTY_FIELDS = [(2, 6), (3, 4), (5, 2), (7, 2)]
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(pn=st.sampled_from(PROPERTY_FIELDS), data=st.data())
 def test_frobenius_is_additive_and_multiplicative_scalar_and_bulk(pn, data):
     f = FieldCtx(*pn)
@@ -380,7 +380,7 @@ def test_frobenius_is_additive_and_multiplicative_scalar_and_bulk(pn, data):
     assert fA.tolist() == [f.frobenius(f.element_at(a), i).index for a in a_idx]
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(pn=st.sampled_from(PROPERTY_FIELDS + [(3, 6), (13, 2), (5, 1)]), data=st.data())
 def test_field_axioms_scalar_and_bulk(pn, data):
     """Commutativity, associativity, distributivity of mul over add, and
@@ -411,7 +411,7 @@ TRACE_CASES = [(p, n, base) for p, n in PROPERTY_FIELDS
                for base in range(1, n + 1) if n % base == 0]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(case=st.sampled_from(TRACE_CASES), data=st.data())
 def test_bulk_trace_is_onto_its_subfield_and_linear_over_it(case, data):
     """_Bulk.trace(base) takes every value of GF(p^base), each equally often,

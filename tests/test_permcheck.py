@@ -398,7 +398,7 @@ def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
     assert _engine_deficits(g, f.one, k).shape == (f.order,)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(case=st.sampled_from(FIBRE_CASES), data=st.data())
 def test_fibre_deficits_agree_on_random_binomial_g(case, data):
     p, n, qdeg, k = case
@@ -487,7 +487,38 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
         assert {v.is_permutation for v, _ in got} == {True, False}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
+@given(case=st.sampled_from(FIBRE_CASES), canonical=st.booleans(), data=st.data())
+def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
+    """One pair_verdicts call with deltas decides both sides: its h rows are
+    h_verdicts' for the same (g, k, cs) and its f rows f_verdicts', for a
+    canonical g (exponents 1 + i(q-1) over GF(q^2), where the mu route
+    cross-checks h) and for a random binomial, at one to three c of
+    GF(q^l)* and a delta list with repeats."""
+    p, n, qdeg, k = case
+    f = field(p, n)
+    Q, q = f.order, p**qdeg
+    canonical = canonical and n == 2 * qdeg
+    coeff = lambda: f.element_at(data.draw(st.integers(1, Q - 1)))  # noqa: E731
+    if canonical:
+        terms = [(coeff(), 1 + data.draw(st.integers(0, q)) * (q - 1))
+                 for _ in range(data.draw(st.integers(1, 2)))]
+    else:
+        terms = [(coeff(), data.draw(st.integers(0, 2 * Q))) for _ in range(2)]
+    g = make_gspec(f, terms, qdeg)
+    inside = sorted(f.subfield_indices(_lemma_base(n, qdeg, k)) - {0})
+    cs = [f.element_at(i) for i in data.draw(st.lists(st.sampled_from(inside),
+                                                      min_size=1, max_size=3))]
+    deltas = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=30))
+    h_rows, f_rows, h_tables = permcheck.pair_verdicts(g, k, cs, deltas)
+    assert h_rows == h_verdicts(g, k, cs)
+    assert f_rows == f_verdicts(g, k, cs, deltas)
+    assert h_tables == [] and {r for _, r in h_rows} == {"brute"}
+    if canonical:
+        assert permcheck._mu_verdicts(g, k, [1]) is not None
+
+
+@settings(max_examples=60)
 @given(case=st.sampled_from([c for c in FIBRE_CASES if c[:2] in {(3, 4), (2, 6), (7, 2)}]),
        data=st.data())
 def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data):
@@ -534,7 +565,7 @@ def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data
             seen.add(tr[d])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_first_collisions_equal_is_permutation_witnesses(data):
     """Random value tables over GF(2^8) with collisions planted at b, where
@@ -601,9 +632,10 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     each of three trace fibres: the field is four BLOCKs, so each probe's
     G_d is one row that _hits reads in column blocks, and each failing
     probe's table is scattered by _index_order from the values _hits
-    kept, with no second add of c*x.  Verdicts (deficits and
-    witnesses) are is_permutation(compose_f(...))'s, the first delta of
-    each fibre is "brute", and its mates are "fibre" or "prefix"."""
+    kept, with no second add of c*x.  Each c whose h fails has its h table
+    scattered first, for h's witness.  Verdicts (deficits and witnesses)
+    are is_permutation(compose_f(...))'s, the first delta of each fibre is
+    "brute", and its mates are "fibre" or "prefix"."""
     f = field(2, 16)
     Q = f.order
     assert Q == 4 * permcheck.BLOCK
@@ -612,6 +644,8 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     ds = [d for t in np.unique(tr)[[0, 1, 5]].tolist()
           for d in np.flatnonzero(tr == t)[[100, 0, 7]].tolist()]
     cs = [f.one, f.element_at(max(f.subfield_indices(8)))]
+    h_fails = [f.bulk().log.item(c.index) for c in cs
+               if not is_permutation(compose_h(g, c, 1)).is_permutation]
     g_rows, scattered = [], []
     real_g, real_i = permcheck._g_rows, permcheck._index_order
     monkeypatch.setattr(permcheck, "_g_rows",
@@ -628,7 +662,8 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     assert set(routes) == {"brute", "fibre", "prefix"}
     assert g_rows == [(1, Q)] * 3
     failing_probes = sum(not v.is_permutation for v in want[::3])
-    assert failing_probes >= 2 and scattered == [((Q,), None)] * failing_probes
+    assert failing_probes >= 2 and h_fails
+    assert scattered == [((Q,), lc) for lc in h_fails] + [((Q,), None)] * failing_probes
 
 
 def test_a_wrong_translate_fails_the_witness_check(monkeypatch):
@@ -702,27 +737,34 @@ def test_planted_deficit_past_the_probe_raises(monkeypatch, p, s, probe, later, 
 def test_engines_build_u_once_per_call(monkeypatch, n_c):
     """Both engines build u = g^(q^k) - g once per call, whatever the number
     of c (those of GF(4)*, repeated), and prop2_check and prop4_check decide
-    h and every f_d from one u."""
+    h and every f_d from one u.  u + c*x is marked once per c (a one-row
+    _hits call; the 4 trace fibres' probes are one 4-row table): by f calls
+    and the transform checks for every c, as each c's mask gives both h's
+    verdict and the fibre deficits, and by h_verdicts for each c it
+    brute-forces."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     inside = sorted(f.subfield_indices(2) - {0})
     cs = [f.element_at(inside[i % len(inside)]) for i in range(n_c)]
-    calls = []
-    real = permcheck._log_order_u
+    calls, marked = [], []
+    real, real_hits = permcheck._log_order_u, permcheck._hits
     monkeypatch.setattr(permcheck, "_log_order_u",
                         lambda *args: calls.append(args) or real(*args))
-    h_verdicts(g, 1, cs)
+    monkeypatch.setattr(permcheck, "_hits", lambda bulk, T, lc, values=None: (
+        T.shape[0] == 1 and marked.append(lc)) or real_hits(bulk, T, lc, values))
+    rows = h_verdicts(g, 1, cs)
     assert len(calls) == 1
+    assert len(marked) == sum(r == "brute" for _, r in rows) == n_c
     f_verdicts(g, 1, cs, range(f.order))
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(marked) == 2 * n_c
     prop2_check(g, f.one, 1)
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(marked) == 2 * n_c + 1
     prop4_check(g)
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(marked) == 2 * n_c + 2
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
-@settings(derandomize=True, max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_h_maps_trace_fibres_by_c(p, n, qdeg, k, data):
     """Tr(h(y)) = c*Tr(y) for c in GF(q^l)*, Tr onto GF(q^l): the identity
@@ -742,7 +784,7 @@ def test_h_maps_trace_fibres_by_c(p, n, qdeg, k, data):
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
-@settings(derandomize=True, max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_f_translates_along_its_trace_fibre(p, n, qdeg, k, data):
     """f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b for every c, d and b,
@@ -822,7 +864,7 @@ def test_h_verdicts_match_scalar_path_every_c(p, n, qdeg, k):
     assert seen == {True, False}
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(case=st.sampled_from(H_CASES), data=st.data())
 def test_h_verdicts_agree_on_random_binomial_g(case, data):
     p, n, qdeg, k = case
@@ -883,7 +925,7 @@ def test_evaluate_all_h_equals_scalar_evaluate_every_point(p, n, qdeg, k):
         assert outs.tolist() == [evaluate(h, x).index for x in f.elements()]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(case=st.sampled_from(H_CASES), data=st.data())
 def test_h_is_additive_in_g_and_c(case, data):
     """h of (g1 + g2, c1 + c2) is h of (g1, c1) plus h of (g2, c2): the
@@ -1015,7 +1057,7 @@ def test_mu_route_matches_brute_every_canonical_s_and_c(q):
     assert rooted and outside_hits
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(q=st.sampled_from(MU_QS + [16, 25, 27]), data=st.data())
 def test_mu_route_matches_brute_on_random_canonical_g(q, data):
     """g with up to three canonical terms and random coefficients."""
@@ -1040,6 +1082,53 @@ def test_mu_route_applies_to_canonical_g_over_gf_q2_only():
                  (make_gspec(f, [(f.one, 3)], 1), 1),             # GF(3^4) as m = 4
                  (make_gspec(f, [(f.one, 5)], 1), 2)]:
         assert permcheck._mu_verdicts(g, k, [1]) is None, (g.terms, k)
+
+
+def _gf_poly(index, p):
+    """An element index as a sympy galoistools polynomial over Z_p: its
+    base-p digits, highest degree first, [] for zero."""
+    digits = []
+    while index:
+        index, r = divmod(index, p)
+        digits.append(r)
+    return digits[::-1]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16])
+def test_mu_route_matches_an_independent_galoistools_oracle(q):
+    """On sampled (i, a, c), g = a*x^(1 + i(q-1)) over GF(q^2): mu_(q+1) is
+    the set of y^(q-1), and h permutes iff z -> z*H(z)^(q-1) maps mu_(q+1)
+    onto itself, H(z) = c + a^q z^(1+qi) - a z^i, all in sympy's galoistools
+    modulo the field's modulus, with no permlab table.  The mu route's
+    verdict is that one, and both verdicts occur."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_mul, gf_pow_mod, gf_rem, gf_sub
+
+    p, qdeg = prime_power(q)
+    f = field(p, 2 * qdeg)
+    mod = list(reversed(f.modulus))
+    power = lambda x, e: tuple(gf_pow_mod(list(x), e, mod, p, ZZ))  # noqa: E731
+    mu = {power(_gf_poly(y, p), q - 1) for y in range(1, f.order)}
+    assert len(mu) == q + 1
+    rng = random.Random(q)
+    seen = set()
+    for _ in range(24):
+        i = rng.randrange(q + 1)
+        a_idx, c_idx = (rng.randrange(1, f.order) for _ in range(2))
+        a = _gf_poly(a_idx, p)
+        aq = list(power(a, q))
+        image = set()
+        for z in mu:
+            hz = gf_add(_gf_poly(c_idx, p), gf_sub(
+                gf_rem(gf_mul(aq, list(power(z, 1 + q * i)), p, ZZ), mod, p, ZZ),
+                gf_rem(gf_mul(a, list(power(z, i)), p, ZZ), mod, p, ZZ), p, ZZ), p, ZZ)
+            image.add(tuple(gf_rem(gf_mul(list(z), list(power(hz, q - 1)), p, ZZ),
+                                   mod, p, ZZ)))
+        want = image == mu
+        g = make_gspec(f, [(f.element_at(a_idx), 1 + i * (q - 1))], qdeg)
+        assert permcheck._mu_verdicts(g, 1, [c_idx]).tolist() == [want], (i, a_idx, c_idx)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_h_verdicts_mu_routes_above_the_cap():
@@ -1103,6 +1192,30 @@ def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
     with pytest.raises(RuntimeError, match=f"mu route and brute force disagree at step 1, c {cs[-1].index}"):
         h_verdicts(g, 1, cs)
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_f_verdicts_exit_when_mu_and_brute_disagree_on_h(monkeypatch, at):
+    """A shift form's call decides h too: for the canonical g = x^(2q-1) over
+    GF(8^2), a mu verdict planted wrong at the first or the last c of GF(8)*
+    raises from f_verdicts, which otherwise agrees with brute force."""
+    f = field(2, 6)
+    g = make_gspec(f, [(f.one, 2 * 8 - 1)], 3)
+    cs = [f.element_at(i) for i in sorted(f.subfield_indices(3) - {0})]
+    real = permcheck._mu_verdicts
+    assert real(g, 1, [c.index for c in cs]) is not None
+    rows = f_verdicts(g, 1, cs, range(f.order))
+    assert [v for v, _ in rows] == [is_permutation(compose_f(g, c, 1, d))
+                                    for c in cs for d in f.elements()]
+
+    def planted(*args):
+        out = real(*args)
+        out[at] = not out[at]
+        return out
+    monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
+    with pytest.raises(RuntimeError, match=f"mu route and brute force disagree at step 1, "
+                                           f"c {cs[at].index}:"):
+        f_verdicts(g, 1, cs, range(f.order))
 
 
 @pytest.mark.parametrize("argv, at", [

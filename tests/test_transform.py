@@ -144,6 +144,12 @@ def test_pick_deltas_exhaustive_small():
     f = field(7, 2)
     ds, exhaustive = pick_deltas(f)
     assert exhaustive and ds == tuple(range(49))
+    # above the cap, a seeded sample that draws every element is exhaustive
+    # too, and one that draws fewer is not
+    f = field(2, 4)
+    assert pick_deltas(f, cap=8, samples=16) == (tuple(range(16)), True)
+    ds, exhaustive = pick_deltas(f, cap=8, samples=8)
+    assert not exhaustive and len(ds) < 16
 
 
 def test_pick_deltas_sampled_large():
