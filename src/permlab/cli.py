@@ -26,12 +26,13 @@ import sys
 import time
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from functools import partial
-from itertools import chain, groupby, repeat
+from dataclasses import asdict, dataclass, field as dc_field
+from itertools import chain, groupby, product, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .ffcore import DEFAULT_SIZE_CAP, MAX_ORDER, FieldCtx, get_field, prime_power
 from .families import (
@@ -43,7 +44,8 @@ from .families import (
     resolve_exponent,
     valid_coefficients,
 )
-from .permcheck import DELTA_EXHAUSTIVE_CAP, f_verdicts, h_verdicts, make_gspec, trinomial_hits
+from .permcheck import (DELTA_EXHAUSTIVE_CAP, ROUTES, Verdicts, make_gspec, pair_verdicts,
+                        trinomial_hits)
 from .transform import DEFAULT_SEED, DELTA_SAMPLES, pick_deltas
 
 __all__ = [
@@ -84,27 +86,23 @@ class RunConfig:
     delta_samples: int = DELTA_SAMPLES
     kprime: int = 1
 
-    def as_dict(self) -> dict:
-        return {
-            "cap": self.cap,
-            "seed": self.seed,
-            "delta_samples": self.delta_samples,
-            "kprime": self.kprime,
-        }
-
 
 @dataclass
 class Form:
-    """One (condition, s, step) engine call: its instances' report records
-    in (c, delta) order, the call's seconds, and how many instances each
-    route decided."""
+    """One (condition, s, step) engine call: its verdict columns, c-major
+    over its c and delta index arrays (delta None for trinomials), the
+    cells every row shares, the call's seconds, and on how many c each h
+    route ran."""
     condition: str
     s_tag: str
+    s: int
     step: int
     informational: bool
-    records: list[dict]
+    verdicts: Verdicts
+    c: np.ndarray
+    delta: Optional[np.ndarray]
     seconds: float
-    routes: Counter
+    h_routes: dict
 
 
 @dataclass
@@ -135,9 +133,8 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     Non-primary Frobenius steps are recorded as informational: their verdicts
     appear in the report but do not count against the exit code, so a variant
     that fails as stated is surfaced rather than silently swapped or hidden.
-    Each (condition, s, step) form is one engine call, timed here, whose
-    instances' report records it keeps.  Shift forms take pick_deltas'
-    indices as they are: no delta becomes an Element outside the engine.
+    Each (condition, s, step) form is one pair_verdicts call, timed here;
+    it keeps a trinomial's h columns or a shift form's f columns.
     """
     fam = lookup(fid)
     p, k = _factor_prime_power(q)
@@ -156,12 +153,10 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
     t0 = time.perf_counter()
     fld = get_field(p, k * fam.m, cfg.cap)
     field_s = time.perf_counter() - t0
+    deltas = exhaustive = None
     if fam.form == "delta_form":
-        deltas, exhaustive = pick_deltas(
-            fld, samples=cfg.delta_samples, seed=cfg.seed)
-        engine = partial(f_verdicts, delta_idx=deltas)
-    else:
-        deltas, exhaustive, engine = [None], None, h_verdicts
+        deltas, exhaustive = pick_deltas(fld, samples=cfg.delta_samples, seed=cfg.seed)
+        deltas = np.array(deltas, dtype=np.int64)
 
     run = FamilyRun(family=fid, p=p, n=fld.n, modulus=fld.modulus, q=q,
                     kprime=cfg.kprime if fam.uses_kprime else None,
@@ -173,25 +168,22 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
         cs = valid_coefficients(fid, fld, kprime=cfg.kprime, cond_variant=ci)
         if not cs:      # no instances, so no condition block
             continue
-        keys = [(c.index, d) for c in cs for d in deltas]   # the rows' order
+        c_idx = np.array([c.index for c in cs], dtype=np.int64)
         for si, (stag, _) in enumerate(fam.s_rules):
             s_val = resolve_exponent(fid, q, kprime=cfg.kprime, variant=si)
             g = make_gspec(fld, [(fld.one, s_val)], qdeg=k)
             for step in fam.steps:
                 t0 = time.perf_counter()
                 try:
-                    rows = engine(g, step, cs)
+                    h, f, _ = pair_verdicts(g, step, cs, deltas)
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 seconds = time.perf_counter() - t0
-                info = step != fam.steps[0]
-                run.forms.append(Form(ctag or "default", stag, step, info, [{
-                    "s_tag": stag, "step": step, "s": s_val, "c": c, "delta": d,
-                    "permutes": v.is_permutation,
-                    "witness": v.witness and [e.index for e in v.witness],
-                    "image_deficit": v.image_deficit, "informational": info,
-                } for (c, d), (v, _) in zip(keys, rows)], seconds,
-                    Counter(map(itemgetter(1), rows))))
+                h_routes = {"mu": int(np.count_nonzero(h.mu)),
+                            "brute": int(np.count_nonzero(h.route == ROUTES.index("brute")))}
+                run.forms.append(Form(ctag or "default", stag, s_val, step,
+                                      step != fam.steps[0], h if deltas is None else f,
+                                      c_idx, deltas, seconds, h_routes))
     # each form's rows are in (c, delta) order already, since cs and deltas
     # are sorted by index
     run.forms.sort(key=attrgetter("condition", "s_tag", "step"))
@@ -205,9 +197,9 @@ def _counts(forms: Sequence[Form]) -> dict:
     """A condition block's summary: asserted and informational verdicts."""
     n = Counter()
     for f in forms:
-        passed = sum(map(itemgetter("permutes"), f.records))
+        passed = int(np.count_nonzero(f.verdicts.permutes))
         n[f.informational, True] += passed
-        n[f.informational, False] += len(f.records) - passed
+        n[f.informational, False] += f.verdicts.permutes.size - passed
     return {
         "instances": sum(n.values()),
         "asserted": n[False, True] + n[False, False],
@@ -218,6 +210,18 @@ def _counts(forms: Sequence[Form]) -> dict:
     }
 
 
+def _instances(f: Form) -> list[dict]:
+    """The form's report records, in (c, delta) order, from one tolist()
+    per column."""
+    v = f.verdicts
+    keys = product(f.c.tolist(), [None] if f.delta is None else f.delta.tolist())
+    return [{"s_tag": f.s_tag, "step": f.step, "s": f.s, "c": c, "delta": d,
+             "permutes": ok, "witness": None if a < 0 else [a, b],
+             "image_deficit": dfc, "informational": f.informational}
+            for (c, d), ok, a, b, dfc in zip(keys, v.permutes.tolist(), v.a.tolist(),
+                                              v.b.tolist(), v.deficit.tolist())]
+
+
 def _variant_blocks(run: FamilyRun) -> list[dict]:
     """The records of each condition's forms, in sorted condition order;
     dual conditions stay separate."""
@@ -226,7 +230,7 @@ def _variant_blocks(run: FamilyRun) -> list[dict]:
         forms = list(group)
         blocks.append({
             "condition": tag,
-            "instances": list(chain.from_iterable(f.records for f in forms)),
+            "instances": list(chain.from_iterable(map(_instances, forms))),
             "summary": _counts(forms),
         })
     return blocks
@@ -236,8 +240,7 @@ def _step_outcomes(run: FamilyRun) -> Optional[dict]:
     """Which declared Frobenius step passes, for families that list several."""
     passes: dict[int, bool] = {}
     for f in run.forms:
-        passes[f.step] = passes.get(f.step, True) and all(
-            map(itemgetter("permutes"), f.records))
+        passes[f.step] = passes.get(f.step, True) and bool(f.verdicts.permutes.all())
     if len(passes) < 2:
         return None
     return {str(st): "pass" if ok else "fail" for st, ok in sorted(passes.items())}
@@ -270,7 +273,7 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
     stable = {
         "schema": SCHEMA,
         "verb": verb,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "runs": [run_to_stable(r) for r in runs],
     }
     timings = {
@@ -281,10 +284,12 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                 "q": run.q,
                 "field_s": round(run.field_s, 6),
                 "forms": [{"condition": f.condition, "s_tag": f.s_tag, "step": f.step,
-                           "instances": len(f.records), "seconds": round(f.seconds, 6)}
+                           "instances": f.verdicts.permutes.size, "seconds": round(f.seconds, 6),
+                           "h_routes": f.h_routes}
                           for f in run.forms],
-                "routes": {route: sum(f.routes[route] for f in run.forms)
-                           for route in ("fibre", "prefix", "brute", "mu")},
+                "routes": dict(zip(ROUTES, sum(
+                    (np.bincount(f.verdicts.route, minlength=len(ROUTES)) for f in run.forms),
+                    np.zeros(len(ROUTES), dtype=np.int64)).tolist())),
             }
             for run in runs
         ],
@@ -667,7 +672,7 @@ def cmd_sweep(args) -> int:
     stable = {
         "schema": SCHEMA,
         "verb": "sweep",
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "field": {"p": p, "n": 2 * k, "q": q,
                   "modulus": list(fld.modulus)},
         "s_range": [s_lo, s_hi],

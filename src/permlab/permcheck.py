@@ -25,19 +25,19 @@ table plus c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
 G_d(x) = g(x^(q^k) - x + d).  One kernel serves both: _hits marks the
 values that each row of a table plus c*x takes, and can keep them, and
 _index_order scatters one row plus c*x, or a kept row, into element-index
-order.  Frobenius is additive, so u is, at gamma^t, a sum over g's terms
-a*x^e of exp[F*L] - exp[L] with L = log a + e*t and F = q^k (mod
-order-1): exp gathers only, built once per (g, k) in fixed blocks.
-evaluate_all's h side is u scattered by _index_order.
+order.  u is exp gathers alone, as Frobenius is additive (_log_order_u),
+and evaluate_all's h side is u scattered by _index_order.
 
 One engine, pair_verdicts, decides both sides for a list of c: it builds u
 once, and for each c marks the values of u + c*x once.  h permutes where
 every value is hit; only a failing c scatters its table, where
-is_permutation finds the first-collision witness.  Given deltas, the same
+_first_collisions finds the first-collision witness.  Given deltas, the same
 mask gives every delta's image deficit by the lemma below, and a probe pass
-checks those deficits against brute force.  h_verdicts and f_verdicts are
-its two sides, and verify, trinomial_hits and transform's prop2_check and
-prop4_check all go through it.
+checks those deficits against brute force.  Each side comes back as one
+Verdicts: numpy columns of a row per instance, the f side c-major, written
+by array operations.  Its row view (h_verdicts, f_verdicts, transform's
+checks) is the only place a witness becomes Elements; verify and
+trinomial_hits read the columns.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -62,13 +62,10 @@ blocks of at most BLOCK elements, and one _hits per (block, c) decides every
 probe of the block.  The deficit is constant across a fibre, as
 f_(d + b^(q^k) - b)(x) = f_d(x + b) - c*b, so the other deltas of a
 failing fibre need only their witness, the first collision in index
-order, which is that of the probe's table read at x + b.  It is decided
-by the points up to its second element, so _first_collisions finds it on
-a prefix of the field, for a block of deltas at a time, and doubles the
-prefix for the deltas without a repeat there.  is_permutation takes its
-witness from the same search, and every witness the engine reports, of h
-or of f_d, is evaluated afresh from Frobenius at both its points
-(_confirm_witnesses).
+order, which is that of the probe's table read at x + b: _first_collisions
+finds it on prefixes of the field.  is_permutation and a failing h take
+their witness from the same search, and every witness the engine reports
+is evaluated afresh from Frobenius at both its points (_confirm_witnesses).
 
 The mu route decides h by Lemma 1 (Park-Lee 2001, Zieve 2009) where g is
 canonical: GF(q^2), k odd and every term a*x^e of g with e = 1 + i(q-1).
@@ -88,14 +85,13 @@ permutes the field.  A map that repeats a value on the first B points
 (B = prefix_size(order), about 4*sqrt(order)) is proven to fail, so blocks
 of exponents are first evaluated on those points alone, as one 2-D table
 each, and only the exponents without such a repeat get the full check
-(h_verdicts).
+(pair_verdicts' permutes column).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -108,6 +104,8 @@ __all__ = [
     "GSpec",
     "Lemma1Result",
     "PermVerdict",
+    "ROUTES",
+    "Verdicts",
     "build_inverse_table",
     "compose_f",
     "compose_h",
@@ -150,6 +148,37 @@ class PermVerdict:
 
 
 _PERMUTES = PermVerdict(True, None, 0)
+
+ROUTES = ("brute", "mu", "fibre", "prefix")     # the names of Verdicts.route's codes
+_BRUTE, _MU, _FIBRE, _PREFIX = range(len(ROUTES))
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """One side of the companion pair as equal-length columns, a row per
+    instance: permutes, image deficit, witness (a, b) as indices (-1 for
+    none), the deciding route's code, and whether the mu route ran too."""
+
+    permutes: np.ndarray
+    deficit: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    route: np.ndarray
+    mu: np.ndarray
+
+    @classmethod
+    def of(cls, deficit: np.ndarray, route: np.ndarray, mu: bool = False) -> Verdicts:
+        """Rows of these deficits and route codes, with no witness yet."""
+        n = deficit.size
+        return cls(deficit == 0, deficit, np.full(n, -1), np.full(n, -1), route, np.full(n, mu))
+
+    def rows(self, field: FieldCtx) -> list[tuple[PermVerdict, str]]:
+        """(verdict, route name) per row: the one place a witness becomes
+        Elements of field, one per distinct point."""
+        a, b = self.a.tolist(), self.b.tolist()
+        el = {x: field.element_at(x) for x in {*a, *b} - {-1}}
+        return [(_PERMUTES if x < 0 else PermVerdict(False, (el[x], el[y]), dfc), ROUTES[r])
+                for x, y, dfc, r in zip(a, b, self.deficit.tolist(), self.route.tolist())]
 
 
 def _resolve_view(field: FieldCtx, qdeg: Optional[int], k: int = 1) -> int:
@@ -486,11 +515,11 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     """The s in s_values (in their order) whose trinomial
     c*x - x^s + x^((q^k)*s) permutes the field, and how many full checks
     that took.  Exact: prefix_survivors drops the s whose map collides on
-    the prefix, and h_verdicts decides every survivor."""
+    the prefix, and pair_verdicts decides every survivor."""
     s_arr = np.asarray(s_values, dtype=np.int64)
     survivors = s_arr[prefix_survivors(field, c, s_arr, k, qdeg)].tolist()
-    hits = [s for s in survivors if h_verdicts(
-        _trinomial_g(field, s, qdeg), k, [c])[0][0].is_permutation]
+    hits = [s for s in survivors
+            if pair_verdicts(_trinomial_g(field, s, qdeg), k, [c])[0].permutes[0]]
     return hits, len(survivors)
 
 
@@ -567,14 +596,6 @@ def _first_collisions(rows_at, count: int, Q: int) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def _delta_array(fld: FieldCtx, delta_idx) -> np.ndarray:
-    """delta_idx, an integer sequence or array, as int64 indices of fld."""
-    delta_idx = np.asarray(delta_idx, dtype=np.int64)
-    if delta_idx.size and not 0 <= delta_idx.min() <= delta_idx.max() < fld.order:
-        raise ValueError(f"delta indices must lie in [0, {fld.order})")
-    return delta_idx
-
-
 def _shift_preimage(bulk, pstep: int) -> np.ndarray:
     """pre[y] = an x with x^(p^pstep) - x = y, for every y in that shift's
     image (0 elsewhere); int32 like the tables, built once per context and
@@ -644,82 +665,69 @@ def _confirm_witnesses(g: GSpec, k: int, c_idx: np.ndarray, a: np.ndarray, b: np
 
 
 def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
-                  on_probe=None) -> tuple[list, list, list]:
+                  on_probe=None) -> tuple[Verdicts, Verdicts, list]:
     """Both sides of the companion pair for each c in cs, from one u =
-    g^(q^k) - g: (h_rows, f_rows, h_tables).  h_rows holds h's (verdict,
-    route) per c, in order, and f_rows f_d's per c and per delta index d in
-    delta_idx (an integer sequence or array), c-major, or nothing when
-    delta_idx is None; each verdict equals is_permutation of compose_h(g, c,
-    k) or of compose_f(g, c, k, d).  With deltas every c must lie in
-    GF(q^l)*, l = gcd(k, m), where the trace-fibre lemma holds; another c
-    raises ValueError (compose_f with is_permutation decides a single f_d at
-    any c).
+    g^(q^k) - g, by the method of the module docstring: (h, f, h_tables).
+    h has a row per c, in order, and f a row per c and delta index d in
+    delta_idx (an integer sequence or array), c-major, or none when
+    delta_idx is None: is_permutation's verdicts on compose_h(g, c, k) and
+    compose_f(g, c, k, d).  With deltas a c outside GF(q^l)*, l = gcd(k, m),
+    raises ValueError.
 
-    h: where g is canonical the mu route decides every c ("mu"), and brute
-    force ("brute") checks the c the module docstring names, or every c
-    when deltas are given; elsewhere brute force decides every c.  Brute
-    force marks the values of u + c*x once (_hits): a c that hits every
-    value permutes, a failing one scatters its table into index order
-    (_index_order), where is_permutation finds its witness, and a c where
-    the two routes disagree raises RuntimeError.  The same mask gives every
-    delta's fibre deficit (_trace_deficits).
-
-    f: the first delta of each trace fibre, in the order given, is its
-    probe, and brute force ("brute") decides the probes.  G_d = g(x^(q^k) -
-    x + d) is the same for every c, so it is evaluated once per probe, in
-    log order and in blocks of at most BLOCK elements (one row when the
-    field is larger), and _hits marks each c's values of a block's rows at
-    once and keeps them.  The rest of a fibre has its probe's deficit, by
-    the translate identity: the fibre route ("fibre") decides them when it
-    is 0, and when it is not ("prefix") _translate_witnesses finds their
-    witnesses in the probe's table.  Only a failing probe, or one on_probe
-    asks for, is scattered into index order (from the kept values: c*x is
-    added once), one table at a time.  Each c's fibre deficits must equal
-    brute force's, or RuntimeError is raised.
-
-    h_tables is empty unless on_probe is given; then it holds each c's h
-    table in index order, and on_probe(h's table, d index, f_d's table) is
-    called with each probe and c.  _confirm_witnesses checks every witness
-    reported."""
-    fns = [compose_h(g, c, k) for c in cs]
+    h's rows are "mu" or "brute": brute force, which runs at every c when
+    deltas are given, takes a row that the mu route decided too, and the mu
+    column records that.  f's probes, the first delta of each trace fibre
+    in the order given, are "brute", the rest "fibre" where the deficit is
+    0, else "prefix".  Disagreeing routes, and a witness _confirm_witnesses
+    refutes, raise RuntimeError.  h_tables is empty unless on_probe is
+    given; then it holds each c's h table in index order, and on_probe(h's
+    table, d index, f_d's table) is called with each probe and c."""
+    c_idx = np.array([compose_h(g, c, k).c for c in cs], dtype=np.int64)    # checks each c
+    fld = g.field
+    Q = fld.order
     if delta_idx is not None:
-        delta_idx = _delta_array(g.field, delta_idx)
+        delta_idx = np.asarray(delta_idx, dtype=np.int64)
+        if delta_idx.size and not 0 <= delta_idx.min() <= delta_idx.max() < Q:
+            raise ValueError(f"delta indices must lie in [0, {Q})")
         for c in cs:
             _require_coeff_domain(g, c, k)
-    if not fns:
-        return [], [], []
-    fld = g.field
+    none = Verdicts.of(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
+    if not c_idx.size:
+        return none, none, []
     bulk = fld.bulk()
-    Q = fld.order
-    c_idx = [fn.c for fn in fns]
-    lcs = [bulk.log.item(c) for c in c_idx]
+    lcs = bulk.log.take(c_idx).tolist()
     u = _log_order_u(fld, g.terms, g.qdeg * k)
     mu = _mu_verdicts(g, k, c_idx)
     every = delta_idx is not None or mu is None or Q <= DELTA_EXHAUSTIVE_CAP
-    h_rows = [(_PERMUTES, "mu")] * len(fns)
+    h_deficit = np.zeros(c_idx.size, dtype=np.int64)
+    h_route = np.full(c_idx.size, _MU, dtype=np.int8)
     fibre, h_tables, failed = [], [], []
-    for j, (fn, lc) in enumerate(zip(fns, lcs)):
+    for j, lc in enumerate(lcs):
         if not (every or j == 0 or not mu[j]):
             continue
         hit = _hits(bulk, u[None, :], lc)[0]
         if delta_idx is not None:
             fibre.append(_trace_deficits(g, cs[j], k, hit, delta_idx))
-        ok = bool(hit.all())
-        ho = _index_order(bulk, u, lc) if on_probe or not ok else None
-        v = _PERMUTES if ok else is_permutation(fn, outs=ho)
-        if mu is not None and mu[j] != ok:
-            raise RuntimeError(f"mu route and brute force disagree at step {k}, c {fn.c}: "
-                               f"image deficit {v.image_deficit} by brute force")
-        if not ok:
-            failed.append((fn.c, *(e.index for e in v.witness)))
+        h_deficit[j] = dfc = Q - np.count_nonzero(hit)
+        h_route[j] = _BRUTE
+        ho = _index_order(bulk, u, lc) if on_probe or dfc else None
+        if mu is not None and mu[j] != (dfc == 0):
+            raise RuntimeError(f"mu route and brute force disagree at step {k}, c {c_idx[j]}: "
+                               f"image deficit {dfc} by brute force")
+        if dfc:
+            a, b = _first_collisions(lambda rows, n: ho[None, :n], 1, Q)
+            failed.append((j, a.item(0), b.item(0)))
         if on_probe:
             h_tables.append(ho)
-        h_rows[j] = (v, "brute")
     del hit, ho                 # before the probes' tables
+    h = Verdicts.of(h_deficit, h_route, mu is not None)
     if failed:
-        _confirm_witnesses(g, k, *np.array(failed, dtype=np.int64).T)
+        j, a, b = np.array(failed, dtype=np.int64).T
+        _confirm_witnesses(g, k, c_idx[j], a, b)
+        h.a[j], h.b[j] = a, b
     if delta_idx is None:
-        return h_rows, [], h_tables
+        return h, none, h_tables
+    D = delta_idx.size
     _, first, which = np.unique(bulk.trace(g.qdeg * math.gcd(k, g.m))[delta_idx],
                                 return_index=True, return_inverse=True)
     order = np.argsort(which, kind="stable")        # positions, fibre by fibre
@@ -727,8 +735,8 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
     probes = np.sort(first)     # positions, in the order given
     shift_log = np.zeros(Q, dtype=np.int32)     # x^(q^k) - x in log order
     shift_log[1:] = bulk.shift_base(g.qdeg * k)[bulk.exp]
-    deficit = np.zeros((len(fns), first.size), dtype=np.int64)   # per c and fibre
-    found = [[] for _ in fns]   # (probe, fibre positions, a, b) per failing fibre
+    deficit = np.zeros((c_idx.size, first.size), dtype=np.int64)   # per c and fibre
+    found = []      # (rows, a, b) per failing fibre: its deltas' rows and witnesses
     per = max(1, BLOCK // Q)
     for lo in range(0, probes.size, per):
         blk = probes[lo:lo + per]
@@ -743,53 +751,37 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
                     on_probe(h_tables[ci], delta_idx.item(p), table)
                 if dfc[j]:
                     mem = order[cuts[which[p]]:cuts[which[p] + 1]]
-                    found[ci].append((p, mem, *_translate_witnesses(
+                    found.append((ci * D + mem, *_translate_witnesses(
                         g, k, c_idx[ci], delta_idx.item(p), table, delta_idx[mem])))
                 del table           # one index-order table alive at a time
         del G, F                    # before the next block's
     del shift_log
-    if any(found):
-        cat = [np.concatenate(col) for col in zip(*(
-            (np.full(m.size, c), a, b, delta_idx[m])
-            for c, fc in zip(c_idx, found) for _, m, a, b in fc))]
-        _confirm_witnesses(g, k, *cat)
-    el = lru_cache(maxsize=None)(fld.element_at)    # witness points recur
-    fails = {}                  # one PermVerdict per (a, b, deficit)
-    permuting = [(_PERMUTES, "fibre")] * delta_idx.size
-    for j in probes.tolist():
-        permuting[j] = (_PERMUTES, "brute")
-    f_rows = []
-    for ci, c in enumerate(c_idx):
-        brute = deficit[ci, which]      # each delta has its probe's: the translate identity
-        bad = np.flatnonzero(fibre[ci] != brute)
-        if bad.size:
-            j = bad[0]
-            raise RuntimeError(
-                f"fibre route and brute force disagree at step {k}, "
-                f"c {c}, delta {delta_idx[j]}: image deficit {fibre[ci][j]} "
-                f"vs {brute[j]}")
-        rows_c = permuting.copy()
-        for p, mem, a, b in found[ci]:
-            dp = brute.item(p)
-            for j, x, y in zip(mem.tolist(), a.tolist(), b.tolist()):
-                v = fails.get((x, y, dp))
-                if v is None:
-                    v = fails[x, y, dp] = PermVerdict(False, (el(x), el(y)), dp)
-                rows_c[j] = (v, "brute" if j == p else "prefix")
-        f_rows += rows_c
-    return h_rows, f_rows, h_tables
+    brute = deficit[:, which]       # each delta has its probe's: the translate identity
+    route = np.where(brute != 0, _PREFIX, _FIBRE).astype(np.int8)
+    route[:, probes] = _BRUTE
+    f = Verdicts.of(brute.ravel(), route.ravel())
+    if found:
+        rows, a, b = map(np.concatenate, zip(*found))
+        _confirm_witnesses(g, k, c_idx[rows // D], a, b, delta_idx[rows % D])
+        f.a[rows], f.b[rows] = a, b
+    bad = np.argwhere(np.array(fibre).reshape(brute.shape) != brute)
+    if bad.size:
+        ci, j = bad[0]
+        raise RuntimeError(
+            f"fibre route and brute force disagree at step {k}, "
+            f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[ci][j]} "
+            f"vs {brute[ci, j]}")
+    return h, f, h_tables
 
 
 def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
-    """(verdict, route) of h = g^(q^k) - g + c*x for each c in cs, in order:
-    pair_verdicts' h side, with no deltas."""
-    return pair_verdicts(g, k, cs)[0]
+    """The rows of pair_verdicts' h side, with no deltas."""
+    return pair_verdicts(g, k, cs)[0].rows(g.field)
 
 
 def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
-    """(verdict, route) of f_d = g(x^(q^k) - x + d) + c*x for each c in cs
-    and each delta index d in delta_idx, c-major: pair_verdicts' f side."""
-    return pair_verdicts(g, k, cs, delta_idx)[1]
+    """The rows of pair_verdicts' f side, c-major over cs and delta_idx."""
+    return pair_verdicts(g, k, cs, delta_idx)[1].rows(g.field)
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

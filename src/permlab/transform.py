@@ -24,10 +24,11 @@ are checkable here (prop4_check).
 
 prop2_check and prop4_check each make one call of permcheck's
 pair_verdicts, the engine that verify uses too: it builds u = g^(q^k) - g
-once and decides h and every delta from it.  prop4_check also takes h's
-value table from it, and its commuting square reads the engine's own table
-of f_delta at its probe, one per trace fiber, so f_delta is never
-evaluated twice.
+once and decides h and every delta from it, and the reports read its rows
+(Verdicts.rows), where the witnesses become Elements.  prop4_check also
+takes h's value table from it, and its commuting square reads the engine's
+own table of f_delta at its probe, one per trace fiber, so f_delta is
+never evaluated twice.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -112,9 +113,9 @@ def prop2_check(g: GSpec, c: Element, k: int,
     """
     if deltas is None:
         deltas = pick_deltas(g.field)[0]
-    ((h_v, _),), f_vs, _ = pair_verdicts(g, k, [c], deltas)
-    return Prop2Report(h_verdict=h_v,
-                       f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
+    h, f, _ = pair_verdicts(g, k, [c], deltas)
+    return Prop2Report(h_verdict=h.rows(g.field)[0][0],
+                       f_results=tuple(zip(deltas, (v for v, _ in f.rows(g.field)))),
                        deltas_exhaustive=len(set(deltas)) == g.field.order)
 
 
@@ -267,9 +268,9 @@ def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Repo
                                              ho.take(bulk.add(shift, np.int64(di)))):
             failed.append(di)
 
-    ((h_v, _),), f_vs, (ho,) = pair_verdicts(g, 1, [fld.one], deltas, square)
-    return Prop4Report(h_verdict=h_v,
-                       f_results=tuple(zip(deltas, (v for v, _ in f_vs))),
+    h, f, (ho,) = pair_verdicts(g, 1, [fld.one], deltas, square)
+    return Prop4Report(h_verdict=h.rows(fld)[0][0],
+                       f_results=tuple(zip(deltas, (v for v, _ in f.rows(fld)))),
                        deltas_exhaustive=len(set(deltas)) == fld.order,
                        commutes_all=not failed,
                        fibers_stable=bool(np.array_equal(tr[ho], tr)))

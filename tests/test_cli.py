@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permlab import cli, permcheck
@@ -285,8 +286,29 @@ def test_timings_count_routes_and_share_fibre_time(tmp_path, monkeypatch):
     assert doc["timings"]["runs"][0]["routes"] == {"fibre": 0, "brute": 5, "prefix": 0, "mu": 0}
 
 
+@pytest.mark.parametrize("argv, canonical", [(("table1", "--row", "7"), True),
+                                             (("verify", "--family", "thm14", "--q", "7"), False)])
+def test_forms_count_the_h_routes_that_ran(tmp_path, argv, canonical):
+    """Each form's timings record counts the c that each h route ran on, a
+    c under both routes when both ran.  table1-r7 at q = 4 has canonical
+    shift forms of 3 values of c: the mu route decides h at each, and brute
+    force, which a shift form runs at every c, confirms it.  thm14 at q = 7
+    is not canonical, so brute force alone decides h at its one c.  The
+    stable section does not carry the count."""
+    code, doc = run(tmp_path, *argv)
+    assert code == 0
+    (r,) = doc["stable"]["runs"]
+    (t,) = doc["timings"]["runs"]
+    n_c = len({i["c"] for b in r["conditions"] for i in b["instances"]})
+    assert n_c == (3 if canonical else 1)
+    assert len(t["forms"]) == 2
+    assert all(f["h_routes"] == {"mu": n_c if canonical else 0, "brute": n_c}
+               for f in t["forms"])
+    assert "h_routes" not in json.dumps(doc["stable"])
+
+
 def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
-    """thm5 at q = 9: one h_verdicts call decides the form's 5 values of c,
+    """thm5 at q = 9: one pair_verdicts call decides the form's 5 values of c,
     and a slowed build of u shows up once, in the form's seconds."""
     real, pause = permcheck._log_order_u, 0.05
 
@@ -321,8 +343,7 @@ def test_slowed_engine_call_shows_as_equal_shares_in_its_form(tmp_path, monkeypa
             return engine(*args, **kwargs)
         return slow
 
-    monkeypatch.setattr(cli, "f_verdicts", slowed(cli.f_verdicts))
-    monkeypatch.setattr(cli, "h_verdicts", slowed(cli.h_verdicts))
+    monkeypatch.setattr(cli, "pair_verdicts", slowed(cli.pair_verdicts))
     code, doc = run(tmp_path, *argv)
     assert code == 0
     (forms,) = form_times(doc)
@@ -360,14 +381,14 @@ def test_forms_come_sorted_whatever_order_the_family_declares(tmp_path, argv, de
 
 @pytest.mark.parametrize("fid, q", [("thm18-4", 32), ("thm14", 7)])
 def test_shift_forms_make_elements_only_for_witnesses(monkeypatch, fid, q):
-    """verify hands pick_deltas' indices to the engine as they are, and
-    brute force decides its deltas on index arrays.  The only Elements made
-    past the coefficient pools are one per distinct witness point of an
-    engine call, one g(0) per engine call as it builds u, and the two points
-    of each failing h's witness, as the engine decides h too; cli makes
-    none.  thm18-4 at q = 32 permutes at every delta, and thm14 at q = 7 has
-    failing deltas whose witnesses come from brute force and from the
-    prefix route, and one failing h, at step 1."""
+    """verify hands pick_deltas' indices to the engine as an array, brute
+    force decides its deltas on index arrays, and each form keeps the
+    engine's columns.  Past the coefficient pools the only Element made is
+    one g(0) per engine call, as it builds u: no witness, of f_d or of a
+    failing h, becomes Elements, and cli makes none.  thm18-4 at q = 32
+    permutes at every delta, and thm14 at q = 7 has failing deltas whose
+    witnesses come from brute force and from the prefix route, and one
+    failing h, at step 1."""
     real, calls = FieldCtx.element_at, Counter()
 
     def counted(fld, index):
@@ -376,17 +397,19 @@ def test_shift_forms_make_elements_only_for_witnesses(monkeypatch, fid, q):
 
     monkeypatch.setattr(FieldCtx, "element_at", counted)
     run = cli.run_family_verification(fid, q, cli.RunConfig())
-    brute = sum(f.routes["brute"] for f in run.forms)
-    points = [{x for r in f.records if r["witness"] for x in r["witness"]} for f in run.forms]
-    assert 0 < brute < sum(len(f.records) for f in run.forms)
-    assert calls["permlab.cli"] == 0
-    made = calls["permlab.permcheck"]
+    made = dict(calls)
+    monkeypatch.undo()
+    routes = np.concatenate([f.verdicts.route for f in run.forms])
+    assert 0 < np.count_nonzero(routes == permcheck.ROUTES.index("brute")) < routes.size
+    assert made.get("permlab.cli", 0) == 0
+    assert made["permlab.permcheck"] == len(run.forms)
+    witnessed = sum(np.count_nonzero(f.verdicts.a >= 0) for f in run.forms)
     fld = get_field(run.p, run.n)
-    h_fails = sum(not v.is_permutation for f in run.forms for v, _ in permcheck.h_verdicts(
-        permcheck.make_gspec(fld, [(fld.one, f.records[0]["s"])], prime_power(q)[1]),
-        f.step, [fld.element_at(c) for c in sorted({r["c"] for r in f.records})]))
-    assert made == sum(map(len, points)) + len(run.forms) + 2 * h_fails
-    assert any(points) == (fid == "thm14") == (h_fails == 1)
+    h_fails = sum(np.count_nonzero(~permcheck.pair_verdicts(
+        permcheck.make_gspec(fld, [(fld.one, f.s)], prime_power(q)[1]),
+        f.step, [fld.element_at(c) for c in f.c.tolist()])[0].permutes)
+        for f in run.forms)
+    assert (witnessed > 0) == (fid == "thm14") == (h_fails == 1)
 
 
 def test_shift_forms_evaluate_each_probe_once_for_every_c(monkeypatch):
@@ -403,8 +426,8 @@ def test_shift_forms_evaluate_each_probe_once_for_every_c(monkeypatch):
     monkeypatch.setattr(permcheck, "_g_rows", counted)
     run = cli.run_family_verification("thm18-4", 32, cli.RunConfig())
     (form,) = run.forms
-    assert len({r["c"] for r in form.records}) == 11
-    assert form.routes["brute"] == 352
+    assert form.c.size == 11
+    assert np.count_nonzero(form.verdicts.route == permcheck.ROUTES.index("brute")) == 352
     assert len(evaluated) == len(set(evaluated)) == 32
 
 

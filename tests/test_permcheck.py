@@ -490,11 +490,15 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
 @settings(max_examples=60)
 @given(case=st.sampled_from(FIBRE_CASES), canonical=st.booleans(), data=st.data())
 def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
-    """One pair_verdicts call with deltas decides both sides: its h rows are
-    h_verdicts' for the same (g, k, cs) and its f rows f_verdicts', for a
-    canonical g (exponents 1 + i(q-1) over GF(q^2), where the mu route
-    cross-checks h) and for a random binomial, at one to three c of
-    GF(q^l)* and a delta list with repeats."""
+    """One pair_verdicts call with deltas decides both sides: the row view
+    of its h columns is h_verdicts' for the same (g, k, cs) and that of its
+    f columns f_verdicts', for a canonical g (exponents 1 + i(q-1) over
+    GF(q^2), where the mu route cross-checks h) and for a random binomial,
+    at one to three c of GF(q^l)* and a delta list with repeats.  On both
+    sides the columns have a row per instance, a row permutes exactly where
+    its deficit is 0 and exactly there has no witness (a = b = -1), a
+    failing row's witness has a < b, and the mu column is set on h's rows
+    exactly where g is canonical."""
     p, n, qdeg, k = case
     f = field(p, n)
     Q, q = f.order, p**qdeg
@@ -510,12 +514,21 @@ def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
     cs = [f.element_at(i) for i in data.draw(st.lists(st.sampled_from(inside),
                                                       min_size=1, max_size=3))]
     deltas = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=30))
-    h_rows, f_rows, h_tables = permcheck.pair_verdicts(g, k, cs, deltas)
+    h, f_side, h_tables = permcheck.pair_verdicts(g, k, cs, deltas)
+    h_rows = h.rows(f)
     assert h_rows == h_verdicts(g, k, cs)
-    assert f_rows == f_verdicts(g, k, cs, deltas)
+    assert f_side.rows(f) == f_verdicts(g, k, cs, deltas)
     assert h_tables == [] and {r for _, r in h_rows} == {"brute"}
-    if canonical:
-        assert permcheck._mu_verdicts(g, k, [1]) is not None
+    mu = permcheck._mu_verdicts(g, k, [1]) is not None
+    assert mu or not canonical
+    assert h.mu.tolist() == [mu] * len(cs) and not f_side.mu.any()
+    for side, n in ((h, len(cs)), (f_side, len(cs) * len(deltas))):
+        assert side.permutes.size == n
+        assert all(col.shape == (n,) for col in vars(side).values())
+        assert np.array_equal(side.permutes, side.deficit == 0)
+        assert np.array_equal(side.permutes, (side.a == -1) & (side.b == -1))
+        fail = ~side.permutes
+        assert (0 <= side.a[fail]).all() and (side.a[fail] < side.b[fail]).all()
 
 
 @settings(max_examples=60)
@@ -883,18 +896,23 @@ def test_h_verdicts_agree_on_random_binomial_g(case, data):
 
 def test_h_verdicts_scatter_only_failing_c(monkeypatch):
     """A permuting c is decided from its log-order blocks alone; only a
-    failing c reaches is_permutation for its witness."""
+    failing c is scattered into index order, and searched there for its
+    witness, once."""
     f = field(2, 6)
     g = _h_gs(f, 3)[0]
     cs = [f.element_at(i) for i in range(1, f.order)]
     want = [v.is_permutation for v, _ in h_verdicts(g, 1, cs)]
     assert set(want) == {True, False}
-    calls = []
-    real = permcheck.is_permutation
-    monkeypatch.setattr(permcheck, "is_permutation",
-                        lambda fn, outs=None: calls.append(fn.c) or real(fn, outs))
+    scattered, searched = [], []
+    real_i, real_s = permcheck._index_order, permcheck._first_collisions
+    monkeypatch.setattr(permcheck, "_index_order",
+                        lambda bulk, row, lc: scattered.append(lc) or real_i(bulk, row, lc))
+    monkeypatch.setattr(permcheck, "_first_collisions",
+                        lambda *args: searched.append(args[1]) or real_s(*args))
     assert [v.is_permutation for v, _ in h_verdicts(g, 1, cs)] == want
-    assert calls == [c.index for c, ok in zip(cs, want) if not ok]
+    log = f.bulk().log
+    assert scattered == [log.item(c.index) for c, ok in zip(cs, want) if not ok]
+    assert searched == [1] * len(scattered)
 
 
 def test_h_verdicts_times_and_refusals():
