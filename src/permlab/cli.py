@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from itertools import chain, groupby, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +92,8 @@ class Form:
     """One (condition, s, step) engine call: its verdict columns, c-major
     over its c and delta index arrays (delta None for trinomials), the
     cells every row shares, the call's seconds, and on how many c each h
-    route ran."""
+    route ran.  A JSON report writes its rows straight from the columns
+    (_form_rows)."""
     condition: str
     s_tag: str
     s: int
@@ -103,6 +104,24 @@ class Form:
     delta: Optional[np.ndarray]
     seconds: float
     h_routes: dict
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A condition block's instances: the rows of its forms, in order.
+    _write writes them from the forms' columns; iterating gives each row
+    as the dict a loaded report holds, which is how report_csv reads both."""
+    forms: list[Form]
+
+    def __iter__(self) -> Iterator[dict]:
+        for f in self.forms:
+            v = f.verdicts
+            keys = product(f.c.tolist(), [None] if f.delta is None else f.delta.tolist())
+            for (c, d), ok, a, b, dfc in zip(keys, v.permutes.tolist(), v.a.tolist(),
+                                             v.b.tolist(), v.deficit.tolist()):
+                yield {"s_tag": f.s_tag, "step": f.step, "s": f.s, "c": c, "delta": d,
+                       "permutes": ok, "witness": None if a < 0 else [a, b],
+                       "image_deficit": dfc, "informational": f.informational}
 
 
 @dataclass
@@ -210,27 +229,15 @@ def _counts(forms: Sequence[Form]) -> dict:
     }
 
 
-def _instances(f: Form) -> list[dict]:
-    """The form's report records, in (c, delta) order, from one tolist()
-    per column."""
-    v = f.verdicts
-    keys = product(f.c.tolist(), [None] if f.delta is None else f.delta.tolist())
-    return [{"s_tag": f.s_tag, "step": f.step, "s": f.s, "c": c, "delta": d,
-             "permutes": ok, "witness": None if a < 0 else [a, b],
-             "image_deficit": dfc, "informational": f.informational}
-            for (c, d), ok, a, b, dfc in zip(keys, v.permutes.tolist(), v.a.tolist(),
-                                              v.b.tolist(), v.deficit.tolist())]
-
-
 def _variant_blocks(run: FamilyRun) -> list[dict]:
-    """The records of each condition's forms, in sorted condition order;
-    dual conditions stay separate."""
+    """Each condition's forms as its instance rows, in sorted condition
+    order; dual conditions stay separate."""
     blocks = []
     for tag, group in groupby(run.forms, attrgetter("condition")):
         forms = list(group)
         blocks.append({
             "condition": tag,
-            "instances": list(chain.from_iterable(map(_instances, forms))),
+            "instances": Rows(forms),
             "summary": _counts(forms),
         })
     return blocks
@@ -319,128 +326,76 @@ _ATOMS = {
 
 
 def _to_json(o) -> str:
-    """json.dumps(o, sort_keys=True, indent=2), byte for byte.
-
-    One pass appends the text to a list of chunks, joined once.  A list of
-    two or more non-empty dicts with one set of str keys (a list of records,
-    such as a report's instance rows) is written column by column: each
-    record's cell texts joined between the fixed pieces of its sorted keys.
-    A column, like a list, whose values share one scalar type maps that
-    type's text over them; any other column is written cell by cell.
-    Circular input raises ValueError, as json's circular check does."""
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte, for a JSON
+    document: dicts with str keys, lists, str, int, float, bool and None,
+    and a report's Rows, written as the list of their row dicts.  Any other
+    type raises TypeError.  One pass appends the text to a list of chunks,
+    joined once."""
     chunks: list[str] = []
-    _write(o, "", chunks.append, set())
+    _write(o, "", chunks.append)
     return "".join(chunks)
 
 
-def _write(o, indent: str, put: Callable[[str], None], markers: set) -> None:
-    """Pass the text of o, nested at indent, to put in chunks; markers holds
-    the ids of the containers being written around o."""
-    if isinstance(o, dict):
-        items = sorted(o.items())
-        heads, values, brackets = [_key(k) for k, _ in items], [v for _, v in items], "{}"
-    elif isinstance(o, (list, tuple)):
-        heads, values, brackets = None, o, "[]"
-    else:
-        put(_ATOMS.get(type(o), _atom)(o))
+def _write(o, indent: str, put: Callable[[str], None]) -> None:
+    """Pass the text of o, nested at indent, to put in chunks."""
+    kind = type(o)
+    if kind in _ATOMS:
+        put(_ATOMS[kind](o))
         return
+    if kind is dict:
+        items = sorted(o.items())
+        heads = [encode_basestring_ascii(k) + ": " for k, _ in items]
+        values, brackets = [v for _, v in items], "{}"
+    elif kind is list:
+        heads, values, brackets = None, o, "[]"
+    elif kind is Rows:
+        inner = indent + "  "
+        text = (",\n" + inner).join(_form_rows(f, inner) for f in o.forms
+                                     if f.verdicts.permutes.size)
+        put("[\n" + inner + text + "\n" + indent + "]" if text else "[]")
+        return
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not values:
         put(brackets)
         return
-    if id(o) in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(id(o))
     inner = indent + "  "
     sep = ",\n" + inner
     put(brackets[0] + "\n" + inner)
-    if heads is None and (text := _columnar(values, inner, markers)) is not None:
-        put(text)
-    else:
-        for i, v in enumerate(values):
-            if i:
-                put(sep)
-            if heads:
-                put(heads[i])
-            _write(v, inner, put, markers)
+    for i, v in enumerate(values):
+        if i:
+            put(sep)
+        if heads:
+            put(heads[i])
+        _write(v, inner, put)
     put("\n" + indent + brackets[1])
-    markers.discard(id(o))
 
 
-def _kind(values: Sequence):
-    """The one type of all of values, or None."""
-    kinds = set(map(type, values))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _columnar(values: Sequence, indent: str, markers: set) -> Optional[str]:
-    """The text between the brackets of values, a list nested at indent, if
-    they share one scalar type or are a list of records, else None."""
-    sep = ",\n" + indent
-    kind = _kind(values)
-    if kind in _ATOMS:
-        return sep.join(map(_ATOMS[kind], values))
-    keys = values[0].keys() if kind is dict and len(values) > 1 else ()
-    if (not keys or not all(type(k) is str for k in keys)
-            or not all(map(keys.__eq__, map(dict.keys, values)))):
-        return None
+def _form_rows(f: Form, indent: str) -> str:
+    """The text of f's rows as items of a list nested at indent: one
+    template per form holds the cells every row shares, and fills in the
+    rest from one tolist() per column.  The c and delta texts are made
+    once per value and repeated."""
     inner = indent + "  "
-    parts = []
-    for i, k in enumerate(sorted(keys)):
-        head = ("," if i else "{") + "\n" + inner + encode_basestring_ascii(k) + ": "
-        col = [d[k] for d in values]
-        kind = _kind(col)
-        parts += [repeat(head) if i else chain((head,), repeat(sep + head)),
-                  map(_ATOMS[kind], col) if kind in _ATOMS
-                  else _int_lists(col, inner)
-                  or [_cell(v, d, inner, markers) for v, d in zip(col, values)]]
-    return "".join(chain.from_iterable(zip(*parts, repeat("\n" + indent + "}"))))
-
-
-_INT = {int}
-
-
-def _int_lists(col: list, indent: str) -> Optional[list[str]]:
-    """The cell texts, nested at indent, of a column whose cells are each
-    None or a list of ints, such as a report's witness column, in one pass
-    with no recursion; None for any other column."""
-    lead, close = "[\n" + indent + "  ", "\n" + indent + "]"
-    sep = "," + lead[1:]
-    texts = []
-    for v in col:
-        if v is None:
-            texts.append("null")
-        elif type(v) is list and set(map(type, v)) <= _INT:
-            texts.append(lead + sep.join(map(int.__repr__, v)) + close if v else "[]")
-        else:
-            return None
-    return texts
-
-
-def _cell(v, record: dict, indent: str, markers: set) -> str:
-    """The text of v, a value of record, nested at indent."""
-    if type(v) in _ATOMS:
-        return _ATOMS[type(v)](v)
-    chunks: list[str] = []
-    markers.add(id(record))
-    _write(v, indent, chunks.append, markers)
-    markers.discard(id(record))
-    return "".join(chunks)
-
-
-def _atom(o) -> str:
-    for kind, render in _ATOMS.items():
-        if isinstance(o, kind):
-            return render(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key's text and separator; json writes a non-str key as the
-    string of its scalar text."""
-    if not isinstance(k, (str, int, float, type(None))):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    text = _atom(k)
-    return (text if isinstance(k, str) else f'"{text}"') + ": "
+    shared = {key: _ATOMS[type(v)](v).replace("%", "%%")
+              for key, v in [("informational", f.informational), ("s", f.s),
+                             ("s_tag", f.s_tag), ("step", f.step)]}
+    cells = {"c": "%s", "delta": "%s", "image_deficit": "%d", "permutes": "%s",
+             "witness": "%s", **shared}
+    template = ("{\n" + inner + (",\n" + inner).join(
+        f'"{key}": {cells[key]}' for key in sorted(cells)) + "\n" + indent + "}")
+    v = f.verdicts
+    cs = list(map(str, f.c.tolist()))
+    ds = ["null"] if f.delta is None else list(map(str, f.delta.tolist()))
+    lead, mid, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+    witness = ["null" if a < 0 else f"{lead}{a}{mid}{b}{close}"
+               for a, b in zip(v.a.tolist(), v.b.tolist())]
+    return (",\n" + indent).join(map(template.__mod__, zip(
+        chain.from_iterable(repeat(c, len(ds)) for c in cs),
+        chain.from_iterable(repeat(ds, len(cs))),
+        v.deficit.tolist(),
+        map(("false", "true").__getitem__, v.permutes.tolist()),
+        witness)))
 
 
 CSV_COLUMNS = [

@@ -307,16 +307,13 @@ class _Bulk:
             out += table.take((s >> shift if shift else s) & (table.size - 1))
         return out
 
-    def add(self, a, b, out=None):
-        """a + b elementwise, written into out when it is given; numpy
-        scalars broadcast on either side."""
+    def add(self, a, b):
+        """a + b elementwise; numpy scalars broadcast on either side."""
         if self.p == 2:
-            return np.bitwise_xor(a, b, out=out)
-        s = (a + b) % self.p if self.n == 1 else self._unpack(self.pack.take(a) + self.pack.take(b))
-        if out is None:
-            return s
-        out[...] = s
-        return out
+            return np.bitwise_xor(a, b)
+        if self.n == 1:
+            return (a + b) % self.p
+        return self._unpack(self.pack.take(a) + self.pack.take(b))
 
     def sub(self, a, b):
         if self.p == 2:

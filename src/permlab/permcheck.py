@@ -23,10 +23,10 @@ exp[log c + t], the exp table rolled by log c, so a block of it is a
 contiguous slice (_cx_block), and both sides of the pair are a log-order
 table plus c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
 G_d(x) = g(x^(q^k) - x + d).  One kernel serves both: _hits marks the
-values that each row of a table plus c*x takes, and can keep them, and
-_index_order scatters one row plus c*x, or a kept row, into element-index
-order.  u is exp gathers alone, as Frobenius is additive (_log_order_u),
-and evaluate_all's h side is u scattered by _index_order.
+values that each row of a table plus c*x takes, and _index_order scatters
+one row plus c*x into element-index order.  u is exp gathers alone, as
+Frobenius is additive (_log_order_u), and evaluate_all's h side is u
+scattered by _index_order.
 
 One engine, pair_verdicts, decides both sides for a list of c: it builds u
 once, and for each c marks the values of u + c*x once.  h permutes where
@@ -363,46 +363,37 @@ def _cx_block(bulk, lc: int, lo: int, hi: int) -> np.ndarray:
     return bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
 
 
-def _hits(bulk, T: np.ndarray, lc: int, values: Optional[np.ndarray] = None) -> np.ndarray:
+def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
     """One bool mask per row of the 2-D log-order table T: the values that
     row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  The columns
     go in blocks of at most BLOCK elements, and row r marks its values at
     r*Q + value through an int64 index (an int32 one scatters through
-    numpy's slower casting path); a single row needs no offset.  values,
-    an array of T's shape, receives T plus c*x when it is given, so a row
-    of it scatters into index order (_index_order) with no second add."""
+    numpy's slower casting path); a single row needs no offset."""
     rows, Q = T.shape
     M = Q - 1
     hits = np.zeros((rows, Q), dtype=bool)
     flat = hits.reshape(-1)
     off = np.arange(0, rows * Q, Q, dtype=np.int64) if rows > 1 else 0
     flat[T[:, 0] + off] = True
-    if values is not None:
-        values[:, 0] = T[:, 0]
     step = max(1, BLOCK // rows)
     for lo in range(0, M, step):
         hi = min(M, lo + step)
         v = bulk.add(T[:, 1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
-        if values is not None:
-            values[:, 1 + lo:1 + hi] = v
         flat[v + off[:, None] if rows > 1 else v.astype(np.int64, copy=False)] = True
     return hits
 
 
-def _index_order(bulk, row: np.ndarray, lc: Optional[int]) -> np.ndarray:
+def _index_order(bulk, row: np.ndarray, lc: int) -> np.ndarray:
     """The value table of row + c*x, c = gamma^lc, in element-index order,
-    for the 1-D log-order table row, or of row itself when lc is None (a
-    row that _hits already wrote its values to): its blocks scattered
-    through exp.  The index and the values are int64, as a scatter that
-    casts either is slower."""
+    for the 1-D log-order table row: its blocks scattered through exp.
+    The index and the values are int64, as a scatter that casts either is
+    slower."""
     M = bulk.Q - 1
     out = np.empty(bulk.Q, dtype=np.int64)
     out[0] = row[0]
     for lo in range(0, M, BLOCK):
         hi = min(M, lo + BLOCK)
-        v = row[1 + lo:1 + hi]
-        if lc is not None:
-            v = bulk.add(v, _cx_block(bulk, lc, lo, hi))
+        v = bulk.add(row[1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
         out[bulk.exp[lo:hi].astype(np.int64)] = v.astype(np.int64, copy=False)
     return out
 
@@ -741,12 +732,11 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
     for lo in range(0, probes.size, per):
         blk = probes[lo:lo + per]
         G = _g_rows(bulk, g.terms, shift_log, delta_idx[blk])
-        F = np.empty(G.shape, dtype=np.int32)       # G_d + c*x, a c at a time
         for ci, lc in enumerate(lcs):
-            deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc, F), axis=1)
+            deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc), axis=1)
             for j in range(blk.size) if on_probe else np.flatnonzero(dfc):
                 p = blk.item(j)
-                table = _index_order(bulk, F[j], None)
+                table = _index_order(bulk, G[j], lc)
                 if on_probe:
                     on_probe(h_tables[ci], delta_idx.item(p), table)
                 if dfc[j]:
@@ -754,7 +744,7 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
                     found.append((ci * D + mem, *_translate_witnesses(
                         g, k, c_idx[ci], delta_idx.item(p), table, delta_idx[mem])))
                 del table           # one index-order table alive at a time
-        del G, F                    # before the next block's
+        del G                       # before the next block's
     del shift_log
     brute = deficit[:, which]       # each delta has its probe's: the translate identity
     route = np.where(brute != 0, _PREFIX, _FIBRE).astype(np.int8)

@@ -524,6 +524,23 @@ def test_report_reemit_csv(tmp_path):
     assert len(rows) == 6 and rows[0] == CSV_COLUMNS
 
 
+@pytest.mark.parametrize("argv, code", [("verify --family thm14 --q 3", 0),
+                                        ("table1 --row 8 --k 3", 1)])
+def test_csv_of_a_run_equals_csv_of_its_report(tmp_path, argv, code):
+    """A run's csv, read from its forms' columns, and the csv re-emitted
+    from its saved JSON report, read from loaded dicts, are the same
+    bytes, witness rows and deltas included."""
+    direct, saved, again = tmp_path / "r.csv", tmp_path / "r.json", tmp_path / "again.csv"
+    assert main(argv.split() + ["--format", "csv", "--out", str(direct)]) == code
+    assert main(argv.split() + ["--out", str(saved)]) == code
+    assert main(["report", "--input", str(saved), "--format", "csv",
+                 "--out", str(again)]) == 0
+    text = direct.read_text()
+    assert again.read_text() == text
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert any(r["witness_a"] for r in rows) and any(r["delta"] for r in rows)
+
+
 def test_report_rejects_foreign_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stable": {"schema": "other/9"}}))

@@ -644,9 +644,9 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     """GF(2^16) as GF(256^2), g = x^7, two c of GF(256)*, three deltas from
     each of three trace fibres: the field is four BLOCKs, so each probe's
     G_d is one row that _hits reads in column blocks, and each failing
-    probe's table is scattered by _index_order from the values _hits
-    kept, with no second add of c*x.  Each c whose h fails has its h table
-    scattered first, for h's witness.  Verdicts (deficits and witnesses)
+    probe's table is scattered by _index_order, which adds that c's c*x to
+    the probe's row of G, once per probe and failing c.  Each c whose h
+    fails has its h table scattered first, for h's witness.  Verdicts (deficits and witnesses)
     are is_permutation(compose_f(...))'s, the first delta of each fibre is
     "brute", and its mates are "fibre" or "prefix"."""
     f = field(2, 16)
@@ -657,7 +657,8 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     ds = [d for t in np.unique(tr)[[0, 1, 5]].tolist()
           for d in np.flatnonzero(tr == t)[[100, 0, 7]].tolist()]
     cs = [f.one, f.element_at(max(f.subfield_indices(8)))]
-    h_fails = [f.bulk().log.item(c.index) for c in cs
+    lcs = [f.bulk().log.item(c.index) for c in cs]
+    h_fails = [lc for c, lc in zip(cs, lcs)
                if not is_permutation(compose_h(g, c, 1)).is_permutation]
     g_rows, scattered = [], []
     real_g, real_i = permcheck._g_rows, permcheck._index_order
@@ -676,7 +677,10 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     assert g_rows == [(1, Q)] * 3
     failing_probes = sum(not v.is_permutation for v in want[::3])
     assert failing_probes >= 2 and h_fails
-    assert scattered == [((Q,), lc) for lc in h_fails] + [((Q,), None)] * failing_probes
+    # the probes go one block each, and in a block c by c
+    assert scattered == [((Q,), lc) for lc in h_fails] + [
+        ((Q,), lcs[ci]) for p in range(0, len(ds), 3) for ci in range(len(cs))
+        if not want[ci * len(ds) + p].is_permutation]
 
 
 def test_a_wrong_translate_fails_the_witness_check(monkeypatch):
@@ -763,8 +767,8 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
     real, real_hits = permcheck._log_order_u, permcheck._hits
     monkeypatch.setattr(permcheck, "_log_order_u",
                         lambda *args: calls.append(args) or real(*args))
-    monkeypatch.setattr(permcheck, "_hits", lambda bulk, T, lc, values=None: (
-        T.shape[0] == 1 and marked.append(lc)) or real_hits(bulk, T, lc, values))
+    monkeypatch.setattr(permcheck, "_hits", lambda bulk, T, lc: (
+        T.shape[0] == 1 and marked.append(lc)) or real_hits(bulk, T, lc))
     rows = h_verdicts(g, 1, cs)
     assert len(calls) == 1
     assert len(marked) == sum(r == "brute" for _, r in rows) == n_c

@@ -667,25 +667,27 @@ def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
     assert rep.f_all_permute and rep.commutes_all and rep.deltas_exhaustive
     tr = f.bulk().trace(3)
     assert len(rows) == len(set(rows)) == len(set(tr[rows].tolist())) == 27
-    # h's table adds c*x as it scatters; each probe's table scatters the
-    # values _hits already added
-    assert scattered.count(None) == 27 and len(scattered) == 28
+    # h's table and each probe's table add c*x = x (log 0) as they scatter
+    assert scattered == [0] * 28
 
 
 @pytest.mark.parametrize("p, s, h_tables", [(7, 19, 0), (3, 2, 1)])
 def test_prop2_scatters_h_only_when_it_fails(monkeypatch, p, s, h_tables):
     """prop2_check reads h's verdict off the mask of its values: h's
     index-order table is built only for a failing h's witness (x^2 over
-    GF(9)), and never for a permuting one (x^19 over GF(49))."""
+    GF(9)), and never for a permuting one (x^19 over GF(49)).  h's tables
+    are the scatters made before the first row of G_d is built."""
     f = field(p, 2)
     g = make_gspec(f, [(f.one, s)], qdeg=1)
-    scattered = []
-    real = permcheck._index_order
+    events = []
+    real, real_g = permcheck._index_order, permcheck._g_rows
     monkeypatch.setattr(permcheck, "_index_order",
-                        lambda bulk, row, lc: scattered.append(lc) or real(bulk, row, lc))
+                        lambda bulk, row, lc: events.append(lc) or real(bulk, row, lc))
+    monkeypatch.setattr(permcheck, "_g_rows",
+                        lambda *args: events.append("G") or real_g(*args))
     rep = prop2_check(g, f.one, 1)
     assert rep.h_verdict.is_permutation == (h_tables == 0)
-    assert len(scattered) - scattered.count(None) == h_tables
+    assert events.index("G") == h_tables
 
 
 # ---------------------------------------------------------------------------
