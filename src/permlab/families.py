@@ -621,15 +621,22 @@ def _field_params(fam: FamilySpec, fld: FieldCtx) -> tuple[int, int]:
 
 def valid_coefficients(fid: str, fld: FieldCtx, kprime: int = 1,
                        cond_variant: int = 0) -> tuple[Element, ...]:
-    """All admissible c for the family over fld, by exhaustive filtering,
-    sorted by canonical index."""
+    """All admissible c for the family over fld, sorted by canonical index:
+    the condition's structural pool, each c checked pointwise by holds().
+    A c that fails the check raises RuntimeError: the two routes disagree."""
     fam = lookup(fid)
     q, qdeg = _field_params(fam, fld)
     if not fam.applies(fld.p, qdeg, kprime):
         raise InapplicableError(f"{fid} does not apply at q = {fld.p}^{qdeg}")
-    cond = fam.conds[cond_variant][1](q, qdeg, kprime)
-    out = [c for c in cond.candidates(fld, qdeg) if cond.holds(fld, qdeg, c)]
-    return tuple(sorted(out, key=lambda e: e.index))
+    tag, rule = fam.conds[cond_variant]
+    cond = rule(q, qdeg, kprime)
+    cs = cond.candidates(fld, qdeg)
+    for c in cs:
+        if not cond.holds(fld, qdeg, c):
+            raise RuntimeError(f"{fid} q={q} condition {tag!r}: c index {c.index} of "
+                               f"the structural pool fails the pointwise check "
+                               f"of {cond.describe()}")
+    return cs
 
 
 def resolve_exponent(fid: str, q: int, kprime: int = 1, variant: int = 0) -> int:

@@ -12,21 +12,21 @@ the element sets of all proper subfields, and is immutable afterwards.  The
 exp table is built by doubling: exp[L:2L] = exp[:L] * g^L, where multiplying
 by the constant g^L is GF(p)-linear, so it is a few table gathers per
 element: the index's base-p digits are cut into chunks, each chunk is looked
-up in a table of (chunk * p^offset) * g^L built from the n basis rows
-x^i * g^L, and the lookups are combined by xor for p = 2, or for odd p by
-adding digits packed into bit fields and reading the sums mod p back through
-a small table.  No table is larger than the block it serves (beyond a
-one-bit table's two entries); for odd p, where not even a one-digit table
-fits, the digits are read directly.  The log table is its inverse
+up in a table of the element indices (chunk * p^offset) * g^L built from the
+n basis rows x^i * g^L, and the reads are summed by the field's own add (xor
+for p = 2).  No table is larger than the block it serves, except that a
+table has at least one digit (p entries).  The log table is its inverse
 permutation.  Each table is kept once and read only; exp and log are int32:
 every entry is an element index or a log below the order, and FieldCtx
 refuses orders above MAX_ORDER = 2^31 - 1.
 
-Addition in odd characteristic with n > 1 is the same digit-wise sum:
-pack[x] holds x's base-p digits in bit fields of (2p-1).bit_length() bits,
-so a + b = unpack(pack[a] + pack[b]) and a - b = unpack(pack[a] + P -
-pack[b]), P with p in every field, where the unpack tables read the fields
-mod p back as an index; zero needs no special case.  Products and powers
+Addition in odd characteristic with n > 1 is a digit-wise sum, and its
+tables are built first, as the exp table's doubling adds with them: pack[x]
+holds x's base-p digits in bit fields of (2p-1).bit_length() bits, so
+a + b = unpack(pack[a] + pack[b]) and a - b = unpack(pack[a] + P - pack[b]),
+P with p in every field, where the unpack tables read the fields mod p back
+as an index; zero needs no special case.  FieldCtx._add_arr is that add on
+arrays, for the doubling and for the bulk layer alike.  Products and powers
 are exp[log a + log b] and exp[e * log a] mod order-1 (log[0] = -1 is a
 placeholder, so an operand 0 is handled apart).  The scalar Element path
 reads the same tables, exp, log and pack through memoryviews, which index
@@ -71,21 +71,6 @@ DEFAULT_SIZE_CAP = 1 << 22
 MAX_ORDER = 2**31 - 1       # the largest order whose indices the int32 tables hold
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(m: int) -> tuple[int, ...]:
     """Distinct prime factors of m, ascending."""
     out = []
@@ -99,6 +84,10 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     if m > 1:
         out.append(m)
     return tuple(out)
+
+
+def is_prime(m: int) -> bool:
+    return m > 1 and _prime_factors(m) == (m,)
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -177,9 +166,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree n over Z_p: the
     first candidate, in base-p order of its low coefficients, that passes
-    Ben-Or's test."""
-    if n == 1:
-        return (0, 1)
+    Ben-Or's test (at n = 1 that is x)."""
     for low in range(p**n):
         cand = _digits(low, p, n) + (1,)
         if _is_irreducible(cand, p):
@@ -202,15 +189,6 @@ def _width(unit: int, size: int) -> int:
     while unit ** (w + 1) <= size:
         w += 1
     return w
-
-
-def _lookup(fn, keys, count: int):
-    """fn(keys) for an integer array of keys in range(count), where fn maps
-    an array elementwise: through a table of fn over range(count) when that
-    table is no larger than keys, else directly on keys."""
-    if count <= keys.size:
-        return fn(np.arange(count, dtype=np.int64)).take(keys)
-    return fn(keys)
 
 
 @dataclass(frozen=True)
@@ -287,8 +265,6 @@ class _Bulk:
         self.n = field.n
         self.exp = field._exp_arr
         self.log = field._log_arr
-        self.pack = field._pack_arr
-        self.unpack = field._unpack_arr
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -297,31 +273,20 @@ class _Bulk:
         xs.flags.writeable = False
         return xs
 
-    def _unpack(self, s):
-        """The element indices whose base-p digits are the bit fields of the
-        packed sums s, each field reduced mod p: one unpack-table gather per
-        group of fields, the top group first, as it needs no mask."""
-        (shift, table), *low = self.unpack
-        out = table.take(s >> shift if shift else s)
-        for shift, table in low:
-            out += table.take((s >> shift if shift else s) & (table.size - 1))
-        return out
-
     def add(self, a, b):
         """a + b elementwise; numpy scalars broadcast on either side."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a + b) % self.p
-        return self._unpack(self.pack.take(a) + self.pack.take(b))
+        return self.field._add_arr(a, b)
 
     def sub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.n == 1:
             return (a - b) % self.p
-        # each field a_i + p - b_i lies in [1, 2p - 1]: no borrow
-        return self._unpack(self.pack.take(a) + self.field._pack_p - self.pack.take(b))
+        return self.field._add_arr(a, b, minus=True)
 
     def _from_logs(self, t, zero):
         """exp[t mod (Q-1)], written back into the fresh int64 log array t,
@@ -409,6 +374,7 @@ class FieldCtx:
         self.order = order
         self.modulus = _first_irreducible(p, n)
         self._init_mul()
+        self._init_digits()
         self._init_tables()
         self._init_subfields()
         self._cache: dict = {}
@@ -459,10 +425,11 @@ class FieldCtx:
         """out = arr * c elementwise.  x -> x * c is GF(p)-linear, so for
         n > 1 the product is a sum over chunks of the index's base-p digits:
         chunk v at digit offset o contributes the table entry (v * p^o) * c,
-        each table built by linearity from the basis rows x^i * c.  A chunk
-        is as wide as a table no larger than the block allows (for p = 2 at
-        least one bit; for odd p, where not even one digit's table fits, one
-        chunk of all n digits is read directly, without a table)."""
+        an element index.  Each table is built from the basis rows x^i * c a
+        digit at a time, adding on that digit's p multiples, and is as wide
+        as a table no larger than the block allows, but at least one digit.
+        p = 2 sums the reads by xor in place; odd p by the field's own add,
+        a slice of at most 2^16 elements at a time."""
         p, n, size = self.p, self.n, arr.size
         if n == 1:
             np.remainder(np.multiply(arr, c, dtype=np.int64), p, out=out)
@@ -480,35 +447,27 @@ class FieldCtx:
                 else:
                     np.take(table, key, out=out)
             return
-        # Table entries pack their n digits into bits-wide fields, so one
-        # integer add sums the chunks digit-wise with no carry across fields.
-        # A field reaches chunks * (p - 1); where n fields of that would not
-        # fit in 63 bits (only above the default size cap), the chunks widen.
-        w = _width(p, size) or n
-        while True:
-            spans = _spans(n, w)
-            bits = (len(spans) * (p - 1)).bit_length()
-            if n * bits < 64 or w >= n:
-                break
-            w += 1
-        row_digits = np.array([_digits(r, p, n) for r in rows], dtype=np.int64)
-        field_shift = np.left_shift(1, bits * np.arange(n, dtype=np.int64))
-        packed = np.zeros(arr.shape, dtype=np.int64)
-        for lo, w in spans:
-            chunk = arr // p**lo if lo else arr
-            packed += _lookup(
-                lambda v: v[:, None] // p ** np.arange(w) % p
-                @ row_digits[lo:lo + w] % p @ field_shift,
-                chunk % p**w if lo + w < n else chunk, p**w)
-        # reduce the fields mod p and read them off as an index, a group of
-        # fields per lookup
-        out.fill(0)
-        fmask = (1 << bits) - 1
-        for lo, r in _spans(n, _width(1 << bits, size) or n):
-            out += _lookup(
-                lambda v: (v[:, None] >> bits * np.arange(r) & fmask) % p
-                @ p ** np.arange(lo, lo + r),
-                packed >> bits * lo & (1 << r * bits) - 1, 1 << r * bits)
+        # multiples[i, v] = v * x^i * c, doubling the count of v each round
+        rows = np.array(rows, dtype=np.int32)[:, None]
+        multiples = np.zeros((n, 1), dtype=np.int32)
+        while multiples.shape[1] < p:
+            step = self._add_arr(multiples[:, -1:], rows)
+            multiples = np.concatenate([multiples, self._add_arr(
+                multiples[:, :p - multiples.shape[1]], step)], axis=1)
+        chunks = []
+        for lo, w in _spans(n, max(1, _width(p, size))):
+            table = multiples[lo]
+            for digit in multiples[lo + 1:lo + w]:
+                table = self._add_arr(digit[:, None], table).ravel()
+            chunks.append((p**lo, p**w if lo + w < n else 0, table))
+        for start in range(0, size, 1 << 16):
+            part = arr[start:start + (1 << 16)]
+            acc = None
+            for div, mod, table in chunks:
+                key = part // div if div > 1 else part
+                read = table.take(key % mod if mod else key)
+                acc = read if acc is None else self._add_arr(acc, read)
+            out[start:start + part.size] = acc
 
     def _init_tables(self):
         p, n, Q = self.p, self.n, self.order
@@ -550,9 +509,6 @@ class FieldCtx:
         # yields Python ints, so Element.index stays an int
         self._exp = memoryview(exp)
         self._log = memoryview(log)
-        self._pack_arr = self._unpack_arr = self._pack = self._pack_p = None
-        if p != 2 and n > 1:
-            self._init_digits()
 
     def _init_digits(self):
         """The addition tables of odd p with n > 1 (module docstring).  pack
@@ -560,8 +516,12 @@ class FieldCtx:
         uint32 where n fields fit in 32 bits, else int64.  Unpack table
         entry v is the sum of (field j of v mod p) * p^(lo + j) over a group
         of fields from lo, as many as a table of at most max(order, 2^16)
-        int32 entries covers; the top group comes first."""
+        int32 entries covers; the top group comes first.  None for p = 2
+        and for n = 1."""
         p, n = self.p, self.n
+        self._pack_arr = self._unpack_arr = self._pack = self._pack_p = None
+        if p == 2 or n == 1:
+            return
         bits = (2 * p - 1).bit_length()
         dtype = np.uint32 if n * bits <= 32 else np.int64
         pack = np.zeros(1, dtype=dtype)
@@ -622,10 +582,6 @@ class FieldCtx:
         if not isinstance(index, int) or not 0 <= index < self.order:
             raise ValueError(f"element index {index!r} out of range [0, {self.order})")
         return Element(self, index)
-
-    def index_of(self, a: Element) -> int:
-        self._check(a)
-        return a.index
 
     def scalar(self, v: int) -> Element:
         return Element(self, v % self.p)
@@ -689,8 +645,25 @@ class FieldCtx:
             return self.zero
         return Element(self, self._exp[self._log[a.index] * e % (self.order - 1)])
 
+    def _add_arr(self, a, b, minus: bool = False):
+        """a + b, or a - b with minus, elementwise for odd p with n > 1;
+        numpy scalars and arrays broadcast.  One integer add of the packed
+        digits (each field a_i + p - b_i of a difference lies in [1, 2p - 1]:
+        no borrow), then one unpack-table gather per group of fields, the top
+        group first, as it needs no mask."""
+        pack = self._pack_arr
+        if minus:
+            s = pack.take(a) + self._pack_p - pack.take(b)
+        else:
+            s = pack.take(a) + pack.take(b)
+        (shift, table), *low = self._unpack_arr
+        out = table.take(s >> shift if shift else s)
+        for shift, table in low:
+            out += table.take((s >> shift if shift else s) & (table.size - 1))
+        return out
+
     def _unpack_idx(self, s: int) -> int:
-        """_Bulk._unpack for one packed sum, as a Python int."""
+        """_add_arr's unpack for one packed sum, as a Python int."""
         return sum(table.item(s >> shift & table.size - 1) for shift, table in self._unpack_arr)
 
     def _add_idx(self, a: int, b: int) -> int:

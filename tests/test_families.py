@@ -321,6 +321,24 @@ def test_dual_route_condition_filtering():
         assert got == brute, (fid, ci)
 
 
+def test_pool_outside_the_condition_raises_and_exits_4(tmp_path, monkeypatch, capsys):
+    """valid_coefficients cross-checks the structural pool against holds():
+    a pool with one stray index raises, naming family, q, condition tag and
+    c, instead of trimming it, and verify exits 4 on it."""
+    from permlab.cli import main
+    from permlab.families import CoeffCondition
+    pool = CoeffCondition.candidates
+
+    def stray(self, fld, qdeg):
+        return pool(self, fld, qdeg) + (fld.element_at(2),)
+    monkeypatch.setattr(CoeffCondition, "candidates", stray)
+    with pytest.raises(RuntimeError, match=r"thm7 q=7 condition '': c index 2 "):
+        valid_coefficients("thm7", field(7, 2))
+    assert main(["verify", "--family", "thm7", "--q", "7",
+                 "--out", str(tmp_path / "out.json")]) == 4
+    assert "c index 2" in capsys.readouterr().err
+
+
 def test_thm5_condition_sign_depends_on_congruence():
     # q = 9 = 1 mod 8 uses -2/c; q = 5 uses 2/c; both must contain c with
     # the right unity pullback and never c = 0

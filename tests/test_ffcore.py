@@ -153,7 +153,7 @@ def test_gf81_reduction_matches_hand_computation():
 def test_index_round_trip():
     f = FieldCtx(5, 2)
     for i in range(f.order):
-        assert f.index_of(f.element_at(i)) == i
+        assert f.element_at(i).index == i
 
 
 def test_scalar_embedding():
@@ -723,31 +723,53 @@ def test_scalar_pow_inv_frobenius_match_pow_raw_every_point():
                 f._pow_raw(a, p**i) for a in range(Q)], (p, n, i)
 
 
-def test_one_shared_digit_table_per_field():
-    """The pack table and the unpack tables are built once per context,
-    read only, and shared by the scalar and bulk paths; pack is uint32
-    where n fields of (2p-1).bit_length() bits fit in 32 bits, else int64,
-    and every unpack table is int32 with at most max(order, 2^16) entries."""
+def test_one_shared_digit_table_per_field(monkeypatch):
+    """The pack table and the unpack tables are built once per context and
+    read only; pack is uint32 where n fields of (2p-1).bit_length() bits fit
+    in 32 bits, else int64, and every unpack table is int32 with at most
+    max(order, 2^16) entries.  Odd p with n > 1 has one array add: the
+    exp-table doubling sums its chunk reads with it, and bulk add and sub
+    are one call of it each; a bulk view keeps no tables of its own."""
+    import permlab.ffcore as ffcore
+    assert not hasattr(ffcore, "_lookup") and not hasattr(_Bulk, "_unpack")
+    calls = []
+    shared_add = FieldCtx._add_arr
+
+    def counted(self, *args, **kwargs):
+        calls.append((self.p, self.n))
+        return shared_add(self, *args, **kwargs)
+    monkeypatch.setattr(FieldCtx, "_add_arr", counted)
     for p, n in [(3, 2), (3, 6), (3, 13), (5, 3), (5, 8), (7, 2), (7, 7), (2039, 2)]:
+        calls.clear()
         f = FieldCtx(p, n)
+        if (p, n) in [(3, 6), (5, 8), (2039, 2)]:
+            assert calls and set(calls) == {(p, n)}, (p, n)     # the build adds
         pack = f._pack_arr
         bits = (2 * p - 1).bit_length()
         assert pack.dtype == (np.uint32 if n * bits <= 32 else np.int64), (p, n)
         assert not pack.flags.writeable and pack.size == f.order
         xs = np.arange(f.order, dtype=np.int64)
         assert np.array_equal(pack, sum(xs // p**i % p << bits * i for i in range(n))), (p, n)
+        assert np.shares_memory(pack, np.asarray(f._pack))  # the scalar path reads these too
         b = f.bulk()
-        assert b.pack is pack and np.shares_memory(pack, np.asarray(f._pack))
-        assert b.unpack is f._unpack_arr                    # the scalar path reads these too
-        assert f.bulk() is b and _Bulk(f).pack is pack     # a new bulk view builds none
-        assert len(b.unpack) == -(-n // max(
+        assert f.bulk() is b and not hasattr(b, "pack") and not hasattr(b, "unpack")
+        calls.clear()
+        assert b.add(xs[:5], xs[1:6]).tolist() == [
+            f._add_idx(i, i + 1) for i in range(5)]
+        assert b.sub(xs[:5], xs[1:6]).tolist() == [
+            f._add_idx(i, f._neg_idx(i + 1)) for i in range(5)]
+        assert calls == [(p, n)] * 2, (p, n)
+        assert len(f._unpack_arr) == -(-n // max(
             w for w in range(1, n + 1) if 1 << bits * w <= max(f.order, 1 << 16))), (p, n)
-        for _, table in b.unpack:
+        for _, table in f._unpack_arr:
             assert table.dtype == np.int32 and not table.flags.writeable
             assert table.size <= max(f.order, 1 << 16), (p, n)
+    calls.clear()
     for p, n in [(2, 1), (2, 6), (7, 1)]:
         f = FieldCtx(p, n)
-        assert f._pack_arr is None and f.bulk().pack is None and f._unpack_arr is None
+        assert f._pack_arr is None and f._unpack_arr is None
+        f.bulk().add(np.arange(f.order), np.arange(f.order))
+    assert calls == []
 
 
 def test_bulk_power_kernels_every_point_small_fields():
