@@ -14,11 +14,14 @@ by the constant g^L is GF(p)-linear, so it is a few table gathers per
 element: the index's base-p digits are cut into chunks, each chunk is looked
 up in a table of the element indices (chunk * p^offset) * g^L built from the
 n basis rows x^i * g^L, and the reads are summed by the field's own add (xor
-for p = 2).  No table is larger than the block it serves, except that a
-table has at least one digit (p entries).  The log table is its inverse
-permutation.  Each table is kept once and read only; exp and log are int32:
-every entry is an element index or a log below the order, and FieldCtx
-refuses orders above MAX_ORDER = 2^31 - 1.
+for p = 2).  Both characteristics run one loop over slices of at most 2^14
+elements, each written straight into its part of the table, so the
+doubling makes no block-sized temporary.  No chunk table is larger than
+the block it serves, except that a table has at least one digit (p
+entries).  The log table is its inverse permutation.  Each table is kept
+once and read only; exp and log are int32: every entry is an element
+index or a log below the order, and FieldCtx refuses orders above
+MAX_ORDER = 2^31 - 1.
 
 Addition in odd characteristic with n > 1 is a digit-wise sum, and its
 tables are built first, as the exp table's doubling adds with them: pack[x]
@@ -69,6 +72,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 1 << 22
 MAX_ORDER = 2**31 - 1       # the largest order whose indices the int32 tables hold
+_SLICE = 1 << 14            # elements per slice of an exp-table doubling block
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -428,45 +432,33 @@ class FieldCtx:
         an element index.  Each table is built from the basis rows x^i * c a
         digit at a time, adding on that digit's p multiples, and is as wide
         as a table no larger than the block allows, but at least one digit.
-        p = 2 sums the reads by xor in place; odd p by the field's own add,
-        a slice of at most 2^16 elements at a time."""
+        The reads are summed by the field's own add (xor for p = 2), a slice
+        of at most _SLICE elements at a time, straight into out."""
         p, n, size = self.p, self.n, arr.size
         if n == 1:
             np.remainder(np.multiply(arr, c, dtype=np.int64), p, out=out)
             return
-        rows = [self._mul_raw(p**i, c) for i in range(n)]
-        if p == 2:
-            for i, (lo, w) in enumerate(_spans(n, max(1, _width(2, size)))):
-                table = np.zeros(1 << w, dtype=out.dtype)
-                for b in range(w):
-                    np.bitwise_xor(table[:1 << b], rows[lo + b],
-                                   out=table[1 << b:2 << b])
-                key = (arr >> lo) & ((1 << w) - 1)
-                if i:
-                    out ^= table.take(key)
-                else:
-                    np.take(table, key, out=out)
-            return
+        add = np.bitwise_xor if p == 2 else self._add_arr
         # multiples[i, v] = v * x^i * c, doubling the count of v each round
-        rows = np.array(rows, dtype=np.int32)[:, None]
+        rows = np.array([self._mul_raw(p**i, c) for i in range(n)], dtype=np.int32)[:, None]
         multiples = np.zeros((n, 1), dtype=np.int32)
         while multiples.shape[1] < p:
-            step = self._add_arr(multiples[:, -1:], rows)
-            multiples = np.concatenate([multiples, self._add_arr(
+            step = add(multiples[:, -1:], rows)
+            multiples = np.concatenate([multiples, add(
                 multiples[:, :p - multiples.shape[1]], step)], axis=1)
         chunks = []
         for lo, w in _spans(n, max(1, _width(p, size))):
             table = multiples[lo]
             for digit in multiples[lo + 1:lo + w]:
-                table = self._add_arr(digit[:, None], table).ravel()
+                table = add(digit[:, None], table).ravel()
             chunks.append((p**lo, p**w if lo + w < n else 0, table))
-        for start in range(0, size, 1 << 16):
-            part = arr[start:start + (1 << 16)]
+        for start in range(0, size, _SLICE):
+            part = arr[start:start + _SLICE]
             acc = None
             for div, mod, table in chunks:
                 key = part // div if div > 1 else part
                 read = table.take(key % mod if mod else key)
-                acc = read if acc is None else self._add_arr(acc, read)
+                acc = read if acc is None else add(acc, read)
             out[start:start + part.size] = acc
 
     def _init_tables(self):
@@ -478,15 +470,11 @@ class FieldCtx:
             gen = next(cand for cand in range(p if n > 1 else 2, Q)
                        if all(self._pow_raw(cand, (Q - 1) // f) != 1 for f in fac))
         self.generator_index = gen
-        # The first powers, up to the largest power of two <= n, one product
-        # each: a doubling step takes n products for its basis rows however
-        # short its block.  Starting at a power of two keeps each GF(2^n)
-        # block no shorter than the one before; starting at n left a shorter
-        # last block at GF(2^22), whose temporaries stayed on the heap rather
-        # than unmapped and measured 12 MB more peak RSS.
+        # the first n powers one product each: a doubling step takes n
+        # products for its basis rows however short its block
         exp = np.empty(Q - 1, dtype=np.int32)
         exp[0] = 1
-        size = min(1 << (n.bit_length() - 1), Q - 1)
+        size = min(n, Q - 1)
         for i in range(1, size):
             exp[i] = self._mul_raw(int(exp[i - 1]), gen)
         while size < Q - 1:

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from permlab.ffcore import (DEFAULT_SIZE_CAP, MAX_ORDER, Element, FieldCtx, _Bulk,
-                            _digits, _first_irreducible, is_prime, make_field)
+from permlab.ffcore import (_SLICE, DEFAULT_SIZE_CAP, MAX_ORDER, Element, FieldCtx,
+                            _Bulk, _digits, _first_irreducible, is_prime, make_field)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +591,82 @@ def test_tables_match_sympy_powers(large_fields):
             want = gf_pow_mod(g, i, mod, p, ZZ)
             want = [0] * (n - len(want)) + [int(c) for c in want]
             assert f.element_at(f._exp[i]).coeffs == tuple(reversed(want)), (p, n, i)
+
+
+SLICED_FIELDS = [(2, n) for n in range(1, 23)] + [(3, 11), (5, 8), (3, 13)]
+
+
+@pytest.mark.parametrize("pn", SLICED_FIELDS, ids=lambda pn: f"GF({pn[0]}^{pn[1]})")
+def test_tables_chain_at_every_slice_end(pn, monkeypatch):
+    """Each doubling block is multiplied a slice of at most _SLICE elements
+    at a time: at the first and last position of every slice of every
+    block, exp steps by one factor g and log inverts it, and exp is a
+    permutation of 1..Q-1."""
+    blocks = []
+    times_const = FieldCtx._times_const
+
+    def spy(self, arr, c, out):
+        blocks.append(((out.ctypes.data - arr.ctypes.data) // out.itemsize, out.size))
+        return times_const(self, arr, c, out)
+    monkeypatch.setattr(FieldCtx, "_times_const", spy)
+    f = FieldCtx(*pn)
+    Q, g = f.order, f.generator_index
+    exp, log = f._exp_arr, f._log_arr
+    assert Q == 2 or blocks[-1][0] + blocks[-1][1] == Q - 1, pn
+    if Q > 4 * _SLICE:
+        assert max(size for _, size in blocks) > _SLICE, pn
+    for offset, size in blocks:
+        for start in range(0, size, _SLICE):
+            for i in (offset + start, offset + min(start + _SLICE, size) - 1):
+                assert f._mul_raw(int(exp[i]), g) == exp[(i + 1) % (Q - 1)], (pn, i)
+                assert log[exp[i]] == i, (pn, i)
+    counts = np.bincount(exp, minlength=Q)
+    assert counts[0] == 0 and (counts[1:] == 1).all(), pn
+
+
+# (p, n) -> (generator, sha256 of exp, sha256 of log): the tables are fixed
+# by the modulus and the generator, so any change to how they are built must
+# keep these bytes
+TABLE_DIGESTS = {
+    (2, 22): (2, "19bb50c5b9d62b3c31f5af7718a05fd962c303fdc054aea962df665afba17a77",
+              "4ade05a2604541b379faf126d422d887c2542b7121c9d1fc16d5e4b72e7f65eb"),
+    (2, 17): (2, "e4f2e9711acdc86451c30683012cb37dc620ceff8c78a3dedfe22f46711513ad",
+              "6f6cef4b4c0a4b3e7215a268c5843bfe21b5c29511a73e7f46e927873ae882c1"),
+    (5, 8): (6, "80bf9390da5b13d791d01ebd1f0fc4b0d5d4fc3b726a655c307bef12b8c96238",
+             "961c0efc1d8014b53a85782ca7171c9429b6679e1b7f80c407be21362dab4615"),
+    (3, 13): (3, "f6ec896a8208790cd0fa5a6d438dc73df2a3ddd208caa6eaab93201b66dc4f26",
+              "78c3fa9eac52b3b044444d9e933841b985f3718f874db376f5514bad385c8569"),
+    (13, 4): (17, "13a89694c60207d40e121442fa00b393073f01dbdba9bb1ec7d92fe5647e0dce",
+              "b67b6e0c92c7f8c45a11de01d3505655c19262bf0837cff2538bcc711fcf42f0"),
+    (2039, 2): (2044, "88c2a6a1510389c6ce30c72e77395cd1c5d4350dd824910e8b33bdcaec0e7298",
+                "9374cef5af2c8e1ba21eb41cd32736f161f6e765f841640b6be4c0946df8a562"),
+}
+
+
+@pytest.mark.parametrize("pn", list(TABLE_DIGESTS), ids=lambda pn: f"GF({pn[0]}^{pn[1]})")
+def test_tables_match_pinned_digests(pn):
+    f = FieldCtx(*pn)
+    assert (f.generator_index, hashlib.sha256(f._exp_arr.tobytes()).hexdigest(),
+            hashlib.sha256(f._log_arr.tobytes()).hexdigest()) == TABLE_DIGESTS[pn]
+
+
+@pytest.mark.parametrize("p, n", [(2, 20), (3, 12)])
+def test_build_memory_stays_bounded(p, n):
+    """Beside the tables it keeps (exp, log and the digit tables), a build
+    holds only a slice's temporaries and the log scatter's block: the
+    traced peak less the kept tables (0.75 MB now) stays under 1.5 MB,
+    where multiplying GF(2^20)'s last block in one piece adds several
+    2 MB temporaries."""
+    tracemalloc.start()
+    try:
+        f = FieldCtx(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = f._exp_arr.nbytes + f._log_arr.nbytes
+    if f._pack_arr is not None:
+        kept += f._pack_arr.nbytes + sum(table.nbytes for _, table in f._unpack_arr)
+    assert peak - kept < 1.5 * 2**20, peak - kept
 
 
 def digitwise(a, b, p, n, sign):
