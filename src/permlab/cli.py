@@ -194,7 +194,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
             for step in fam.steps:
                 t0 = time.perf_counter()
                 try:
-                    h, f, _ = pair_verdicts(g, step, cs, deltas)
+                    h, f = pair_verdicts(g, step, cs, deltas)
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 seconds = time.perf_counter() - t0

@@ -368,18 +368,18 @@ def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
     row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  The columns
     go in blocks of at most BLOCK elements, and row r marks its values at
     r*Q + value through an int64 index (an int32 one scatters through
-    numpy's slower casting path); a single row needs no offset."""
+    numpy's slower casting path)."""
     rows, Q = T.shape
     M = Q - 1
     hits = np.zeros((rows, Q), dtype=bool)
     flat = hits.reshape(-1)
-    off = np.arange(0, rows * Q, Q, dtype=np.int64) if rows > 1 else 0
+    off = np.arange(0, rows * Q, Q, dtype=np.int64)
     flat[T[:, 0] + off] = True
     step = max(1, BLOCK // rows)
     for lo in range(0, M, step):
         hi = min(M, lo + step)
         v = bulk.add(T[:, 1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
-        flat[v + off[:, None] if rows > 1 else v.astype(np.int64, copy=False)] = True
+        flat[v + off[:, None]] = True
     return hits
 
 
@@ -655,36 +655,35 @@ def _confirm_witnesses(g: GSpec, k: int, c_idx: np.ndarray, a: np.ndarray, b: np
             f"{name}({a[j]}) = {fa[j]}, {name}({b[j]}) = {fb[j]}")
 
 
-def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
-                  on_probe=None) -> tuple[Verdicts, Verdicts, list]:
+def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None) -> tuple[Verdicts, Verdicts]:
     """Both sides of the companion pair for each c in cs, from one u =
-    g^(q^k) - g, by the method of the module docstring: (h, f, h_tables).
-    h has a row per c, in order, and f a row per c and delta index d in
-    delta_idx (an integer sequence or array), c-major, or none when
-    delta_idx is None: is_permutation's verdicts on compose_h(g, c, k) and
-    compose_f(g, c, k, d).  With deltas a c outside GF(q^l)*, l = gcd(k, m),
-    raises ValueError.
+    g^(q^k) - g, by the method of the module docstring: (h, f).  h has a
+    row per c, in order, and f a row per c and delta index d in delta_idx
+    (an integer sequence or array), c-major, or none when delta_idx is
+    None: is_permutation's verdicts on compose_h(g, c, k) and
+    compose_f(g, c, k, d).  Non-integer delta indices, or with deltas a c
+    outside GF(q^l)*, l = gcd(k, m), raise ValueError.
 
     h's rows are "mu" or "brute": brute force, which runs at every c when
     deltas are given, takes a row that the mu route decided too, and the mu
     column records that.  f's probes, the first delta of each trace fibre
     in the order given, are "brute", the rest "fibre" where the deficit is
     0, else "prefix".  Disagreeing routes, and a witness _confirm_witnesses
-    refutes, raise RuntimeError.  h_tables is empty unless on_probe is
-    given; then it holds each c's h table in index order, and on_probe(h's
-    table, d index, f_d's table) is called with each probe and c."""
+    refutes, raise RuntimeError."""
     c_idx = np.array([compose_h(g, c, k).c for c in cs], dtype=np.int64)    # checks each c
     fld = g.field
     Q = fld.order
     if delta_idx is not None:
-        delta_idx = np.asarray(delta_idx, dtype=np.int64)
-        if delta_idx.size and not 0 <= delta_idx.min() <= delta_idx.max() < Q:
-            raise ValueError(f"delta indices must lie in [0, {Q})")
+        delta_idx = np.asarray(delta_idx)
+        if delta_idx.size and (delta_idx.dtype.kind not in "iu"
+                               or not 0 <= delta_idx.min() <= delta_idx.max() < Q):
+            raise ValueError(f"delta indices must be integers in [0, {Q})")
+        delta_idx = delta_idx.astype(np.int64, copy=False)
         for c in cs:
             _require_coeff_domain(g, c, k)
     none = Verdicts.of(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
     if not c_idx.size:
-        return none, none, []
+        return none, none
     bulk = fld.bulk()
     lcs = bulk.log.take(c_idx).tolist()
     u = _log_order_u(fld, g.terms, g.qdeg * k)
@@ -692,7 +691,7 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
     every = delta_idx is not None or mu is None or Q <= DELTA_EXHAUSTIVE_CAP
     h_deficit = np.zeros(c_idx.size, dtype=np.int64)
     h_route = np.full(c_idx.size, _MU, dtype=np.int8)
-    fibre, h_tables, failed = [], [], []
+    fibre, failed = [], []
     for j, lc in enumerate(lcs):
         if not (every or j == 0 or not mu[j]):
             continue
@@ -701,23 +700,22 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
             fibre.append(_trace_deficits(g, cs[j], k, hit, delta_idx))
         h_deficit[j] = dfc = Q - np.count_nonzero(hit)
         h_route[j] = _BRUTE
-        ho = _index_order(bulk, u, lc) if on_probe or dfc else None
         if mu is not None and mu[j] != (dfc == 0):
             raise RuntimeError(f"mu route and brute force disagree at step {k}, c {c_idx[j]}: "
                                f"image deficit {dfc} by brute force")
         if dfc:
+            ho = _index_order(bulk, u, lc)
             a, b = _first_collisions(lambda rows, n: ho[None, :n], 1, Q)
             failed.append((j, a.item(0), b.item(0)))
-        if on_probe:
-            h_tables.append(ho)
-    del hit, ho                 # before the probes' tables
+            del ho
+    del hit                     # before the probes' tables
     h = Verdicts.of(h_deficit, h_route, mu is not None)
     if failed:
         j, a, b = np.array(failed, dtype=np.int64).T
         _confirm_witnesses(g, k, c_idx[j], a, b)
         h.a[j], h.b[j] = a, b
     if delta_idx is None:
-        return h, none, h_tables
+        return h, none
     D = delta_idx.size
     _, first, which = np.unique(bulk.trace(g.qdeg * math.gcd(k, g.m))[delta_idx],
                                 return_index=True, return_inverse=True)
@@ -734,16 +732,12 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
         G = _g_rows(bulk, g.terms, shift_log, delta_idx[blk])
         for ci, lc in enumerate(lcs):
             deficit[ci, which[blk]] = dfc = Q - np.count_nonzero(_hits(bulk, G, lc), axis=1)
-            for j in range(blk.size) if on_probe else np.flatnonzero(dfc):
+            for j in np.flatnonzero(dfc):
                 p = blk.item(j)
-                table = _index_order(bulk, G[j], lc)
-                if on_probe:
-                    on_probe(h_tables[ci], delta_idx.item(p), table)
-                if dfc[j]:
-                    mem = order[cuts[which[p]]:cuts[which[p] + 1]]
-                    found.append((ci * D + mem, *_translate_witnesses(
-                        g, k, c_idx[ci], delta_idx.item(p), table, delta_idx[mem])))
-                del table           # one index-order table alive at a time
+                mem = order[cuts[which[p]]:cuts[which[p] + 1]]
+                found.append((ci * D + mem, *_translate_witnesses(
+                    g, k, c_idx[ci], delta_idx.item(p), _index_order(bulk, G[j], lc),
+                    delta_idx[mem])))
         del G                       # before the next block's
     del shift_log
     brute = deficit[:, which]       # each delta has its probe's: the translate identity
@@ -761,7 +755,7 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None,
             f"fibre route and brute force disagree at step {k}, "
             f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[ci][j]} "
             f"vs {brute[ci, j]}")
-    return h, f, h_tables
+    return h, f
 
 
 def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:

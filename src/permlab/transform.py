@@ -23,12 +23,10 @@ field onto the single trace fiber {y : Tr(y) = Tr(delta)}; both directions
 are checkable here (prop4_check).
 
 prop2_check and prop4_check each make one call of permcheck's
-pair_verdicts, the engine that verify uses too: it builds u = g^(q^k) - g
-once and decides h and every delta from it, and the reports read its rows
-(Verdicts.rows), where the witnesses become Elements.  prop4_check also
-takes h's value table from it, and its commuting square reads the engine's
-own table of f_delta at its probe, one per trace fiber, so f_delta is
-never evaluated twice.
+pair_verdicts, the engine verify uses too, which decides h and every delta
+from one u = g^(q^k) - g; the reports read its rows (Verdicts.rows).
+prop4_check's square compares two other evaluators of g on tables of its
+own: h's from u (exp gathers of Frobenius), f_delta's from g's direct powers.
 
 quadratic_form_solutions handles the side computation used by the quartic
 trinomial family: the nonzero solution set of x^(2q^2) +/- x^(q^2+1) + x^2
@@ -44,9 +42,9 @@ from typing import Optional
 import numpy as np
 
 from .ffcore import Element, FieldCtx
-from .permcheck import (DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict, _eval_terms_all,
-                        _require_coeff_domain, _resolve_view, build_inverse_table,
-                        compose_h, evaluate_all, pair_verdicts)
+from .permcheck import (BLOCK, DELTA_EXHAUSTIVE_CAP, FnSpec, GSpec, PermVerdict,
+                        _eval_terms_all, _require_coeff_domain, _resolve_view,
+                        build_inverse_table, compose_h, evaluate_all, pair_verdicts)
 
 __all__ = [
     "CosetSet",
@@ -103,20 +101,26 @@ class Prop2Report:
         return tuple(d for d, v in self.f_results if not v.is_permutation)
 
 
+def _pair_fields(g: GSpec, c: Element, k: int, deltas: Optional[tuple[int, ...]]) -> dict:
+    """Prop2Report's fields, which Prop4Report shares, from one call of
+    permcheck.pair_verdicts over deltas (pick_deltas' sweep when None)."""
+    fld = g.field
+    if deltas is None:
+        deltas = pick_deltas(fld)[0]
+    h, f = pair_verdicts(g, k, [c], deltas)
+    return dict(h_verdict=h.rows(fld)[0][0],
+                f_results=tuple(zip(deltas, (v for v, _ in f.rows(fld)))),
+                deltas_exhaustive=len(set(deltas)) == fld.order)
+
+
 def prop2_check(g: GSpec, c: Element, k: int,
                 deltas: Optional[tuple[int, ...]] = None) -> Prop2Report:
     """Verify the h => f transfer for the given g, c, k over a delta sweep.
 
     c is required to lie in GF(q^gcd(k, m))* as in the statement.  deltas,
-    a tuple of delta indices, overrides pick_deltas' sweep.  One call of
-    permcheck.pair_verdicts decides both sides from one u = g^(q^k) - g.
+    a tuple of delta indices, overrides pick_deltas' sweep.
     """
-    if deltas is None:
-        deltas = pick_deltas(g.field)[0]
-    h, f, _ = pair_verdicts(g, k, [c], deltas)
-    return Prop2Report(h_verdict=h.rows(g.field)[0][0],
-                       f_results=tuple(zip(deltas, (v for v, _ in f.rows(g.field)))),
-                       deltas_exhaustive=len(set(deltas)) == g.field.order)
+    return Prop2Report(**_pair_fields(g, c, k, deltas))
 
 
 def _f_inverse_table(g: GSpec, c: Element, k: int, delta: Element,
@@ -231,8 +235,7 @@ class Prop4Report(Prop2Report):
     """
 
     # phi o f_delta == h o phi for every swept delta, checked at the first
-    # swept delta of each Tr-fiber: the translate identity in prop4_check
-    # carries the square to the rest of that fiber
+    # swept delta of each Tr-fiber (prop4_check carries it to the rest)
     commutes_all: bool
     fibers_stable: bool       # h maps every Tr-fiber onto GF(q) into itself
 
@@ -244,35 +247,36 @@ class Prop4Report(Prop2Report):
 def prop4_check(g: GSpec, deltas: Optional[tuple[int, ...]] = None) -> Prop4Report:
     """Verify (f_delta permutes for all delta) <=> (h permutes), with k = 1
     and c = 1 and g over GF(q), plus the commuting square
-    phi o f_delta = h o phi through the trace fiber of each delta.  h, its
-    value table and every f_delta come from one pair_verdicts call."""
+    phi o f_delta = h o phi through the trace fiber of each delta.  h and
+    every f_delta come from one pair_verdicts call; the square compares h's
+    table from u with f_delta's from g's direct powers."""
     fld = g.field
     if g.coeff_subdeg > g.qdeg or g.qdeg % g.coeff_subdeg:
         raise ValueError(
             f"g has coefficients of degree {g.coeff_subdeg}; the equivalence "
             f"needs them inside GF({fld.p}^{g.qdeg})")
-    if deltas is None:
-        deltas = pick_deltas(fld)[0]
+    fields = _pair_fields(g, fld.one, 1, deltas)
     bulk = fld.bulk()
     tr = bulk.trace(g.qdeg)
+    ho = evaluate_all(compose_h(g, fld.one, 1))
+    gx = _eval_terms_all(bulk, g.terms, bulk.xs)
     # For any b, f_(d + b^q - b)(x) = f_d(x + b) - b, so the square at
-    # d + b^q - b is the square at d with x shifted by b.  The d + b^q - b
-    # are exactly the deltas of d's trace fiber (x^q - x maps onto the
-    # trace-zero set), so the engine's probe of each fiber, its first swept
-    # delta, covers it; the square reads the probe's own table.
-    failed = []
+    # d + b^q - b is the square at d with x shifted by b.  Those are the
+    # deltas of d's trace fiber (x^q - x maps onto the trace-zero set), so
+    # each fiber's first swept delta covers it: a row each, BLOCK // Q rows a block.
+    swept = np.array([d for d, _ in fields["f_results"]], dtype=np.int64)
+    probes = swept[np.unique(tr[swept], return_index=True)[1], None]
     shift = bulk.shift_base(g.qdeg)         # phi(x) - delta = x^q - x
 
-    def square(ho, di, fo):
-        if not failed and not np.array_equal(bulk.add(shift[fo], np.int64(di)),
-                                             ho.take(bulk.add(shift, np.int64(di)))):
-            failed.append(di)
+    def square(d):
+        phi = bulk.add(shift, d)
+        return np.array_equal(bulk.add(shift.take(bulk.add(gx.take(phi), bulk.xs)), d),
+                              ho.take(phi))
 
-    h, f, (ho,) = pair_verdicts(g, 1, [fld.one], deltas, square)
-    return Prop4Report(h_verdict=h.rows(fld)[0][0],
-                       f_results=tuple(zip(deltas, (v for v, _ in f.rows(fld)))),
-                       deltas_exhaustive=len(set(deltas)) == fld.order,
-                       commutes_all=not failed,
+    per = max(1, BLOCK // fld.order)
+    return Prop4Report(**fields,
+                       commutes_all=all(square(probes[lo:lo + per])
+                                        for lo in range(0, probes.size, per)),
                        fibers_stable=bool(np.array_equal(tr[ho], tr)))
 
 

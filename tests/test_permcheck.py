@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlab import cli, permcheck
+from permlab import cli, permcheck, transform
 from permlab.ffcore import FieldCtx, prime_power
 from permlab.permcheck import (
     build_inverse_table,
@@ -514,11 +514,11 @@ def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
     cs = [f.element_at(i) for i in data.draw(st.lists(st.sampled_from(inside),
                                                       min_size=1, max_size=3))]
     deltas = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=30))
-    h, f_side, h_tables = permcheck.pair_verdicts(g, k, cs, deltas)
+    h, f_side = permcheck.pair_verdicts(g, k, cs, deltas)
     h_rows = h.rows(f)
     assert h_rows == h_verdicts(g, k, cs)
     assert f_side.rows(f) == f_verdicts(g, k, cs, deltas)
-    assert h_tables == [] and {r for _, r in h_rows} == {"brute"}
+    assert {r for _, r in h_rows} == {"brute"}
     mu = permcheck._mu_verdicts(g, k, [1]) is not None
     assert mu or not canonical
     assert h.mu.tolist() == [mu] * len(cs) and not f_side.mu.any()
@@ -630,6 +630,24 @@ def test_translate_witnesses_match_brute_force_and_refuse_a_permuting_f():
     table = evaluate_all(compose_f(g, f.one, 1, f.zero))
     with pytest.raises(RuntimeError, match=f"disagree.*delta {fibre[0]}:"):
         permcheck._translate_witnesses(g, 1, 1, 0, table, fibre)
+
+
+@pytest.mark.parametrize("deltas", [(0.7, 1.2, True), [2.0], ["3"], ("0", "1"),
+                                    [True, False], np.array([1.5])])
+def test_non_integer_delta_indices_raise(deltas):
+    """Delta indices are integers: floats, strings and bools raise
+    ValueError from the engine and from prop2_check, instead of being
+    truncated to an integer and decided there.  An empty sweep (float64 to
+    np.asarray) and unsigned indices pass."""
+    f = field(3, 2)
+    g = make_gspec(f, [(f.one, 2)], 1)
+    with pytest.raises(ValueError, match="delta indices must be integers"):
+        f_verdicts(g, 1, [f.one], deltas)
+    with pytest.raises(ValueError, match="delta indices must be integers"):
+        prop2_check(g, f.one, 1, deltas=deltas)
+    assert f_verdicts(g, 1, [f.one], []) == f_verdicts(g, 1, [f.one], ()) == []
+    assert (f_verdicts(g, 1, [f.one], np.array([3, 0], dtype=np.uint8))
+            == f_verdicts(g, 1, [f.one], [3, 0]))
 
 
 def _misplaced_preimage(monkeypatch):
@@ -752,21 +770,32 @@ def test_planted_deficit_past_the_probe_raises(monkeypatch, p, s, probe, later, 
 
 @pytest.mark.parametrize("n_c", [1, 3, 15])
 def test_engines_build_u_once_per_call(monkeypatch, n_c):
-    """Both engines build u = g^(q^k) - g once per call, whatever the number
-    of c (those of GF(4)*, repeated), and prop2_check and prop4_check decide
-    h and every f_d from one u.  u + c*x is marked once per c (a one-row
-    _hits call; the 4 trace fibres' probes are one 4-row table): by f calls
-    and the transform checks for every c, as each c's mask gives both h's
-    verdict and the fibre deficits, and by h_verdicts for each c it
-    brute-forces."""
+    """Both engines build u = g^(q^k) - g once per call of pair_verdicts,
+    whatever the number of c (those of GF(4)*, repeated), and prop2_check
+    and prop4_check decide h and every f_d from one u; prop4_check builds
+    exactly one more, outside the engine, for h's table in its square.
+    u + c*x is marked once per c (a one-row _hits call; the 4 trace fibres'
+    probes are one 4-row table): by f calls and the transform checks for
+    every c, as each c's mask gives both h's verdict and the fibre
+    deficits, and by h_verdicts for each c it brute-forces."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     inside = sorted(f.subfield_indices(2) - {0})
     cs = [f.element_at(inside[i % len(inside)]) for i in range(n_c)]
-    calls, marked = [], []
-    real, real_hits = permcheck._log_order_u, permcheck._hits
+    calls, outside, marked, engine = [], [], [], []
+    real, real_hits, real_pv = permcheck._log_order_u, permcheck._hits, permcheck.pair_verdicts
+
+    def pair_verdicts(*args):
+        engine.append(args)
+        try:
+            return real_pv(*args)
+        finally:
+            engine.pop()
+
+    monkeypatch.setattr(permcheck, "pair_verdicts", pair_verdicts)
+    monkeypatch.setattr(transform, "pair_verdicts", pair_verdicts)
     monkeypatch.setattr(permcheck, "_log_order_u",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: (calls if engine else outside).append(args) or real(*args))
     monkeypatch.setattr(permcheck, "_hits", lambda bulk, T, lc: (
         T.shape[0] == 1 and marked.append(lc)) or real_hits(bulk, T, lc))
     rows = h_verdicts(g, 1, cs)
@@ -775,9 +804,9 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
     f_verdicts(g, 1, cs, range(f.order))
     assert len(calls) == 2 and len(marked) == 2 * n_c
     prop2_check(g, f.one, 1)
-    assert len(calls) == 3 and len(marked) == 2 * n_c + 1
+    assert len(calls) == 3 and len(marked) == 2 * n_c + 1 and not outside
     prop4_check(g)
-    assert len(calls) == 4 and len(marked) == 2 * n_c + 2
+    assert len(calls) == 4 and len(marked) == 2 * n_c + 2 and len(outside) == 1
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)

@@ -653,8 +653,8 @@ def test_prop4_f_results_match_per_delta_brute_force(p, n, qdeg, kind):
 def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
     """Anchored x^28 over GF(3^6) with q = 27: every f_delta permutes, so the
     engine evaluates f only at the probe of each of the 27 trace fibres, a
-    row of G_d = g(x^q - x + d) each, every probe once, and the commuting
-    square reads those same tables."""
+    row of G_d = g(x^q - x + d) each, every probe once, and scatters none
+    of them; the commuting square scatters h's table alone."""
     f = field(3, 6)
     g = make_gspec(f, [(f.one, 28)], qdeg=3)
     rows, scattered = [], []
@@ -667,8 +667,44 @@ def test_prop4_evaluates_f_once_per_trace_fibre(monkeypatch):
     assert rep.f_all_permute and rep.commutes_all and rep.deltas_exhaustive
     tr = f.bulk().trace(3)
     assert len(rows) == len(set(rows)) == len(set(tr[rows].tolist())) == 27
-    # h's table and each probe's table add c*x = x (log 0) as they scatter
-    assert scattered == [0] * 28
+    # h's table, for the square, adds c*x = x (log 0) as it scatters
+    assert scattered == [0]
+
+
+def _swapped(real, a, b):
+    """real with entries a and b of its result swapped."""
+    def corrupt(*args):
+        out = real(*args).copy()
+        out[[a, b]] = out[[b, a]]
+        return out
+    return corrupt
+
+
+@pytest.mark.parametrize("p, n, qdeg, e", [(3, 6, 3, 5), (3, 6, 3, 91), (3, 6, 3, 28),
+                                           (2, 10, 5, 5), (2, 10, 5, 91),
+                                           (5, 4, 2, 5), (5, 4, 2, 91)])
+@pytest.mark.parametrize("corrupted", ["g", "h", "u"])
+def test_a_corrupt_evaluator_breaks_the_square(monkeypatch, p, n, qdeg, e, corrupted):
+    """The square compares two evaluators of g: h's table from u, by exp
+    gathers of Frobenius, and f_delta's from g's direct powers over the
+    field.  Swapping the entries at 0 and gamma of either table, g's ("g")
+    or h's ("h"), makes commutes_all False; swapping two of u ("u"),
+    which the engine reads too, makes commutes_all False or the engine
+    raise.  Anchored x^28 over GF(3^6) maps into GF(27), where the square
+    holds for every g table and u is 0, so swapping g's or u's entries
+    keeps it True."""
+    f = field(p, n)
+    g = make_gspec(f, [(f.one, e)], qdeg=qdeg)
+    assert prop4_check(g).commutes_all
+    module, name = {"g": (transform, "_eval_terms_all"), "h": (transform, "evaluate_all"),
+                    "u": (permcheck, "_log_order_u")}[corrupted]
+    monkeypatch.setattr(module, name, _swapped(getattr(module, name), 0, f.bulk().exp[1]))
+    try:
+        commutes = prop4_check(g).commutes_all
+    except RuntimeError:
+        assert corrupted == "u" and e != 28
+        return
+    assert commutes == (corrupted != "h" and e == 28)
 
 
 @pytest.mark.parametrize("p, s, h_tables", [(7, 19, 0), (3, 2, 1)])
