@@ -7,6 +7,12 @@ set, and the (p, k) parameters it applies to.  Entry ids (thm5, lem15-3,
 table1-r9, ...) are the stable public vocabulary used by the CLI and the
 reports.
 
+Each shift-form family built on a trinomial it cites (thm11-thm14 on thm5,
+thm6, thm7, thm10; thm18-* on lem15-*/lem16-*) is derived from that entry: it
+shares the trinomial's applicability gate, exponent rules, shape and steps,
+and carries only its own coefficient condition and notes.  The table1 rows
+cite trinomials too but state their own residue-route exponents.
+
 Fractional exponents follow the canonical rewrite s = i*(q - 1) + 1 with i
 taken modulo q + 1: canonical_exponent() resolves i given as a fraction by
 modular inversion of the denominator.  Families printed with a closed
@@ -17,11 +23,11 @@ against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .ffcore import Element, FieldCtx, prime_power
+from .ffcore import DEFAULT_SIZE_CAP, Element, FieldCtx, prime_power
 from .permcheck import FnSpec, compose_f, compose_h, make_gspec, reduce_exponent
 
 __all__ = [
@@ -100,12 +106,13 @@ def _omega_cached(fld: FieldCtx, sub_deg: int) -> frozenset[Element]:
 class CoeffCondition:
     """Admissibility predicate for the linear coefficient c.
 
-    kind:   trivial | fixed | cube_unity | power_unity | omega | subfield
+    kind:   fixed | power_unity | omega | subfield
     domain: "field*"  nonzero elements of the whole field
             "base*"   nonzero elements of GF(q)
-    power_unity checks (sign*base / c)^exp = 1; subfield checks membership of
-    GF(p^sub_deg) with c != 0; omega checks membership of the Omega set of
-    GF(q); fixed compares against a prime-field constant.
+    power_unity checks (sign*base / c)^exp = 1 (c^exp = 1 at base = sign = 1);
+    subfield checks membership of GF(p^sub_deg) with c != 0; omega checks
+    membership of the Omega set of GF(q); fixed compares against a
+    prime-field constant (c = 1 at value = 1).
     """
 
     kind: str
@@ -117,12 +124,8 @@ class CoeffCondition:
     value: int = 0
 
     def describe(self) -> str:
-        if self.kind == "trivial":
-            return "c = 1"
         if self.kind == "fixed":
             return f"c = {self.value}"
-        if self.kind == "cube_unity":
-            return "c^3 = 1"
         if self.kind == "power_unity":
             if self.base == 1 and self.sign == 1:
                 return f"c^{self.exp} = 1"
@@ -137,12 +140,8 @@ class CoeffCondition:
     def holds(self, fld: FieldCtx, qdeg: int, c: Element) -> bool:
         if c.index == 0:
             return False
-        if self.kind == "trivial":
-            return c.index == 1
         if self.kind == "fixed":
             return c == fld.scalar(self.value)
-        if self.kind == "cube_unity":
-            return fld.pow(c, 3).index == 1
         if self.kind == "power_unity":
             t = fld.div(fld.scalar(self.sign * self.base), c)
             return fld.pow(t, self.exp).index == 1
@@ -166,20 +165,15 @@ class CoeffCondition:
             dom = None
         else:
             raise ValueError(f"unknown coefficient domain {self.domain!r}")
-        if self.kind == "trivial":
-            pool = [1]
-        elif self.kind == "fixed":
+        if self.kind == "fixed":
             pool = [fld.scalar(self.value).index]
-        elif self.kind == "cube_unity":
-            d = math.gcd(3, fld.order - 1)
-            pool = [e.index for e in fld.mu_subgroup(d)]
         elif self.kind == "power_unity":
             # (a/c)^exp = 1  <=>  c = a/u for a root of unity u of order d
             d = math.gcd(self.exp, fld.order - 1)
             a = fld.scalar(self.sign * self.base)
             pool = [fld.div(a, u).index for u in fld.mu_subgroup(d)]
         elif self.kind == "omega":
-            pool = [e.index for e in _omega_cached(fld, self.sub_deg or qdeg)]
+            pool = [e.index for e in _omega_cached(fld, qdeg)]
         elif self.kind == "subfield":
             pool = [i for i in fld.subfield_indices(self.sub_deg) if i]
         else:
@@ -222,8 +216,8 @@ class FamilySpec:
         return fld.n // self.m
 
 
-def _trivial(q, k, kp):
-    return CoeffCondition("trivial")
+def _cond_one(q, k, kp):
+    return CoeffCondition("fixed", value=1)
 
 
 def _is_odd(p, k, kp):
@@ -272,7 +266,8 @@ def _cond_thm12(q, k, kp):
 
 
 def _cond_cube(domain):
-    return lambda q, k, kp: CoeffCondition("cube_unity", domain=domain)
+    return lambda q, k, kp: CoeffCondition("power_unity", domain=domain,
+                                           base=1, sign=1, exp=3)
 
 
 def _cond_power_q13(q, k, kp):
@@ -300,8 +295,8 @@ def _cond_sub_gcd(q, k, kp):
 
 def _cond_lem15_1(q, k, kp):
     if k % 2 == 0:
-        return CoeffCondition("trivial")
-    return CoeffCondition("cube_unity")
+        return _cond_one(q, k, kp)
+    return _cond_cube("field*")(q, k, kp)
 
 
 def _s_canonical(num_den):
@@ -342,7 +337,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         s_desc="s = (q^2 + q + 1)/3",
         applies=_q13,
         s_rules=(("s", lambda q, kp: (q * q + q + 1) // 3),),
-        conds=(("", _trivial),),
+        conds=(("", _cond_one),),
         cross=("thm13",)))
     fams.append(FamilySpec(
         fid="thm10", form="trinomial", shape="quartic",
@@ -350,48 +345,28 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         s_desc="s = q^3 + q^2 - q",
         applies=_is_odd,
         s_rules=(("s", lambda q, kp: q**3 + q * q - q),),
-        conds=(("", _trivial),),
+        conds=(("", _cond_one),),
         steps=(2,),
         cross=("thm14",)))
 
     # ---- delta forms derived from the above, odd characteristic -----------
-    fams.append(FamilySpec(
-        fid="thm11", form="delta_form", shape="square",
-        applies_desc="q odd, q = 1 or 5 (mod 8)",
-        s_desc="s = (3q^2 + 2q - 1)/4",
-        applies=_q18,
-        s_rules=(("s", lambda q, kp: (3 * q * q + 2 * q - 1) // 4),),
-        conds=(("", _cond_thm11),),
-        cross=("thm5",),
-        notes="c = -2 for q = 1 (mod 8), c = 2 for q = 5 (mod 8)"))
-    fams.append(FamilySpec(
-        fid="thm12", form="delta_form", shape="square",
-        applies_desc="q odd, q = 1 or 5 (mod 8)",
-        s_desc="s = (q + 1)^2 / 4",
-        applies=_q18,
-        s_rules=(("s", lambda q, kp: (q + 1) ** 2 // 4),),
-        conds=(("", _cond_thm12),),
-        cross=("thm6",),
-        notes="c = 2 for q = 1 (mod 8), c = -2 for q = 5 (mod 8)"))
-    fams.append(FamilySpec(
-        fid="thm13", form="delta_form", shape="square",
-        applies_desc="q = 1 (mod 3)",
-        s_desc="s = (q^2 + q + 1)/3",
-        applies=_q13,
-        s_rules=(("s", lambda q, kp: (q * q + q + 1) // 3),),
-        conds=(("", _trivial),),
-        cross=("thm7",)))
-    fams.append(FamilySpec(
-        fid="thm14", form="delta_form", shape="quartic",
-        applies_desc="q odd",
-        s_desc="s = q^3 + q^2 - q",
-        applies=_is_odd,
-        s_rules=(("s", lambda q, kp: q**3 + q * q - q),),
-        conds=(("", _trivial),),
-        steps=(2, 1),
-        cross=("thm10",),
-        notes="printed with inner step q; the composition route from thm10 "
-              "dictates inner step q^2, so both variants are verified"))
+    def derive(fid, base_id, cond, note, steps=None):
+        """The shift form (x^(q^k) - x + delta)^s + c*x built from trinomial
+        base_id: its gate, exponent rules, shape and steps, its own c rule."""
+        base = next(f for f in fams if f.fid == base_id)
+        fams.append(replace(
+            base, fid=fid, form="delta_form", conds=(("", cond),),
+            steps=steps or base.steps, notes=note,
+            cross=(base_id,) + tuple(c for c in base.cross if c.startswith("table1"))))
+
+    derive("thm11", "thm5", _cond_thm11,
+           "c = -2 for q = 1 (mod 8), c = 2 for q = 5 (mod 8)")
+    derive("thm12", "thm6", _cond_thm12,
+           "c = 2 for q = 1 (mod 8), c = -2 for q = 5 (mod 8)")
+    derive("thm13", "thm7", _cond_one, "")
+    derive("thm14", "thm10", _cond_one,
+           "printed with inner step q; the composition route from thm10 "
+           "dictates inner step q^2, so both variants are verified", steps=(2, 1))
 
     # ---- known even-characteristic trinomials over GF(2^(2k)) -------------
     def _ipair_const(num, den):
@@ -436,7 +411,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         applies_desc="q = 2^k", s_desc="s = (q + 6)/7",
         applies=_even("any"),
         s_rules=(("s", lambda q, kp: modular_fraction(q + 6, 7, q * q - 1)),),
-        conds=(("", _trivial),),
+        conds=(("", _cond_one),),
         i_pairs=(("i=1/7", _ipair_const(1, 7)),),
         cross=("thm18-5", "table1-r8")))
     fams.append(FamilySpec(
@@ -452,7 +427,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         applies_desc="q = 2^k, k even", s_desc="s = (q^2 - 2q + 4)/3",
         applies=_even("even"),
         s_rules=(("s", lambda q, kp: (q * q - 2 * q + 4) // 3),),
-        conds=(("", _trivial),),
+        conds=(("", _cond_one),),
         i_pairs=(("i=(q-1)/3", lambda q, kp: ((q - 1) // 3, 1)),),
         cross=("thm18-7", "table1-r10")))
     fams.append(FamilySpec(
@@ -493,33 +468,19 @@ def _build_registry() -> tuple[FamilySpec, ...]:
               "and this case does not: the companion-map inverse divides by c"))
 
     # ---- even-characteristic delta forms (coefficients in GF(q)) ----------
-    lem_by_id = {f.fid: f for f in fams}
-    delta_map = [
-        ("thm18-1", "lem15-1", _trivial, "c = 1 for every k"),
-        ("thm18-2", "lem15-2",
-         _cond_cube("base*"), "c in GF(q) with c^3 = 1"),
-        ("thm18-3", "lem15-3", _trivial, ""),
-        ("thm18-4", "lem15-4", _cond_omega, ""),
-        ("thm18-5", "lem15-5", _trivial, ""),
-        ("thm18-6", "lem15-6", _trivial,
-         "kept at c = 1; table1-r9 carries the wider unity variant"),
-        ("thm18-7", "lem15-7", _trivial, ""),
-        ("thm18-8", "lem15-8", _cond_sub_half, ""),
-        ("thm18-9", "lem16-1", _cond_sub_gcd,
-         "c = 0 is rejected: the companion-map inverse divides by c"),
-        ("thm18-10", "lem16-2", _cond_sub_gcd,
-         "c = 0 is rejected: the companion-map inverse divides by c"),
-    ]
-    for fid, base_id, cond, note in delta_map:
-        base = lem_by_id[base_id]
-        fams.append(FamilySpec(
-            fid=fid, form="delta_form", shape="square",
-            applies_desc=base.applies_desc, s_desc=base.s_desc,
-            applies=base.applies, s_rules=base.s_rules,
-            conds=(("", cond),), i_pairs=base.i_pairs,
-            uses_kprime=base.uses_kprime,
-            cross=(base_id,) + tuple(c for c in base.cross if c.startswith("table1")),
-            notes=note))
+    derive("thm18-1", "lem15-1", _cond_one, "c = 1 for every k")
+    derive("thm18-2", "lem15-2", _cond_cube("base*"), "c in GF(q) with c^3 = 1")
+    derive("thm18-3", "lem15-3", _cond_one, "")
+    derive("thm18-4", "lem15-4", _cond_omega, "")
+    derive("thm18-5", "lem15-5", _cond_one, "")
+    derive("thm18-6", "lem15-6", _cond_one,
+           "kept at c = 1; table1-r9 carries the wider unity variant")
+    derive("thm18-7", "lem15-7", _cond_one, "")
+    derive("thm18-8", "lem15-8", _cond_sub_half, "")
+    derive("thm18-9", "lem16-1", _cond_sub_gcd,
+           "c = 0 is rejected: the companion-map inverse divides by c")
+    derive("thm18-10", "lem16-2", _cond_sub_gcd,
+           "c = 0 is rejected: the companion-map inverse divides by c")
 
     # ---- consolidated delta-form table over GF(2^(2k)) ---------------------
     def row(fid, adesc, applies, ivars, conds, uses_kp=False, cross=(), notes=""):
@@ -532,19 +493,19 @@ def _build_registry() -> tuple[FamilySpec, ...]:
 
     row("table1-r1", "k even", _even("even"),
         (("i=2", _ipair_const(2, 1)), ("i=-1", _ipair_const(-1, 1))),
-        (("", _trivial),), cross=("lem15-1", "thm18-1"))
+        (("", _cond_one),), cross=("lem15-1", "thm18-1"))
     row("table1-r2", "any k", _even("any"),
         (("i=0", _ipair_const(0, 1)), ("i=1", _ipair_const(1, 1))),
-        (("", _trivial),))
+        (("", _cond_one),))
     row("table1-r3", "any k", _even("any"),
         (("i=1/2", _ipair_const(1, 2)),),
-        (("", _trivial),))
+        (("", _cond_one),))
     row("table1-r4", "k even", _even("even"),
         (("i=1/3", _ipair_const(1, 3)), ("i=2/3", _ipair_const(2, 3))),
-        (("", _trivial),))
+        (("", _cond_one),))
     row("table1-r5", "k odd", _even("odd"),
         (("i=1/5", _ipair_const(1, 5)), ("i=4/5", _ipair_const(4, 5))),
-        (("", _trivial),), cross=("lem15-3", "thm18-3"))
+        (("", _cond_one),), cross=("lem15-3", "thm18-3"))
     row("table1-r6", "any k", _even("any"),
         (("i=1/4", _ipair_const(1, 4)), ("i=3/4", _ipair_const(3, 4))),
         (("", _cond_omega),), cross=("lem15-4", "thm18-4"))
@@ -554,14 +515,14 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         (("", _cond_cube("base*")),), cross=("lem15-2", "thm18-2"))
     row("table1-r8", "any k", _even("any"),
         (("i=1/7", _ipair_const(1, 7)), ("i=6/7", _ipair_const(6, 7))),
-        (("", _trivial),), cross=("lem15-5", "thm18-5"),
+        (("", _cond_one),), cross=("lem15-5", "thm18-5"),
         notes="when 3 | k the residue route diverges from lem15-5's exact "
               "quotient and stops permuting; runs at such k fail with "
               "witnesses instead of silently swapping rules")
     row("table1-r9", "k odd", _even("odd"),
         (("i=(q+4)/6", lambda q, kp: ((q + 4) // 6, 1)),
          ("i=(2-q)/6", lambda q, kp: ((2 - q) // 6, 1))),
-        (("unity", _cond_power_q13_base), ("c=1", _trivial)),
+        (("unity", _cond_power_q13_base), ("c=1", _cond_one)),
         cross=("lem15-6", "thm18-6"),
         notes="the unity condition only holds within GF(q)*: cube roots of "
               "unity outside GF(q) satisfy c^((q+1)/3) = 1 yet break the "
@@ -569,7 +530,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
     row("table1-r10", "k even", _even("even"),
         (("i=(q-1)/3", lambda q, kp: ((q - 1) // 3, 1)),
          ("i=(4-q)/3", lambda q, kp: ((4 - q) // 3, 1))),
-        (("", _trivial),), cross=("lem15-7", "thm18-7"))
+        (("", _cond_one),), cross=("lem15-7", "thm18-7"))
     row("table1-r11", "k even", _even("even"),
         (("i=(Q+1)/2", lambda q, kp: (_half_q(q) + 1, 2)),
          ("i=(1-Q)/2", lambda q, kp: (1 - _half_q(q), 2))),
@@ -612,11 +573,13 @@ def applicable(fid: str, p: int, k: int, kprime: int = 1) -> bool:
     return bool(fam.applies(p, k, kprime))
 
 
-def _field_params(fam: FamilySpec, fld: FieldCtx) -> tuple[int, int]:
-    """(q, k) of the field under the family's shape, after applicability check."""
+def _field_params(fam: FamilySpec, fld: FieldCtx, kprime: int) -> tuple[int, int]:
+    """(q, k) of the field under the family's shape; InapplicableError when
+    the family is not defined there."""
     qdeg = fam.qdeg_for(fld)
-    q = fld.p**qdeg
-    return q, qdeg
+    if not fam.applies(fld.p, qdeg, kprime):
+        raise InapplicableError(f"{fam.fid} does not apply at q = {fld.p}^{qdeg}")
+    return fld.p**qdeg, qdeg
 
 
 def valid_coefficients(fid: str, fld: FieldCtx, kprime: int = 1,
@@ -625,9 +588,7 @@ def valid_coefficients(fid: str, fld: FieldCtx, kprime: int = 1,
     the condition's structural pool, each c checked pointwise by holds().
     A c that fails the check raises RuntimeError: the two routes disagree."""
     fam = lookup(fid)
-    q, qdeg = _field_params(fam, fld)
-    if not fam.applies(fld.p, qdeg, kprime):
-        raise InapplicableError(f"{fid} does not apply at q = {fld.p}^{qdeg}")
+    q, qdeg = _field_params(fam, fld, kprime)
     tag, rule = fam.conds[cond_variant]
     cond = rule(q, qdeg, kprime)
     cs = cond.candidates(fld, qdeg)
@@ -657,9 +618,7 @@ def instantiate(fid: str, fld: FieldCtx, c: Element, delta: Optional[Element] = 
     Frobenius-step variants (primary first).
     """
     fam = lookup(fid)
-    q, qdeg = _field_params(fam, fld)
-    if not fam.applies(fld.p, qdeg, kprime):
-        raise InapplicableError(f"{fid} does not apply at q = {fld.p}^{qdeg}")
+    q, qdeg = _field_params(fam, fld, kprime)
     cond = fam.conds[cond_variant][1](q, qdeg, kprime)
     if not cond.holds(fld, qdeg, c):
         raise ValueError(f"coefficient {c!r} violates {fid} condition {cond.describe()}")
@@ -678,7 +637,7 @@ def instantiate(fid: str, fld: FieldCtx, c: Element, delta: Optional[Element] = 
     return compose_f(g, c, step, delta)
 
 
-def default_parameters(fid: str, count: int = 2, cap: int = 1 << 22,
+def default_parameters(fid: str, count: int = 2, cap: int = DEFAULT_SIZE_CAP,
                        kprime: int = 1) -> list[tuple[int, int]]:
     """Smallest `count` applicable (p, k) pairs with field order within cap."""
     fam = lookup(fid)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from permlab.ffcore import FieldCtx
+from permlab.ffcore import FieldCtx, prime_power
 from permlab.families import (
     InapplicableError,
     applicable,
@@ -304,7 +304,21 @@ def test_dual_route_condition_filtering():
         ("table1-r9", field(2, 2), 1),     # the c = 1 variant
         ("table1-r11", field(2, 4), 0),    # subfield GF(2^(k/2))
         ("lem15-4", field(2, 4), 0),
+        ("lem15-1", field(2, 2), 0),       # cube roots over the whole field
+        ("lem15-1", field(2, 6), 0),
+        ("lem15-2", field(2, 4), 0),
+        ("lem15-3", field(2, 6), 0),
+        ("thm7", field(7, 2), 0),          # c = 1
+        ("thm18-1", field(2, 4), 0),
     ]
+    pinned = {
+        ("lem15-1", 4): [1, 2, 3],
+        ("lem15-1", 64): [1, 58, 59],
+        ("lem15-2", 16): [1, 6, 7],
+        ("lem15-3", 64): [1, 58, 59],
+        ("thm7", 49): [1],
+        ("thm18-1", 16): [1],
+    }
     for fid, fld, ci in cases:
         fam = lookup(fid)
         qdeg = fam.qdeg_for(fld)
@@ -317,8 +331,9 @@ def test_dual_route_condition_filtering():
             if c.index and (cond.domain == "field*" or c.index in base)
             and cond.holds(fld, qdeg, c)
         }
-        got = {c.index for c in valid_coefficients(fid, fld, cond_variant=ci)}
-        assert got == brute, (fid, ci)
+        got = [c.index for c in valid_coefficients(fid, fld, cond_variant=ci)]
+        assert set(got) == brute, (fid, ci)
+        assert got == pinned.get((fid, fld.order), got), (fid, fld.order)
 
 
 def test_pool_outside_the_condition_raises_and_exits_4(tmp_path, monkeypatch, capsys):
@@ -442,6 +457,44 @@ def test_manifest_is_serializable_and_complete():
     assert by_id["table1-r9"]["conditions"] == ["unity", "c=1"]
     assert by_id["thm18-9"]["notes"]    # the c = 0 exclusion is flagged
     assert by_id["lem16-1"]["uses_kprime"]
+
+
+def test_shift_forms_share_their_trinomial_rules():
+    """thm11-thm14 and thm18-* are the shift forms built on the trinomial
+    each cites first: same gate, exponents, shape, descriptions and i_pairs
+    at every q with q^m <= 2^16 (k' = 1, 2, 3 where used), and the same
+    steps except thm14's extra step-1 variant.  The table1 rows also cite
+    trinomials but carry their own residue-route rules, so they are not
+    selected."""
+    derived = ["thm11", "thm12", "thm13", "thm14"] + [f"thm18-{i}" for i in range(1, 11)]
+    compared = 0
+    for fid in derived:
+        fam = lookup(fid)
+        base = lookup(fam.cross[0])
+        assert (fam.form, base.form) == ("delta_form", "trinomial"), fid
+        assert (fam.shape, fam.s_desc, fam.applies_desc, fam.i_pairs, fam.uses_kprime) == (
+            base.shape, base.s_desc, base.applies_desc, base.i_pairs, base.uses_kprime), fid
+        assert fam.steps == ((2, 1) if fid == "thm14" else base.steps), fid
+        assert len(fam.s_rules) == len(base.s_rules), fid
+        for q in range(2, 1 << 16):
+            if q**fam.m > 1 << 16:
+                break
+            try:
+                p, k = prime_power(q)
+            except ValueError:
+                continue
+            for kp in ((1, 2, 3) if fam.uses_kprime else (1,)):
+                assert fam.applies(p, k, kp) == base.applies(p, k, kp), (fid, q, kp)
+                if not fam.applies(p, k, kp):
+                    continue
+                compared += 1
+                for v in range(len(fam.s_rules)):
+                    assert (resolve_exponent(fid, q, kp, v)
+                            == resolve_exponent(base.fid, q, kp, v)), (fid, q, kp, v)
+    assert compared == 179
+    for fid, base_id in [("thm11", "thm5"), ("thm12", "thm6"),
+                         ("thm13", "thm7"), ("thm14", "thm10")]:
+        assert lookup(fid).s_rules is lookup(base_id).s_rules
 
 
 def test_lem16_matches_table_rows():
