@@ -20,13 +20,21 @@ recompute it.
 The engine works in log order: position 0 is x = 0 and position 1+t is
 x = gamma^t for the field generator gamma.  c*x at gamma^t is
 exp[log c + t], the exp table rolled by log c, so a block of it is a
-contiguous slice (_cx_block), and both sides of the pair are a log-order
-table plus c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
+contiguous slice, and both sides of the pair are a log-order table plus
+c*x: h = u + c*x with u = g^(q^k) - g, and f_d = G_d + c*x with
 G_d(x) = g(x^(q^k) - x + d).  One kernel serves both: _hits marks the
 values that each row of a table plus c*x takes, and _index_order scatters
 one row plus c*x into element-index order.  u is exp gathers alone, as
 Frobenius is additive (_log_order_u), and evaluate_all's h side is u
-scattered by _index_order.
+scattered by _index_order.  u at gamma^t depends on t only through e*t
+mod order-1 for the exponents e of g, so it is periodic with period
+P = (order-1)/D, D = gcd(order-1, every e), and it is built over one
+period only: position 0, then W positions, W the smallest multiple of P
+that is at least min(BLOCK, order-1).  Both readers take position 1+t at
+1 + t mod W.  As W >= BLOCK or W = order-1, a block of positions wraps
+round W at most once, as a block of c*x wraps round the exp table, and
+one helper (_cyclic) makes both reads.  W = order-1 where D = 1 or the
+field has at most BLOCK + 1 points, and G_d's rows always span the field.
 
 One engine, pair_verdicts, decides both sides for a list of c: it builds u
 once, and for each c marks the values of u + c*x once.  h permutes where
@@ -317,32 +325,46 @@ DELTA_EXHAUSTIVE_CAP = 1 << 14
 
 
 def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
-    """u = g^(p^pstep) - g in log order: u[0] = u(0), u[1+t] = u(gamma^t)
-    for the field generator gamma.  Frobenius is additive, so a term a*x^e
-    of g adds exp[F*L] - exp[L] at gamma^t, L = log a + e*t mod order-1 and
-    F = p^pstep: two exp gathers per term, no log gather, no zero masks.  A
-    constant term adds u(0) everywhere.  Built BLOCK positions at a
-    time, so no temporary is as large as u, and u is int32 like the tables
-    (the exponent arithmetic stays int64: e*t and F*L pass 2^31).  No
-    division in the loop: the ramps e*t and F*e*t mod order-1 are made once,
-    each block adds its reduced offsets log a + lo*e and F times that, and
-    take's wrap mode reduces the sums, which are below 2*(order-1)."""
+    """u = g^(p^pstep) - g in log order over one period: u[0] = u(0), and
+    u[1+t] = u(gamma^t) for the field generator gamma and 0 <= t < W.  u at
+    gamma^t depends on t only through e*t mod order-1 for the exponents e
+    of g, so it has period P = (order-1)/D, D = gcd(order-1, every e), and
+    W is the smallest multiple of P that is at least min(BLOCK, order-1): a
+    reader takes position 1+t at 1 + t mod W (_cyclic), so a block of at
+    most BLOCK positions wraps round W at most once.  W = order-1 where
+    D = 1 or order-1 <= BLOCK.
+
+    Frobenius is additive, so a term a*x^e of g adds exp[F*L] - exp[L] at
+    gamma^t, L = log a + e*t mod order-1 and F = p^pstep: two exp gathers
+    per term, no log gather, no zero masks.  A constant term adds u(0)
+    everywhere.  Built BLOCK positions at a time, so no temporary is as
+    large as u, and u is int32 like the tables (the exponent arithmetic
+    stays int64: e*t and F*L pass 2^31).  No division in the loop: the
+    ramps e*t and F*e*t mod order-1 are made once, each block adds its
+    reduced offsets log a + lo*e and F times that, and take's wrap mode
+    reduces the sums, which are below 2*(order-1)."""
     bulk = field.bulk()
     M = field.order - 1
     F = pow(field.p, pstep, M)
+    P = M // math.gcd(M, *(e for _, e in terms))
+    W = -(-min(BLOCK, M) // P) * P
     # g(0) is the constant term's coefficient; merged terms hold at most one
     g0 = field.element_at(sum(ci for ci, e in terms if e == 0))
     u0 = field.sub(field.frobenius(g0, pstep), g0).index
-    u = np.empty(field.order, dtype=np.int32)
+    u = np.empty(1 + W, dtype=np.int32)
     u[0] = u0
-    ts = np.arange(min(M, BLOCK), dtype=np.int64)
-    ramps = [(bulk.log.item(ci), e, ts * e % M) for ci, e in terms if e]
+    ramps = []
+    for ci, e in terms:
+        if e:
+            et = np.arange(min(W, BLOCK), dtype=np.int64)
+            et *= e
+            et %= M
+            ramps.append((bulk.log.item(ci), e, et, et * F % M))
     if not ramps:
         u[1:] = u0
         return u
-    ramps = [(lc, e, et, et * F % M) for lc, e, et in ramps]
-    for lo in range(0, M, BLOCK):
-        n = min(M, lo + BLOCK) - lo
+    for lo in range(0, W, BLOCK):
+        n = min(W, lo + BLOCK) - lo
         acc = None
         for lc, e, et, fet in ramps:
             off = (lc + lo * e) % M
@@ -353,23 +375,31 @@ def _log_order_u(field: FieldCtx, terms, pstep: int) -> np.ndarray:
     return u
 
 
-def _cx_block(bulk, lc: int, lo: int, hi: int) -> np.ndarray:
-    """c*x at gamma^lo .. gamma^(hi-1) for c = gamma^lc: c*x at gamma^t is
-    exp[lc + t], so this is a contiguous slice of the exp table rolled by
-    lc, wrapping at most once round it."""
-    M = bulk.Q - 1
-    a = (lc + lo) % M
-    b = a + hi - lo
-    return bulk.exp[a:b] if b <= M else np.concatenate((bulk.exp[a:], bulk.exp[:b - M]))
+def _cyclic(table: np.ndarray, a: int, n: int) -> np.ndarray:
+    """n entries along the last axis of the cyclic table from position a,
+    for 0 <= a < W and n <= W, W its length: a slice, or two joined where
+    they wrap round W (at most once).  c*x at gamma^t is exp[lc + t] for
+    c = gamma^lc, the exp table rolled by lc, and a log-order row holds
+    position 1+t at 1 + t mod W (_log_order_u), so a block of either is
+    such a read."""
+    W = table.shape[-1]
+    b = a + n
+    if b <= W:
+        return table[..., a:b]
+    return np.concatenate((table[..., a:], table[..., :b - W]), axis=-1)
 
 
 def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
     """One bool mask per row of the 2-D log-order table T: the values that
-    row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  The columns
-    go in blocks of at most BLOCK elements, and row r marks its values at
+    row plus c*x takes, c = gamma^lc (c*0 = 0 at position 0).  T holds
+    position 0 and one period of W positions, read at 1 + t mod W
+    (_log_order_u; W = order-1 for G_d's rows), so Q is the field's, not
+    T's width.  The columns go in blocks of at most BLOCK elements, each
+    wrapping round W at most once, and row r marks its values at
     r*Q + value through an int64 index (an int32 one scatters through
     numpy's slower casting path)."""
-    rows, Q = T.shape
+    rows, W = T.shape[0], T.shape[1] - 1
+    Q = bulk.Q
     M = Q - 1
     hits = np.zeros((rows, Q), dtype=bool)
     flat = hits.reshape(-1)
@@ -377,24 +407,26 @@ def _hits(bulk, T: np.ndarray, lc: int) -> np.ndarray:
     flat[T[:, 0] + off] = True
     step = max(1, BLOCK // rows)
     for lo in range(0, M, step):
-        hi = min(M, lo + step)
-        v = bulk.add(T[:, 1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
+        n = min(M, lo + step) - lo
+        v = bulk.add(_cyclic(T[:, 1:], lo % W, n), _cyclic(bulk.exp, (lc + lo) % M, n))
         flat[v + off[:, None]] = True
     return hits
 
 
 def _index_order(bulk, row: np.ndarray, lc: int) -> np.ndarray:
     """The value table of row + c*x, c = gamma^lc, in element-index order,
-    for the 1-D log-order table row: its blocks scattered through exp.
-    The index and the values are int64, as a scatter that casts either is
+    for the 1-D log-order table row of position 0 and one period, read at
+    1 + t mod W as _hits reads it: its blocks scattered through exp.  The
+    index and the values are int64, as a scatter that casts either is
     slower."""
     M = bulk.Q - 1
+    W = row.size - 1
     out = np.empty(bulk.Q, dtype=np.int64)
     out[0] = row[0]
     for lo in range(0, M, BLOCK):
-        hi = min(M, lo + BLOCK)
-        v = bulk.add(row[1 + lo:1 + hi], _cx_block(bulk, lc, lo, hi))
-        out[bulk.exp[lo:hi].astype(np.int64)] = v.astype(np.int64, copy=False)
+        n = min(M, lo + BLOCK) - lo
+        v = bulk.add(_cyclic(row[1:], lo % W, n), _cyclic(bulk.exp, (lc + lo) % M, n))
+        out[bulk.exp[lo:lo + n].astype(np.int64)] = v.astype(np.int64, copy=False)
     return out
 
 

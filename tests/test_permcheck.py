@@ -1046,7 +1046,7 @@ def test_h_verdicts_witness_at_the_cap_matches_scalar_oracle():
 
 def test_log_order_u_memory_stays_bounded():
     """u over GF(2^16) is int32, like the tables, and built in blocks: the
-    traced peak (0.9 MB now against 0.25 MB for u) stays under 1.5 MB,
+    traced peak (1.1 MB now against 0.25 MB for u) stays under 1.5 MB,
     where building it whole adds five whole-field temporaries (3.7 MB)."""
     f = field(2, 16)
     g = make_gspec(f, [(f.one, 255), (f.element_at(3), 1), (f.element_at(5), 0)], 8)
@@ -1061,21 +1061,121 @@ def test_log_order_u_memory_stays_bounded():
     assert peak < 1.5 * 2**20, peak
 
 
+def test_one_period_u_memory_stays_bounded():
+    """x^1023 over GF(2^18) has D = gcd(2^18 - 1, 1023) = 3, so u holds
+    position 0 and one period, 1 + (2^18 - 1)/3 int32 entries.  The traced
+    peak of building it (0.94 MB now) stays under u plus five int64 blocks
+    (the term's two ramps, a block's gather index, its gathers and their
+    difference: 0.99 MB), below the 1 MB that u over the whole field takes
+    alone; building the whole field peaked at 1.77 MB."""
+    f = field(2, 18)
+    g = make_gspec(f, [(f.one, 1023)], 9)
+    f.bulk()
+    tracemalloc.start()
+    try:
+        u = permcheck._log_order_u(f, g.terms, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.dtype == np.int32 and u.size == 1 + (f.order - 1) // 3
+    assert peak < u.nbytes + 5 * 8 * permcheck.BLOCK < 4 * f.order, peak
+
+
+def _period(f, g):
+    """u's period in log order: (order-1)/D, D = gcd(order-1, every exponent)."""
+    M = f.order - 1
+    return M // math.gcd(M, *(e for _, e in g.terms))
+
+
+def _unrolled(u, M):
+    """u at every position 0 .. M: position 1+t read at 1 + t mod W."""
+    return np.concatenate((u[:1], u[1:][np.arange(M) % (u.size - 1)]))
+
+
 @pytest.mark.parametrize("p, n, qdeg", [(2, 16, 8), (3, 10, 5), (7, 6, 3), (5, 8, 4)])
 def test_divide_free_log_order_u_equals_the_formula(p, n, qdeg):
-    """_log_order_u reduces its ramps once and gathers through take's wrap
-    mode; on fields of several blocks, with several terms and a constant
-    term, it equals the formula with two % per term and block."""
+    """_log_order_u reduces its ramps once, gathers through take's wrap
+    mode and builds one period; on fields of several blocks, with several
+    terms and a constant term, u read at 1 + t mod W at every t equals the
+    formula with two % per term and block over the whole field.  W is the
+    least multiple of the period P that is at least BLOCK; the exponent
+    sets give P = order-1 or another P >= BLOCK, a P < BLOCK (a binomial
+    x^(D*r), x^D with a constant term) and P = 1 (x^(order-1))."""
     f = field(p, n)
-    assert f.order > 2 * permcheck.BLOCK
+    M = f.order - 1
+    B = permcheck.BLOCK
+    assert M > 2 * B
     rng = random.Random(p * 100 + n)
-    terms = [(f.element_at(rng.randrange(1, f.order)), rng.randrange(1, 3 * f.order))
-             for _ in range(3)] + [(f.element_at(rng.randrange(2, f.order)), 0)]
-    for g in (make_gspec(f, terms, qdeg), make_gspec(f, terms[:1], qdeg)):
+    el = lambda: f.element_at(rng.randrange(1, f.order))  # noqa: E731
+    terms = [(el(), rng.randrange(1, 3 * f.order)) for _ in range(3)] + [
+        (f.element_at(rng.randrange(2, f.order)), 0)]
+    divs = [d for d in range(2, M + 1) if M % d == 0]
+    sets = [terms, terms[:1], [(f.one, M)], [(f.one, M), terms[-1]]]
+    sets += [[(el(), D * rng.randrange(1, 50)), (el(), D), terms[-1]]
+             for D in (divs[0], next(d for d in divs if M // d < B))]
+    periods = set()
+    for ts in sets:
+        g = make_gspec(f, ts, qdeg)
+        P = _period(f, g)
+        periods.add(P)
         for k in range(1, n // qdeg):
             u = permcheck._log_order_u(f, g.terms, qdeg * k)
+            W = u.size - 1
+            assert W % P == 0 and B <= W < B + P, (g.terms, W)
             want = log_order_u_by_division(f, g.terms, qdeg * k)
-            assert u.dtype == want.dtype and np.array_equal(u, want), (g.terms, k)
+            assert u.dtype == want.dtype and np.array_equal(_unrolled(u, M), want), (g.terms, k)
+    assert 1 in periods and any(1 < P < B for P in periods)
+    assert any(B <= P < M for P in periods)
+
+
+@pytest.mark.parametrize("p, n, qdeg, D", [(2, 16, 8, 3), (2, 16, 8, 5), (2, 16, 8, 255),
+                                           (3, 10, 5, 2), (3, 10, 5, 488),
+                                           (5, 8, 4, 3), (5, 8, 4, 1248)])
+def test_one_period_u_reads_wrap_like_the_whole_table(p, n, qdeg, D):
+    """On fields of several blocks, for g = x^(D*r) and a binomial with a
+    constant term whose exponents have gcd D with order-1 (the period P =
+    (order-1)/D is at least BLOCK or below it), each reader of the
+    one-period u agrees with a whole-field brute force at every point:
+    evaluate_all's h table against g's direct powers through Frobenius; h's
+    verdicts, and the first-collision witness of every failing c (read by
+    _index_order); the mask _hits marks, so _trace_deficits at every delta,
+    and brute-force deficits of f_d at a few deltas."""
+    f = field(p, n)
+    Q, M = f.order, f.order - 1
+    assert M % D == 0 and M > 2 * permcheck.BLOCK
+    rng = random.Random(p * 1000 + D)
+    bulk = f.bulk()
+    el = lambda: f.element_at(rng.randrange(1, Q))  # noqa: E731
+    r = next(r for r in range(rng.randrange(2, 50), M) if math.gcd(r, M // D) == 1)
+    gs = [make_gspec(f, [(f.one, D * r)], qdeg),
+          make_gspec(f, [(el(), D * rng.randrange(1, 50)), (el(), D), (el(), 0)], qdeg)]
+    q_elems = sorted(f.subfield_indices(qdeg) - {0})
+    cs = [f.one] + [f.element_at(rng.choice(q_elems)) for _ in range(2)]
+    deltas = np.array(rng.sample(range(Q), 3), dtype=np.int64)
+    failing = 0
+    for g in gs:
+        assert _period(f, g) == M // D
+        gx = permcheck._eval_terms_all(bulk, g.terms, bulk.xs)
+        y = bulk.sub(bulk.frob(gx, qdeg), gx)
+        u = permcheck._log_order_u(f, g.terms, qdeg)
+        assert u.size - 1 < M
+        for c, (v, _) in zip(cs, h_verdicts(g, 1, cs)):
+            want = bulk.add(y, bulk.mul_scalar(c.index, bulk.xs))
+            assert np.array_equal(evaluate_all(compose_h(g, c, 1)), want), (g.terms, c)
+            seen = np.bincount(want, minlength=Q) > 0
+            assert v.image_deficit == Q - np.count_nonzero(seen)
+            assert v.is_permutation == (v.image_deficit == 0)
+            if v.witness is not None:
+                failing += 1
+                assert tuple(e.index for e in v.witness) == first_collision(want)
+            hits = permcheck._hits(bulk, u[None, :], bulk.log.item(c.index))[0]
+            assert np.array_equal(hits, seen), (g.terms, c)
+            got = permcheck._trace_deficits(g, c, 1, hits, np.arange(Q))
+            assert np.array_equal(got, permcheck._trace_deficits(g, c, 1, seen, np.arange(Q)))
+            for d in deltas.tolist():
+                fd = is_permutation(compose_f(g, c, 1, f.element_at(d)))
+                assert got[d] == fd.image_deficit, (g.terms, c, d)
+    assert failing
 
 
 # ---------------------------------------------------------------------------
