@@ -198,7 +198,7 @@ def run_family_verification(fid: str, q: int, cfg: RunConfig) -> FamilyRun:
                 except RuntimeError as exc:     # the two routes disagree
                     raise RuntimeError(f"{fid} q={q} s={s_val}: {exc}") from exc
                 seconds = time.perf_counter() - t0
-                h_routes = {"mu": int(np.count_nonzero(h.mu)),
+                h_routes = {"mu": h.route.size if h.mu else 0,
                             "brute": int(np.count_nonzero(h.route == ROUTES.index("brute")))}
                 run.forms.append(Form(ctag or "default", stag, s_val, step,
                                       step != fam.steps[0], h if deltas is None else f,

@@ -734,7 +734,15 @@ def make_field(p: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
     return FieldCtx(p, n, cap)
 
 
-@lru_cache(maxsize=None)
 def get_field(p: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
-    """Cached make_field; contexts are immutable so sharing is safe."""
-    return make_field(p, n, cap)
+    """Cached make_field, one context per GF(p^n) whatever the cap; contexts
+    are immutable so sharing is safe.  A call whose p^n passes cap goes to
+    make_field uncached, which refuses it before building anything."""
+    if isinstance(p, int) and isinstance(n, int) and p**n > cap:
+        return make_field(p, n, cap)
+    return _cached_field(p, n)
+
+
+@lru_cache(maxsize=None)
+def _cached_field(p: int, n: int) -> FieldCtx:
+    return make_field(p, n, MAX_ORDER)

@@ -43,9 +43,9 @@ _first_collisions finds the first-collision witness.  Given deltas, the same
 mask gives every delta's image deficit by the lemma below, and a probe pass
 checks those deficits against brute force.  Each side comes back as one
 Verdicts: numpy columns of a row per instance, the f side c-major, written
-by array operations.  Its row view (h_verdicts, f_verdicts, transform's
-checks) is the only place a witness becomes Elements; verify and
-trinomial_hits read the columns.
+by array operations; verify, trinomial_hits and transform's checks read
+it directly, and Verdicts.rows is the only place a witness becomes
+Elements.
 
 The trace-fibre lemma ties the two sides together.  Let l = gcd(k, m), c
 in GF(q^l)*, phi_d(x) = x^(q^k) - x + d and Tr the relative trace of
@@ -118,8 +118,6 @@ __all__ = [
     "compose_f",
     "compose_h",
     "evaluate_all",
-    "f_verdicts",
-    "h_verdicts",
     "is_permutation",
     "lemma1_check",
     "make_fn_exponent_sum",
@@ -142,10 +140,8 @@ class FnSpec:
     side: str               # "g" (g alone), "h" or "f"
     terms: tuple = ()       # g as merged ((coeff index, exponent), ...)
     c: int = 0              # coefficient index of the linear term (h, f)
-    pstep: int = 0          # Frobenius iterations in p-units (= qdeg * kstep)
+    pstep: int = 0          # Frobenius step in p-units: x -> x^(p^pstep) = x^(q^k)
     delta: int = -1         # shift index (f), -1 when absent
-    qdeg: int = 0           # q = p^qdeg, recorded for reporting
-    kstep: int = 0          # Frobenius step in q-units, recorded for reporting
 
 
 @dataclass(frozen=True)
@@ -165,28 +161,29 @@ _BRUTE, _MU, _FIBRE, _PREFIX = range(len(ROUTES))
 class Verdicts:
     """One side of the companion pair as equal-length columns, a row per
     instance: permutes, image deficit, witness (a, b) as indices (-1 for
-    none), the deciding route's code, and whether the mu route ran too."""
+    none) and the deciding route's code; and mu, whether the mu route
+    decided every row too (the h side of a canonical g; never the f side)."""
 
     permutes: np.ndarray
     deficit: np.ndarray
     a: np.ndarray
     b: np.ndarray
     route: np.ndarray
-    mu: np.ndarray
+    mu: bool
 
     @classmethod
     def of(cls, deficit: np.ndarray, route: np.ndarray, mu: bool = False) -> Verdicts:
         """Rows of these deficits and route codes, with no witness yet."""
         n = deficit.size
-        return cls(deficit == 0, deficit, np.full(n, -1), np.full(n, -1), route, np.full(n, mu))
+        return cls(deficit == 0, deficit, np.full(n, -1), np.full(n, -1), route, mu)
 
-    def rows(self, field: FieldCtx) -> list[tuple[PermVerdict, str]]:
-        """(verdict, route name) per row: the one place a witness becomes
-        Elements of field, one per distinct point."""
+    def rows(self, field: FieldCtx) -> list[PermVerdict]:
+        """One verdict per row: the one place a witness becomes Elements of
+        field, one per distinct point."""
         a, b = self.a.tolist(), self.b.tolist()
         el = {x: field.element_at(x) for x in {*a, *b} - {-1}}
-        return [(_PERMUTES if x < 0 else PermVerdict(False, (el[x], el[y]), dfc), ROUTES[r])
-                for x, y, dfc, r in zip(a, b, self.deficit.tolist(), self.route.tolist())]
+        return [_PERMUTES if x < 0 else PermVerdict(False, (el[x], el[y]), dfc)
+                for x, y, dfc in zip(a, b, self.deficit.tolist())]
 
 
 def _resolve_view(field: FieldCtx, qdeg: Optional[int], k: int = 1) -> int:
@@ -255,7 +252,7 @@ def _companion(g: GSpec, side: str, c: Element, k: int, delta: int = -1) -> FnSp
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
     return FnSpec(field=g.field, side=side, terms=g.terms, c=c.index,
-                  pstep=g.qdeg * k, delta=delta, qdeg=g.qdeg, kstep=k)
+                  pstep=g.qdeg * k, delta=delta)
 
 
 def compose_h(g: GSpec, c: Element, k: int) -> FnSpec:
@@ -478,16 +475,14 @@ def _mu_verdicts(g: GSpec, k: int, c_idx) -> Optional[np.ndarray]:
     return _mu_permutes(bulk, q + 1, 1, H)
 
 
-def is_permutation(fn: FnSpec, outs: Optional[np.ndarray] = None) -> PermVerdict:
-    """Exhaustive scan: one bincount of the value table gives the image
-    deficit (order minus the number of values hit).  Only a failing map
-    pays for the witness search, and its witness is the first collision in
-    element-index order (smallest second preimage, then its earliest mate),
-    found by _first_collisions on prefixes of the table.  Pass outs to
-    reuse an already computed value table."""
+def is_permutation(fn: FnSpec) -> PermVerdict:
+    """Exhaustive scan: one bincount of fn's value table (evaluate_all)
+    gives the image deficit (order minus the number of values hit).  Only a
+    failing map pays for the witness search, and its witness is the first
+    collision in element-index order (smallest second preimage, then its
+    earliest mate), found by _first_collisions on prefixes of the table."""
     field = fn.field
-    if outs is None:
-        outs = evaluate_all(fn)
+    outs = evaluate_all(fn)
     Q = field.order
     deficit = Q - int(np.count_nonzero(np.bincount(outs, minlength=Q)))
     if deficit == 0:
@@ -538,8 +533,12 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     """The s in s_values (in their order) whose trinomial
     c*x - x^s + x^((q^k)*s) permutes the field, and how many full checks
     that took.  Exact: prefix_survivors drops the s whose map collides on
-    the prefix, and pair_verdicts decides every survivor."""
+    the prefix, and pair_verdicts decides every survivor.  An s that is a
+    multiple of order-1 raises ValueError before any screening."""
     s_arr = np.asarray(s_values, dtype=np.int64)
+    bad = s_arr[s_arr % (field.order - 1) == 0]
+    if bad.size:
+        _trinomial_g(field, bad.item(0), qdeg)      # raises: x^s is constant off 0
     survivors = s_arr[prefix_survivors(field, c, s_arr, k, qdeg)].tolist()
     hits = [s for s in survivors
             if pair_verdicts(_trinomial_g(field, s, qdeg), k, [c])[0].permutes[0]]
@@ -697,11 +696,11 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None) -> tuple[Verdicts, Verdi
     outside GF(q^l)*, l = gcd(k, m), raise ValueError.
 
     h's rows are "mu" or "brute": brute force, which runs at every c when
-    deltas are given, takes a row that the mu route decided too, and the mu
-    column records that.  f's probes, the first delta of each trace fibre
-    in the order given, are "brute", the rest "fibre" where the deficit is
-    0, else "prefix".  Disagreeing routes, and a witness _confirm_witnesses
-    refutes, raise RuntimeError."""
+    deltas are given, takes a row that the mu route decided too, and h.mu
+    records that the mu route decided every row.  f's probes, the first
+    delta of each trace fibre in the order given, are "brute", the rest
+    "fibre" where the deficit is 0, else "prefix".  Disagreeing routes, and
+    a witness _confirm_witnesses refutes, raise RuntimeError."""
     c_idx = np.array([compose_h(g, c, k).c for c in cs], dtype=np.int64)    # checks each c
     fld = g.field
     Q = fld.order
@@ -788,16 +787,6 @@ def pair_verdicts(g: GSpec, k: int, cs, delta_idx=None) -> tuple[Verdicts, Verdi
             f"c {c_idx[ci]}, delta {delta_idx[j]}: image deficit {fibre[ci][j]} "
             f"vs {brute[ci, j]}")
     return h, f
-
-
-def h_verdicts(g: GSpec, k: int, cs) -> list[tuple[PermVerdict, str]]:
-    """The rows of pair_verdicts' h side, with no deltas."""
-    return pair_verdicts(g, k, cs)[0].rows(g.field)
-
-
-def f_verdicts(g: GSpec, k: int, cs, delta_idx) -> list[tuple[PermVerdict, str]]:
-    """The rows of pair_verdicts' f side, c-major over cs and delta_idx."""
-    return pair_verdicts(g, k, cs, delta_idx)[1].rows(g.field)
 
 
 def build_inverse_table(fn: FnSpec) -> np.ndarray:

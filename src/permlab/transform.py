@@ -108,8 +108,7 @@ def _pair_fields(g: GSpec, c: Element, k: int, deltas: Optional[tuple[int, ...]]
     if deltas is None:
         deltas = pick_deltas(fld)[0]
     h, f = pair_verdicts(g, k, [c], deltas)
-    return dict(h_verdict=h.rows(fld)[0][0],
-                f_results=tuple(zip(deltas, (v for v, _ in f.rows(fld)))),
+    return dict(h_verdict=h.rows(fld)[0], f_results=tuple(zip(deltas, f.rows(fld))),
                 deltas_exhaustive=len(set(deltas)) == fld.order)
 
 

@@ -675,6 +675,24 @@ def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" in capsys.readouterr().err
 
 
+def test_verify_reports_a_route_disagreement_as_an_internal_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    """A mu verdict flipped at the first c of thm5 at q = 5 makes the pair
+    engine raise; verify names the form, exits 4 and writes no report."""
+    real = permcheck._mu_verdicts
+
+    def flipped(*args):
+        out = real(*args)
+        out[0] = not out[0]
+        return out
+    monkeypatch.setattr(permcheck, "_mu_verdicts", flipped)
+    out = tmp_path / "o.json"
+    assert main(["verify", "--family", "thm5", "--q", "5", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "thm5 q=5 s=21: mu route and brute force disagree" in err
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_4_before_any_field(tmp_path, monkeypatch):
     """cli takes every field from the cached get_field, so counting its
     calls counts each field built or reused."""

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -279,6 +280,33 @@ def test_i_pairs_cross_check_the_exponent_rules():
     assert split == {("lem15-5", 8), ("lem15-5", 64), ("thm18-5", 8), ("thm18-5", 64)}
 
 
+def test_table1_exponent_variants_are_frobenius_twins():
+    """The two exponent variants of each Table 1 row satisfy
+    s2 = q*s1 (mod q^2 - 1), i.e. i2 = 1 - i1 (mod q + 1): the (qs, c) <->
+    (s, -c) symmetry, with -c = c in characteristic 2.  Checked on the
+    i_pairs through canonical_exponent and on resolve_exponent, at every
+    applicable q = 2^k <= 2^11 and k' <= 5 where the row takes k'."""
+    checked = 0
+    for fam in registry():
+        if not fam.fid.startswith("table1-r") or len(fam.i_pairs) != 2:
+            continue
+        (_, first), (_, second) = fam.i_pairs
+        for k in range(1, 12):
+            q, M = 2**k, 4**k - 1
+            for kp in (range(1, 6) if fam.uses_kprime else (1,)):
+                if not fam.applies(2, k, kp):
+                    continue
+                (n1, d1), (n2, d2) = first(q, kp), second(q, kp)
+                s1 = resolve_exponent(fam.fid, q, kprime=kp, variant=0)
+                s2 = resolve_exponent(fam.fid, q, kprime=kp, variant=1)
+                assert s1 == canonical_exponent(n1, d1, q), (fam.fid, q, kp)
+                assert s2 == canonical_exponent(n2, d2, q), (fam.fid, q, kp)
+                assert s2 == canonical_exponent(d1 - n1, d1, q), (fam.fid, q, kp)
+                assert s2 % M == q * s1 % M, (fam.fid, q, kp)
+                checked += 1
+    assert checked == 143
+
+
 # ---------------------------------------------------------------------------
 # coefficient conditions: structural pool vs pointwise predicate
 # ---------------------------------------------------------------------------
@@ -363,6 +391,27 @@ def test_thm5_condition_sign_depends_on_congruence():
         assert len(cs) == (q + 1) // 2
 
 
+@pytest.mark.parametrize("fid, p, n, text", [
+    ("thm5", 3, 4, "(-2/c)^5 = 1"),             # q = 9 = 1 (mod 8)
+    ("thm5", 5, 2, "(2/c)^3 = 1"),
+    ("lem15-2", 2, 4, "c^3 = 1"),
+    ("lem15-4", 2, 4, "x^3 + x + c has no root in GF(q)"),
+    ("lem15-8", 2, 8, "c in GF(2^2)*"),
+], ids=["thm5-q9", "thm5-q5", "lem15-2", "lem15-4", "lem15-8"])
+def test_condition_describe_states_the_condition(fid, p, n, text):
+    """describe() states each condition kind, both power_unity forms among
+    them, and instantiate's refusal of a c outside the condition quotes
+    it."""
+    f = field(p, n)
+    fam = lookup(fid)
+    qdeg = fam.qdeg_for(f)
+    cond = fam.conds[0][1](p**qdeg, qdeg, 1)
+    assert cond.describe() == text
+    bad = next(c for c in f.elements() if c.index and not cond.holds(f, qdeg, c))
+    with pytest.raises(ValueError, match=re.escape(f"violates {fid} condition {text}")):
+        instantiate(fid, f, bad)
+
+
 def test_valid_coefficients_inapplicable_field():
     with pytest.raises(InapplicableError):
         valid_coefficients("thm7", field(5, 2))
@@ -378,7 +427,7 @@ def test_instantiate_thm7_gf49():
     # the h side of g = x^19 over GF(7^2) with q = 7, k = 1; the Frobenius
     # image of x^19 is x^(7*19 mod 48) = x^37
     assert fn.side == "h" and fn.terms == ((1, 19),)
-    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 1, 1)
+    assert fn.pstep == 1
     assert reduce_exponent(f.p**fn.pstep * 19, f.order) == 37
     assert is_permutation(fn).is_permutation
 
@@ -387,8 +436,7 @@ def test_instantiate_thm18_1_gf16():
     # (x^4 + x)^7 + x over GF(16): q = 4, s = 2q - 1
     f = field(2, 4)
     fn = instantiate("thm18-1", f, f.one, f.zero)
-    assert fn.side == "f" and fn.terms == ((1, 7),) and fn.pstep == 2
-    assert (fn.qdeg, fn.kstep, fn.delta) == (2, 1, 0)
+    assert fn.side == "f" and fn.terms == ((1, 7),) and fn.pstep == 2 and fn.delta == 0
     for x in list(f.elements())[:6]:
         inner = f.add(f.frobenius(x, 2), x)      # char 2: -x = x
         want = f.add(f.pow(inner, 7) if inner.index else f.zero, x)

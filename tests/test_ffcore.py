@@ -9,7 +9,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from permlab.ffcore import (_SLICE, DEFAULT_SIZE_CAP, MAX_ORDER, Element, FieldCtx,
-                            _Bulk, _digits, _first_irreducible, is_prime, make_field)
+                            _Bulk, _digits, _first_irreducible, get_field, is_prime,
+                            make_field)
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +989,44 @@ def test_rejects_order_int32_tables_cannot_index(p, n, monkeypatch):
 
 def test_cap_default_allows_desk_scale():
     assert DEFAULT_SIZE_CAP >= 1 << 16
+
+
+def test_get_field_builds_one_context_per_field():
+    """However the cap is spelled, and whatever cap at or above the order is
+    passed, get_field returns the one cached context; a cap below the order
+    still raises FieldCtx's error, and make_field still builds afresh."""
+    f = get_field(2, 4)
+    for same in (get_field(2, 4, DEFAULT_SIZE_CAP), get_field(2, 4, cap=DEFAULT_SIZE_CAP),
+                 get_field(2, 4, 16), get_field(2, 4, cap=MAX_ORDER)):
+        assert same is f
+    with pytest.raises(ValueError, match=r"field order 2\^4 = 16 exceeds size cap 15"):
+        get_field(2, 4, 15)
+    with pytest.raises(ValueError, match="exceeds size cap"):
+        get_field(2, 23)
+    with pytest.raises(ValueError, match="characteristic must be prime"):
+        get_field(4, 2)
+    fresh = make_field(2, 4)
+    assert fresh is not f and fresh == f
+    assert get_field(2, 4) is f
+
+
+def test_element_operators_coerce_ints_and_match_the_field_methods():
+    """Element's int coercion and its reflected and division operators each
+    give the FieldCtx method's result; a non-integer power raises TypeError."""
+    f = FieldCtx(5, 2)
+    e = f.element_at(7)
+    assert e + 3 == 3 + e == f.add(e, f.scalar(3))
+    assert 3 - e == f.sub(f.scalar(3), e) and e - 3 == f.sub(e, f.scalar(3))
+    assert 3 * e == f.mul(f.scalar(3), e)
+    assert e / 2 == f.div(e, f.scalar(2))
+    assert 2 / e == f.div(f.scalar(2), e)
+    assert (2 / e) * e == f.scalar(2)
+    assert not bool(f.zero) and bool(f.one) and bool(e)
+    assert e ** 3 == f.pow(e, 3)
+    with pytest.raises(TypeError):
+        e ** 1.5
+    with pytest.raises(TypeError):
+        e + 1.5
 
 
 def test_field_equality_and_element_guard():

@@ -13,17 +13,17 @@ from hypothesis import given, settings, strategies as st
 from permlab import cli, permcheck, transform
 from permlab.ffcore import FieldCtx, prime_power
 from permlab.permcheck import (
+    ROUTES,
     build_inverse_table,
     compose_f,
     compose_h,
     evaluate_all,
-    f_verdicts,
-    h_verdicts,
     is_permutation,
     lemma1_assemble,
     lemma1_check,
     make_fn_exponent_sum,
     make_gspec,
+    pair_verdicts,
     prefix_size,
     prefix_survivors,
     reduce_exponent,
@@ -72,7 +72,7 @@ def test_trinomial_frozen_exponents_q7():
     f = field(7, 2)
     fn = make_fn_trinomial(f, f.one, 19)
     assert fn.side == "h" and fn.terms == ((1, 19),)
-    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 1, 1)
+    assert fn.pstep == 1
     assert reduce_exponent(f.p**fn.pstep * 19, f.order) == 37
     assert is_permutation(fn).is_permutation
 
@@ -82,7 +82,7 @@ def test_trinomial_frozen_exponents_quartic_q3():
     f = field(3, 4)
     fn = make_fn_trinomial(f, f.one, 33, k=2, qdeg=1)
     assert fn.side == "h" and fn.terms == ((1, 33),)
-    assert (fn.qdeg, fn.kstep, fn.pstep) == (1, 2, 2)
+    assert fn.pstep == 2
     assert reduce_exponent(f.p**fn.pstep * 33, f.order) == 57
     assert is_permutation(fn).is_permutation
 
@@ -256,16 +256,6 @@ def test_accepts_identity_and_frobenius():
         assert v.is_permutation and v.witness is None and v.image_deficit == 0
 
 
-def test_is_permutation_accepts_precomputed_outs():
-    f = field(3, 2)
-    fn = make_fn_trinomial(f, f.one, 3)
-    outs = evaluate_all(fn)
-    v1 = is_permutation(fn)
-    v2 = is_permutation(fn, outs=outs)
-    assert v1.is_permutation == v2.is_permutation
-    assert v1.image_deficit == v2.image_deficit
-
-
 def oracle_verdict(outs):
     """(image deficit, witness) by a plain scan: the deficit is the number of
     values missed, the witness the first repeat met in index order together
@@ -282,7 +272,7 @@ def oracle_verdict(outs):
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (7, 2)])
 def test_is_permutation_matches_python_oracle_every_swept_exponent(p, n):
     """Every exponent `sweep` visits (c = 1) plus a random c and a shift form
-    per exponent; the value table passed as outs= is reused, not changed."""
+    per exponent."""
     f = field(p, n)
     rng = random.Random(p * 100 + n)
     verdicts = set()
@@ -291,15 +281,12 @@ def test_is_permutation_matches_python_oracle_every_swept_exponent(p, n):
         delta = f.element_at(rng.randrange(f.order))
         for fn in (make_fn_trinomial(f, f.one, s), make_fn_trinomial(f, c, s),
                    make_fn_delta(f, c, s, 1, delta)):
-            outs = evaluate_all(fn)
-            kept = outs.copy()
-            deficit, witness = oracle_verdict(outs.tolist())
-            for v in (is_permutation(fn), is_permutation(fn, outs=outs)):
-                assert v.is_permutation == (deficit == 0), (s, fn)
-                assert v.image_deficit == deficit, (s, fn)
-                got = None if v.witness is None else tuple(e.index for e in v.witness)
-                assert got == witness, (s, fn)
-            assert np.array_equal(outs, kept)
+            deficit, witness = oracle_verdict(evaluate_all(fn).tolist())
+            v = is_permutation(fn)
+            assert v.is_permutation == (deficit == 0), (s, fn)
+            assert v.image_deficit == deficit, (s, fn)
+            got = None if v.witness is None else tuple(e.index for e in v.witness)
+            assert got == witness, (s, fn)
             verdicts.add(deficit == 0)
     assert verdicts == {True, False}
 
@@ -341,7 +328,7 @@ def _lemma_base(n, qdeg, k):
 
 def _engine_deficits(g, c, k):
     """_trace_deficits at every delta, read off the hits of u + c*x, as
-    f_verdicts reads them."""
+    pair_verdicts reads them."""
     bulk = g.field.bulk()
     u = permcheck._log_order_u(g.field, g.terms, g.qdeg * k)
     hits = permcheck._hits(bulk, u[None, :], bulk.log.item(c.index))[0]
@@ -383,8 +370,8 @@ def test_fibre_deficits_match_brute_force_every_delta(p, n, qdeg, k):
 
 @pytest.mark.parametrize("p, n, qdeg, k", FIBRE_CASES)
 def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
-    """The lemma needs c in GF(q^l): _trace_deficits and f_verdicts raise
-    ValueError for any other c, before any brute force."""
+    """The lemma needs c in GF(q^l): _trace_deficits and pair_verdicts with
+    deltas raise ValueError for any other c, before any brute force."""
     f = field(p, n)
     inside = f.subfield_indices(_lemma_base(n, qdeg, k))
     g = make_gspec(f, [(f.one, 3)], qdeg)
@@ -394,7 +381,7 @@ def test_fibre_deficits_refuse_c_outside_the_lemma(p, n, qdeg, k):
         with pytest.raises(ValueError, match="coefficient must lie in GF"):
             _engine_deficits(g, c, k)
         with pytest.raises(ValueError, match="coefficient must lie in GF"):
-            f_verdicts(g, k, [f.one, c], range(f.order))
+            pair_verdicts(g, k, [f.one, c], range(f.order))
     assert _engine_deficits(g, f.one, k).shape == (f.order,)
 
 
@@ -433,37 +420,42 @@ def test_verify_exits_4_when_the_routes_disagree(tmp_path, monkeypatch, capsys,
     assert "fibre route and brute force disagree" in err and argv[1] in err
 
 
+def _same_columns(v, w):
+    """Whether two Verdicts hold equal columns and the same mu."""
+    return all(np.array_equal(x, y) for x, y in zip(vars(v).values(), vars(w).values()))
+
+
 def test_f_verdicts_routes_and_times():
     """x^3 over GF(4^2) at c = 1 fails on 2 of the 4 trace fibres: brute
     force checks one probe of each fibre, the prefix search finds the
     witnesses of the other 6 failing deltas, and the fibre route decides
     the other 6 permuting ones.  A c outside GF(4) raises ValueError, and
-    compose_f with is_permutation still decides its f_d.  Each delta gets
-    one (verdict, route) row; the engine keeps no clock and takes no
+    compose_f with is_permutation still decides its f_d.  pair_verdicts' f
+    side has one row per delta; the engine keeps no clock and takes no
     out-list, as its caller times the call.  A range, a list and an int64
-    array of delta indices give the same rows, and an index outside the
+    array of delta indices give the same columns, and an index outside the
     field raises."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     deltas = range(f.order)
-    got = f_verdicts(g, 1, [f.one], deltas)
-    assert [v for v, _ in got] == [is_permutation(compose_f(g, f.one, 1, d)) for d in f.elements()]
-    assert Counter(route for _, route in got) == {"brute": 4, "fibre": 6, "prefix": 6}
-    assert len(got) == len(deltas)
+    _, got = pair_verdicts(g, 1, [f.one], deltas)
+    assert got.rows(f) == [is_permutation(compose_f(g, f.one, 1, d)) for d in f.elements()]
+    assert Counter(ROUTES[r] for r in got.route.tolist()) == {"brute": 4, "fibre": 6, "prefix": 6}
+    assert got.permutes.size == len(deltas)
     outside = f.element_at(2)
     with pytest.raises(ValueError, match=r"GF\(2\^2\).*got index 2"):
-        f_verdicts(g, 1, [outside], deltas)
+        pair_verdicts(g, 1, [outside], deltas)
     assert not is_permutation(compose_f(g, outside, 1, f.zero)).is_permutation
-    assert list(inspect.signature(f_verdicts).parameters) == ["g", "k", "cs", "delta_idx"]
-    # any integer sequence of delta indices gives the same rows
+    assert list(inspect.signature(pair_verdicts).parameters) == ["g", "k", "cs", "delta_idx"]
+    # any integer sequence of delta indices gives the same columns
     for same in (list(deltas), np.arange(f.order, dtype=np.int64)):
-        assert f_verdicts(g, 1, [f.one], same) == f_verdicts(g, 1, [f.one], deltas)
+        assert _same_columns(pair_verdicts(g, 1, [f.one], same)[1], got)
     for bad in ([f.order], [3, -1]):
         with pytest.raises(ValueError, match="delta indices"):
-            f_verdicts(g, 1, [f.one], bad)
+            pair_verdicts(g, 1, [f.one], bad)
     assert not hasattr(permcheck, "time")
-    assert f_verdicts(g, 1, [f.one], []) == []
-    assert f_verdicts(g, 1, [], deltas) == []
+    assert pair_verdicts(g, 1, [f.one], [])[1].permutes.size == 0
+    assert pair_verdicts(g, 1, [], deltas)[1].permutes.size == 0
 
 
 def test_f_verdicts_many_c_equal_their_single_c_calls():
@@ -477,28 +469,28 @@ def test_f_verdicts_many_c_equal_their_single_c_calls():
         picks = (inside[-1], inside[0], inside[-1], inside[len(inside) // 2])
         cs = [f.element_at(i) for i in picks]
         deltas = list(range(0, f.order, 2)) + [4, 2, 4]
-        want = []
-        got = f_verdicts(g, 1, cs, deltas)
-        for c in cs:
-            want += f_verdicts(g, 1, [c], deltas)
-        assert got == want
-        assert len(got) == len(want) == len(cs) * len(deltas)
-        assert {r for _, r in got} == {"brute", "fibre", "prefix"}
-        assert {v.is_permutation for v, _ in got} == {True, False}
+        _, got = pair_verdicts(g, 1, cs, deltas)
+        each = [pair_verdicts(g, 1, [c], deltas)[1] for c in cs]
+        for col in ("permutes", "deficit", "a", "b", "route"):
+            assert np.array_equal(getattr(got, col),
+                                  np.concatenate([getattr(v, col) for v in each])), col
+        assert got.permutes.size == len(cs) * len(deltas)
+        assert {ROUTES[r] for r in got.route.tolist()} == {"brute", "fibre", "prefix"}
+        assert set(got.permutes.tolist()) == {True, False}
 
 
 @settings(max_examples=60)
 @given(case=st.sampled_from(FIBRE_CASES), canonical=st.booleans(), data=st.data())
-def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
-    """One pair_verdicts call with deltas decides both sides: the row view
-    of its h columns is h_verdicts' for the same (g, k, cs) and that of its
-    f columns f_verdicts', for a canonical g (exponents 1 + i(q-1) over
-    GF(q^2), where the mu route cross-checks h) and for a random binomial,
-    at one to three c of GF(q^l)* and a delta list with repeats.  On both
-    sides the columns have a row per instance, a row permutes exactly where
-    its deficit is 0 and exactly there has no witness (a = b = -1), a
-    failing row's witness has a < b, and the mu column is set on h's rows
-    exactly where g is canonical."""
+def test_pair_verdicts_columns_hold_a_row_per_instance(case, canonical, data):
+    """One pair_verdicts call with deltas decides both sides, for a
+    canonical g (exponents 1 + i(q-1) over GF(q^2), where the mu route
+    cross-checks h) and for a random binomial, at one to three c of
+    GF(q^l)* and a delta list with repeats.  Every h row is brute-forced.
+    On both sides the columns have a row per instance, a row permutes
+    exactly where its deficit is 0 and exactly there has no witness
+    (a = b = -1), a failing row's witness has a < b, and rows() gives one
+    verdict per row; h.mu is set exactly where g is canonical, and f.mu
+    never."""
     p, n, qdeg, k = case
     f = field(p, n)
     Q, q = f.order, p**qdeg
@@ -515,16 +507,15 @@ def test_pair_verdicts_sides_equal_their_one_sided_views(case, canonical, data):
                                                       min_size=1, max_size=3))]
     deltas = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=30))
     h, f_side = permcheck.pair_verdicts(g, k, cs, deltas)
-    h_rows = h.rows(f)
-    assert h_rows == h_verdicts(g, k, cs)
-    assert f_side.rows(f) == f_verdicts(g, k, cs, deltas)
-    assert {r for _, r in h_rows} == {"brute"}
+    assert {ROUTES[r] for r in h.route.tolist()} == {"brute"}
     mu = permcheck._mu_verdicts(g, k, [1]) is not None
     assert mu or not canonical
-    assert h.mu.tolist() == [mu] * len(cs) and not f_side.mu.any()
+    assert h.mu is mu and f_side.mu is False
     for side, n in ((h, len(cs)), (f_side, len(cs) * len(deltas))):
         assert side.permutes.size == n
-        assert all(col.shape == (n,) for col in vars(side).values())
+        assert all(col.shape == (n,) for col in (side.permutes, side.deficit, side.a, side.b,
+                                                 side.route))
+        assert [v.is_permutation for v in side.rows(f)] == side.permutes.tolist()
         assert np.array_equal(side.permutes, side.deficit == 0)
         assert np.array_equal(side.permutes, (side.a == -1) & (side.b == -1))
         fail = ~side.permutes
@@ -559,18 +550,19 @@ def test_f_verdicts_on_shuffled_deltas_with_repeats_match_brute_force(case, data
     deltas = data.draw(st.permutations(picked + repeats))
     if not all(c_in):
         with pytest.raises(ValueError, match="coefficient must lie in GF"):
-            f_verdicts(g, k, cs, deltas)
+            pair_verdicts(g, k, cs, deltas)
         cs = [c for c, ok in zip(cs, c_in) if ok]
-    rows = f_verdicts(g, k, cs, deltas)
+    _, got = pair_verdicts(g, k, cs, deltas)
+    rows, routes = got.rows(f), [ROUTES[r] for r in got.route.tolist()]
     assert len(rows) == len(cs) * len(deltas)
     tr = f.bulk().trace(base)
     for ci, c in enumerate(cs):
         c_rows = range(ci * len(deltas), (ci + 1) * len(deltas))
         brute = {d: is_permutation(compose_f(g, c, k, f.element_at(d))) for d in set(deltas)}
-        assert [rows[j][0] for j in c_rows] == [brute[d] for d in deltas]
+        assert [rows[j] for j in c_rows] == [brute[d] for d in deltas]
         seen = set()
         for d, j in zip(deltas, c_rows):
-            v, route = rows[j]
+            v, route = rows[j], routes[j]
             if tr[d] not in seen:
                 assert route == "brute"
             else:
@@ -642,12 +634,13 @@ def test_non_integer_delta_indices_raise(deltas):
     f = field(3, 2)
     g = make_gspec(f, [(f.one, 2)], 1)
     with pytest.raises(ValueError, match="delta indices must be integers"):
-        f_verdicts(g, 1, [f.one], deltas)
+        pair_verdicts(g, 1, [f.one], deltas)
     with pytest.raises(ValueError, match="delta indices must be integers"):
         prop2_check(g, f.one, 1, deltas=deltas)
-    assert f_verdicts(g, 1, [f.one], []) == f_verdicts(g, 1, [f.one], ()) == []
-    assert (f_verdicts(g, 1, [f.one], np.array([3, 0], dtype=np.uint8))
-            == f_verdicts(g, 1, [f.one], [3, 0]))
+    assert pair_verdicts(g, 1, [f.one], [])[1].permutes.size == 0
+    assert pair_verdicts(g, 1, [f.one], ())[1].permutes.size == 0
+    assert _same_columns(pair_verdicts(g, 1, [f.one], np.array([3, 0], dtype=np.uint8))[1],
+                         pair_verdicts(g, 1, [f.one], [3, 0])[1])
 
 
 def _misplaced_preimage(monkeypatch):
@@ -685,10 +678,10 @@ def test_failing_probes_above_block_match_brute_force(monkeypatch):
     monkeypatch.setattr(permcheck, "_index_order",
                         lambda bulk, row, lc: scattered.append((row.shape, lc))
                         or real_i(bulk, row, lc))
-    rows = f_verdicts(g, 1, cs, ds)
+    _, got = pair_verdicts(g, 1, cs, ds)
     want = [is_permutation(compose_f(g, c, 1, f.element_at(d))) for c in cs for d in ds]
-    assert [v for v, _ in rows] == want
-    routes = [r for _, r in rows]
+    assert got.rows(f) == want
+    routes = [ROUTES[r] for r in got.route.tolist()]
     assert routes == [("brute" if j % 3 == 0 else "fibre" if v.is_permutation else "prefix")
                       for j, v in enumerate(want)]
     assert set(routes) == {"brute", "fibre", "prefix"}
@@ -707,10 +700,10 @@ def test_a_wrong_translate_fails_the_witness_check(monkeypatch):
     the step, c and delta."""
     f = field(3, 2)
     g = make_gspec(f, [(f.one, 2)], 1)
-    assert f_verdicts(g, 1, [f.one], range(f.order))
+    assert not pair_verdicts(g, 1, [f.one], range(f.order))[1].permutes.all()
     _misplaced_preimage(monkeypatch)
     with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 1, delta \d+: "):
-        f_verdicts(g, 1, [f.one], range(f.order))
+        pair_verdicts(g, 1, [f.one], range(f.order))
 
 
 @pytest.mark.parametrize("argv", [["verify", "--family", "thm14", "--q", "3"],
@@ -723,20 +716,21 @@ def test_verify_exits_4_on_a_wrong_witness(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_a_wrong_h_table_fails_the_witness_check(tmp_path, monkeypatch, capsys):
-    """A failing h's witness, from h_verdicts or from the pair engine that
-    prop2_check reads, is evaluated afresh from Frobenius at both its
-    points: witnesses read off a wrongly scattered table (every value moved
-    by one place) raise, naming the step and c, and sweep exits 4."""
+    """A failing h's witness, from pair_verdicts' h side with or without
+    the deltas that prop2_check passes, is evaluated afresh from Frobenius
+    at both its points: witnesses read off a wrongly scattered table (every
+    value moved by one place) raise, naming the step and c, and sweep exits
+    4."""
     f = field(2, 6)
     g = make_gspec(f, [(f.one, 7)], 3)
     c = f.element_at(14)                    # in GF(8)
-    ((v, _),) = h_verdicts(g, 1, [c])
+    (v,) = pair_verdicts(g, 1, [c])[0].rows(f)
     assert not v.is_permutation and prop2_check(g, c, 1).h_verdict == v
     real = permcheck._index_order
     monkeypatch.setattr(permcheck, "_index_order",
                         lambda bulk, row, lc: np.roll(real(bulk, row, lc), 1))
     with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 14: h\(\d+\) = "):
-        h_verdicts(g, 1, [c, f.one])
+        pair_verdicts(g, 1, [c, f.one])
     with pytest.raises(RuntimeError, match=r"witness check failed at step 1, c 14: h\("):
         prop2_check(g, c, 1)
     assert cli.main(["sweep", "--q", "8", "--out", str(tmp_path / "o.json")]) == 4
@@ -765,7 +759,7 @@ def test_planted_deficit_past_the_probe_raises(monkeypatch, p, s, probe, later, 
 
     monkeypatch.setattr(permcheck, "_trace_deficits", planted)
     with pytest.raises(RuntimeError, match=f"disagree.*delta {later}:"):
-        f_verdicts(g, 1, [f.one], range(f.order))
+        pair_verdicts(g, 1, [f.one], range(f.order))
 
 
 @pytest.mark.parametrize("n_c", [1, 3, 15])
@@ -777,7 +771,7 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
     u + c*x is marked once per c (a one-row _hits call; the 4 trace fibres'
     probes are one 4-row table): by f calls and the transform checks for
     every c, as each c's mask gives both h's verdict and the fibre
-    deficits, and by h_verdicts for each c it brute-forces."""
+    deficits, and by a call without deltas for each c it brute-forces."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 3)], 2)
     inside = sorted(f.subfield_indices(2) - {0})
@@ -798,10 +792,10 @@ def test_engines_build_u_once_per_call(monkeypatch, n_c):
                         lambda *args: (calls if engine else outside).append(args) or real(*args))
     monkeypatch.setattr(permcheck, "_hits", lambda bulk, T, lc: (
         T.shape[0] == 1 and marked.append(lc)) or real_hits(bulk, T, lc))
-    rows = h_verdicts(g, 1, cs)
+    h, _ = permcheck.pair_verdicts(g, 1, cs)
     assert len(calls) == 1
-    assert len(marked) == sum(r == "brute" for _, r in rows) == n_c
-    f_verdicts(g, 1, cs, range(f.order))
+    assert len(marked) == np.count_nonzero(h.route == ROUTES.index("brute")) == n_c
+    permcheck.pair_verdicts(g, 1, cs, range(f.order))
     assert len(calls) == 2 and len(marked) == 2 * n_c
     prop2_check(g, f.one, 1)
     assert len(calls) == 3 and len(marked) == 2 * n_c + 1 and not outside
@@ -852,8 +846,8 @@ def test_f_translates_along_its_trace_fibre(p, n, qdeg, k, data):
 
 
 # ---------------------------------------------------------------------------
-# h_verdicts: one log-order u = g^(q^k) - g shared by every c, against the
-# scalar path at every point
+# pair_verdicts' h side: one log-order u = g^(q^k) - g shared by every c,
+# against the scalar path at every point
 # ---------------------------------------------------------------------------
 
 # (p, n, qdeg) views of GF(2^4), GF(2^6), GF(3^2), GF(3^4), GF(5^2), GF(7^2);
@@ -899,7 +893,7 @@ def test_h_verdicts_match_scalar_path_every_c(p, n, qdeg, k):
     cs = [f.element_at(i) for i in range(1, f.order)]
     seen = set()
     for gi, g in enumerate(_h_gs(f, qdeg)):
-        got = [_verdict_tuple(v) for v, _ in h_verdicts(g, k, cs)]
+        got = [_verdict_tuple(v) for v in pair_verdicts(g, k, cs)[0].rows(f)]
         u = _scalar_u(g, k)
         for c, v in zip(cs, got):
             assert v == _scalar_verdict(u, c), (gi, c)
@@ -922,7 +916,7 @@ def test_h_verdicts_agree_on_random_binomial_g(case, data):
     idx = data.draw(st.lists(st.integers(1, Q - 1), min_size=1, max_size=4,
                              unique=True))
     cs = [f.element_at(i) for i in idx]
-    got = [_verdict_tuple(v) for v, _ in h_verdicts(g, k, cs)]
+    got = [_verdict_tuple(v) for v in pair_verdicts(g, k, cs)[0].rows(f)]
     u = _scalar_u(g, k)
     assert got == [_scalar_verdict(u, c) for c in cs]
 
@@ -934,7 +928,7 @@ def test_h_verdicts_scatter_only_failing_c(monkeypatch):
     f = field(2, 6)
     g = _h_gs(f, 3)[0]
     cs = [f.element_at(i) for i in range(1, f.order)]
-    want = [v.is_permutation for v, _ in h_verdicts(g, 1, cs)]
+    want = pair_verdicts(g, 1, cs)[0].permutes.tolist()
     assert set(want) == {True, False}
     scattered, searched = [], []
     real_i, real_s = permcheck._index_order, permcheck._first_collisions
@@ -942,26 +936,27 @@ def test_h_verdicts_scatter_only_failing_c(monkeypatch):
                         lambda bulk, row, lc: scattered.append(lc) or real_i(bulk, row, lc))
     monkeypatch.setattr(permcheck, "_first_collisions",
                         lambda *args: searched.append(args[1]) or real_s(*args))
-    assert [v.is_permutation for v, _ in h_verdicts(g, 1, cs)] == want
+    assert pair_verdicts(g, 1, cs)[0].permutes.tolist() == want
     log = f.bulk().log
     assert scattered == [log.item(c.index) for c, ok in zip(cs, want) if not ok]
     assert searched == [1] * len(scattered)
 
 
 def test_h_verdicts_times_and_refusals():
-    """One (verdict, route) row per c; the engine keeps no clock and takes
-    no out-list, as its caller times the call."""
+    """One h row per c, and no f row without deltas; the engine keeps no
+    clock and takes no out-list, as its caller times the call."""
     f = field(2, 4)
     g = make_gspec(f, [(f.one, 7)], 2)
     cs = [f.one, f.element_at(6), f.element_at(9)]
-    assert len(h_verdicts(g, 1, cs)) == 3
-    assert list(inspect.signature(h_verdicts).parameters) == ["g", "k", "cs"]
+    h, f_side = pair_verdicts(g, 1, cs)
+    assert (h.permutes.size, f_side.permutes.size) == (3, 0)
+    assert list(inspect.signature(pair_verdicts).parameters) == ["g", "k", "cs", "delta_idx"]
     assert not hasattr(permcheck, "time")
-    assert h_verdicts(g, 1, []) == []
+    assert pair_verdicts(g, 1, [])[0].permutes.size == 0
     with pytest.raises(ValueError):
-        h_verdicts(g, 1, [f.one, f.zero])
+        pair_verdicts(g, 1, [f.one, f.zero])
     with pytest.raises(ValueError):
-        h_verdicts(g, 2, [f.one])                # k out of range for m = 2
+        pair_verdicts(g, 2, [f.one])                # k out of range for m = 2
 
 
 @pytest.mark.parametrize("p, n, qdeg, k", H_CASES)
@@ -1002,7 +997,8 @@ def test_permuting_trinomial_never_builds_the_index_ramp():
     its own block length only: the whole-field ramp _Bulk.xs stays unbuilt."""
     f = FieldCtx(2, 16)
     g = make_gspec(f, [(f.one, 2 * 256 - 1)], 8)
-    assert h_verdicts(g, 1, [f.one]) == [(permcheck._PERMUTES, "brute")]
+    h, _ = pair_verdicts(g, 1, [f.one])
+    assert h.rows(f) == [permcheck._PERMUTES] and h.route.tolist() == [ROUTES.index("brute")]
     assert "xs" not in f.bulk().__dict__
     assert np.array_equal(f.bulk().xs, np.arange(f.order))
     assert "xs" in f.bulk().__dict__
@@ -1014,7 +1010,7 @@ def test_failing_h_leaves_no_index_ramp_behind():
     unbuilt, and the witness is the scalar oracle's first repeat."""
     f = FieldCtx(2, 16)
     c = f.element_at(3)
-    ((v, _),) = h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, [c])
+    (v,) = pair_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, [c])[0].rows(f)
     assert not v.is_permutation and f.order > permcheck.BLOCK
     assert "xs" not in f.bulk().__dict__
     want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 8), range(f.order))
@@ -1038,7 +1034,7 @@ def test_h_verdicts_witness_at_the_cap_matches_scalar_oracle():
     evaluate meets scanning the points in index order."""
     f = field(2, 22)
     c = f.element_at(3)
-    ((v, _),) = h_verdicts(make_gspec(f, [(f.one, 7)], 11), 1, [c])
+    (v,) = pair_verdicts(make_gspec(f, [(f.one, 7)], 11), 1, [c])[0].rows(f)
     assert not v.is_permutation
     want = _first_repeat(make_fn_trinomial(f, c, 7, 1, 11), range(f.order))
     assert tuple(e.index for e in v.witness) == want == (1264, 2065)
@@ -1159,7 +1155,7 @@ def test_one_period_u_reads_wrap_like_the_whole_table(p, n, qdeg, D):
         y = bulk.sub(bulk.frob(gx, qdeg), gx)
         u = permcheck._log_order_u(f, g.terms, qdeg)
         assert u.size - 1 < M
-        for c, (v, _) in zip(cs, h_verdicts(g, 1, cs)):
+        for c, v in zip(cs, pair_verdicts(g, 1, cs)[0].rows(f)):
             want = bulk.add(y, bulk.mul_scalar(c.index, bulk.xs))
             assert np.array_equal(evaluate_all(compose_h(g, c, 1)), want), (g.terms, c)
             seen = np.bincount(want, minlength=Q) > 0
@@ -1292,13 +1288,14 @@ def test_h_verdicts_mu_routes_above_the_cap():
     cs = [f.element_at(i) for i in (5, 1, 2, 3, 4, 6, 7, 8)]
     mu = permcheck._mu_verdicts(g, 1, [c.index for c in cs]).tolist()
     assert set(mu[1:]) == {True, False}
-    got = h_verdicts(g, 1, cs)
+    h, _ = pair_verdicts(g, 1, cs)
     want = [is_permutation(compose_h(g, c, 1)) for c in cs]
-    assert [_verdict_tuple(v) for v, _ in got] == [_verdict_tuple(v) for v in want]
-    assert [r for _, r in got] == ["brute"] + ["mu" if ok else "brute" for ok in mu[1:]]
-    assert len(got) == len(cs)
-    routes = [r for _, r in h_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, cs[:3])]
-    assert routes == ["brute"] * 3
+    assert [_verdict_tuple(v) for v in h.rows(f)] == [_verdict_tuple(v) for v in want]
+    assert ([ROUTES[r] for r in h.route.tolist()]
+            == ["brute"] + ["mu" if ok else "brute" for ok in mu[1:]])
+    assert h.permutes.size == len(cs) and h.mu
+    h7, _ = pair_verdicts(make_gspec(f, [(f.one, 7)], 8), 1, cs[:3])
+    assert h7.route.tolist() == [ROUTES.index("brute")] * 3 and not h7.mu
 
 
 @pytest.mark.parametrize("p, n, qdeg, s", [
@@ -1308,9 +1305,9 @@ def test_h_verdicts_mu_routes_above_the_cap():
     (2, 16, 8, 7),          # above the cap, not canonical
 ])
 def test_h_verdicts_rows_are_verdict_and_route(p, n, qdeg, s):
-    """Each row is (is_permutation(compose_h(g, c, k)), route): "mu" exactly
-    for a permuting c after the first of a canonical g above
-    DELTA_EXHAUSTIVE_CAP, "brute" otherwise."""
+    """Each h row's verdict is is_permutation(compose_h(g, c, k)), and its
+    route is "mu" exactly for a permuting c after the first of a canonical
+    g above DELTA_EXHAUSTIVE_CAP, "brute" otherwise."""
     f = field(p, n)
     g = make_gspec(f, [(f.one, s)], qdeg)
     cs = [f.element_at(i) for i in (5, 1, 2, 3, 4, 6, 7, 8)]
@@ -1320,7 +1317,9 @@ def test_h_verdicts_rows_are_verdict_and_route(p, n, qdeg, s):
         v = is_permutation(compose_h(g, c, 1))
         mu = mu_applies and f.order > permcheck.DELTA_EXHAUSTIVE_CAP and j > 0
         want.append((v, "mu" if mu and v.is_permutation else "brute"))
-    assert h_verdicts(g, 1, cs) == want
+    h, _ = pair_verdicts(g, 1, cs)
+    assert h.rows(f) == [v for v, _ in want]
+    assert [ROUTES[r] for r in h.route.tolist()] == [r for _, r in want]
     above = f.order > permcheck.DELTA_EXHAUSTIVE_CAP
     assert ({r for _, r in want} == {"brute", "mu"}) == (mu_applies and above)
 
@@ -1332,8 +1331,7 @@ def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
     assert f.order == permcheck.DELTA_EXHAUSTIVE_CAP
     g = make_gspec(f, [(f.one, 1 + 2 * 127)], 7)
     cs = [f.element_at(i) for i in range(1, 9)]
-    routes = [r for _, r in h_verdicts(g, 1, cs)]
-    assert routes == ["brute"] * len(cs)
+    assert pair_verdicts(g, 1, cs)[0].route.tolist() == [ROUTES.index("brute")] * len(cs)
     real = permcheck._mu_verdicts
 
     def planted(*args):
@@ -1342,22 +1340,22 @@ def test_h_verdicts_brute_checks_every_c_up_to_the_cap(monkeypatch):
         return out
     monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
     with pytest.raises(RuntimeError, match=f"mu route and brute force disagree at step 1, c {cs[-1].index}"):
-        h_verdicts(g, 1, cs)
+        pair_verdicts(g, 1, cs)
 
 
 @pytest.mark.parametrize("at", [0, -1])
 def test_f_verdicts_exit_when_mu_and_brute_disagree_on_h(monkeypatch, at):
     """A shift form's call decides h too: for the canonical g = x^(2q-1) over
     GF(8^2), a mu verdict planted wrong at the first or the last c of GF(8)*
-    raises from f_verdicts, which otherwise agrees with brute force."""
+    raises from pair_verdicts with deltas, which otherwise agrees with brute
+    force."""
     f = field(2, 6)
     g = make_gspec(f, [(f.one, 2 * 8 - 1)], 3)
     cs = [f.element_at(i) for i in sorted(f.subfield_indices(3) - {0})]
     real = permcheck._mu_verdicts
     assert real(g, 1, [c.index for c in cs]) is not None
-    rows = f_verdicts(g, 1, cs, range(f.order))
-    assert [v for v, _ in rows] == [is_permutation(compose_f(g, c, 1, d))
-                                    for c in cs for d in f.elements()]
+    assert pair_verdicts(g, 1, cs, range(f.order))[1].rows(f) == [
+        is_permutation(compose_f(g, c, 1, d)) for c in cs for d in f.elements()]
 
     def planted(*args):
         out = real(*args)
@@ -1366,7 +1364,7 @@ def test_f_verdicts_exit_when_mu_and_brute_disagree_on_h(monkeypatch, at):
     monkeypatch.setattr(permcheck, "_mu_verdicts", planted)
     with pytest.raises(RuntimeError, match=f"mu route and brute force disagree at step 1, "
                                            f"c {cs[at].index}:"):
-        f_verdicts(g, 1, cs, range(f.order))
+        pair_verdicts(g, 1, cs, range(f.order))
 
 
 @pytest.mark.parametrize("argv, at", [
@@ -1613,3 +1611,18 @@ def test_trinomial_screen_refuses_what_make_fn_trinomial_refuses():
         trinomial_hits(f, f.one, [5], 2, qdeg)                # k out of range
     with pytest.raises(ValueError):
         trinomial_hits(f, f.one, [f.order - 1], 1, qdeg)      # x^s is constant
+
+
+def test_trinomial_hits_refuses_a_degenerate_exponent_before_screening(monkeypatch):
+    """An s that is a multiple of order-1, where h = c*x, raises
+    _trinomial_g's error before the prefix screen runs on any exponent."""
+    f = field(2, 4)
+
+    def screen(*args):
+        raise AssertionError("screened")
+    monkeypatch.setattr(permcheck, "prefix_survivors", screen)
+    for ss in ([3, 15], [30], np.array([7, 45, 2])):
+        with pytest.raises(ValueError, match="exponent is a multiple of order-1; power term"):
+            trinomial_hits(f, f.one, ss, 1, 2)
+    with pytest.raises(ValueError, match="exponent is a multiple of order-1; power term"):
+        make_fn_trinomial(f, f.one, 15, 1, 2)

@@ -12,10 +12,10 @@ from permlab.permcheck import (
     compose_f,
     compose_h,
     evaluate_all,
-    h_verdicts,
     is_permutation,
     make_fn_exponent_sum,
     make_gspec,
+    pair_verdicts,
 )
 from permlab.transform import (
     DELTA_SAMPLES,
@@ -327,7 +327,7 @@ def test_invert_f_wide_step_and_coefficient():
         d = f.element_at(9)
         ff = compose_f(g, c, 2, d)
         outs = evaluate_all(ff)
-        assert is_permutation(ff, outs).is_permutation
+        assert is_permutation(ff).is_permutation
         for i in range(f.order):
             alpha = f.element_at(int(outs[i]))
             assert invert_f(g, c, 2, d, alpha) == f.element_at(i)
@@ -382,7 +382,7 @@ def _permuting_pairs(f, qdeg, k):
             g = make_gspec(f, terms, qdeg)
             if not g.terms or _anchored(g, sub):
                 continue
-            hits = [c for c, (v, _) in zip(cs, h_verdicts(g, k, cs)) if v.is_permutation]
+            hits = [c for c, ok in zip(cs, pair_verdicts(g, k, cs)[0].permutes.tolist()) if ok]
             scanned += [(g, c) for c in hits]
             found -= bool(hits)
             if not found:
@@ -619,12 +619,12 @@ def _prop4_brute(g):
     for d in range(f.order):
         f_fn = compose_f(g, f.one, 1, f.element_at(d))
         fo = evaluate_all(f_fn)
-        verdicts.append(is_permutation(f_fn, fo))
+        verdicts.append(is_permutation(f_fn))
         phi_xs = bulk.add(bulk.shift_base(g.qdeg), np.int64(d))
         phi_fo = bulk.add(bulk.sub(bulk.frob(fo, g.qdeg), fo), np.int64(d))
         squares.append(bool(np.array_equal(phi_fo, ho[phi_xs])))
     tr = bulk.trace(g.qdeg)
-    return (is_permutation(compose_h(g, f.one, 1), ho), verdicts, all(squares),
+    return (is_permutation(compose_h(g, f.one, 1)), verdicts, all(squares),
             bool(np.array_equal(tr[ho], tr)))
 
 
