@@ -27,7 +27,7 @@ import time
 import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import chain, groupby, product, repeat
+from itertools import groupby, product
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -294,6 +294,8 @@ def build_report(runs: Sequence[FamilyRun], cfg: RunConfig,
                            "instances": f.verdicts.permutes.size, "seconds": round(f.seconds, 6),
                            "h_routes": f.h_routes}
                           for f in run.forms],
+                "h_routes": {key: sum(f.h_routes[key] for f in run.forms)
+                             for key in ("mu", "brute")},
                 "routes": dict(zip(ROUTES, sum(
                     (np.bincount(f.verdicts.route, minlength=len(ROUTES)) for f in run.forms),
                     np.zeros(len(ROUTES), dtype=np.int64)).tolist())),
@@ -329,8 +331,7 @@ def _to_json(o) -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, for a JSON
     document: dicts with str keys, lists, str, int, float, bool and None,
     and a report's Rows, written as the list of their row dicts.  Any other
-    type raises TypeError.  One pass appends the text to a list of chunks,
-    joined once."""
+    type raises TypeError.  The text is the chunks _write puts, joined."""
     chunks: list[str] = []
     _write(o, "", chunks.append)
     return "".join(chunks)
@@ -349,11 +350,8 @@ def _write(o, indent: str, put: Callable[[str], None]) -> None:
     elif kind is list:
         heads, values, brackets = None, o, "[]"
     elif kind is Rows:
-        inner = indent + "  "
-        text = (",\n" + inner).join(_form_rows(f, inner) for f in o.forms
-                                     if f.verdicts.permutes.size)
-        put("[\n" + inner + text + "\n" + indent + "]" if text else "[]")
-        return
+        heads, brackets = None, "[]"
+        values = [f for f in o.forms if f.verdicts.permutes.size]
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not values:
@@ -361,21 +359,24 @@ def _write(o, indent: str, put: Callable[[str], None]) -> None:
         return
     inner = indent + "  "
     sep = ",\n" + inner
+    write = _form_rows if kind is Rows else _write
     put(brackets[0] + "\n" + inner)
     for i, v in enumerate(values):
         if i:
             put(sep)
         if heads:
             put(heads[i])
-        _write(v, inner, put)
+        write(v, inner, put)
     put("\n" + indent + brackets[1])
 
 
-def _form_rows(f: Form, indent: str) -> str:
-    """The text of f's rows as items of a list nested at indent: one
-    template per form holds the cells every row shares, and fills in the
-    rest from one tolist() per column.  The c and delta texts are made
-    once per value and repeated."""
+def _form_rows(f: Form, indent: str, put: Callable[[str], None]) -> None:
+    """Pass the text of f's rows, as items of a list nested at indent, to
+    put, a c at a time.  One template per form holds the cells every row
+    shares.  The rows of a c that all permute differ only in their delta
+    text, so they are one join over the delta texts, whose separator holds
+    the row's tail and the c's row head.  A c with a failing row fills the
+    template row by row from one tolist() per column."""
     inner = indent + "  "
     shared = {key: _ATOMS[type(v)](v).replace("%", "%%")
               for key, v in [("informational", f.informational), ("s", f.s),
@@ -384,18 +385,31 @@ def _form_rows(f: Form, indent: str) -> str:
              "witness": "%s", **shared}
     template = ("{\n" + inner + (",\n" + inner).join(
         f'"{key}": {cells[key]}' for key in sorted(cells)) + "\n" + indent + "}")
+    # a permuting row cut at its c and delta; json escapes "\0" in a str
+    c_head, d_head, tail = (template % ("\0", "\0", 0, "true", "null")).split("\0")
+    sep = ",\n" + indent
     v = f.verdicts
     cs = list(map(str, f.c.tolist()))
     ds = ["null"] if f.delta is None else list(map(str, f.delta.tolist()))
-    lead, mid, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-    witness = ["null" if a < 0 else f"{lead}{a}{mid}{b}{close}"
-               for a, b in zip(v.a.tolist(), v.b.tolist())]
-    return (",\n" + indent).join(map(template.__mod__, zip(
-        chain.from_iterable(repeat(c, len(ds)) for c in cs),
-        chain.from_iterable(repeat(ds, len(cs))),
-        v.deficit.tolist(),
-        map(("false", "true").__getitem__, v.permutes.tolist()),
-        witness)))
+    nd = len(ds)
+    passes = v.permutes.reshape(len(cs), nd).all(axis=1).tolist()
+    if not all(passes):
+        lead, mid, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        row_cells = list(zip(v.deficit.tolist(),
+                             map(("false", "true").__getitem__, v.permutes.tolist()),
+                             ["null" if a < 0 else f"{lead}{a}{mid}{b}{close}"
+                              for a, b in zip(v.a.tolist(), v.b.tolist())]))
+    for i, (c, ok) in enumerate(zip(cs, passes)):
+        if i:
+            put(sep)
+        if ok:
+            head = c_head + c + d_head
+            put(head)
+            put((tail + sep + head).join(ds))
+            put(tail)
+        else:
+            put(sep.join(template % (c, d, *row)
+                         for d, row in zip(ds, row_cells[i * nd:(i + 1) * nd])))
 
 
 CSV_COLUMNS = [
@@ -449,16 +463,21 @@ def _catalog_csv(manifest: list) -> str:
 
 def _emit(doc, fmt: str, out: Optional[str],
           to_csv: Callable[..., str]) -> None:
-    """Write doc as json, or as the csv that to_csv renders, to out or stdout."""
+    """Write doc as json, or as the csv that to_csv renders, to out or
+    stdout.  The whole text is rendered into chunks before out is opened,
+    so a document the writer refuses creates no file; the chunks then go
+    to the file or stream as they are, never joined."""
     if fmt == "csv":
-        text = to_csv(doc)
+        chunks = [to_csv(doc)]
     else:
-        text = _to_json(doc) + "\n"
+        chunks = []
+        _write(doc, "", chunks.append)
+        chunks.append("\n")
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _summarize(doc: dict) -> int:

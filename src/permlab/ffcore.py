@@ -52,7 +52,6 @@ index 1 is one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator

@@ -307,6 +307,23 @@ def test_forms_count_the_h_routes_that_ran(tmp_path, argv, canonical):
     assert "h_routes" not in json.dumps(doc["stable"])
 
 
+def test_runs_sum_their_forms_h_routes(tmp_path):
+    """Each run's timings record sums its forms' h_routes.  The whole
+    catalog's runs book every mu decision under brute in `routes`, which
+    the golden tests pin; the run-level sum shows them.  The stable section
+    does not carry it and stays the same bytes on a rerun."""
+    code, doc = run(tmp_path, "verify")
+    assert code == 0
+    runs = doc["timings"]["runs"]
+    for t in runs:
+        assert t["h_routes"] == {key: sum(f["h_routes"][key] for f in t["forms"])
+                                 for key in ("mu", "brute")}
+    assert any(t["h_routes"]["mu"] and not t["routes"]["mu"] for t in runs)
+    assert "h_routes" not in json.dumps(doc["stable"])
+    _, again = run(tmp_path, "verify", name="again.json")
+    assert cli.stable_json(again) == cli.stable_json(doc)
+
+
 def test_trinomial_form_shares_u_time_equally(tmp_path, monkeypatch):
     """thm5 at q = 9: one pair_verdicts call decides the form's 5 values of c,
     and a slowed build of u shows up once, in the form's seconds."""

@@ -3,6 +3,7 @@ byte: as a property over random JSON documents and report rows, and on the
 files the CLI writes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,9 +217,28 @@ def forms(draw):
                 None if delta is None else np.array(delta, dtype=np.int64), 0.0, {})
 
 
+def _form(cs, delta, fails=()) -> Form:
+    """A form over cs and delta (None for a trinomial) whose rows at the
+    c-major positions fails do not permute."""
+    n = len(cs) * (1 if delta is None else len(delta))
+    deficit = np.zeros(n, dtype=np.int64)
+    deficit[list(fails)] = 2
+    v = Verdicts.of(deficit, np.zeros(n, dtype=np.int8))
+    v.a[list(fails)] = [3 * i for i in fails]
+    v.b[list(fails)] = [3 * i + 1 for i in fails]
+    return Form("c", "s%", 7, 1, False, v, np.array(cs, dtype=np.int64),
+                None if delta is None else np.array(delta, dtype=np.int64), 0.0, {})
+
+
 @settings(max_examples=150)
 @given(st.lists(forms(), max_size=3))
 @example([])
+@example([_form([3, 5, 8], [0, 1, 2])])                     # every c permutes
+@example([_form([3, 5], [0, 1, 2], fails=[0, 5])])          # first and last row of a c
+@example([_form([3, 5, 8], [9], fails=[1])])                # the only row of its c
+@example([_form([3, 5], [0, 1]), _form([4], [2, 6], fails=[1])])
+@example([_form(list(range(1, 12)), None)])                 # a trinomial of many c
+@example([_form(list(range(1, 12)), None, fails=[0, 4, 10])])
 def test_row_template_equals_json_dumps(fs):
     """Rows written from the columns, at two nestings, are json.dumps of
     their row dicts, whatever the shared cells hold."""
@@ -252,6 +272,46 @@ def test_other_mixed_columns_are_still_written_cell_by_cell(monkeypatch, column)
     assert _to_json(o) == reference(o)
     assert [c for c in calls if type(c) is dict and "x" in c] == o
     assert all(any(c is r["w"] for c in calls) for r in o)
+
+
+def test_emit_holds_about_one_copy_of_the_report(tmp_path, monkeypatch):
+    """Writing the largest catalog report, whose rows all permute, holds
+    little more than its text: a chunk per c goes straight to the file,
+    never joined into one string.  tracemalloc's peak inside _emit stays
+    within 1.5 times the file's size; joining the chunks into one string
+    and writing that peaked at 3 times."""
+    real, peak = cli._emit, []
+
+    def traced(*a):
+        tracemalloc.start()
+        try:
+            real(*a)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "_emit", traced)
+    assert main(["verify", "--family", "thm18-4", "--q", "32", "--out", str(out)]) == 0
+    size = out.stat().st_size
+    assert size > 2_000_000 and peak[0] <= 1.5 * size
+
+
+def test_a_refused_document_writes_nothing(tmp_path, monkeypatch, capsys):
+    """The whole document is rendered before --out is opened, so one the
+    writer refuses raises TypeError and leaves no file; and one document
+    gives the same bytes on stdout and in --out."""
+    out = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        cli._emit({"stable": {"a": [1, (2, 3)]}}, "json", str(out), cli.report_csv)
+    assert not out.exists()
+    calls, real = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *a: calls.append(a) or real(*a))
+    assert main(["verify", "--family", "thm14", "--q", "3", "--out", str(out)]) == 0
+    (doc, fmt, _, to_csv), = calls
+    capsys.readouterr()
+    real(doc, fmt, None, to_csv)
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_report_re_emits_its_input_byte_for_byte(tmp_path):
