@@ -10,8 +10,11 @@ reports.
 Each shift-form family built on a trinomial it cites (thm11-thm14 on thm5,
 thm6, thm7, thm10; thm18-* on lem15-*/lem16-*) is derived from that entry: it
 shares the trinomial's applicability gate, exponent rules, shape and steps,
-and carries only its own coefficient condition and notes.  The table1 rows
-cite trinomials too but state their own residue-route exponents.
+takes the trinomial's coefficient conditions restricted to GF(q)* (the
+transfer, Prop. 2, needs c there), and carries only its own notes.  The
+table1 rows cite trinomials too but state their own residue-route exponents;
+a row with no condition variants of its own takes its trinomial's conditions
+on GF(q)* the same way.
 
 Fractional exponents follow the canonical rewrite s = i*(q - 1) + 1 with i
 taken modulo q + 1: canonical_exponent() resolves i given as a fraction by
@@ -106,86 +109,70 @@ def _omega_cached(fld: FieldCtx, sub_deg: int) -> frozenset[Element]:
 class CoeffCondition:
     """Admissibility predicate for the linear coefficient c.
 
-    kind:   fixed | power_unity | omega | subfield
+    kind:   power_unity | omega
     domain: "field*"  nonzero elements of the whole field
             "base*"   nonzero elements of GF(q)
-    power_unity checks (sign*base / c)^exp = 1 (c^exp = 1 at base = sign = 1);
-    subfield checks membership of GF(p^sub_deg) with c != 0; omega checks
-    membership of the Omega set of GF(q); fixed compares against a
-    prime-field constant (c = 1 at value = 1).
+    power_unity checks (sign*base / c)^exp = 1: c^exp = 1 at base = sign = 1,
+    so c = 1 is exp = 1 and c in GF(p^d)* is exp = p^d - 1; omega checks
+    membership of the Omega set of GF(q).
     """
 
     kind: str
     domain: str = "field*"
-    base: int = 0
+    base: int = 1
     sign: int = 1
-    exp: int = 0
-    sub_deg: int = 0
-    value: int = 0
+    exp: int = 1
+
+    def __post_init__(self):
+        if self.kind not in ("power_unity", "omega"):
+            raise ValueError(f"unknown condition kind {self.kind!r}")
+        if self.domain not in ("field*", "base*"):
+            raise ValueError(f"unknown coefficient domain {self.domain!r}")
 
     def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"c = {self.value}"
-        if self.kind == "power_unity":
-            if self.base == 1 and self.sign == 1:
-                return f"c^{self.exp} = 1"
-            a = f"{'-' if self.sign < 0 else ''}{self.base}"
-            return f"({a}/c)^{self.exp} = 1"
+        a = f"{'-' if self.sign < 0 else ''}{self.base}"
         if self.kind == "omega":
-            return "x^3 + x + c has no root in GF(q)"
-        if self.kind == "subfield":
-            return f"c in GF({2}^{self.sub_deg})*"
-        return self.kind
+            text = "x^3 + x + c has no root in GF(q)"
+        elif self.exp == 1:
+            text = f"c = {a}"
+        elif a == "1":
+            text = f"c^{self.exp} = 1"
+        else:
+            text = f"({a}/c)^{self.exp} = 1"
+        return text + (", c in GF(q)*" if self.domain == "base*" else "")
 
     def holds(self, fld: FieldCtx, qdeg: int, c: Element) -> bool:
-        if c.index == 0:
+        if c.index == 0 or (self.domain == "base*" and not fld.is_in_subfield(c, qdeg)):
             return False
-        if self.kind == "fixed":
-            return c == fld.scalar(self.value)
-        if self.kind == "power_unity":
-            t = fld.div(fld.scalar(self.sign * self.base), c)
-            return fld.pow(t, self.exp).index == 1
         if self.kind == "omega":
             return c in _omega_cached(fld, qdeg)
-        if self.kind == "subfield":
-            return fld.is_in_subfield(c, self.sub_deg)
-        raise ValueError(f"unknown condition kind {self.kind!r}")
+        t = fld.div(fld.scalar(self.sign * self.base), c)
+        return fld.pow(t, self.exp).index == 1
 
     def candidates(self, fld: FieldCtx, qdeg: int) -> tuple[Element, ...]:
         """The full admissible set, smallest index first.
 
         Computed directly from the condition structure (unity conditions via
-        the matching root-of-unity subgroup, subfield conditions via subfield
-        tables); holds() re-derives membership pointwise, so the two routes
+        the matching root-of-unity subgroup of the domain; the Omega set lies
+        in GF(q)); holds() re-derives membership pointwise, so the two routes
         cross-check each other in the tests.
         """
-        if self.domain == "base*":
-            dom = fld.subfield_indices(qdeg)
-        elif self.domain == "field*":
-            dom = None
+        if self.kind == "omega":
+            pool = [e.index for e in _omega_cached(fld, qdeg)]
         else:
-            raise ValueError(f"unknown coefficient domain {self.domain!r}")
-        if self.kind == "fixed":
-            pool = [fld.scalar(self.value).index]
-        elif self.kind == "power_unity":
-            # (a/c)^exp = 1  <=>  c = a/u for a root of unity u of order d
-            d = math.gcd(self.exp, fld.order - 1)
+            # (a/c)^exp = 1  <=>  c = a/u for a root of unity u of order d;
+            # a lies in the prime field, so c is in GF(q) exactly when u is
+            size = fld.p**qdeg if self.domain == "base*" else fld.order
+            d = math.gcd(self.exp, size - 1)
             a = fld.scalar(self.sign * self.base)
             pool = [fld.div(a, u).index for u in fld.mu_subgroup(d)]
-        elif self.kind == "omega":
-            pool = [e.index for e in _omega_cached(fld, qdeg)]
-        elif self.kind == "subfield":
-            pool = [i for i in fld.subfield_indices(self.sub_deg) if i]
-        else:
-            raise ValueError(f"unknown condition kind {self.kind!r}")
-        keep = sorted(i for i in pool if i and (dom is None or i in dom))
-        return tuple(fld.element_at(i) for i in keep)
+        return tuple(fld.element_at(i) for i in sorted(pool) if i)
 
 
 # rule signature conventions:
 #   applies(p, k, kprime) -> bool          q = p^k
 #   s_rule(q, kprime)     -> raw exponent  (reduced centrally)
-#   cond_rule(q, k, kprime) -> CoeffCondition
+#   cond_rule(q, k, kprime) -> CoeffCondition  (a shift form's: _on_base(rule))
 #   i_pair(q, kprime)     -> (num, den)    canonical-rewrite cross-check
 
 @dataclass(frozen=True)
@@ -217,7 +204,7 @@ class FamilySpec:
 
 
 def _cond_one(q, k, kp):
-    return CoeffCondition("fixed", value=1)
+    return CoeffCondition("power_unity")
 
 
 def _is_odd(p, k, kp):
@@ -257,28 +244,12 @@ def _cond_thm6(q, k, kp):
     return CoeffCondition("power_unity", base=2, sign=sign, exp=(q + 1) // 2)
 
 
-def _cond_thm11(q, k, kp):
-    return CoeffCondition("fixed", domain="base*", value=-2 if q % 8 == 1 else 2)
-
-
-def _cond_thm12(q, k, kp):
-    return CoeffCondition("fixed", domain="base*", value=2 if q % 8 == 1 else -2)
-
-
-def _cond_cube(domain):
-    return lambda q, k, kp: CoeffCondition("power_unity", domain=domain,
-                                           base=1, sign=1, exp=3)
+def _cond_cube(q, k, kp):
+    return CoeffCondition("power_unity", exp=3)
 
 
 def _cond_power_q13(q, k, kp):
-    return CoeffCondition("power_unity", base=1, sign=1, exp=(q + 1) // 3)
-
-
-def _cond_power_q13_base(q, k, kp):
-    # same unity condition but restricted to GF(q)*, the coefficient domain
-    # forced on every shift form (the step-gcd subfield is GF(q) at k = 1)
-    return CoeffCondition("power_unity", domain="base*", base=1, sign=1,
-                          exp=(q + 1) // 3)
+    return CoeffCondition("power_unity", exp=(q + 1) // 3)
 
 
 def _cond_omega(q, k, kp):
@@ -286,17 +257,25 @@ def _cond_omega(q, k, kp):
 
 
 def _cond_sub_half(q, k, kp):
-    return CoeffCondition("subfield", sub_deg=k // 2)
+    return CoeffCondition("power_unity", exp=2 ** (k // 2) - 1)
 
 
 def _cond_sub_gcd(q, k, kp):
-    return CoeffCondition("subfield", sub_deg=math.gcd(kp, k))
+    return CoeffCondition("power_unity", exp=2 ** math.gcd(kp, k) - 1)
 
 
 def _cond_lem15_1(q, k, kp):
     if k % 2 == 0:
         return _cond_one(q, k, kp)
-    return _cond_cube("field*")(q, k, kp)
+    return _cond_cube(q, k, kp)
+
+
+def _on_base(rule):
+    """rule's condition restricted to GF(q)*.  A shift form built on a
+    trinomial admits that trinomial's c within GF(q)* only: the transfer
+    (Prop. 2) at Frobenius step q^j needs c in GF(q^gcd(j, m))*, which is
+    GF(q)* at j = 1."""
+    return lambda q, k, kp: replace(rule(q, k, kp), domain="base*")
 
 
 def _s_canonical(num_den):
@@ -350,21 +329,26 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         cross=("thm14",)))
 
     # ---- delta forms derived from the above, odd characteristic -----------
-    def derive(fid, base_id, cond, note, steps=None):
-        """The shift form (x^(q^k) - x + delta)^s + c*x built from trinomial
-        base_id: its gate, exponent rules, shape and steps, its own c rule."""
+    def cited(base_id):
+        """Trinomial base_id and its conditions, tags kept, on GF(q)*."""
         base = next(f for f in fams if f.fid == base_id)
+        return base, tuple((tag, _on_base(rule)) for tag, rule in base.conds)
+
+    def derive(fid, base_id, note, steps=None):
+        """The shift form (x^(q^k) - x + delta)^s + c*x built from trinomial
+        base_id: its gate, exponent rules, shape, steps and c conditions."""
+        base, conds = cited(base_id)
         fams.append(replace(
-            base, fid=fid, form="delta_form", conds=(("", cond),),
+            base, fid=fid, form="delta_form", conds=conds,
             steps=steps or base.steps, notes=note,
             cross=(base_id,) + tuple(c for c in base.cross if c.startswith("table1"))))
 
-    derive("thm11", "thm5", _cond_thm11,
+    derive("thm11", "thm5",
            "c = -2 for q = 1 (mod 8), c = 2 for q = 5 (mod 8)")
-    derive("thm12", "thm6", _cond_thm12,
+    derive("thm12", "thm6",
            "c = 2 for q = 1 (mod 8), c = -2 for q = 5 (mod 8)")
-    derive("thm13", "thm7", _cond_one, "")
-    derive("thm14", "thm10", _cond_one,
+    derive("thm13", "thm7", "")
+    derive("thm14", "thm10",
            "printed with inner step q; the composition route from thm10 "
            "dictates inner step q^2, so both variants are verified", steps=(2, 1))
 
@@ -387,7 +371,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         applies=_even("even"),
         s_rules=(("s", lambda q, kp: modular_fraction(
             (3 * q - 2) * (q * q + q + 1), 3, q * q - 1)),),
-        conds=(("", _cond_cube("field*")),),
+        conds=(("", _cond_cube),),
         i_pairs=(("i=4/3", _ipair_const(4, 3)),),
         cross=("thm18-2", "table1-r7")))
     fams.append(FamilySpec(
@@ -395,7 +379,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         applies_desc="q = 2^k, k odd", s_desc="s = (q + 4)/5",
         applies=_even("odd"),
         s_rules=(("s", lambda q, kp: modular_fraction(q + 4, 5, q * q - 1)),),
-        conds=(("", _cond_cube("field*")),),
+        conds=(("", _cond_cube),),
         i_pairs=(("i=1/5", _ipair_const(1, 5)),),
         cross=("thm18-3", "table1-r5")))
     fams.append(FamilySpec(
@@ -468,23 +452,26 @@ def _build_registry() -> tuple[FamilySpec, ...]:
               "and this case does not: the companion-map inverse divides by c"))
 
     # ---- even-characteristic delta forms (coefficients in GF(q)) ----------
-    derive("thm18-1", "lem15-1", _cond_one, "c = 1 for every k")
-    derive("thm18-2", "lem15-2", _cond_cube("base*"), "c in GF(q) with c^3 = 1")
-    derive("thm18-3", "lem15-3", _cond_one, "")
-    derive("thm18-4", "lem15-4", _cond_omega, "")
-    derive("thm18-5", "lem15-5", _cond_one, "")
-    derive("thm18-6", "lem15-6", _cond_one,
+    derive("thm18-1", "lem15-1", "c = 1 for every k")
+    derive("thm18-2", "lem15-2", "c in GF(q) with c^3 = 1")
+    derive("thm18-3", "lem15-3", "")
+    derive("thm18-4", "lem15-4", "")
+    derive("thm18-5", "lem15-5", "")
+    derive("thm18-6", "lem15-6",
            "kept at c = 1; table1-r9 carries the wider unity variant")
-    derive("thm18-7", "lem15-7", _cond_one, "")
-    derive("thm18-8", "lem15-8", _cond_sub_half, "")
-    derive("thm18-9", "lem16-1", _cond_sub_gcd,
+    derive("thm18-7", "lem15-7", "")
+    derive("thm18-8", "lem15-8", "")
+    derive("thm18-9", "lem16-1",
            "c = 0 is rejected: the companion-map inverse divides by c")
-    derive("thm18-10", "lem16-2", _cond_sub_gcd,
+    derive("thm18-10", "lem16-2",
            "c = 0 is rejected: the companion-map inverse divides by c")
 
     # ---- consolidated delta-form table over GF(2^(2k)) ---------------------
-    def row(fid, adesc, applies, ivars, conds, uses_kp=False, cross=(), notes=""):
+    def row(fid, adesc, applies, ivars, conds=None, uses_kp=False, cross=(), notes=""):
+        """A Table 1 shift form; a row that cites a trinomial first in cross
+        and states no conditions of its own takes that trinomial's."""
         s_rules = tuple((tag, _s_canonical(pair)) for tag, pair in ivars)
+        conds = conds or cited(cross[0])[1]
         fams.append(FamilySpec(
             fid=fid, form="delta_form", shape="square",
             applies_desc=adesc, s_desc="s = i*(q - 1) + 1",
@@ -493,7 +480,7 @@ def _build_registry() -> tuple[FamilySpec, ...]:
 
     row("table1-r1", "k even", _even("even"),
         (("i=2", _ipair_const(2, 1)), ("i=-1", _ipair_const(-1, 1))),
-        (("", _cond_one),), cross=("lem15-1", "thm18-1"))
+        cross=("lem15-1", "thm18-1"))
     row("table1-r2", "any k", _even("any"),
         (("i=0", _ipair_const(0, 1)), ("i=1", _ipair_const(1, 1))),
         (("", _cond_one),))
@@ -505,24 +492,24 @@ def _build_registry() -> tuple[FamilySpec, ...]:
         (("", _cond_one),))
     row("table1-r5", "k odd", _even("odd"),
         (("i=1/5", _ipair_const(1, 5)), ("i=4/5", _ipair_const(4, 5))),
-        (("", _cond_one),), cross=("lem15-3", "thm18-3"))
+        cross=("lem15-3", "thm18-3"))
     row("table1-r6", "any k", _even("any"),
         (("i=1/4", _ipair_const(1, 4)), ("i=3/4", _ipair_const(3, 4))),
-        (("", _cond_omega),), cross=("lem15-4", "thm18-4"))
+        cross=("lem15-4", "thm18-4"))
     row("table1-r7", "k even", _even("even"),
         (("i=1/(q-2)", lambda q, kp: (1, q - 2)),
          ("i=-4/(q-2)", lambda q, kp: (-4, q - 2))),
-        (("", _cond_cube("base*")),), cross=("lem15-2", "thm18-2"))
+        cross=("lem15-2", "thm18-2"))
     row("table1-r8", "any k", _even("any"),
         (("i=1/7", _ipair_const(1, 7)), ("i=6/7", _ipair_const(6, 7))),
-        (("", _cond_one),), cross=("lem15-5", "thm18-5"),
+        cross=("lem15-5", "thm18-5"),
         notes="when 3 | k the residue route diverges from lem15-5's exact "
               "quotient and stops permuting; runs at such k fail with "
               "witnesses instead of silently swapping rules")
     row("table1-r9", "k odd", _even("odd"),
         (("i=(q+4)/6", lambda q, kp: ((q + 4) // 6, 1)),
          ("i=(2-q)/6", lambda q, kp: ((2 - q) // 6, 1))),
-        (("unity", _cond_power_q13_base), ("c=1", _cond_one)),
+        (("unity", _on_base(_cond_power_q13)), ("c=1", _cond_one)),
         cross=("lem15-6", "thm18-6"),
         notes="the unity condition only holds within GF(q)*: cube roots of "
               "unity outside GF(q) satisfy c^((q+1)/3) = 1 yet break the "
@@ -530,19 +517,19 @@ def _build_registry() -> tuple[FamilySpec, ...]:
     row("table1-r10", "k even", _even("even"),
         (("i=(q-1)/3", lambda q, kp: ((q - 1) // 3, 1)),
          ("i=(4-q)/3", lambda q, kp: ((4 - q) // 3, 1))),
-        (("", _cond_one),), cross=("lem15-7", "thm18-7"))
+        cross=("lem15-7", "thm18-7"))
     row("table1-r11", "k even", _even("even"),
         (("i=(Q+1)/2", lambda q, kp: (_half_q(q) + 1, 2)),
          ("i=(1-Q)/2", lambda q, kp: (1 - _half_q(q), 2))),
-        (("", _cond_sub_half),), cross=("lem15-8", "thm18-8"))
+        cross=("lem15-8", "thm18-8"))
     row("table1-r12", "gcd(2^k' - 1, 2^k + 1) = 1", _gcd_minus,
         (("i=-1/(2^k'-1)", lambda q, kp: (-1, 2**kp - 1)),
          ("i=2^k'/(2^k'-1)", lambda q, kp: (2**kp, 2**kp - 1))),
-        (("", _cond_sub_gcd),), uses_kp=True, cross=("lem16-1", "thm18-9"))
+        uses_kp=True, cross=("lem16-1", "thm18-9"))
     row("table1-r13", "gcd(2^k' + 1, 2^k + 1) = 1", _gcd_plus,
         (("i=1/(2^k'+1)", lambda q, kp: (1, 2**kp + 1)),
          ("i=2^k'/(2^k'+1)", lambda q, kp: (2**kp, 2**kp + 1))),
-        (("", _cond_sub_gcd),), uses_kp=True, cross=("lem16-2", "thm18-10"))
+        uses_kp=True, cross=("lem16-2", "thm18-10"))
 
     return tuple(fams)
 

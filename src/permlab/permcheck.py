@@ -498,6 +498,15 @@ def prefix_size(order: int) -> int:
     return min(order, 4 * math.isqrt(order) + 4)
 
 
+def _exponent_array(s_values) -> np.ndarray:
+    """s_values as an int64 array; a non-integer or non-positive exponent
+    raises ValueError, as _trinomial_g's does, instead of being truncated."""
+    s_arr = np.asarray(s_values)
+    if s_arr.size and (s_arr.dtype.kind not in "iu" or (s_arr < 1).any()):
+        raise ValueError("exponents must be positive integers")
+    return s_arr.astype(np.int64, copy=False)
+
+
 def prefix_survivors(field: FieldCtx, c: Element, s_values, k: int = 1,
                      qdeg: Optional[int] = None) -> np.ndarray:
     """Boolean mask over s_values: True where c*x - x^s + x^((q^k)*s) takes
@@ -508,9 +517,7 @@ def prefix_survivors(field: FieldCtx, c: Element, s_values, k: int = 1,
     field._check(c)
     if c.index == 0:
         raise ValueError("linear coefficient c must be nonzero")
-    s_arr = np.asarray(s_values, dtype=np.int64)
-    if (s_arr < 1).any():
-        raise ValueError("exponents must be positive integers")
+    s_arr = _exponent_array(s_values)
     bulk = field.bulk()
     Q = field.order
     B = prefix_size(Q)
@@ -535,7 +542,7 @@ def trinomial_hits(field: FieldCtx, c: Element, s_values, k: int = 1,
     that took.  Exact: prefix_survivors drops the s whose map collides on
     the prefix, and pair_verdicts decides every survivor.  An s that is a
     multiple of order-1 raises ValueError before any screening."""
-    s_arr = np.asarray(s_values, dtype=np.int64)
+    s_arr = _exponent_array(s_values)
     bad = s_arr[s_arr % (field.order - 1) == 0]
     if bad.size:
         _trinomial_g(field, bad.item(0), qdeg)      # raises: x^s is constant off 0
@@ -839,8 +846,8 @@ def lemma1_check(field: FieldCtx, r: int, h_terms, d: int) -> Lemma1Result:
     can confirm the two routes agree.
     """
     Q = field.order
-    if d < 1 or (Q - 1) % d:
-        raise ValueError(f"d = {d} does not divide {Q - 1}")
+    if not isinstance(d, int) or d < 1 or (Q - 1) % d:
+        raise ValueError(f"d must be a positive integer dividing {Q - 1}, got {d!r}")
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
     gcd_ok = math.gcd(r, (Q - 1) // d) == 1

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import re
 
 import pytest
 
-from permlab.ffcore import FieldCtx, prime_power
+from permlab.ffcore import FieldCtx, get_field, prime_power
 from permlab.families import (
     InapplicableError,
     applicable,
@@ -321,7 +322,8 @@ def test_valid_coefficient_counts_frozen():
 
 
 def test_dual_route_condition_filtering():
-    """candidates() pools must equal a full-field pointwise scan."""
+    """candidates() pools must equal a full-field pointwise scan of holds(),
+    which checks the GF(q)* restriction itself."""
     cases = [
         ("thm5", field(3, 4), 0),
         ("thm6", field(5, 2), 0),
@@ -330,6 +332,7 @@ def test_dual_route_condition_filtering():
         ("table1-r7", field(2, 4), 0),     # cube roots inside GF(q)
         ("table1-r9", field(2, 2), 0),     # unity inside GF(q)
         ("table1-r9", field(2, 2), 1),     # the c = 1 variant
+        ("table1-r9", field(2, 6), 0),     # cube roots 58, 59 lie outside GF(8)
         ("table1-r11", field(2, 4), 0),    # subfield GF(2^(k/2))
         ("lem15-4", field(2, 4), 0),
         ("lem15-1", field(2, 2), 0),       # cube roots over the whole field
@@ -342,6 +345,7 @@ def test_dual_route_condition_filtering():
     pinned = {
         ("lem15-1", 4): [1, 2, 3],
         ("lem15-1", 64): [1, 58, 59],
+        ("table1-r9", 64): [1],
         ("lem15-2", 16): [1, 6, 7],
         ("lem15-3", 64): [1, 58, 59],
         ("thm7", 49): [1],
@@ -352,16 +356,37 @@ def test_dual_route_condition_filtering():
         qdeg = fam.qdeg_for(fld)
         q = fld.p**qdeg
         cond = fam.conds[ci][1](q, qdeg, 1)
-        base = fld.subfield_indices(qdeg)
-        brute = {
-            c.index
-            for c in fld.elements()
-            if c.index and (cond.domain == "field*" or c.index in base)
-            and cond.holds(fld, qdeg, c)
-        }
+        brute = {c.index for c in fld.elements() if cond.holds(fld, qdeg, c)}
         got = [c.index for c in valid_coefficients(fid, fld, cond_variant=ci)]
         assert set(got) == brute, (fid, ci)
         assert got == pinned.get((fid, fld.order), got), (fid, fld.order)
+
+
+def test_every_catalogue_pool_is_pinned():
+    """One sha256 over every coefficient pool in the catalogue: each family,
+    each condition variant, k' = 1, 2, 3 where the family takes k', at every
+    applicable q with q^m <= 2^16.  A change to how a condition is stated
+    must leave all 456 pools where they are."""
+    digest, pools = hashlib.sha256(), 0
+    for fam in registry():
+        for ci in range(len(fam.conds)):
+            for kp in ((1, 2, 3) if fam.uses_kprime else (1,)):
+                for q in range(2, 1 << 16):
+                    if q**fam.m > 1 << 16:
+                        break
+                    try:
+                        p, k = prime_power(q)
+                    except ValueError:
+                        continue
+                    if not fam.applies(p, k, kp):
+                        continue
+                    pool = valid_coefficients(fam.fid, get_field(p, fam.m * k), kp, ci)
+                    digest.update(
+                        f"{fam.fid} {ci} {kp} {q}: {[c.index for c in pool]}\n".encode())
+                    pools += 1
+    assert pools == 456
+    assert digest.hexdigest() == (
+        "15b626ec2eb03791ab0ca96820a971fdeacdeab6be8d8b6c5f4a3343d3acd27c")
 
 
 def test_pool_outside_the_condition_raises_and_exits_4(tmp_path, monkeypatch, capsys):
@@ -396,12 +421,17 @@ def test_thm5_condition_sign_depends_on_congruence():
     ("thm5", 5, 2, "(2/c)^3 = 1"),
     ("lem15-2", 2, 4, "c^3 = 1"),
     ("lem15-4", 2, 4, "x^3 + x + c has no root in GF(q)"),
-    ("lem15-8", 2, 8, "c in GF(2^2)*"),
-], ids=["thm5-q9", "thm5-q5", "lem15-2", "lem15-4", "lem15-8"])
+    ("lem15-8", 2, 8, "c^3 = 1"),               # GF(2^2)* inside GF(2^8)
+    ("thm11", 3, 4, "(-2/c)^5 = 1, c in GF(q)*"),
+    ("thm13", 7, 2, "c = 1, c in GF(q)*"),
+    ("table1-r9", 2, 6, "c^3 = 1, c in GF(q)*"),
+], ids=["thm5-q9", "thm5-q5", "lem15-2", "lem15-4", "lem15-8", "thm11-q9",
+        "thm13", "table1-r9"])
 def test_condition_describe_states_the_condition(fid, p, n, text):
-    """describe() states each condition kind, both power_unity forms among
-    them, and instantiate's refusal of a c outside the condition quotes
-    it."""
+    """describe() states both condition kinds, the three power_unity forms
+    and the GF(q)* restriction a shift form puts on its trinomial's
+    condition, and instantiate's refusal of a c outside the condition
+    quotes it."""
     f = field(p, n)
     fam = lookup(fid)
     qdeg = fam.qdeg_for(f)
@@ -410,6 +440,26 @@ def test_condition_describe_states_the_condition(fid, p, n, text):
     bad = next(c for c in f.elements() if c.index and not cond.holds(f, qdeg, c))
     with pytest.raises(ValueError, match=re.escape(f"violates {fid} condition {text}")):
         instantiate(fid, f, bad)
+
+
+def test_unity_condition_refuses_cube_roots_outside_gf_q():
+    """table1-r9's unity variant holds only within GF(q)*.  Over GF(2^6),
+    q = 8, the cube roots of unity 58 and 59 satisfy c^((q+1)/3) = c^3 = 1
+    but lie outside GF(8), and the shift form they build permutes at no
+    delta.  valid_coefficients leaves them out and instantiate refuses
+    them, quoting the restriction."""
+    f = get_field(2, 6)
+    assert [c.index for c in valid_coefficients("table1-r9", f)] == [1]
+    for idx in (58, 59):
+        c = f.element_at(idx)
+        assert f.pow(c, 3) == f.one and not f.is_in_subfield(c, 3)
+        for v in (0, 1):
+            s = resolve_exponent("table1-r9", 8, variant=v)
+            assert not any(is_permutation(make_fn_delta(f, c, s, 1, d, qdeg=3)).is_permutation
+                           for d in f.elements())
+            with pytest.raises(ValueError, match=re.escape(
+                    "violates table1-r9 condition c^3 = 1, c in GF(q)*")):
+                instantiate("table1-r9", f, c, f.zero, variant=v)
 
 
 def test_valid_coefficients_inapplicable_field():
@@ -510,9 +560,10 @@ def test_shift_forms_share_their_trinomial_rules():
     """thm11-thm14 and thm18-* are the shift forms built on the trinomial
     each cites first: same gate, exponents, shape, descriptions and i_pairs
     at every q with q^m <= 2^16 (k' = 1, 2, 3 where used), and the same
-    steps except thm14's extra step-1 variant.  The table1 rows also cite
-    trinomials but carry their own residue-route rules, so they are not
-    selected."""
+    steps except thm14's extra step-1 variant.  Each condition keeps its
+    trinomial's tag, and its pool is the trinomial's pool within GF(q)*.
+    The table1 rows also cite trinomials but carry their own residue-route
+    rules, so they are not selected."""
     derived = ["thm11", "thm12", "thm13", "thm14"] + [f"thm18-{i}" for i in range(1, 11)]
     compared = 0
     for fid in derived:
@@ -523,6 +574,7 @@ def test_shift_forms_share_their_trinomial_rules():
             base.shape, base.s_desc, base.applies_desc, base.i_pairs, base.uses_kprime), fid
         assert fam.steps == ((2, 1) if fid == "thm14" else base.steps), fid
         assert len(fam.s_rules) == len(base.s_rules), fid
+        assert [t for t, _ in fam.conds] == [t for t, _ in base.conds], fid
         for q in range(2, 1 << 16):
             if q**fam.m > 1 << 16:
                 break
@@ -538,6 +590,11 @@ def test_shift_forms_share_their_trinomial_rules():
                 for v in range(len(fam.s_rules)):
                     assert (resolve_exponent(fid, q, kp, v)
                             == resolve_exponent(base.fid, q, kp, v)), (fid, q, kp, v)
+                fld = get_field(p, fam.m * k)
+                for ci in range(len(fam.conds)):
+                    assert valid_coefficients(fid, fld, kp, ci) == tuple(
+                        c for c in valid_coefficients(base.fid, fld, kp, ci)
+                        if fld.is_in_subfield(c, k)), (fid, q, kp, ci)
     assert compared == 179
     for fid, base_id in [("thm11", "thm5"), ("thm12", "thm6"),
                          ("thm13", "thm7"), ("thm14", "thm10")]:

@@ -1492,6 +1492,10 @@ def test_lemma1_rejects_bad_divisor():
     f = field(3, 2)
     with pytest.raises(ValueError):
         lemma1_check(f, 1, [(f.one, 0)], 3)   # 3 does not divide 8
+    f = field(2, 4)
+    for d in (3.0, 2.5):                      # 3.0 divides 15 as a float
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            lemma1_check(f, 1, [(f.one, 0)], d)
 
 
 # ---------------------------------------------------------------------------
@@ -1602,9 +1606,12 @@ def test_prefix_screen_memory_stays_bounded():
 
 def test_trinomial_screen_refuses_what_make_fn_trinomial_refuses():
     f, qdeg = _sweep_field(8)
-    for ss in ([0, 5], [-3]):
+    for ss in ([0, 5], [-3], [2.5]):
         with pytest.raises(ValueError):
             prefix_survivors(f, f.one, ss, 1, qdeg)
+    g = field(2, 4)
+    with pytest.raises(ValueError, match="exponents must be positive integers"):
+        trinomial_hits(g, g.one, [2.7, 3.2, 4.9], 1, 2)     # not truncated to [2, 3, 4]
     with pytest.raises(ValueError):
         trinomial_hits(f, f.zero, [5], 1, qdeg)
     with pytest.raises(ValueError):
